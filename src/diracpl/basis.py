@@ -143,6 +143,22 @@ def _validate_basis(basis: BasisParams) -> None:
         )
 
 
+def _scale_power(base: float, exponent: float, what: str, mu: float) -> float:
+    """base**exponent for the basis scale, or a ValueError when it is not a
+    positive finite float (near the excluded mu = 1, beta -> 0 and 1/beta
+    drives omega and omega^beta out of double range)."""
+    try:
+        value = base ** exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"{what} = {base!r}**{exponent!r} is out of floating-point range at "
+            f"mu = {mu!r}; mu this close to the excluded mu = 1 cannot be represented"
+        )
+    return value
+
+
 def select_representation(phys: PhysicalParams, omega: float | None = None,
                           alpha: float | None = None, rep: Rep | str | None = None,
                           allow_unit_rho: bool = False) -> BasisParams:
@@ -175,7 +191,7 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             raise ValueError(
                 "omega is fixed to |2A/beta|^(1/beta) in representation c"
             )
-        omega = abs(2.0 * phys.A / beta) ** (1.0 / beta)
+        omega = _scale_power(abs(2.0 * phys.A / beta), 1.0 / beta, "omega", phys.mu)
         rho = math.copysign(1.0, beta * phys.A)
         if alpha is None:
             alpha = 1.0 + max(1.0 / beta, -1.0 / (2.0 * beta))
@@ -186,10 +202,10 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
                 f"alpha is fixed by kappa and beta in representation {rep.value}"
             )
         if omega is None:
-            omega = abs(phys.A / beta) ** (1.0 / beta)  # makes |rho| = 2
+            omega = _scale_power(abs(phys.A / beta), 1.0 / beta, "omega", phys.mu)  # |rho| = 2
         elif omega <= 0.0:
             raise ValueError("omega must be positive")
-        rho = 2.0 * phys.A / (beta * omega ** beta)
+        rho = 2.0 * phys.A / (beta * _scale_power(omega, beta, "omega^beta", phys.mu))
         if rho * rho == 1.0 and not allow_unit_rho:
             raise ValueError(
                 "|rho| = 1 degenerates the three-term recursion in representations "

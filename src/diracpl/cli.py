@@ -18,15 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import (PhysicalParams, Rep, kinetic_balance_apply, phi_minus,
-                    select_representation)
+from .basis import PhysicalParams, Rep, kinetic_balance_apply, phi_minus
 from .recursion import build_recursion, closed_form_sequence, rescale, solve_forward
 from .solution import (SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_residual,
                        evaluate_grid, map_params, residual_scale,
                        second_order_residual, second_order_scale, solve,
                        swap_energy, weak_form_boundary_check, weak_form_residual)
-from .wave_operator import matrix_element_analytic, matrix_element_numeric
+from .wave_operator import basis_spinor, bilinear_form, build_operator
 
 CONVERGENCE_NS = (5, 10, 20, 40)
 
@@ -155,10 +154,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     rng = np.random.default_rng(config.seed)
     phys = config.physical_params()
     work_phys = phys if phys.eps == 1 else map_params(phys)
-    basis = select_representation(work_phys, omega=config.omega, alpha=config.alpha)
     sol = solve(phys, N=config.N, omega=config.omega, alpha=config.alpha,
                 quad_order=config.quad_order)
-    der = sol.derived
+    basis, der = sol.basis, sol.derived  # the eps = +1 problem's, also for eps = -1
     checks: list[CheckResult] = []
 
     def add(name, measured, tol, description, larger_fails=True):
@@ -176,18 +174,17 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         "lower component equals the first-order operator applied to the upper")
 
     nmax = min(12, max(config.N, 2))
-    op_scale = max(max(abs(matrix_element_analytic(basis.rep, der, n, n)) for n in range(nmax + 1)),
-                   max(abs(matrix_element_analytic(basis.rep, der, n + 1, n)) for n in range(nmax)),
-                   1.0)
+    band = build_operator(basis.rep, der, nmax)
+    op_scale = max(float(np.max(np.abs(band.diag))), float(np.max(np.abs(band.offdiag))), 1.0)
+    spinors = [basis_spinor(basis, n) for n in range(nmax + 1)]
     worst_far, worst_band = 0.0, 0.0
     for n in range(nmax + 1):
-        for m in range(n, nmax + 1):
-            num = matrix_element_numeric(basis, work_phys, n, m, order=config.quad_order)
+        for m in range(n, min(n + 4, nmax) + 1):
+            num = bilinear_form(basis, work_phys, spinors[n], spinors[m], order=config.quad_order)
             if m - n > 1:
-                if m - n <= 4:
-                    worst_far = max(worst_far, abs(num) / op_scale)
+                worst_far = max(worst_far, abs(num) / op_scale)
             else:
-                ana = matrix_element_analytic(basis.rep, der, n, m)
+                ana = band.element(n, m)
                 worst_band = max(worst_band, abs(num - ana) / max(abs(ana), 1e-30))
     add("operator-tridiagonality", worst_far, 1e-8,
         "projections vanish beyond the three central bands")

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .basis import (BasisParams, PhysicalParams, Rep, phi_minus_form,
+from .basis import (BasisParams, PhysicalParams, Rep, _check_r, phi_minus_form,
                     phi_plus_form, select_representation)
 from .forms import LaguerreForm, combine, integrate_product
 from .recursion import closed_form_sequence, rescale
-from .wave_operator import (DerivedParams, derived_params, matrix_element_analytic,
-                            matrix_element_numeric)
+from .wave_operator import (DerivedParams, basis_spinor, bilinear_form, build_operator,
+                            derived_params, matrix_element_analytic)
 
 __all__ = [
     "SpinorSample",
@@ -82,6 +83,15 @@ class SeriesSolution:
         """Normalized expansion coefficient C * f_n."""
         return float(self.norm_const * self.coeffs[n])
 
+    @cached_property
+    def weak_form_scale(self) -> float:
+        """Operator-weighted coefficient mass sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|)."""
+        op = build_operator(self.basis.rep, self.derived, self.N + 1)
+        diag, off = np.abs(op.diag[:-1]), np.abs(op.offdiag)
+        below = np.concatenate(([0.0], off[:-1]))
+        mass = np.abs(self.norm_const * self.coeffs)
+        return max(float(np.sum(mass * (diag + off + below))), 1e-300)
+
 
 def default_r_grid(basis: BasisParams, num: int = 60, x_lo: float = 0.01,
                    x_hi: float = 30.0) -> np.ndarray:
@@ -133,24 +143,11 @@ def solve(phys: PhysicalParams, N: int, omega: float | None = None,
     return assemble(phys, basis, N, quad_order=quad_order)
 
 
-def _check_r(r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radial coordinate must be positive")
-    return r
-
-
 def evaluate(sol: SeriesSolution, r) -> SpinorSample:
     """Spinor components at a single radius."""
     r = float(r)
-    if r <= 0.0:
-        raise ValueError("radial coordinate must be positive")
-    x = sol.basis.x_of_r(r)
-    return SpinorSample(
-        r=r,
-        phi_plus=float(sol.norm_const * sol.form_plus.eval(x)),
-        phi_minus=float(sol.norm_const * sol.form_minus.eval(x)),
-    )
+    plus, minus = evaluate_grid(sol, r)
+    return SpinorSample(r=r, phi_plus=float(plus), phi_minus=float(minus))
 
 
 def evaluate_grid(sol: SeriesSolution, r) -> tuple[np.ndarray, np.ndarray]:
@@ -256,26 +253,21 @@ def second_order_scale(sol: SeriesSolution, r, component: str = "+"):
 def weak_form_residual(sol: SeriesSolution, n: int, order: int | None = None) -> tuple[float, float]:
     """(<psi_n|(H-eps)|chi_N>, cancellation scale), by quadrature.
 
-    The tridiagonal structure telescopes the sum: interior projections vanish
-    up to quadrature error and the n = N projection equals -B_N f_{N+1}.
+    The projection is one bilinear form of psi_n against the assembled series
+    chi_N = C (form_plus, form_minus): at most six integrals, whatever N.
+    The tridiagonal structure telescopes it: interior projections vanish up
+    to quadrature error and the n = N projection equals -B_N f_{N+1}.
     The scale is the operator-weighted coefficient mass
     sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|), the magnitude flowing through
     the quadrature; roundoff from large high-order coefficients is measured
-    against it, not against the (near-zero) projection itself."""
+    against it, not against the (near-zero) projection itself.  It does not
+    depend on n and is computed once per solution."""
     if sol.eps != 1:
         raise ValueError("weak-form projections are computed on the eps = +1 problem")
     order = order if order is not None else sol.quad_order
-    total = 0.0
-    scale = 0.0
-    rep, der = sol.basis.rep, sol.derived
-    for m in range(sol.N + 1):
-        elem = matrix_element_numeric(sol.basis, sol.phys, n, m, order=order)
-        fm = abs(sol.norm_const * sol.coeffs[m])
-        total += sol.norm_const * sol.coeffs[m] * elem
-        scale += fm * (abs(matrix_element_analytic(rep, der, m, m))
-                       + abs(matrix_element_analytic(rep, der, m + 1, m))
-                       + (abs(matrix_element_analytic(rep, der, m, m - 1)) if m >= 1 else 0.0))
-    return total, max(scale, 1e-300)
+    series = (sol.form_plus, sol.form_minus)
+    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n), series, order=order)
+    return sol.norm_const * value, sol.weak_form_scale
 
 
 def weak_form_boundary_check(sol: SeriesSolution, order: int | None = None) -> dict:

@@ -10,11 +10,15 @@ symmetric tridiagonal.  Elements are produced two independent ways:
   which reduce to p = beta/2, q = 0 under the rest-mass-energy parameter
   assignments (tau = 1/4, gamma = kappa/beta, rho = 2A/(beta omega^beta));
 
-* direct quadrature of
+* direct quadrature of the bilinear form
 
-      <psi_n|H-eps|psi_m> = (1-eps) <phi_n^+|phi_m^+>
-          - (1+eps-1/tau) <phi_n^-|phi_m^->
-          + lam omega { <phi_n^+| x^{-1/beta} [kappa - beta gamma + q x] |phi_m^-> + (n<->m) }.
+      <u|H-eps|v> = (1-eps) <u^+|v^+> - (1+eps-1/tau) <u^-|v^->
+          + lam omega { <u^+| x^{-1/beta} [kappa - beta gamma + q x] |v^-> + (u<->v) }
+
+  for any two spinors u = (u^+, u^-), v = (v^+, v^-) written as Laguerre
+  forms (`bilinear_form`).  A matrix element takes u = psi_n, v = psi_m; a
+  weak-form projection takes v = chi_N, the assembled series, so it costs
+  the same handful of integrals whatever the truncation.
 
 Each path is the oracle for the other.  This module works at eps = +1 only;
 eps = -1 is reached through the energy-reflection mapping in `solution`.
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisParams, PhysicalParams, Rep, phi_minus_form, phi_plus_form
-from .forms import integrate_product
+from .forms import LaguerreForm, integrate_product
 
 __all__ = [
     "DerivedParams",
@@ -36,11 +40,16 @@ __all__ = [
     "derived_params",
     "matrix_element_analytic",
     "matrix_element_numeric",
+    "Spinor",
+    "basis_spinor",
+    "bilinear_form",
     "build_operator",
     "overlap_plus",
 ]
 
 _KB_TOL = 1e-12
+
+Spinor = tuple[LaguerreForm, LaguerreForm]  # (upper, lower) components
 
 
 @dataclass(frozen=True)
@@ -165,9 +174,17 @@ def overlap_plus(basis: BasisParams, n: int, m: int, order: int | None = None) -
                              basis.measure, order=order)
 
 
-def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: int,
-                           order: int | None = None) -> float:
-    """<psi_n|H-eps|psi_m> by quadrature of the literal operator expansion."""
+def basis_spinor(basis: BasisParams, n: int) -> Spinor:
+    """psi_n = (phi_n^+, phi_n^-) as a pair of Laguerre forms."""
+    return phi_plus_form(basis, n), phi_minus_form(basis, n)
+
+
+def bilinear_form(basis: BasisParams, phys: PhysicalParams, left: Spinor, right: Spinor,
+                  order: int | None = None) -> float:
+    """<left|H-eps|right> by quadrature of the literal operator expansion.
+
+    Linear in each argument, so a projection on a series costs the same
+    four to six integrals as a single matrix element."""
     if phys.eps != 1:
         raise ValueError(
             "matrix elements are computed at eps = +1; eps = -1 solutions come "
@@ -176,22 +193,28 @@ def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: 
     eps = float(phys.eps)
     beta, omega, lam, tau = basis.beta, basis.omega, basis.lam, basis.tau
     measure = basis.measure
-    fp_n, fp_m = phi_plus_form(basis, n), phi_plus_form(basis, m)
-    fm_n, fm_m = phi_minus_form(basis, n), phi_minus_form(basis, m)
+    (up_l, low_l), (up_r, low_r) = left, right
 
-    total = (1.0 - eps) * integrate_product(fp_n, fp_m, measure, order=order)
-    total -= (1.0 + eps - 1.0 / tau) * integrate_product(fm_n, fm_m, measure, order=order)
+    total = (1.0 - eps) * integrate_product(up_l, up_r, measure, order=order)
+    total -= (1.0 + eps - 1.0 / tau) * integrate_product(low_l, low_r, measure, order=order)
 
     c0 = phys.kappa - beta * basis.gamma
     q = phys.A / omega ** beta - beta * basis.rho / 2.0
     cross = 0.0
     if c0 != 0.0:
-        cross += c0 * (integrate_product(fp_n, fm_m, measure, order=order, extra_power=-1.0 / beta)
-                       + integrate_product(fp_m, fm_n, measure, order=order, extra_power=-1.0 / beta))
+        cross += c0 * (integrate_product(up_l, low_r, measure, order=order, extra_power=-1.0 / beta)
+                       + integrate_product(up_r, low_l, measure, order=order, extra_power=-1.0 / beta))
     if q != 0.0:
-        cross += q * (integrate_product(fp_n, fm_m, measure, order=order, extra_power=1.0 - 1.0 / beta)
-                      + integrate_product(fp_m, fm_n, measure, order=order, extra_power=1.0 - 1.0 / beta))
+        cross += q * (integrate_product(up_l, low_r, measure, order=order, extra_power=1.0 - 1.0 / beta)
+                      + integrate_product(up_r, low_l, measure, order=order, extra_power=1.0 - 1.0 / beta))
     return total + lam * omega * cross
+
+
+def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: int,
+                           order: int | None = None) -> float:
+    """<psi_n|H-eps|psi_m> by quadrature of the literal operator expansion."""
+    return bilinear_form(basis, phys, basis_spinor(basis, n), basis_spinor(basis, m),
+                         order=order)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,18 @@ class TestSelectRepresentation:
         with pytest.raises(ValueError):
             select_representation(PhysicalParams(A=1.0, mu=2.0, kappa=-1), omega=1.0)
 
+    @pytest.mark.parametrize("mu", [0.999999999, 1.000000001])
+    @pytest.mark.parametrize("kappa", [-2, 2, -1])
+    def test_scale_out_of_range_near_unit_power(self, mu, kappa):
+        # beta = 1 - mu -> 0 sends omega = |A/beta|^(1/beta) (and |2A/beta|^(1/beta)
+        # in representation c) past the double range, to inf or to 0
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            select_representation(PhysicalParams(A=1.0, mu=mu, kappa=kappa))
+
+    def test_user_omega_power_out_of_range(self):
+        with pytest.raises(ValueError, match="omega\\^beta"):
+            select_representation(PhysicalParams(A=1.0, mu=-5.0, kappa=1), omega=1e300)
+
     @pytest.mark.parametrize("kappa", [-4, -3, -2, 1, 2, 3, 4])
     @pytest.mark.parametrize("mu", [-2.5, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0])
     def test_constraint_table_on_grid(self, kappa, mu):

@@ -145,3 +145,14 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("mu", ["0.999999999", "1.000000001"])
+    def test_near_excluded_power_is_config_error(self, tmp_path, mu):
+        # omega = |A/beta|^(1/beta) leaves double range as beta = 1 - mu -> 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", mu,
+             "--kappa", "-2", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"mu = {mu}" in proc.stderr

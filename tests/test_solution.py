@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CASE_IDS, build_case
+import diracpl.wave_operator as wave_operator
 from diracpl.basis import PhysicalParams
 from diracpl.forms import integrate_product
 from diracpl.solution import (SpinorSample, _series_forms, assemble, default_r_grid,
@@ -15,6 +16,7 @@ from diracpl.solution import (SpinorSample, _series_forms, assemble, default_r_g
                               residual_scale, second_order_residual,
                               second_order_scale, solve, swap_energy,
                               weak_form_boundary_check, weak_form_residual)
+from diracpl.wave_operator import matrix_element_analytic, matrix_element_numeric
 
 DIAG_PHYS = dict(A=2.0, mu=0.5, kappa=-1)  # beta = 0.5: beta*kappa < 0, beta*A > 0
 
@@ -165,6 +167,38 @@ class TestWeakForm:
         check = weak_form_boundary_check(sol)
         assert not check["resolvable"]
         assert abs(check["projection"]) < 1e-9 * check["scale"]
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_projection_matches_sum_of_matrix_elements(self, label):
+        # oracle: the projection on the series, taken term by term
+        phys, sol = _solve_case(label, N=12)
+        rep, der, c = sol.basis.rep, sol.derived, sol.norm_const
+        for n in (0, 5, sol.N):
+            value, scale = weak_form_residual(sol, n)
+            termwise = sum(c * sol.coeffs[m]
+                           * matrix_element_numeric(sol.basis, phys, n, m, order=sol.quad_order)
+                           for m in range(sol.N + 1))
+            assert abs(value - termwise) <= 1e-12 * scale
+            mass = sum(abs(c * sol.coeffs[m])
+                       * (abs(matrix_element_analytic(rep, der, m, m))
+                          + abs(matrix_element_analytic(rep, der, m + 1, m))
+                          + (abs(matrix_element_analytic(rep, der, m, m - 1)) if m else 0.0))
+                       for m in range(sol.N + 1))
+            assert scale == pytest.approx(mass, rel=1e-13)
+
+    @pytest.mark.parametrize("label", ["a_neg_beta", "b_rho2", "c_rho_minus"])
+    def test_projection_cost_independent_of_truncation(self, label, monkeypatch):
+        original = wave_operator.integrate_product
+        calls = []
+        monkeypatch.setattr(wave_operator, "integrate_product",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        counts = []
+        for N in (4, 30):
+            phys, sol = _solve_case(label, N=N)
+            calls.clear()
+            weak_form_residual(sol, N // 2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 6
 
     @pytest.mark.parametrize("label", ["a_rho2", "b_rho2"])
     def test_boundary_check_returns_plain_python_types(self, label):

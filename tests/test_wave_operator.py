@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import CASE_IDS, build_case
-from diracpl.basis import PhysicalParams, Rep, select_representation
-from diracpl.wave_operator import (build_operator, derived_params,
-                                   matrix_element_analytic, matrix_element_numeric,
-                                   overlap_plus)
+from diracpl.basis import (PhysicalParams, Rep, phi_minus_form, phi_plus_form,
+                          select_representation)
+from diracpl.forms import combine, integrate_product
+from diracpl.wave_operator import (basis_spinor, bilinear_form, build_operator,
+                                   derived_params, matrix_element_analytic,
+                                   matrix_element_numeric, overlap_plus)
 
 
 class TestDerivedParams:
@@ -156,3 +158,57 @@ class TestNumericAgreement:
         assert (1 - phys.eps) == 0
         off = overlap_plus(basis, 0, 3)
         assert abs(off) > 1e-6
+
+
+def _literal_element(basis, phys, n, m):
+    """<psi_n|H-1|psi_m> written out term by term from the four basis forms."""
+    measure, beta, eps = basis.measure, basis.beta, float(phys.eps)
+    fp_n, fp_m = phi_plus_form(basis, n), phi_plus_form(basis, m)
+    fm_n, fm_m = phi_minus_form(basis, n), phi_minus_form(basis, m)
+    total = (1.0 - eps) * integrate_product(fp_n, fp_m, measure)
+    total -= (1.0 + eps - 1.0 / basis.tau) * integrate_product(fm_n, fm_m, measure)
+    c0 = phys.kappa - beta * basis.gamma
+    q = phys.A / basis.omega ** beta - beta * basis.rho / 2.0
+    cross = 0.0
+    if c0 != 0.0:
+        cross += c0 * (integrate_product(fp_n, fm_m, measure, extra_power=-1.0 / beta)
+                       + integrate_product(fp_m, fm_n, measure, extra_power=-1.0 / beta))
+    if q != 0.0:
+        cross += q * (integrate_product(fp_n, fm_m, measure, extra_power=1.0 - 1.0 / beta)
+                      + integrate_product(fp_m, fm_n, measure, extra_power=1.0 - 1.0 / beta))
+    return total + basis.lam * basis.omega * cross
+
+
+def _general_basis(basis):
+    """Parameters off the balanced assignment, so both cross terms are live."""
+    if basis.rep is Rep.C:
+        return replace(basis, gamma=basis.gamma + 0.3, tau=0.35)
+    return replace(basis, rho=0.55 * basis.rho, tau=0.35)
+
+
+class TestBilinearForm:
+    @pytest.mark.parametrize("label", ["a_rho2", "b_rho2", "c_rho_minus"])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_matrix_elements_bitwise_unchanged_on_band(self, label, general):
+        phys, basis = build_case(label)
+        if general:
+            basis = _general_basis(basis)
+        for n in range(9):
+            for m in (n, n + 1):
+                assert matrix_element_numeric(basis, phys, n, m) == _literal_element(basis, phys, n, m)
+
+    @pytest.mark.parametrize("label", ["a_rho2", "b_pos_beta", "c_rho_plus"])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_linear_in_right_argument(self, label, general):
+        phys, basis = build_case(label)
+        if general:
+            basis = _general_basis(basis)
+        left = basis_spinor(basis, 3)
+        u = [basis_spinor(basis, m) for m in range(6)]
+        weights = [0.7, -1.3, 2.1, 0.4, -0.9, 1.6]
+        mix = tuple(combine((w, s[k]) for w, s in zip(weights, u)) for k in (0, 1))
+        order = 30
+        parts = [bilinear_form(basis, phys, left, s, order=order) for s in u]
+        expected = sum(w * v for w, v in zip(weights, parts))
+        scale = sum(abs(w * v) for w, v in zip(weights, parts))
+        assert abs(bilinear_form(basis, phys, left, mix, order=order) - expected) < 1e-13 * scale
