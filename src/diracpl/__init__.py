@@ -7,7 +7,7 @@ from .basis import (BasisParams, PhysicalParams, Rep, kinetic_balance_apply,
                     phi_minus, phi_plus, select_representation)
 from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre, inner_product_radial
 from .recursion import (CoefficientSequence, ThreeTermRecursion, build_recursion,
-                        closed_form_sequence, rescale, solve_forward)
+                        closed_form_sequence, coefficient_sequence, rescale, solve_forward)
 from .solution import (SeriesSolution, SpinorSample, assemble, default_r_grid,
                        diagonal_special_case, dirac_residual, evaluate,
                        map_params, negative_energy_solution, second_order_residual,
@@ -23,7 +23,7 @@ __all__ = [
     "DerivedParams", "TridiagonalOperator", "derived_params",
     "matrix_element_analytic", "matrix_element_numeric", "build_operator",
     "ThreeTermRecursion", "CoefficientSequence", "build_recursion",
-    "solve_forward", "closed_form_sequence", "rescale",
+    "solve_forward", "coefficient_sequence", "closed_form_sequence", "rescale",
     "SeriesSolution", "SpinorSample", "assemble", "solve", "evaluate",
     "default_r_grid", "dirac_residual", "second_order_residual",
     "weak_form_residual", "weak_form_boundary_check", "diagonal_special_case",

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import __version__
 from .basis import PhysicalParams, Rep, kinetic_balance_apply, phi_minus
-from .recursion import build_recursion, closed_form_sequence, rescale, solve_forward
+from .recursion import (CoefficientSequence, build_recursion, closed_form_sequence,
+                        coefficient_sequence, minimal_sector, rescale, solve_backward,
+                        solve_forward)
 from .solution import (SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_residual,
                        evaluate_grid, map_params, residual_scale,
@@ -191,20 +193,23 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("operator-band-agreement", worst_band, 1e-8,
         "quadrature matrix elements match the closed forms on the bands")
 
+    # Recurrence legs run in the direction stable for the sector: forward
+    # recurrence cannot follow a minimal (decaying) sequence.
     rec = build_recursion(basis.rep, der, basis.nu)
-    fwd = solve_forward(rec, 20)
+    stable = coefficient_sequence(basis.rep, der, basis.nu, 20)
     cf = closed_form_sequence(basis.rep, der, 20)
-    dual = float(np.max(np.abs(fwd.values - cf.values) / (np.abs(cf.values) + 1e-300)))
+    dual = float(np.max(np.abs(stable.values - cf.values) / (np.abs(cf.values) + 1e-300)))
     add("coefficient-dual-path", dual, 1e-6,
-        "forward recurrence equals the orthogonal-polynomial closed form")
+        "sector-stable recurrence equals the orthogonal-polynomial closed form")
 
     res = max(abs(rec.residual(cf.values, n)) / (abs(rec.a(n) * cf.values[n]) + 1e-300)
               for n in range(20))
     add("recursion-residual", res, 1e-10,
         "closed-form coefficients satisfy the three-term relation")
 
-    raw = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), 20)
-    red = rescale(fwd, "f").values
+    solver = solve_backward if minimal_sector(basis.rep, der) else solve_forward
+    raw = solver(build_recursion(basis.rep, der, basis.nu, scaling="f"), 20)
+    red = rescale(stable, "f").values
     red = red / red[0]
     chain = float(np.max(np.abs(raw.values - red) / (np.abs(raw.values) + 1e-300)))
     add("scaling-equivalence", chain, 1e-12,
@@ -295,7 +300,6 @@ def _write_samples(config: RunConfig, sol: SeriesSolution) -> Path:
 
 def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
     natural = "h" if sol.basis.rep is Rep.C else "g"
-    from .recursion import CoefficientSequence
     seq = CoefficientSequence(values=sol.coeffs, scaling="f", nu=sol.basis.nu)
     scaled = rescale(seq, natural)
     rows = [{"n": n, "f_n": float(sol.coeffs[n]), "g_or_h_n": float(scaled.values[n])}

@@ -16,11 +16,14 @@ import mpmath as mp
 import numpy as np
 from scipy.special import loggamma
 
-# Working precision for the terminating-series oracle paths: the sums are
-# alternating with severe cancellation for oscillatory families (the value is
-# exponentially smaller than individual terms), so they are accumulated in
-# extended precision and rounded once at the end.
+# Working precision for the terminating-series oracle paths.  The sums
+# alternate and can cancel severely (the value exponentially smaller than the
+# individual terms), so each is accumulated in extended precision, starting at
+# _ORACLE_DPS digits and raised until _GUARD_DIGITS digits survive the
+# measured cancellation; a sum that would need more than _MAX_DPS is refused.
 _ORACLE_DPS = 40
+_GUARD_DIGITS = 20
+_MAX_DPS = 4000
 
 __all__ = [
     "gamma_ratio",
@@ -42,18 +45,56 @@ __all__ = [
 ]
 
 
+def _exp_in_range(log_value: float, what: str) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"{what} leaves double range (log = {log_value:.4g})") from None
+
+
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) for positive a, b, computed as exp(lnG(a) - lnG(b))."""
     if a <= 0 or b <= 0:
         raise ValueError(f"gamma_ratio requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) - math.lgamma(b))
+    return _exp_in_range(math.lgamma(a) - math.lgamma(b), f"Gamma({a})/Gamma({b})")
 
 
 def sqrt_gamma_ratio(a: float, b: float) -> float:
     """sqrt(Gamma(a)/Gamma(b)) for positive a, b, in log space."""
     if a <= 0 or b <= 0:
         raise ValueError(f"sqrt_gamma_ratio requires positive arguments, got ({a}, {b})")
-    return math.exp(0.5 * (math.lgamma(a) - math.lgamma(b)))
+    return _exp_in_range(0.5 * (math.lgamma(a) - math.lgamma(b)),
+                         f"sqrt(Gamma({a})/Gamma({b}))")
+
+
+def _oracle_series(series) -> float:
+    """Evaluate a terminating series at a precision its cancellation leaves intact.
+
+    series() runs at the current mpmath precision and returns
+    (total, magnitude, value): the sum, the sum of its terms' absolute values,
+    and the float result built from the sum.  Summation loses about
+    log10(magnitude/|total|) digits, so the precision is raised until
+    _GUARD_DIGITS digits remain; a fixed precision would return wrong values
+    without any sign once the loss exceeds it.  A sum that is exactly zero at
+    two successive precisions is an exact zero.
+    """
+    dps = _ORACLE_DPS
+    zero_before = False
+    while True:
+        with mp.workdps(dps):
+            total, magnitude, value = series()
+            if total == 0:
+                if zero_before:
+                    return value
+                zero_before, lost = True, float(dps)
+            else:
+                zero_before, lost = False, float(mp.log10(magnitude / abs(total)))
+        if dps - lost >= _GUARD_DIGITS:
+            return value
+        if dps >= _MAX_DPS:
+            raise ValueError(f"oracle series cancels {lost:.0f} digits; "
+                             f"more than {_MAX_DPS} would be needed")
+        dps = min(max(2 * dps, int(lost) + 2 * _GUARD_DIGITS), _MAX_DPS)
 
 
 def _check_laguerre_params(n: int, nu: float) -> None:
@@ -98,14 +139,17 @@ def laguerre_series(n: int, nu: float, x) -> float:
     x = float(x)
     if x < 0:
         raise ValueError("Laguerre evaluation requires x >= 0")
-    with mp.workdps(_ORACLE_DPS):
-        term = mp.mpf(1)
-        total = mp.mpf(1)
+
+    def series():
+        term = total = magnitude = mp.mpf(1)
         for k in range(n):
             term *= (-n + k) * mp.mpf(x) / ((mp.mpf(nu) + 1 + k) * (k + 1))
             total += term
+            magnitude += abs(term)
         prefac = mp.gamma(n + mp.mpf(nu) + 1) / (mp.gamma(n + 1) * mp.gamma(mp.mpf(nu) + 1))
-        return float(prefac * total)
+        return total, magnitude, float(prefac * total)
+
+    return _oracle_series(series)
 
 
 def laguerre_deriv(n: int, nu: float, x) -> float:
@@ -164,18 +208,21 @@ def mp_series(n: int, lam: float, y: float, theta: float) -> float:
     _check_mp_params(n, lam)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}")
-    with mp.workdps(_ORACLE_DPS):
+
+    def series():
         th = mp.mpf(theta)
         z = 1 - mp.exp(-2j * th)
         b = mp.mpc(lam, y)
-        term = mp.mpc(1)
-        total = mp.mpc(1)
+        term = total = mp.mpc(1)
+        magnitude = mp.mpf(1)
         for k in range(n):
             term *= (-n + k) * (b + k) * z / ((2 * mp.mpf(lam) + k) * (k + 1))
             total += term
+            magnitude += abs(term)
         prefac = mp.gamma(n + 2 * mp.mpf(lam)) / (mp.gamma(n + 1) * mp.gamma(2 * mp.mpf(lam)))
-        value = prefac * mp.exp(1j * n * th) * total
-        return float(mp.re(value))
+        return total, magnitude, float(mp.re(prefac * mp.exp(1j * n * th) * total))
+
+    return _oracle_series(series)
 
 
 def mp_weight(y: float, lam: float, theta: float) -> float:
@@ -221,15 +268,19 @@ def hyp_mp_series(n: int, lam: float, y: float, theta: float) -> float:
           2F1(-n, lam+y; 2lam; 1-e^{2 theta}).
     """
     _check_mp_params(n, lam)
-    with mp.workdps(_ORACLE_DPS):
+
+    def series():
         z = 1 - mp.exp(2 * mp.mpf(theta))
-        term = mp.mpf(1)
-        total = mp.mpf(1)
+        lam_y, two_lam = mp.mpf(lam) + y, 2 * mp.mpf(lam)
+        term = total = magnitude = mp.mpf(1)
         for k in range(n):
-            term *= (-n + k) * (mp.mpf(lam) + y + k) * z / ((2 * mp.mpf(lam) + k) * (k + 1))
+            term *= (-n + k) * (lam_y + k) * z / ((two_lam + k) * (k + 1))
             total += term
-        prefac = mp.gamma(n + 2 * mp.mpf(lam)) / (mp.gamma(n + 1) * mp.gamma(2 * mp.mpf(lam)))
-        return float(prefac * mp.exp(-n * mp.mpf(theta)) * total)
+            magnitude += abs(term)
+        prefac = mp.gamma(n + two_lam) / (mp.gamma(n + 1) * mp.gamma(two_lam))
+        return total, magnitude, float(prefac * mp.exp(-n * mp.mpf(theta)) * total)
+
+    return _oracle_series(series)
 
 
 def _check_cdh_params(n: int, lam: float, a: float, b: float) -> None:
@@ -258,17 +309,22 @@ def _cdh_3f2(n: int, lam: float, ysq: float, a: float, b: float) -> float:
     # 3F2(-n, lam+iy, lam-iy; lam+a, lam+b; 1) with (lam+iy)_k (lam-iy)_k
     # accumulated as the real product prod_j ((lam+j)^2 + y^2); ysq may be
     # negative, which realizes the y -> -iy substitution.
-    with mp.workdps(_ORACLE_DPS):
-        term = mp.mpf(1)
-        total = mp.mpf(1)
+
+    def series():
+        lam_, ysq_ = mp.mpf(lam), mp.mpf(ysq)
+        lam_a, lam_b = lam_ + a, lam_ + b
+        term = total = magnitude = mp.mpf(1)
         for k in range(n):
-            num = (-n + k) * ((mp.mpf(lam) + k) ** 2 + ysq)
-            den = (mp.mpf(lam) + a + k) * (mp.mpf(lam) + b + k) * (k + 1)
+            num = (-n + k) * ((lam_ + k) ** 2 + ysq_)
+            den = (lam_a + k) * (lam_b + k) * (k + 1)
             if den == 0:
                 raise ValueError(f"series denominator Pochhammer vanished at index {k}")
             term *= num / den
             total += term
-        return float(total)
+            magnitude += abs(term)
+        return total, magnitude, float(total)
+
+    return _oracle_series(series)
 
 
 def cdh_eval(n: int, lam: float, ysq: float, a: float, b: float) -> float:

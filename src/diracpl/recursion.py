@@ -11,6 +11,16 @@ modified continuous dual Hahn recurrence (c), so the coefficients have closed
 forms evaluated by `orthopoly`.  Both routes are implemented; each is the
 oracle for the other.
 
+The production route (`coefficient_sequence`) is the float recurrence, run
+in the direction that is stable for the sector (Gautschi, "Computational
+aspects of three-term recurrence relations", SIAM Rev. 9, 1967).  Where the
+pinned sequence grows or is dominant (representations a and c, and b with
+rho < 0) forward recurrence follows it.  In representation b with rho > 0 the
+pinned sequence is the decaying, minimal solution, which forward recurrence
+loses to the dominant one; there Miller's backward recurrence, in ratio form,
+computes it (`solve_backward`).  The extended-precision closed forms
+(`closed_form_sequence`) are O(N^2) and serve only as the oracle.
+
 Branch handling for a/b: with sigma_- > 0 (rho^2 > 1) the normalized
 coefficients read  2[(n+lam_mp) cosh(theta) + y sinh(theta)] g_n
 - (n+2 lam_mp-1) g_{n-1} - (n+1) g_{n+1} = 0, while sigma_- < 0 (rho^2 < 1)
@@ -27,9 +37,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln
 
 from .basis import Rep
-from .orthopoly import hyp_mp_series, mod_cdh_series, sqrt_gamma_ratio
+from .orthopoly import hyp_mp_series, mod_cdh_series
 from .wave_operator import DerivedParams
 
 __all__ = [
@@ -37,6 +48,9 @@ __all__ = [
     "CoefficientSequence",
     "build_recursion",
     "solve_forward",
+    "solve_backward",
+    "minimal_sector",
+    "coefficient_sequence",
     "closed_form_sequence",
     "rescale",
     "mp_lambda",
@@ -147,21 +161,103 @@ def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
     raise ValueError(f"unsupported scaling {scaling!r} for representation {rep.value}")
 
 
+def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{what} leaves double range at n = {bad[0]}")
+    return values
+
+
 def solve_forward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
     """Forward recurrence s_0 = 1, s_{n+1} = -(a(n) s_n + b(n) s_{n-1}) / c(n).
 
-    The overall factor is fixed later by wavefunction normalization."""
+    The overall factor is fixed later by wavefunction normalization.  Stable
+    where the pinned sequence is the dominant solution; raises ValueError
+    when it leaves double range."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    vals = np.empty(N + 1)
-    vals[0] = 1.0
+    vals = [1.0]
     for n in range(N):
         cn = rec.c(n)
         if cn == 0.0:
             raise ValueError(f"forward recurrence not solvable: c({n}) = 0")
         prev = vals[n - 1] if n >= 1 else 0.0
-        vals[n + 1] = -(rec.a(n) * vals[n] + rec.b(n) * prev) / cn
-    return CoefficientSequence(values=vals, scaling=rec.scaling, nu=rec.nu)
+        vals.append(-(rec.a(n) * vals[n] + rec.b(n) * prev) / cn)
+    values = _check_finite(np.array(vals), "forward recurrence")
+    return CoefficientSequence(values=values, scaling=rec.scaling, nu=rec.nu)
+
+
+# Miller start indices: the first is 2N + _MILLER_MIN_START, doubled until two
+# starts agree to _MILLER_RTOL; beyond _MILLER_MAX_START the route gives up.
+_MILLER_MIN_START = 20
+_MILLER_MAX_START = 1 << 18
+_MILLER_RTOL = 1e-14
+# Entries below this magnitude sit in or near the subnormal range, where the
+# relative agreement test is meaningless.
+_MILLER_TINY = 1e-290
+
+
+def _miller_pass(rec: ThreeTermRecursion, N: int, start: int) -> np.ndarray:
+    # r_n = s_n / s_{n-1} = -b(n) / (a(n) + c(n) r_{n+1}), from r_{start+1} = 0.
+    ratios = np.ones(N + 1)
+    r = 0.0
+    for n in range(start, 0, -1):
+        den = rec.a(n) + rec.c(n) * r
+        if den == 0.0:
+            raise ValueError(f"backward recurrence not solvable: zero denominator at n = {n}")
+        r = -rec.b(n) / den
+        if n <= N:
+            ratios[n] = r
+    return np.cumprod(ratios)
+
+
+def solve_backward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
+    """Minimal solution with s_0 = 1 by Miller's backward recurrence, in ratio form.
+
+    The ratios r_n = s_n/s_{n-1} run downward from a start index M (taking
+    s_{M+1} = 0), and s_n = prod_{k<=n} r_k upward, so no intermediate value
+    can overflow.  M starts at 2N + 20 and doubles until the first N+1 values
+    of two successive starts agree to 1e-14 on every entry inside double
+    range; entries that underflow are returned as (sub)normal floats or zero.
+    Stable only where the pinned sequence is the minimal solution.
+    """
+    if N < 0:
+        raise ValueError("N must be non-negative")
+    start = 2 * N + _MILLER_MIN_START
+    prev = _miller_pass(rec, N, start)
+    while True:
+        start *= 2
+        vals = _miller_pass(rec, N, start)
+        inside = (np.abs(vals) > _MILLER_TINY) | (np.abs(prev) > _MILLER_TINY)
+        if np.all(np.abs(vals - prev)[inside] <= _MILLER_RTOL * np.abs(vals[inside])):
+            break
+        if start >= _MILLER_MAX_START:
+            raise ValueError(f"backward recurrence did not settle by start index {start}")
+        prev = vals
+    values = _check_finite(vals, "backward recurrence")
+    return CoefficientSequence(values=values, scaling=rec.scaling, nu=rec.nu)
+
+
+def minimal_sector(rep: Rep, derived: DerivedParams) -> bool:
+    """True where the pinned coefficient sequence is the recursion's minimal solution.
+
+    That is representation b with rho > 0.  Representation b has lam + y = 0,
+    so the closed form reduces to |g_n| = (2 lam)_n / n! e^{-n |theta|}, which
+    decays against the e^{+n |theta|} growth of the second solution; for
+    rho < 0 the same expression grows as e^{+n |theta|}.  Outside this sector
+    the pinned sequence is dominant and forward recurrence is stable."""
+    return rep is Rep.B and derived.rho > 0.0
+
+
+def coefficient_sequence(rep: Rep, derived: DerivedParams, nu: float,
+                         N: int) -> CoefficientSequence:
+    """s_0..s_N of the natural-scaling recursion by the route stable in its sector.
+
+    Backward (Miller) recurrence in the minimal sector, forward recurrence
+    elsewhere; float arithmetic, O(N) work.  Raises ValueError if the
+    sequence leaves double range."""
+    rec = build_recursion(rep, derived, nu)
+    return solve_backward(rec, N) if minimal_sector(rep, derived) else solve_forward(rec, N)
 
 
 def closed_form_sequence(rep: Rep, derived: DerivedParams, N: int) -> CoefficientSequence:
@@ -175,11 +271,12 @@ def closed_form_sequence(rep: Rep, derived: DerivedParams, N: int) -> Coefficien
     c (h-scaled):    h_n = modified continuous dual Hahn of order (nu+1)/2
                      with arguments from `cdh_parameters`.
 
-    Values come from the terminating-series evaluators, which stay exact even
-    where the coefficient sequence is the decaying (minimal) solution of the
-    recursion; upward recurrences lose such solutions to dominant-solution
-    contamination, so this path is the reference the forward solver is judged
-    against.
+    Values come from the terminating-series evaluators, run at a precision
+    that survives their cancellation; they are exact even where the
+    coefficient sequence is the decaying (minimal) solution of the recursion.
+    The cost is O(N^2) extended-precision work, so this is the oracle the
+    float routes of `coefficient_sequence` are judged against, not the
+    production path.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
@@ -203,13 +300,11 @@ def closed_form_sequence(rep: Rep, derived: DerivedParams, N: int) -> Coefficien
     return CoefficientSequence(values=vals, scaling="g", nu=derived.nu)
 
 
-def _g_factor(n: int, nu: float) -> float:
-    # g_n / f_n; h_n / f_n is its inverse.
-    return sqrt_gamma_ratio(n + 1.0 + nu, n + 1.0)
-
-
 def rescale(seq: CoefficientSequence, target: str, nu: float | None = None) -> CoefficientSequence:
-    """Convert between the f, g and h scalings; round trips are exact inverses."""
+    """Convert between the f, g and h scalings; round trips are exact inverses.
+
+    Raises ValueError when a scaling factor or a converted coefficient leaves
+    double range."""
     if target not in ("f", "g", "h"):
         raise ValueError(f"unknown scaling {target!r}")
     nu = seq.nu if nu is None else nu
@@ -217,7 +312,14 @@ def rescale(seq: CoefficientSequence, target: str, nu: float | None = None) -> C
         raise ValueError("scaling factors need nu > -1 (positive Gamma arguments)")
     if target == seq.scaling:
         return CoefficientSequence(values=seq.values.copy(), scaling=target, nu=nu)
-    factors = np.array([_g_factor(n, nu) for n in range(len(seq.values))])
+    # g_n / f_n = sqrt(Gamma(n+1+nu)/Gamma(n+1)); h_n / f_n is its inverse.
+    n = np.arange(len(seq.values), dtype=float)
+    with np.errstate(over="ignore"):
+        factors = np.exp(0.5 * (gammaln(n + 1.0 + nu) - gammaln(n + 1.0)))
+    _check_finite(factors, f"scaling factor sqrt(Gamma(n+1+nu)/Gamma(n+1)) at nu = {nu:.6g}")
     to_f = {"f": 1.0, "g": 1.0 / factors, "h": factors}[seq.scaling]
     from_f = {"f": 1.0, "g": factors, "h": 1.0 / factors}[target]
-    return CoefficientSequence(values=seq.values * to_f * from_f, scaling=target, nu=nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = seq.values * to_f * from_f
+    return CoefficientSequence(values=_check_finite(values, f"{target}-scaled coefficient"),
+                               scaling=target, nu=nu)

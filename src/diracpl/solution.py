@@ -1,11 +1,13 @@
 """Truncated series spinor solutions, residual diagnostics, and the special cases.
 
-A solution is chi_N = C * sum_{n=0}^N f_n psi_n with the f_n from the
-closed-form recursion route and C fixed by <chi_N|chi_N> = 1.  Because the
-basis satisfies the first-order (kinetic-balance) relation identically, one
-row of the Dirac system vanishes by construction and the other row carries
-the whole truncation error; both rows are evaluated with exact analytic
-derivatives.
+A solution is chi_N = C * sum_{n=0}^N f_n psi_n with C fixed by
+<chi_N|chi_N> = 1 and the f_n from the float recurrence, run in the direction
+stable for the coefficient sector (`recursion.coefficient_sequence`); the
+extended-precision closed forms are its oracle, not the production route.
+Because the basis satisfies the first-order (kinetic-balance) relation
+identically, one row of the Dirac system vanishes by construction and the
+other row carries the whole truncation error; both rows are evaluated with
+exact analytic derivatives.
 
 Negative-energy (eps = -1) solutions are built by the energy reflection
 A -> -A, kappa -> -kappa with the two spinor components swapped; applying the
@@ -23,7 +25,7 @@ import numpy as np
 from .basis import (BasisParams, PhysicalParams, Rep, _check_r, phi_minus_form,
                     phi_plus_form, select_representation)
 from .forms import LaguerreForm, combine, integrate_product
-from .recursion import closed_form_sequence, rescale
+from .recursion import coefficient_sequence, rescale
 from .wave_operator import (DerivedParams, basis_spinor, bilinear_form, build_operator,
                             derived_params, matrix_element_analytic)
 
@@ -108,13 +110,15 @@ def _series_forms(basis: BasisParams, fvals: np.ndarray) -> tuple[LaguerreForm, 
 
 def assemble(phys: PhysicalParams, basis: BasisParams, N: int,
              quad_order: int | None = None) -> SeriesSolution:
-    """Build and normalize the N-term series solution at eps = +1."""
+    """Build and normalize the N-term series solution at eps = +1.
+
+    Raises ValueError when the coefficients or the norm leave double range."""
     if phys.eps != 1:
         raise ValueError("assemble works at eps = +1; use negative_energy_solution")
     if N < 0:
         raise ValueError("truncation N must be non-negative")
     der = derived_params(basis, phys)
-    seq = closed_form_sequence(basis.rep, der, N + 1)
+    seq = coefficient_sequence(basis.rep, der, basis.nu, N + 1)
     fall = rescale(seq, "f").values
     coeffs, f_next = fall[:N + 1], float(fall[N + 1])
     quad_order = quad_order if quad_order is not None else 2 * N + 20
@@ -123,8 +127,9 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int,
     measure = basis.measure
     norm_sq = integrate_product(form_plus, form_plus, measure, order=quad_order)
     norm_sq += integrate_product(form_minus, form_minus, measure, order=quad_order)
-    if not norm_sq > 0.0:
-        raise ValueError("series norm is not positive; cannot normalize")
+    if not 0.0 < norm_sq < math.inf:
+        raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
+                         "cannot normalize")
     return SeriesSolution(
         phys=phys, basis=basis, derived=der, eps=1, N=N, coeffs=coeffs,
         f_next=f_next, norm_const=1.0 / math.sqrt(norm_sq),

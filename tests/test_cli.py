@@ -48,6 +48,18 @@ class TestExitCodes:
                        tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("mu,kappa", [("-1.5", "-3"), ("1e-9", "-2"),
+                                          ("-0.999999999", "-2")])
+    def test_verify_decaying_sector_passes(self, tmp_path, capsys, mu, kappa):
+        # representation b at rho = 2 (the first is the README library
+        # example): the coefficients are the decaying (minimal) solution,
+        # which only the backward recurrence leg follows
+        code = run_cli(["verify", "--A", "1", f"--mu={mu}", f"--kappa={kappa}"], tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "PASS coefficient-dual-path" in out
+        assert "PASS scaling-equivalence" in out
+
     def test_verify_negative_energy(self, tmp_path, capsys):
         code = run_cli(["verify", "--A", "3", "--mu", "-2", "--kappa", "1",
                         "--omega", "1", "--N", "8", "--epsilon", "-1"], tmp_path)
@@ -156,3 +168,17 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"mu = {mu}" in proc.stderr
+
+    @pytest.mark.parametrize("A,kappa", [(1, -2), (-5, 2), (1, -1)])
+    def test_out_of_double_range_is_config_error(self, tmp_path, A, kappa):
+        # mu = 0.99 passes the omega range check, but beta = 0.01 makes nu
+        # 100..500: the coefficient scaling sqrt(Gamma(n+1+nu)/Gamma(n+1))
+        # (representations a, b) or the quadrature weight prefactor
+        # Gamma(order+nu+1)/Gamma(order+1) (representation c) leaves double range
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", str(A), "--mu", "0.99",
+             "--kappa", str(kappa), "--N", "10", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "double range" in proc.stderr

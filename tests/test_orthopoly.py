@@ -221,3 +221,34 @@ class TestModifiedContinuousDualHahn:
     def test_rejects_bad_denominators(self):
         with pytest.raises(ValueError):
             mod_cdh_eval(3, 1.0, 0.5, -1.0, 1.0)
+
+
+class TestOraclePrecision:
+    """The series oracles raise their working precision to match the cancellation."""
+
+    def test_mod_cdh_pinned_at_n_200(self):
+        # (lam, y, a, b) of the c_rho_minus case; 200- and 400-digit
+        # hypergeometric 3F2 evaluations both give 1.5634161061382907701e-3,
+        # where a fixed 40-digit sum returned -4.4e13
+        assert mod_cdh_series(200, 2.0, 0.5, 2.0, 0.5) == pytest.approx(
+            1.5634161061382907701e-3, rel=1e-12)
+
+    def test_hyp_mp_cancelling_sum(self):
+        # y = lam: 2F1(-n, 2 lam; 2 lam; 1 - e^{2 theta}) = e^{2 n theta}, so
+        # P_n = (2 lam)_n / n! e^{n theta}; for theta < 0 the sum cancels about
+        # 60 digits at n = 60
+        lam, theta, n = 1.5, -1.12, 60
+        exact = math.exp(math.lgamma(n + 2 * lam) - math.lgamma(2 * lam)
+                         - math.lgamma(n + 1.0) + n * theta)
+        assert hyp_mp_series(n, lam, lam, theta) == pytest.approx(exact, rel=1e-12)
+
+    def test_laguerre_and_mp_against_mpmath(self):
+        import mpmath as mp
+        with mp.workdps(200):
+            lag = float(mp.laguerre(150, 0.5, 300))
+            lam, y, theta, n = 1.0, 3.0, 0.3, 80
+            mp_ref = float(mp.re(mp.rf(2 * lam, n) / mp.factorial(n) * mp.exp(1j * n * theta)
+                                 * mp.hyp2f1(-n, mp.mpc(lam, y), 2 * lam,
+                                             1 - mp.exp(-2j * mp.mpf(theta)))))
+        assert laguerre_series(150, 0.5, 300.0) == pytest.approx(lag, rel=1e-12)
+        assert mp_series(n, lam, y, theta) == pytest.approx(mp_ref, rel=1e-12)

@@ -1,15 +1,19 @@
 """Coefficient recursions: forward solve, closed forms, scalings."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from conftest import CASE_IDS, build_case
 from diracpl.basis import PhysicalParams, Rep, select_representation
 from diracpl.orthopoly import sqrt_gamma_ratio
 from diracpl.recursion import (CoefficientSequence, build_recursion, cdh_parameters,
-                               closed_form_sequence, mp_lambda, rescale, solve_forward)
+                               closed_form_sequence, coefficient_sequence, minimal_sector,
+                               mp_lambda, rescale, solve_backward, solve_forward)
+from diracpl.solution import assemble
 from diracpl.wave_operator import build_operator, derived_params
 
 
@@ -226,3 +230,106 @@ class TestScalings:
             res = op.diag[n] * f[n] + op.offdiag[n] * f[n + 1] \
                 + (op.offdiag[n - 1] * f[n - 1] if n >= 1 else 0.0)
             assert abs(res) < 1e-10 * (abs(op.diag[n] * f[n]) + 1e-300)
+
+
+ORACLE_N = 160
+
+
+@lru_cache(maxsize=None)
+def _oracle(label):
+    # closed-form values do not depend on the horizon, so one N = ORACLE_N
+    # evaluation per case serves every shorter horizon
+    _, basis, der = _case_with_derived(label)
+    return closed_form_sequence(basis.rep, der, ORACLE_N).values
+
+
+def _rep_b_case(A, rho):
+    # A = +-1, mu = -1.5, kappa = -3 (beta = 5/2) with omega tuned to the given rho
+    phys = PhysicalParams(A=A, mu=-1.5, kappa=-3)
+    omega = (2.0 * A / (phys.beta * rho)) ** (1.0 / phys.beta)
+    basis = select_representation(phys, omega=omega)
+    assert basis.rep is Rep.B and basis.rho == pytest.approx(rho, rel=1e-12)
+    return basis, derived_params(basis, phys)
+
+
+class TestCoefficientSequence:
+    @pytest.mark.parametrize("N", [20, 41, ORACLE_N])
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_matches_oracle_over_full_horizon(self, label, N):
+        _, basis, der = _case_with_derived(label)
+        seq = coefficient_sequence(basis.rep, der, basis.nu, N)
+        assert seq.scaling == ("h" if basis.rep is Rep.C else "g")
+        np.testing.assert_allclose(seq.values, _oracle(label)[:N + 1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("A,rho", [(1.0, 1.4), (1.0, 2.0), (1.0, 4.0), (1.0, 16.0),
+                                       (1.0, 0.3), (1.0, 0.7),
+                                       (-1.0, -0.5), (-1.0, -2.0), (-1.0, -16.0)])
+    def test_rep_b_omega_sweep(self, A, rho):
+        # rho > 0: the pinned sequence decays (minimal solution), backward
+        # route; the slow decay at rho = 16 (theta = 0.125) needs a Miller
+        # start index far beyond N.  rho < 0: growing, forward route.
+        basis, der = _rep_b_case(A, rho)
+        assert minimal_sector(basis.rep, der) == (rho > 0.0)
+        N = 80
+        seq = coefficient_sequence(basis.rep, der, basis.nu, N).values
+        ref = closed_form_sequence(basis.rep, der, N).values
+        np.testing.assert_allclose(seq, ref, rtol=1e-12, atol=0.0)
+        assert (abs(ref[N]) < abs(ref[0])) == (rho > 0.0)
+
+    def test_small_positive_rho_is_backward_route(self):
+        # 0 < rho < 1 (reached only through omega): the closed form is
+        # (-1)^n e^{n theta} (2 lam)_n / n! with theta < 0, a minimal solution;
+        # at N = 60 it cancels ~60 digits in the 2F1 sum, beyond a fixed
+        # 40-digit evaluation, so it is checked against the exact expression
+        basis, der = _rep_b_case(1.0, 0.5071505162084872)
+        assert minimal_sector(basis.rep, der)
+        N = 60
+        two_lam = 2.0 * mp_lambda(der)
+        n = np.arange(N + 1.0)
+        exact = (-1.0) ** n * np.exp(gammaln(n + two_lam) - gammaln(two_lam)
+                                     - gammaln(n + 1.0) + n * der.theta)
+        seq = coefficient_sequence(basis.rep, der, basis.nu, N).values
+        np.testing.assert_allclose(seq, exact, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(closed_form_sequence(basis.rep, der, N).values, exact,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_backward_solution_satisfies_recursion(self):
+        _, basis, der = _case_with_derived("b_pos_beta")
+        rec = build_recursion(basis.rep, der, basis.nu, scaling="f")
+        seq = solve_backward(rec, 40).values
+        assert seq[0] == 1.0
+        for n in range(40):
+            lead = abs(rec.a(n) * seq[n]) + 1e-300
+            assert abs(rec.residual(seq, n)) < 1e-12 * lead
+
+    def test_out_of_double_range_raises(self):
+        # rep a at rho = 4/3 grows like ~e^{1.94 n}: past 1e308 before n = 400
+        phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1)
+        basis = select_representation(phys, omega=1.5 ** (1.0 / 3.0))
+        der = derived_params(basis, phys)
+        assert basis.rho == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert np.all(np.isfinite(coefficient_sequence(basis.rep, der, basis.nu, 300).values))
+        with pytest.raises(ValueError, match="double range"):
+            coefficient_sequence(basis.rep, der, basis.nu, 400)
+        with pytest.raises(ValueError, match="double range"):
+            assemble(phys, basis, 400)
+
+
+class TestRescaleContract:
+    def test_vectorised_factors_match_scalar_loop(self):
+        seq = CoefficientSequence(values=np.linspace(1.0, 2.0, 50), scaling="f", nu=2.7)
+        g = rescale(seq, "g").values
+        loop = np.array([v * sqrt_gamma_ratio(n + 1.0 + 2.7, n + 1.0)
+                         for n, v in enumerate(seq.values)])
+        np.testing.assert_allclose(g, loop, rtol=1e-13)
+
+    def test_factor_overflow_raises(self):
+        # nu = 300 (beta = 0.01): sqrt(Gamma(n+301)/Gamma(n+1)) leaves double range at n = 1
+        seq = CoefficientSequence(values=np.ones(5), scaling="g", nu=300.0)
+        with pytest.raises(ValueError, match="double range"):
+            rescale(seq, "f")
+
+    def test_non_finite_coefficient_raises(self):
+        seq = CoefficientSequence(values=np.array([1.0, np.inf, 2.0]), scaling="g", nu=1.0)
+        with pytest.raises(ValueError, match="double range at n = 1"):
+            rescale(seq, "f")
