@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .basis import (BasisParams, PhysicalParams, Rep, kinetic_balance_apply,
                     phi_minus, phi_plus, select_representation)
-from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre, inner_product_radial
+from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
 from .recursion import (CoefficientSequence, ThreeTermRecursion, build_recursion,
                         closed_form_sequence, coefficient_sequence, rescale, solve_forward)
 from .solution import (SeriesSolution, SpinorSample, assemble, default_r_grid,
@@ -19,7 +19,7 @@ __all__ = [
     "__version__",
     "PhysicalParams", "BasisParams", "Rep", "select_representation",
     "phi_plus", "phi_minus", "kinetic_balance_apply",
-    "QuadratureRule", "RadialMeasure", "gauss_laguerre", "inner_product_radial",
+    "QuadratureRule", "RadialMeasure", "gauss_laguerre",
     "DerivedParams", "TridiagonalOperator", "derived_params",
     "matrix_element_analytic", "matrix_element_numeric", "build_operator",
     "ThreeTermRecursion", "CoefficientSequence", "build_recursion",

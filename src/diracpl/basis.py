@@ -236,32 +236,34 @@ def phi_minus_form(basis: BasisParams, n: int) -> LaguerreForm:
 
     All three closed forms are algebraically equal to the kinetic-balance
     operator acting on phi_n^+; each is written with the Laguerre parameter
-    that makes its own representation's matrix elements band-limited.
+    that makes its own representation's matrix elements band-limited.  The
+    form holds one Laguerre parameter, the largest one present, and lower
+    ones are mapped onto it by L_m^{s-1} = L_m^s - L_{m-1}^s: rep a's
+    nu-1 terms land on L^nu, rep b's nu term on L^{nu+1}.
     """
     if n < 0:
         raise ValueError("basis index must be non-negative")
     a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
     pre = basis.lam * basis.omega * basis.tau * basis.beta * basis.norm_const(n)
     p = a - 1.0 / basis.beta
+    coef = np.zeros((2, n + 3))  # column j holds order j - 1; order -1 is dropped
     if basis.rep is Rep.A:
-        entries = [
-            (2.0 * (g + a - nu), p, n, nu),
-            ((1.0 + rho) * (n + nu), p, n, nu - 1.0),
-            ((1.0 - rho) * (n + 1.0), p, n + 1, nu - 1.0),
-        ]
+        # 2(g+a-nu) L_n^nu + (1+rho)(n+nu) L_n^{nu-1} + (1-rho)(n+1) L_{n+1}^{nu-1}
+        low, high = (1.0 + rho) * (n + nu), (1.0 - rho) * (n + 1.0)
+        coef[0, n:n + 3] = [-low, 2.0 * (g + a - nu) + low - high, high]
     elif basis.rep is Rep.B:
-        entries = [
-            (2.0 * (g + a), p, n, nu),
-            (-(1.0 - rho), p + 1.0, n, nu + 1.0),
-            (-(1.0 + rho), p + 1.0, n - 1, nu + 1.0),
-        ]
+        # 2(g+a) x^p L_n^nu - x^{p+1} [(1-rho) L_n^{nu+1} + (1+rho) L_{n-1}^{nu+1}],
+        # written on L^{nu+1}
+        coef[0, n:n + 2] = [-2.0 * (g + a), 2.0 * (g + a)]
+        coef[1, n:n + 2] = [-(1.0 + rho), -(1.0 - rho)]
+        nu += 1.0
     else:
-        entries = [
-            (2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0), p, n, nu),
-            (-(1.0 + rho) * (n + nu), p, n - 1, nu),
-            ((1.0 - rho) * (n + 1.0), p, n + 1, nu),
+        coef[0, n:n + 3] = [
+            -(1.0 + rho) * (n + nu),
+            2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
+            (1.0 - rho) * (n + 1.0),
         ]
-    return LaguerreForm.build(entries).scaled(pre)
+    return LaguerreForm(p, nu, coef[:, 1:]).scaled(pre)
 
 
 def kinetic_balance_form(basis: BasisParams, n: int) -> LaguerreForm:
@@ -273,8 +275,8 @@ def kinetic_balance_form(basis: BasisParams, n: int) -> LaguerreForm:
     parameter assignments this is the oracle for phi_minus_form.
     """
     fp = phi_plus_form(basis, n)
-    inner = LaguerreForm.build([]) + fp.scaled(basis.gamma) \
-        + fp.shifted(1.0).scaled(basis.rho / 2.0) + fp.dx().shifted(1.0)
+    inner = fp.scaled(basis.gamma) + fp.shifted(1.0).scaled(basis.rho / 2.0) \
+        + fp.dx().shifted(1.0)
     pre = 2.0 * basis.lam * basis.omega * basis.tau * basis.beta
     return inner.shifted(-1.0 / basis.beta).scaled(pre)
 

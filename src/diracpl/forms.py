@@ -1,20 +1,32 @@
 """Closed algebra of Laguerre forms.
 
-A LaguerreForm is a finite sum  sum_i  c_i x^{p_i} e^{-x/2} L_{n_i}^{nu_i}(x).
-Every spinor-basis component, every truncated series, and every radial
-derivative of these is such a form: the x-derivative maps a form to a form
-(via x L_n' = n L_n - (n+nu) L_{n-1}), multiplication by a power of x shifts
-p, and d/dr = omega beta x^{1-1/beta} d/dx stays inside the algebra.  This
-lets residuals use exact analytic derivatives and lets inner products strip
-the e^{-x} envelope before quadrature, so no e^{+x} rescaling ever occurs.
+A LaguerreForm with power p, Laguerre parameter nu and coefficient matrix c is
 
-Within one form all powers p_i differ by integers; the fractional base power
-is what selects the Gauss-Laguerre weight exponent for exact integration.
+    sum_{k,n}  c[k, n] x^{p+k} e^{-x/2} L_n^nu(x),
+
+one nu per form and integer power offsets k.  Every spinor-basis component,
+every truncated series, and every radial derivative of these is such a form:
+the x-derivative maps a form to a form of the same nu (via
+x L_n' = n L_n - (n+nu) L_{n-1}), multiplication by a power of x shifts p,
+and d/dr = omega beta x^{1-1/beta} d/dx stays inside the algebra.  This lets
+residuals use exact analytic derivatives and lets inner products strip the
+e^{-x} envelope before quadrature, so no e^{+x} rescaling ever occurs.
+
+A single nu per form is possible because the Laguerre parameter can be
+lowered by two-term identities, L_n^{nu-1} = L_n^nu - L_{n-1}^nu (DLMF
+18.9), while raising it needs a full sum over all lower orders.  A form
+therefore takes the largest nu among its terms: the lower component of
+representation a (terms in nu and nu-1) is written on L^nu, that of
+representation b (terms in nu and nu+1) on L^{nu+1}.
+
+Edge rows and columns of c that are exactly zero are trimmed, so p is the
+lowest power present; its fractional part selects the Gauss-Laguerre weight
+exponent for exact integration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,75 +36,65 @@ from .quadrature import RadialMeasure, gauss_laguerre
 
 __all__ = ["LaguerreForm", "combine", "integrate_product"]
 
-_Key = tuple[float, int, float]  # (power, order, nu)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaguerreForm:
-    """Immutable linear combination of x^p e^{-x/2} L_n^nu(x) terms."""
+    """Immutable sum_{k,n} coef[k, n] x^{power+k} e^{-x/2} L_n^nu(x)."""
 
-    terms: dict[_Key, float] = field(default_factory=dict)
+    power: float
+    nu: float
+    coef: np.ndarray
+
+    def __post_init__(self):
+        coef = np.asarray(self.coef, dtype=float)
+        rows = np.flatnonzero(coef.any(axis=1))
+        if rows.size == 0:
+            coef = coef[:0, :0]
+        else:
+            cols = np.flatnonzero(coef.any(axis=0))
+            coef = coef[rows[0]:rows[-1] + 1, :cols[-1] + 1]
+            object.__setattr__(self, "power", float(self.power) + int(rows[0]))
+        coef.setflags(write=False)
+        object.__setattr__(self, "coef", coef)
 
     @staticmethod
     def single(coef: float, power: float, order: int, nu: float) -> "LaguerreForm":
-        if order < 0 or coef == 0.0:
-            return LaguerreForm({})
-        return LaguerreForm({(power, order, nu): float(coef)})
-
-    @staticmethod
-    def build(entries) -> "LaguerreForm":
-        """Form from an iterable of (coef, power, order, nu); drops zero/negative-order terms."""
-        terms: dict[_Key, float] = {}
-        for coef, power, order, nu in entries:
-            if coef == 0.0 or order < 0:
-                continue
-            key = (float(power), int(order), float(nu))
-            terms[key] = terms.get(key, 0.0) + float(coef)
-        return LaguerreForm({k: v for k, v in terms.items() if v != 0.0})
+        """The one-term form coef x^power e^{-x/2} L_order^nu(x)."""
+        c = np.zeros((1, order + 1))
+        c[0, order] = coef
+        return LaguerreForm(power, nu, c)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def min_power(self) -> float:
-        if self.is_zero:
-            raise ValueError("zero form has no base power")
-        return min(p for p, _, _ in self.terms)
+        return self.coef.size == 0
 
     @property
     def poly_degree(self) -> int:
         """Degree in x of the polynomial part relative to the base power."""
-        if self.is_zero:
-            return 0
-        base = self.min_power
-        return max(n + _int_offset(p - base) for p, n, _ in self.terms)
+        k, n = np.nonzero(self.coef)
+        return int(np.max(k + n)) if k.size else 0
 
     def scaled(self, c: float) -> "LaguerreForm":
-        if c == 0.0:
-            return LaguerreForm({})
-        return LaguerreForm({k: c * v for k, v in self.terms.items()})
+        return LaguerreForm(self.power, self.nu, c * self.coef)
 
     def shifted(self, dp: float) -> "LaguerreForm":
-        """Multiply by x^dp.
-
-        Accumulates by key: powers that differ by one ulp can land on the
-        same float after the shift, and colliding terms must merge, not
-        overwrite."""
-        return LaguerreForm.build((v, p + dp, n, nu) for (p, n, nu), v in self.terms.items())
+        """Multiply by x^dp."""
+        return LaguerreForm(self.power + dp, self.nu, self.coef)
 
     def __add__(self, other: "LaguerreForm") -> "LaguerreForm":
         return combine([(1.0, self), (1.0, other)])
 
     def dx(self) -> "LaguerreForm":
         """Exact x-derivative; closed under the term algebra."""
-        entries = []
-        for (p, n, nu), c in self.terms.items():
-            entries.append((c * (p + n), p - 1.0, n, nu))
-            entries.append((-0.5 * c, p, n, nu))
-            if n >= 1:
-                entries.append((-c * (n + nu), p - 1.0, n - 1, nu))
-        return LaguerreForm.build(entries)
+        c = self.coef
+        rows, cols = c.shape
+        k = np.arange(rows)[:, None]
+        n = np.arange(cols)
+        out = np.zeros((rows + 1, cols))
+        out[:rows] = c * (self.power + k + n)
+        out[:rows, :-1] -= c[:, 1:] * (n[1:] + self.nu)
+        out[1:] -= 0.5 * c
+        return LaguerreForm(self.power - 1.0, self.nu, out)
 
     def d_dr(self, measure: RadialMeasure) -> "LaguerreForm":
         """Exact radial derivative through the chain rule of x = (omega r)^beta."""
@@ -101,35 +103,23 @@ class LaguerreForm:
     def eval(self, x):
         """Value at x (scalar or array), including the e^{-x/2} envelope."""
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for nu, group in self._by_nu().items():
-            nmax = max(n for _, n in group)
-            lag = laguerre_all(nmax, nu, x)
-            for (p, n), c in group.items():
-                total += c * np.power(x, p) * lag[n]
-        return total * np.exp(-x / 2.0)
+        return np.power(x, self.power) * self.eval_stripped(x) * np.exp(-x / 2.0)
 
     def eval_r(self, measure: RadialMeasure, r):
         return self.eval(measure.x_of_r(r))
 
-    def eval_stripped(self, x, base_power: float):
-        """Polynomial remainder after factoring x^base_power e^{-x/2}.
-
-        Powers must sit at integer offsets from base_power."""
+    def eval_stripped(self, x):
+        """Polynomial remainder after factoring x^power e^{-x/2}."""
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for nu, group in self._by_nu().items():
-            nmax = max(n for _, n in group)
-            lag = laguerre_all(nmax, nu, x)
-            for (p, n), c in group.items():
-                total += c * np.power(x, _int_offset(p - base_power)) * lag[n]
-        return total
-
-    def _by_nu(self) -> dict[float, dict[tuple[float, int], float]]:
-        groups: dict[float, dict[tuple[float, int], float]] = {}
-        for (p, n, nu), c in self.terms.items():
-            groups.setdefault(nu, {})[(p, n)] = c
-        return groups
+        if self.is_zero:
+            return np.zeros_like(x)
+        cols = self.coef.shape[1]
+        poly = self.coef @ laguerre_all(cols - 1, self.nu, x).reshape(cols, -1)
+        flat = x.reshape(-1)
+        total = poly[-1]
+        for row in poly[-2::-1]:
+            total = total * flat + row
+        return total.reshape(x.shape)
 
 
 def _int_offset(delta: float) -> int:
@@ -140,14 +130,22 @@ def _int_offset(delta: float) -> int:
 
 
 def combine(weighted_forms) -> LaguerreForm:
-    """Weighted sum of forms, merging identical (power, order, nu) terms."""
-    terms: dict[_Key, float] = {}
-    for w, form in weighted_forms:
-        if w == 0.0:
-            continue
-        for key, c in form.terms.items():
-            terms[key] = terms.get(key, 0.0) + w * c
-    return LaguerreForm({k: v for k, v in terms.items() if v != 0.0})
+    """Weighted sum of forms with one Laguerre parameter, aligned on the lowest power."""
+    parts = [(w, f) for w, f in weighted_forms if w != 0.0 and not f.is_zero]
+    if not parts:
+        return LaguerreForm(0.0, 0.0, np.zeros((0, 0)))
+    nu = parts[0][1].nu
+    if any(f.nu != nu for _, f in parts):
+        raise ValueError(f"cannot add forms with different Laguerre parameters: "
+                         f"{sorted({f.nu for _, f in parts})}")
+    base = min(f.power for _, f in parts)
+    offsets = [_int_offset(f.power - base) for _, f in parts]
+    out = np.zeros((max(o + f.coef.shape[0] for (_, f), o in zip(parts, offsets)),
+                    max(f.coef.shape[1] for _, f in parts)))
+    for (w, f), o in zip(parts, offsets):
+        rows, cols = f.coef.shape
+        out[o:o + rows, :cols] += w * f.coef
+    return LaguerreForm(base, nu, out)
 
 
 def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure,
@@ -160,7 +158,7 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
     """
     if fa.is_zero or fb.is_zero:
         return 0.0
-    base = fa.min_power + fb.min_power + extra_power
+    base = fa.power + fb.power + extra_power
     nu_rule = base - 1.0 + 1.0 / measure.beta
     if nu_rule <= -1.0:
         raise ValueError(
@@ -176,7 +174,7 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
         )
     rule = _cached_rule(order, nu_rule)
     x = rule.nodes
-    vals = fa.eval_stripped(x, fa.min_power) * fb.eval_stripped(x, fb.min_power)
+    vals = fa.eval_stripped(x) * fb.eval_stripped(x)
     return measure.jacobian_prefactor * rule.integrate(vals)
 
 

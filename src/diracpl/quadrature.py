@@ -19,7 +19,6 @@ __all__ = [
     "QuadratureRule",
     "RadialMeasure",
     "gauss_laguerre",
-    "inner_product_radial",
 ]
 
 
@@ -92,65 +91,24 @@ def gauss_laguerre(order: int, nu: float, newton_steps: int = 2) -> QuadratureRu
     off = np.sqrt(k[1:] * (k[1:] + nu))
     nodes, _ = eigh_tridiagonal(diag, off)
 
-    lag, dlag = _laguerre_and_derivative(order, nu, nodes)
-    for _ in range(newton_steps):
-        nodes = nodes - lag / dlag
+    # Past the order where L_order^nu leaves double range the polish and the
+    # weights turn inf/nan; the checks below turn that into a ValueError.
+    with np.errstate(over="ignore", invalid="ignore"):
         lag, dlag = _laguerre_and_derivative(order, nu, nodes)
+        for _ in range(newton_steps):
+            nodes = nodes - lag / dlag
+            lag, dlag = _laguerre_and_derivative(order, nu, nodes)
 
-    # written as `not all(...)` so that nan nodes are rejected too
-    if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
-        raise ValueError(
-            f"Gauss-Laguerre node computation failed for order={order}, nu={nu}: "
-            "nodes not positive strictly increasing"
-        )
+        # written as `not all(...)` so that nan nodes are rejected too
+        if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
+            raise ValueError(
+                f"Gauss-Laguerre node computation failed for order={order}, nu={nu}: "
+                "nodes not positive strictly increasing"
+            )
 
-    weights = gamma_ratio(order + nu + 1.0, order + 1.0) / (nodes * dlag ** 2)
+        weights = gamma_ratio(order + nu + 1.0, order + 1.0) / (nodes * dlag ** 2)
     if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValueError(
             f"Gauss-Laguerre weight computation failed for order={order}, nu={nu}"
         )
     return QuadratureRule(order=order, nu=nu, nodes=nodes, weights=weights)
-
-
-def inner_product_radial(f, g, measure: RadialMeasure, rule: QuadratureRule,
-                         envelope: tuple[float, bool]) -> float:
-    """Integral of f(r) g(r) dr over (0, inf), evaluated in the x coordinate.
-
-    ``envelope`` = (a_pow, has_exp) declares that the product f*g, viewed as a
-    function of x = (omega r)^beta, carries the factor x^a_pow e^{-x}; the
-    declared envelope is stripped at the nodes and re-applied against the
-    rule's own weight, so the quadrature sees only the smooth remainder.  The
-    result is exact when the remainder is a polynomial of degree <= 2*order-1,
-    which requires rule.nu = a_pow - 1 + 1/beta.
-
-    has_exp must be True: without an e^{-x} envelope the half-line integral
-    is outside the reach of a Gauss-Laguerre rule.
-    """
-    a_pow, has_exp = envelope
-    if not has_exp:
-        raise ValueError(
-            "integrand must carry an e^{-x} envelope for Gauss-Laguerre integration"
-        )
-    x = rule.nodes
-    r = measure.r_of_x(x)
-    fg = np.asarray(f(r), dtype=float) * np.asarray(g(r), dtype=float)
-    stripped = fg * np.power(x, -a_pow) * np.exp(x)
-    if np.any(~np.isfinite(stripped)):
-        raise ValueError(
-            "non-finite integrand after envelope stripping; check the declared "
-            f"envelope (a_pow={a_pow}) or reduce the quadrature order"
-        )
-    residual_pow = a_pow - 1.0 + 1.0 / measure.beta - rule.nu
-    vals = stripped * np.power(x, residual_pow)
-    return measure.jacobian_prefactor * rule.integrate(vals)
-
-
-def rule_for_envelope(measure: RadialMeasure, a_pow: float, order: int) -> QuadratureRule:
-    """The rule whose weight exactly matches an x^a_pow e^{-x} envelope in r-integrals."""
-    nu = a_pow - 1.0 + 1.0 / measure.beta
-    if nu <= -1:
-        raise ValueError(
-            f"envelope x^{a_pow} is not integrable against the radial measure "
-            f"(effective weight exponent {nu} <= -1)"
-        )
-    return gauss_laguerre(order, nu)

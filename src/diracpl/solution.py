@@ -94,6 +94,16 @@ class SeriesSolution:
         mass = np.abs(self.norm_const * self.coeffs)
         return max(float(np.sum(mass * (diag + off + below))), 1e-300)
 
+    @cached_property
+    def d_dr_forms(self) -> dict[str, tuple[LaguerreForm, LaguerreForm]]:
+        """First and second d/dr of each component form, keyed "+" and "-"."""
+        measure = self.basis.measure
+        out = {}
+        for component, form in (("+", self.form_plus), ("-", self.form_minus)):
+            first = form.d_dr(measure)
+            out[component] = (first, first.d_dr(measure))
+        return out
+
 
 def default_r_grid(basis: BasisParams, num: int = 60, x_lo: float = 0.01,
                    x_hi: float = 30.0) -> np.ndarray:
@@ -165,13 +175,12 @@ def evaluate_grid(sol: SeriesSolution, r) -> tuple[np.ndarray, np.ndarray]:
 def _component_values(sol: SeriesSolution, r):
     """chi+-, their radial derivatives, and the potential pieces at r."""
     r = _check_r(r)
-    measure = sol.basis.measure
-    x = measure.x_of_r(r)
+    x = sol.basis.x_of_r(r)
     c = sol.norm_const
     plus = c * sol.form_plus.eval(x)
     minus = c * sol.form_minus.eval(x)
-    dplus = c * sol.form_plus.d_dr(measure).eval(x)
-    dminus = c * sol.form_minus.d_dr(measure).eval(x)
+    dplus = c * sol.d_dr_forms["+"][0].eval(x)
+    dminus = c * sol.d_dr_forms["-"][0].eval(x)
     pot = sol.phys.kappa / r + sol.phys.A * np.power(r, -sol.phys.mu)
     return r, plus, minus, dplus, dminus, pot
 
@@ -224,11 +233,10 @@ def second_order_residual(sol: SeriesSolution, r, component: str = "+"):
     kappa, A, mu, lam, eps = phys.kappa, phys.A, phys.mu, phys.lam, float(sol.eps)
     sgn = 1.0 if component == "+" else -1.0
     form = sol.form_plus if component == "+" else sol.form_minus
-    measure = sol.basis.measure
-    x = measure.x_of_r(r)
+    x = sol.basis.x_of_r(r)
     c = sol.norm_const
     val = c * form.eval(x)
-    d2 = c * form.d_dr(measure).d_dr(measure).eval(x)
+    d2 = c * sol.d_dr_forms[component][1].eval(x)
     potential = (kappa * (kappa + sgn) / r ** 2
                  + A * A * np.power(r, -2.0 * mu)
                  + A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)))
@@ -238,16 +246,17 @@ def second_order_residual(sol: SeriesSolution, r, component: str = "+"):
 
 def second_order_scale(sol: SeriesSolution, r, component: str = "+"):
     """Term-magnitude scale for second_order_residual."""
+    if component not in ("+", "-"):
+        raise ValueError("component must be '+' or '-'")
     r = _check_r(r)
     phys = sol.phys
     kappa, A, mu, lam, eps = phys.kappa, phys.A, phys.mu, phys.lam, float(sol.eps)
     sgn = 1.0 if component == "+" else -1.0
     form = sol.form_plus if component == "+" else sol.form_minus
-    measure = sol.basis.measure
-    x = measure.x_of_r(r)
+    x = sol.basis.x_of_r(r)
     c = sol.norm_const
     val = np.abs(c * form.eval(x))
-    d2 = np.abs(c * form.d_dr(measure).d_dr(measure).eval(x))
+    d2 = np.abs(c * sol.d_dr_forms[component][1].eval(x))
     pot_mag = (abs(kappa * (kappa + sgn)) / r ** 2
                + A * A * np.power(r, -2.0 * mu)
                + abs(A * (2.0 * kappa + sgn * mu)) * np.power(r, -(mu + 1.0))

@@ -134,7 +134,7 @@ class TestSelectRepresentation:
             assert 2.0 * basis.alpha - 1.0 / basis.beta == pytest.approx(basis.nu, rel=1e-12)
         # both components have an integrable squared envelope in x
         for form in (phi_plus_form(basis, 3), phi_minus_form(basis, 3)):
-            weight_exp = 2.0 * form.min_power - 1.0 + 1.0 / basis.beta
+            weight_exp = 2.0 * form.power - 1.0 + 1.0 / basis.beta
             assert weight_exp > -1.0
 
 
@@ -190,8 +190,8 @@ class TestSpinorComponents:
         # at n = 0 the order-(n-1) term is absent, leaving one polynomial term
         phys, basis = build_case("b_rho2")
         form = phi_minus_form(basis, 0)
-        orders = {key[1] for key in form.terms}
-        assert orders == {0}
+        assert form.coef.shape == (1, 1)
+        assert form.coef[0, 0] != 0.0
 
     def test_rep_c_n0_bracket(self):
         # n = 0 with rho = +1 keeps only the order-0 polynomial with weight
@@ -201,8 +201,9 @@ class TestSpinorComponents:
         pre = basis.lam * basis.omega * basis.tau * basis.beta * basis.norm_const(0)
         expected = pre * (2.0 * basis.gamma + 1.0 / basis.beta
                           + basis.rho * (basis.nu + 1.0))
-        key = (basis.alpha - 1.0 / basis.beta, 0, basis.nu)
-        assert form.terms[key] == pytest.approx(expected, rel=1e-13)
+        assert (form.power, form.nu) == (basis.alpha - 1.0 / basis.beta, basis.nu)
+        assert form.coef.shape == (1, 1)
+        assert form.coef[0, 0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("source", ["a_rho2", "b_rho2"])
     def test_three_forms_mutually_consistent(self, source):

@@ -182,3 +182,16 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "double range" in proc.stderr
+
+    def test_quadrature_overflow_exits_without_warnings(self, tmp_path):
+        # the README library configuration at N = 200 asks for an order-420
+        # Gauss-Laguerre rule, whose Laguerre values leave double range: the
+        # run must end in the one-line configuration error, with no NumPy
+        # RuntimeWarning printed before it
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", "-1.5",
+             "--kappa", "-3", "--N", "200", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Warning" not in proc.stderr

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
+from diracpl.forms import LaguerreForm, integrate_product
 from diracpl.orthopoly import gamma_ratio
-from diracpl.quadrature import (RadialMeasure, gauss_laguerre,
-                                inner_product_radial, rule_for_envelope)
+from diracpl.quadrature import RadialMeasure, gauss_laguerre
 
 
 class TestRuleConstruction:
@@ -99,71 +99,41 @@ class TestRadialMeasure:
             x = m.x_of_r(r)
             return np.power(x, a_pow) * np.exp(-x)
 
-        def one(r):
-            return np.ones_like(np.asarray(r, dtype=float))
-
-        rule = rule_for_envelope(m, a_pow, order=40)
-        ours = inner_product_radial(f, one, m, rule, envelope=(a_pow, True))
+        # x^a_pow e^{-x} as the product of x^a_pow e^{-x/2} and e^{-x/2}
+        ours = integrate_product(LaguerreForm.single(1.0, a_pow, 0, 0.0),
+                                 LaguerreForm.single(1.0, 0.0, 0, 0.0), m, order=40)
         ref, err = quad(lambda r: float(f(r)), 0.0, np.inf, limit=400)
         assert ours == pytest.approx(ref, rel=1e-6)
 
 
 class TestInnerProductRadial:
+    """Radial inner products of one-term forms through integrate_product."""
+
     def test_zeroth_moment_round_trip(self):
         # constant-envelope case: the transformed integral is Gamma(nu+1)
         m = RadialMeasure(beta=3.0, omega=1.4)
         nu = 1.7
         a_pow = nu + 1.0 - 1.0 / m.beta
-
-        def f(r):
-            x = m.x_of_r(r)
-            return m.omega * abs(m.beta) * np.power(x, a_pow) * np.exp(-x)
-
-        def one(r):
-            return np.ones_like(np.asarray(r, dtype=float))
-
-        rule = gauss_laguerre(24, nu)
-        val = inner_product_radial(f, one, m, rule, envelope=(a_pow, True))
+        f = LaguerreForm.single(m.omega * abs(m.beta), a_pow, 0, 0.0)
+        one = LaguerreForm.single(1.0, 0.0, 0, 0.0)
+        val = integrate_product(f, one, m, order=24)
         assert val == pytest.approx(math.gamma(nu + 1.0), rel=1e-12)
 
     def test_matched_exponent_normalization(self):
         # a basis-shaped function x^alpha e^{-x/2} L_n whose exponents match
         # the weight integrates to exactly 1 with the standard normalization
-        from diracpl.orthopoly import laguerre_eval, sqrt_gamma_ratio
+        from diracpl.orthopoly import sqrt_gamma_ratio
         beta, omega, nu = 3.0, 1.2, 1.0
         alpha = (nu + 1.0 - 1.0 / beta) / 2.0
         m = RadialMeasure(beta=beta, omega=omega)
 
         def make(n):
             a_n = math.sqrt(omega * beta) * sqrt_gamma_ratio(n + 1.0, n + nu + 1.0)
+            return LaguerreForm.single(a_n, alpha, n, nu)
 
-            def f(r):
-                x = m.x_of_r(r)
-                return a_n * np.power(x, alpha) * np.exp(-x / 2.0) \
-                    * laguerre_eval(n, nu, x)
-            return f
+        def inner(n, k):
+            return integrate_product(make(n), make(k), m, order=20)
 
-        rule = gauss_laguerre(20, nu)
-        env = (2.0 * alpha, True)
-        assert inner_product_radial(make(0), make(0), m, rule, env) == pytest.approx(1.0, rel=1e-12)
-        assert abs(inner_product_radial(make(0), make(1), m, rule, env)) < 1e-12
-        assert inner_product_radial(make(3), make(3), m, rule, env) == pytest.approx(1.0, rel=1e-12)
-
-    def test_requires_exponential_envelope(self):
-        m = RadialMeasure(beta=2.5, omega=1.0)
-        rule = gauss_laguerre(10, 0.0)
-        with pytest.raises(ValueError):
-            inner_product_radial(lambda r: r, lambda r: r, m, rule, envelope=(1.0, False))
-
-    def test_non_finite_integrand_rejected(self):
-        m = RadialMeasure(beta=2.0 + 1e-9, omega=1.0)  # beta=2 shape, just admissible
-        rule = gauss_laguerre(10, 0.0)
-
-        def bad(r):
-            return np.where(np.asarray(r) > 0.5, np.inf, 1.0)
-
-        def one(r):
-            return np.ones_like(np.asarray(r, dtype=float))
-
-        with pytest.raises(ValueError):
-            inner_product_radial(bad, one, m, rule, envelope=(0.0, True))
+        assert inner(0, 0) == pytest.approx(1.0, rel=1e-12)
+        assert abs(inner(0, 1)) < 1e-12
+        assert inner(3, 3) == pytest.approx(1.0, rel=1e-12)
