@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import PhysicalParams, Rep, kinetic_balance_apply, phi_minus
+from .basis import PhysicalParams, kinetic_balance_apply, phi_minus
 from .recursion import (CoefficientSequence, build_recursion, closed_form_sequence,
-                        coefficient_sequence, minimal_sector, rescale, solve_backward,
-                        solve_forward)
+                        coefficient_sequence, minimal_sector, natural_scaling, rescale,
+                        solve_backward, solve_forward)
 from .solution import (SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_residual,
                        evaluate_grid, map_params, residual_scale,
@@ -176,7 +176,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         "lower component equals the first-order operator applied to the upper")
 
     nmax = min(12, max(config.N, 2))
-    band = build_operator(basis.rep, der, nmax)
+    band = build_operator(der, nmax)
     op_scale = max(float(np.max(np.abs(band.diag))), float(np.max(np.abs(band.offdiag))), 1.0)
     spinors = [basis_spinor(basis, n) for n in range(nmax + 1)]
     worst_far, worst_band = 0.0, 0.0
@@ -196,8 +196,8 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     # Recurrence legs run in the direction stable for the sector: forward
     # recurrence cannot follow a minimal (decaying) sequence.
     rec = build_recursion(basis.rep, der, basis.nu)
-    stable = coefficient_sequence(basis.rep, der, basis.nu, 20)
-    cf = closed_form_sequence(basis.rep, der, 20)
+    stable = coefficient_sequence(der, 20)
+    cf = closed_form_sequence(der, 20)
     dual = float(np.max(np.abs(stable.values - cf.values) / (np.abs(cf.values) + 1e-300)))
     add("coefficient-dual-path", dual, 1e-6,
         "sector-stable recurrence equals the orthogonal-polynomial closed form")
@@ -207,7 +207,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("recursion-residual", res, 1e-10,
         "closed-form coefficients satisfy the three-term relation")
 
-    solver = solve_backward if minimal_sector(basis.rep, der) else solve_forward
+    solver = solve_backward if minimal_sector(der) else solve_forward
     raw = solver(build_recursion(basis.rep, der, basis.nu, scaling="f"), 20)
     red = rescale(stable, "f").values
     red = red / red[0]
@@ -299,9 +299,8 @@ def _write_samples(config: RunConfig, sol: SeriesSolution) -> Path:
 
 
 def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
-    natural = "h" if sol.basis.rep is Rep.C else "g"
     seq = CoefficientSequence(values=sol.coeffs, scaling="f", nu=sol.basis.nu)
-    scaled = rescale(seq, natural)
+    scaled = rescale(seq, natural_scaling(sol.basis.rep))
     rows = [{"n": n, "f_n": float(sol.coeffs[n]), "g_or_h_n": float(scaled.values[n])}
             for n in range(sol.N + 1)]
     out_dir = Path(config.out)

@@ -1,15 +1,18 @@
 """Three-term recursions for the expansion coefficients and their closed forms.
 
-The wave equation projected on the basis gives D_n f_n + B_{n-1} f_{n-1}
-+ B_n f_{n+1} = 0.  After the Gamma-ratio rescalings
+The wave equation projected on the basis gives the raw relation D_n f_n
++ B_{n-1} f_{n-1} + B_n f_{n+1} = 0, whose coefficients are the rows of the
+tridiagonal operator: `build_recursion(..., scaling="f")` reads them from
+`wave_operator.matrix_element_analytic` and writes no formula of its own.
+After the Gamma-ratio rescalings
 
     g_n = sqrt(Gamma(n+1+nu)/Gamma(n+1)) f_n     (representations a, b)
     h_n = sqrt(Gamma(n+1)/Gamma(n+nu+1)) f_n     (representation c)
 
-the relation matches a hyperbolic Meixner-Pollaczek recurrence (a, b) or a
-modified continuous dual Hahn recurrence (c), so the coefficients have closed
-forms evaluated by `orthopoly`.  Both routes are implemented; each is the
-oracle for the other.
+the relation reduces, per family, to the natural relations written out here:
+a hyperbolic Meixner-Pollaczek recurrence (a, b) or a modified continuous dual
+Hahn recurrence (c), so the coefficients have closed forms evaluated by
+`orthopoly`.  Both routes are implemented; each is the oracle for the other.
 
 The production route (`coefficient_sequence`) is the float recurrence, run
 in the direction that is stable for the sector (Gautschi, "Computational
@@ -41,11 +44,12 @@ from scipy.special import gammaln
 
 from .basis import Rep
 from .orthopoly import hyp_mp_series, mod_cdh_series
-from .wave_operator import DerivedParams
+from .wave_operator import DerivedParams, matrix_element_analytic
 
 __all__ = [
     "ThreeTermRecursion",
     "CoefficientSequence",
+    "natural_scaling",
     "build_recursion",
     "solve_forward",
     "solve_backward",
@@ -105,38 +109,41 @@ def cdh_parameters(derived: DerivedParams) -> tuple[float, float, float, float]:
     return lam, math.sqrt(ysq), lam, derived.d + (1.0 - derived.nu) / 2.0
 
 
+def natural_scaling(rep: Rep) -> str:
+    """The scaling whose relation the closed forms satisfy: 'h' for c, 'g' for a/b."""
+    return "h" if rep is Rep.C else "g"
+
+
 def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
                     scaling: str | None = None) -> ThreeTermRecursion:
     """The coefficient recursion in its natural scaling (or the raw 'f' one).
 
-    For representations a/b the default is the g-scaled relation normalized by
-    |sigma_-| so the printed coefficients carry the branch's sign pattern; for
-    c it is the h-scaled relation.  scaling='f' returns the unscaled relation
-    (square-root off-diagonal factors), used by the equivalence-chain checks.
+    scaling='f' returns the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1}
+    = 0, read off the rows of the tridiagonal operator (the analytic matrix
+    elements of `derived`).  The default is the natural relation
+    (`natural_scaling`): for representations a/b the g-scaled relation
+    normalized by |sigma_-|, so the coefficients carry the branch's sign
+    pattern; for c the h-scaled relation.  Any other scaling raises ValueError.
     """
-    if scaling is None:
-        scaling = "h" if rep is Rep.C else "g"
+    natural = natural_scaling(rep)
+    scaling = natural if scaling is None else scaling
+    if scaling == "f":
+        return ThreeTermRecursion(
+            a=lambda n: matrix_element_analytic(derived, n, n),
+            b=lambda n: matrix_element_analytic(derived, n, n - 1) if n else 0.0,
+            c=lambda n: matrix_element_analytic(derived, n + 1, n),
+            scaling="f", nu=nu)
+    if scaling != natural:
+        raise ValueError(f"unsupported scaling {scaling!r} for representation {rep.value}")
 
-    if rep is Rep.C:
+    if natural == "h":
         z, rho, u, p, d = derived.z, derived.rho, derived.u, derived.p, derived.d
         bracket_const = z * (z + rho * u / p) - ((nu + 1.0) / 2.0) ** 2
-
-        def a_fun(n: int) -> float:
-            return (n + nu + 1.0) * (n + d + 1.0) + n * (n + d) + bracket_const
-
-        if scaling == "h":
-            return ThreeTermRecursion(
-                a=a_fun,
-                b=lambda n: -n * (n + d),
-                c=lambda n: -(n + nu + 1.0) * (n + d + 1.0),
-                scaling="h", nu=nu)
-        if scaling == "f":
-            return ThreeTermRecursion(
-                a=a_fun,
-                b=lambda n: -(n + d) * math.sqrt(n * (n + nu)),
-                c=lambda n: -(n + d + 1.0) * math.sqrt((n + 1.0) * (n + nu + 1.0)),
-                scaling="f", nu=nu)
-        raise ValueError(f"unsupported scaling {scaling!r} for representation c")
+        return ThreeTermRecursion(
+            a=lambda n: (n + nu + 1.0) * (n + d + 1.0) + n * (n + d) + bracket_const,
+            b=lambda n: -n * (n + d),
+            c=lambda n: -(n + nu + 1.0) * (n + d + 1.0),
+            scaling="h", nu=nu)
 
     sp, sm, zeta = derived.sigma_plus, derived.sigma_minus, derived.zeta
     if sm == 0.0:
@@ -145,20 +152,12 @@ def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
             "use representation c"
         )
     lam_mp = (nu + 1.0) / 2.0
-    if scaling == "g":
-        sgn = math.copysign(1.0, sm)
-        return ThreeTermRecursion(
-            a=lambda n: 2.0 * ((n + lam_mp) * sp + zeta) / abs(sm),
-            b=lambda n: -sgn * (n + nu),
-            c=lambda n: -sgn * (n + 1.0),
-            scaling="g", nu=nu)
-    if scaling == "f":
-        return ThreeTermRecursion(
-            a=lambda n: (2.0 * n + 1.0 + nu) * sp + 2.0 * zeta,
-            b=lambda n: -sm * math.sqrt(n * (n + nu)),
-            c=lambda n: -sm * math.sqrt((n + 1.0) * (n + 1.0 + nu)),
-            scaling="f", nu=nu)
-    raise ValueError(f"unsupported scaling {scaling!r} for representation {rep.value}")
+    sgn = math.copysign(1.0, sm)
+    return ThreeTermRecursion(
+        a=lambda n: 2.0 * ((n + lam_mp) * sp + zeta) / abs(sm),
+        b=lambda n: -sgn * (n + nu),
+        c=lambda n: -sgn * (n + 1.0),
+        scaling="g", nu=nu)
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -238,7 +237,7 @@ def solve_backward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
     return CoefficientSequence(values=values, scaling=rec.scaling, nu=rec.nu)
 
 
-def minimal_sector(rep: Rep, derived: DerivedParams) -> bool:
+def minimal_sector(derived: DerivedParams) -> bool:
     """True where the pinned coefficient sequence is the recursion's minimal solution.
 
     That is representation b with rho > 0.  Representation b has lam + y = 0,
@@ -246,21 +245,20 @@ def minimal_sector(rep: Rep, derived: DerivedParams) -> bool:
     decays against the e^{+n |theta|} growth of the second solution; for
     rho < 0 the same expression grows as e^{+n |theta|}.  Outside this sector
     the pinned sequence is dominant and forward recurrence is stable."""
-    return rep is Rep.B and derived.rho > 0.0
+    return derived.rep is Rep.B and derived.rho > 0.0
 
 
-def coefficient_sequence(rep: Rep, derived: DerivedParams, nu: float,
-                         N: int) -> CoefficientSequence:
+def coefficient_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
     """s_0..s_N of the natural-scaling recursion by the route stable in its sector.
 
     Backward (Miller) recurrence in the minimal sector, forward recurrence
     elsewhere; float arithmetic, O(N) work.  Raises ValueError if the
     sequence leaves double range."""
-    rec = build_recursion(rep, derived, nu)
-    return solve_backward(rec, N) if minimal_sector(rep, derived) else solve_forward(rec, N)
+    rec = build_recursion(derived.rep, derived, derived.nu)
+    return solve_backward(rec, N) if minimal_sector(derived) else solve_forward(rec, N)
 
 
-def closed_form_sequence(rep: Rep, derived: DerivedParams, N: int) -> CoefficientSequence:
+def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
     """Coefficients from the orthogonal-polynomial closed forms.
 
     a/b (g-scaled):  g_n = P_n(y, theta) for rho^2 > 1 and
@@ -280,7 +278,7 @@ def closed_form_sequence(rep: Rep, derived: DerivedParams, N: int) -> Coefficien
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    if rep is Rep.C:
+    if derived.rep is Rep.C:
         lam, yv, a, b = cdh_parameters(derived)
         vals = np.array([mod_cdh_series(n, lam, yv, a, b) for n in range(N + 1)])
         return CoefficientSequence(values=vals, scaling="h", nu=derived.nu)

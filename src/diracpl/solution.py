@@ -88,7 +88,7 @@ class SeriesSolution:
     @cached_property
     def weak_form_scale(self) -> float:
         """Operator-weighted coefficient mass sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|)."""
-        op = build_operator(self.basis.rep, self.derived, self.N + 1)
+        op = build_operator(self.derived, self.N + 1)
         diag, off = np.abs(op.diag[:-1]), np.abs(op.offdiag)
         below = np.concatenate(([0.0], off[:-1]))
         mass = np.abs(self.norm_const * self.coeffs)
@@ -128,7 +128,7 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int,
     if N < 0:
         raise ValueError("truncation N must be non-negative")
     der = derived_params(basis, phys)
-    seq = coefficient_sequence(basis.rep, der, basis.nu, N + 1)
+    seq = coefficient_sequence(der, N + 1)
     fall = rescale(seq, "f").values
     coeffs, f_next = fall[:N + 1], float(fall[N + 1])
     quad_order = quad_order if quad_order is not None else 2 * N + 20
@@ -294,7 +294,7 @@ def weak_form_boundary_check(sol: SeriesSolution, order: int | None = None) -> d
     precision).  Callers should treat an unresolvable comparison as vacuous
     rather than failed."""
     value, scale = weak_form_residual(sol, sol.N, order=order)
-    b_n = matrix_element_analytic(sol.basis.rep, sol.derived, sol.N + 1, sol.N)
+    b_n = matrix_element_analytic(sol.derived, sol.N + 1, sol.N)
     expected = -b_n * sol.norm_const * sol.f_next
     rel = abs(abs(value) - abs(expected)) / max(abs(expected), 1e-300)
     return {"projection": float(value), "expected": float(expected),
@@ -359,8 +359,8 @@ def diagonal_special_case(phys: PhysicalParams, quad_order: int | None = None) -
     basis = replace(basis, rho=1.0)  # snap roundoff so the degeneracy is exact
 
     der = derived_params(basis, phys, allow_unit_rho=True)
-    d0 = matrix_element_analytic(basis.rep, der, 0, 0)
-    b_scale = abs(matrix_element_analytic(basis.rep, der, 1, 1)) + 1.0
+    d0 = matrix_element_analytic(der, 0, 0)
+    b_scale = abs(matrix_element_analytic(der, 1, 1)) + 1.0
     if der.sigma_minus != 0.0 or abs(d0) > 1e-12 * b_scale:
         raise ValueError("diagonal reduction conditions failed: "
                          f"sigma_-={der.sigma_minus}, D_0={d0}")

@@ -82,15 +82,6 @@ class DerivedParams:
     d: float
     u: float
 
-    @property
-    def kinetic_balance(self) -> bool:
-        """True when the full balanced assignment tau = 1/4, gamma = kappa/beta,
-        rho = 2A/(beta omega^beta) is active (equivalently q = 0 with tau, gamma
-        at their forced values)."""
-        return (abs(self.q) <= _KB_TOL * (abs(self.rho * self.beta) / 2.0 + 1.0)
-                and self.tau == 0.25
-                and abs(self.gamma - self.kappa / self.beta) <= _KB_TOL * (abs(self.gamma) + 1.0))
-
 
 def derived_params(basis: BasisParams, phys: PhysicalParams,
                    allow_unit_rho: bool = False) -> DerivedParams:
@@ -139,31 +130,31 @@ def derived_params(basis: BasisParams, phys: PhysicalParams,
     )
 
 
-def matrix_element_analytic(rep: Rep, derived: DerivedParams, n: int, m: int) -> float:
-    """Closed-form element <psi_n|H-1|psi_m>; exactly 0 for |n-m| > 1."""
+def matrix_element_analytic(derived: DerivedParams, n: int, m: int) -> float:
+    """Closed-form element <psi_n|H-1|psi_m>; exactly 0 for |n-m| > 1.
+
+    Reps a and b share one formula in nu (+-(2 kappa + 1)/beta respectively)."""
     if n < 0 or m < 0:
         raise ValueError("matrix indices must be non-negative")
     if abs(n - m) > 1:
         return 0.0
     lam, omega, beta, tau = derived.lam, derived.omega, derived.beta, derived.tau
-    p, q, rho = derived.p, derived.q, derived.rho
+    p, q, rho, nu = derived.p, derived.q, derived.rho, derived.nu
     common = lam * lam * omega * omega * beta * tau
-    nut = (2.0 * derived.kappa + 1.0) / beta
+    k = max(n, m)
 
-    if rep is Rep.A or rep is Rep.B:
-        sgn = 1.0 if rep is Rep.A else -1.0
+    if derived.rep is not Rep.C:
+        nut = (2.0 * derived.kappa + 1.0) / beta
         if n == m:
-            return common * ((2.0 * n + 1.0 + sgn * nut) * (p * (rho * rho + 1.0) + 2.0 * q * rho)
+            return common * ((2.0 * n + 1.0 + nu) * (p * (rho * rho + 1.0) + 2.0 * q * rho)
                              + 2.0 * (nut - 1.0) * (p * rho + q))
-        k = max(n, m)
-        return -common * (p * (rho * rho - 1.0) + 2.0 * q * rho) * math.sqrt(k * (k + sgn * nut))
+        return -common * (p * (rho * rho - 1.0) + 2.0 * q * rho) * math.sqrt(k * (k + nu))
 
-    alpha, gamma, nu, u = derived.alpha, derived.gamma, derived.nu, derived.u
+    alpha, gamma, u = derived.alpha, derived.gamma, derived.u
     if n == m:
         s = n + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
         t = n + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
         return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
-    k = max(n, m)
     s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
     return -4.0 * common * (p * s + u / 2.0) * math.sqrt(k * (k + nu))
 
@@ -246,10 +237,10 @@ class TridiagonalOperator:
         return mat
 
 
-def build_operator(rep: Rep, derived: DerivedParams, N: int) -> TridiagonalOperator:
+def build_operator(derived: DerivedParams, N: int) -> TridiagonalOperator:
     """Assemble D_0..D_N and B_0..B_{N-1} from the closed forms."""
     if N < 1:
         raise ValueError("operator size N must be >= 1")
-    diag = np.array([matrix_element_analytic(rep, derived, n, n) for n in range(N + 1)])
-    off = np.array([matrix_element_analytic(rep, derived, n + 1, n) for n in range(N)])
+    diag = np.array([matrix_element_analytic(derived, n, n) for n in range(N + 1)])
+    off = np.array([matrix_element_analytic(derived, n + 1, n) for n in range(N)])
     return TridiagonalOperator(diag=diag, offdiag=off)

@@ -187,7 +187,7 @@ def test_criterion_4_tridiagonality():
     for label, phys_kw, sel_kw in PARAM_SETS:
         phys, basis = build_case(label)
         der = derived_params(basis, phys)
-        op = build_operator(basis.rep, der, 13)
+        op = build_operator(der, 13)
         scale = max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag)), 1.0)
         for n in range(13):
             for m in range(n, min(n + 5, 13)):
@@ -209,7 +209,7 @@ def test_criterion_5_closed_form_solutions():
         phys, basis = build_case(label)
         der = derived_params(basis, phys)
         rec = build_recursion(basis.rep, der, basis.nu)
-        cf = closed_form_sequence(basis.rep, der, 21).values
+        cf = closed_form_sequence(der, 21).values
         # forward recurrence loses decaying (minimal) sequences to dominant
         # contamination; the dual comparison is meaningful on the horizon
         # where the recurrence still carries the pinned solution

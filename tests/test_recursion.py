@@ -102,7 +102,7 @@ class TestClosedForm:
     def test_matches_forward_recurrence(self, label):
         _, basis, der = _case_with_derived(label)
         fwd = solve_forward(build_recursion(basis.rep, der, basis.nu), 20)
-        cf = closed_form_sequence(basis.rep, der, 20)
+        cf = closed_form_sequence(der, 20)
         assert cf.scaling == fwd.scaling
         np.testing.assert_allclose(cf.values, fwd.values, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(fwd.values)))
@@ -110,11 +110,11 @@ class TestClosedForm:
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_normalized_start(self, label):
         _, basis, der = _case_with_derived(label)
-        assert closed_form_sequence(basis.rep, der, 0).values[0] == pytest.approx(1.0)
+        assert closed_form_sequence(der, 0).values[0] == pytest.approx(1.0)
 
     def test_rep_a_first_value_is_hyperbolic_cosine(self):
         _, basis, der = _case_with_derived("a_rho2")
-        cf = closed_form_sequence(basis.rep, der, 1)
+        cf = closed_form_sequence(der, 1)
         assert cf.values[1] == pytest.approx(2.0 * math.cosh(der.theta), rel=1e-13)
         assert cf.values[1] == pytest.approx(10.0 / 3.0, rel=1e-13)
 
@@ -122,7 +122,7 @@ class TestClosedForm:
     def test_satisfies_recursion(self, label):
         _, basis, der = _case_with_derived(label)
         rec = build_recursion(basis.rep, der, basis.nu)
-        cf = closed_form_sequence(basis.rep, der, 16)
+        cf = closed_form_sequence(der, 16)
         for n in range(15):
             lead = abs(rec.a(n) * cf.values[n]) + 1e-300
             assert abs(rec.residual(cf.values, n)) < 1e-10 * lead
@@ -210,7 +210,7 @@ class TestScalings:
         # to dominant-solution contamination, so the sequence-level comparison
         # is restricted to the range where both solves still carry it.
         _, basis, der = _case_with_derived(label)
-        cf = closed_form_sequence(basis.rep, der, 20).values
+        cf = closed_form_sequence(der, 20).values
         growing = abs(cf[-1]) >= abs(cf[0])
         horizon = 20 if growing else 10
         raw = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), horizon)
@@ -219,13 +219,25 @@ class TestScalings:
         red_f = red_f / red_f[0]
         np.testing.assert_allclose(red_f, raw.values, rtol=1e-12 if growing else 1e-9)
 
+    @pytest.mark.parametrize("N", [20, 60])
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_raw_relation_sector_stable_over_full_horizon(self, label, N):
+        # verify's scaling-equivalence leg: the raw relation, solved in the
+        # direction stable for the sector, reproduces the production sequence
+        # over the whole horizon, decaying (minimal) cases included
+        _, basis, der = _case_with_derived(label)
+        solver = solve_backward if minimal_sector(der) else solve_forward
+        raw = solver(build_recursion(basis.rep, der, basis.nu, scaling="f"), N).values
+        red_f = rescale(coefficient_sequence(der, N), "f").values
+        np.testing.assert_allclose(raw, red_f / red_f[0], rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_raw_recursion_matches_operator(self, label):
         # D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0 ties the recursion to
         # the tridiagonal matrix elements
         _, basis, der = _case_with_derived(label)
         f = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), 15).values
-        op = build_operator(basis.rep, der, 15)
+        op = build_operator(der, 15)
         for n in range(14):
             res = op.diag[n] * f[n] + op.offdiag[n] * f[n + 1] \
                 + (op.offdiag[n - 1] * f[n - 1] if n >= 1 else 0.0)
@@ -240,7 +252,7 @@ def _oracle(label):
     # closed-form values do not depend on the horizon, so one N = ORACLE_N
     # evaluation per case serves every shorter horizon
     _, basis, der = _case_with_derived(label)
-    return closed_form_sequence(basis.rep, der, ORACLE_N).values
+    return closed_form_sequence(der, ORACLE_N).values
 
 
 def _rep_b_case(A, rho):
@@ -257,7 +269,7 @@ class TestCoefficientSequence:
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_matches_oracle_over_full_horizon(self, label, N):
         _, basis, der = _case_with_derived(label)
-        seq = coefficient_sequence(basis.rep, der, basis.nu, N)
+        seq = coefficient_sequence(der, N)
         assert seq.scaling == ("h" if basis.rep is Rep.C else "g")
         np.testing.assert_allclose(seq.values, _oracle(label)[:N + 1], rtol=1e-12, atol=0.0)
 
@@ -269,10 +281,10 @@ class TestCoefficientSequence:
         # route; the slow decay at rho = 16 (theta = 0.125) needs a Miller
         # start index far beyond N.  rho < 0: growing, forward route.
         basis, der = _rep_b_case(A, rho)
-        assert minimal_sector(basis.rep, der) == (rho > 0.0)
+        assert minimal_sector(der) == (rho > 0.0)
         N = 80
-        seq = coefficient_sequence(basis.rep, der, basis.nu, N).values
-        ref = closed_form_sequence(basis.rep, der, N).values
+        seq = coefficient_sequence(der, N).values
+        ref = closed_form_sequence(der, N).values
         np.testing.assert_allclose(seq, ref, rtol=1e-12, atol=0.0)
         assert (abs(ref[N]) < abs(ref[0])) == (rho > 0.0)
 
@@ -282,15 +294,15 @@ class TestCoefficientSequence:
         # at N = 60 it cancels ~60 digits in the 2F1 sum, beyond a fixed
         # 40-digit evaluation, so it is checked against the exact expression
         basis, der = _rep_b_case(1.0, 0.5071505162084872)
-        assert minimal_sector(basis.rep, der)
+        assert minimal_sector(der)
         N = 60
         two_lam = 2.0 * mp_lambda(der)
         n = np.arange(N + 1.0)
         exact = (-1.0) ** n * np.exp(gammaln(n + two_lam) - gammaln(two_lam)
                                      - gammaln(n + 1.0) + n * der.theta)
-        seq = coefficient_sequence(basis.rep, der, basis.nu, N).values
+        seq = coefficient_sequence(der, N).values
         np.testing.assert_allclose(seq, exact, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(closed_form_sequence(basis.rep, der, N).values, exact,
+        np.testing.assert_allclose(closed_form_sequence(der, N).values, exact,
                                    rtol=1e-12, atol=0.0)
 
     def test_backward_solution_satisfies_recursion(self):
@@ -308,9 +320,9 @@ class TestCoefficientSequence:
         basis = select_representation(phys, omega=1.5 ** (1.0 / 3.0))
         der = derived_params(basis, phys)
         assert basis.rho == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert np.all(np.isfinite(coefficient_sequence(basis.rep, der, basis.nu, 300).values))
+        assert np.all(np.isfinite(coefficient_sequence(der, 300).values))
         with pytest.raises(ValueError, match="double range"):
-            coefficient_sequence(basis.rep, der, basis.nu, 400)
+            coefficient_sequence(der, 400)
         with pytest.raises(ValueError, match="double range"):
             assemble(phys, basis, 400)
 

@@ -172,7 +172,7 @@ class TestWeakForm:
     def test_projection_matches_sum_of_matrix_elements(self, label):
         # oracle: the projection on the series, taken term by term
         phys, sol = _solve_case(label, N=12)
-        rep, der, c = sol.basis.rep, sol.derived, sol.norm_const
+        der, c = sol.derived, sol.norm_const
         for n in (0, 5, sol.N):
             value, scale = weak_form_residual(sol, n)
             termwise = sum(c * sol.coeffs[m]
@@ -180,9 +180,9 @@ class TestWeakForm:
                            for m in range(sol.N + 1))
             assert abs(value - termwise) <= 1e-12 * scale
             mass = sum(abs(c * sol.coeffs[m])
-                       * (abs(matrix_element_analytic(rep, der, m, m))
-                          + abs(matrix_element_analytic(rep, der, m + 1, m))
-                          + (abs(matrix_element_analytic(rep, der, m, m - 1)) if m else 0.0))
+                       * (abs(matrix_element_analytic(der, m, m))
+                          + abs(matrix_element_analytic(der, m + 1, m))
+                          + (abs(matrix_element_analytic(der, m, m - 1)) if m else 0.0))
                        for m in range(sol.N + 1))
             assert scale == pytest.approx(mass, rel=1e-13)
 

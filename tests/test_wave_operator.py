@@ -70,22 +70,35 @@ class TestAnalyticElements:
         phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1)
         basis = select_representation(phys, omega=1.0)
         der = derived_params(basis, phys)
-        assert matrix_element_analytic(Rep.A, der, 0, 0) == pytest.approx(11.25, rel=1e-14)
+        assert matrix_element_analytic(der, 0, 0) == pytest.approx(11.25, rel=1e-14)
         expected_off = -27.0 * math.sqrt(2.0) / 8.0
-        assert matrix_element_analytic(Rep.A, der, 1, 0) == pytest.approx(expected_off, rel=1e-14)
-        assert matrix_element_analytic(Rep.A, der, 0, 1) == pytest.approx(expected_off, rel=1e-14)
+        assert matrix_element_analytic(der, 1, 0) == pytest.approx(expected_off, rel=1e-14)
+        assert matrix_element_analytic(der, 0, 1) == pytest.approx(expected_off, rel=1e-14)
+
+    def test_rep_b_frozen_values(self):
+        # rho = 2, nu = alpha = 1/4, p = 2, q = 0, common = 1:
+        # D_0 = (1 + nu) p (rho^2 + 1) + 2 (-nu - 1) p rho = 5/2,
+        # B_0 = -p (rho^2 - 1) sqrt(1 + nu) = -3 sqrt(5)
+        phys = PhysicalParams(A=4.0, mu=-3.0, kappa=-1)
+        basis = select_representation(phys, omega=1.0)
+        der = derived_params(basis, phys)
+        assert basis.rep is Rep.B and der.rho == 2.0 and der.nu == 0.25
+        assert matrix_element_analytic(der, 0, 0) == pytest.approx(2.5, rel=1e-14)
+        expected_off = -3.0 * math.sqrt(5.0)
+        assert matrix_element_analytic(der, 1, 0) == pytest.approx(expected_off, rel=1e-14)
+        assert matrix_element_analytic(der, 0, 1) == pytest.approx(expected_off, rel=1e-14)
 
     def test_far_elements_are_exact_zero(self):
         phys, basis = build_case("b_rho2")
         der = derived_params(basis, phys)
-        assert matrix_element_analytic(Rep.B, der, 0, 2) == 0.0
-        assert matrix_element_analytic(Rep.B, der, 7, 3) == 0.0
+        assert matrix_element_analytic(der, 0, 2) == 0.0
+        assert matrix_element_analytic(der, 7, 3) == 0.0
 
     def test_build_operator_symmetry_and_values(self):
         phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1)
         basis = select_representation(phys, omega=1.0)
         der = derived_params(basis, phys)
-        op = build_operator(basis.rep, der, 6)
+        op = build_operator(der, 6)
         assert op.diag[0] == pytest.approx(11.25)
         assert op.offdiag[0] == pytest.approx(-27.0 * math.sqrt(2.0) / 8.0)
         mat = op.as_matrix()
@@ -101,7 +114,7 @@ class TestNumericAgreement:
         der = derived_params(basis, phys)
         for n in range(0, 13, 3):
             for m in (n, n + 1):
-                ana = matrix_element_analytic(basis.rep, der, n, m)
+                ana = matrix_element_analytic(der, n, m)
                 num = matrix_element_numeric(basis, phys, n, m)
                 assert num == pytest.approx(ana, rel=1e-8)
 
@@ -109,7 +122,7 @@ class TestNumericAgreement:
     def test_far_bands_vanish(self, label):
         phys, basis = build_case(label)
         der = derived_params(basis, phys)
-        op = build_operator(basis.rep, der, 12)
+        op = build_operator(der, 12)
         scale = max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag)), 1.0)
         for n in range(0, 9, 2):
             for gap in (2, 3, 4):
@@ -126,11 +139,11 @@ class TestNumericAgreement:
         assert abs(der.q) > 1e-3
         for n in range(0, 8, 2):
             for m in (n, n + 1):
-                ana = matrix_element_analytic(general.rep, der, n, m)
+                ana = matrix_element_analytic(der, n, m)
                 num = matrix_element_numeric(general, phys, n, m)
                 assert num == pytest.approx(ana, rel=1e-8)
             assert abs(matrix_element_numeric(general, phys, n, n + 2)) \
-                < 1e-8 * max(abs(matrix_element_analytic(general.rep, der, n, n)), 1.0)
+                < 1e-8 * max(abs(matrix_element_analytic(der, n, n)), 1.0)
 
     @pytest.mark.parametrize("label", ["c_rho_minus", "c_rho_plus"])
     def test_rep_c_detached_gamma_path(self, label):
@@ -141,7 +154,7 @@ class TestNumericAgreement:
         assert abs(der.u) > 1e-3
         for n in range(0, 8, 2):
             for m in (n, n + 1):
-                ana = matrix_element_analytic(general.rep, der, n, m)
+                ana = matrix_element_analytic(der, n, m)
                 num = matrix_element_numeric(general, phys, n, m)
                 assert num == pytest.approx(ana, rel=1e-8)
 
