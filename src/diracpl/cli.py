@@ -139,7 +139,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="free basis exponent (representation c only)")
         p.add_argument("--N", type=int, help="series truncation (default 40)")
         p.add_argument("--quad-order", dest="quad_order", type=int,
-                       help="quadrature order override (default 2N+20)")
+                       help="quadrature order for every integral (default: exact per integral)")
         p.add_argument("--epsilon", dest="eps", type=int, choices=(1, -1),
                        help="energy sign in rest-mass units (default +1)")
         p.add_argument("--out", help="output directory (default .)")

@@ -154,7 +154,8 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
 
     The base power of the product fixes the Gauss-Laguerre weight exponent;
     the polynomial remainder is integrated exactly whenever
-    2*order - 1 >= deg(fa) + deg(fb).
+    2*order - 1 >= deg(fa) + deg(fb); without an order, the smallest such order
+    plus a margin.  A too-low order or a non-finite integrand raises ValueError.
     """
     if fa.is_zero or fb.is_zero:
         return 0.0
@@ -174,8 +175,11 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
         )
     rule = _cached_rule(order, nu_rule)
     x = rule.nodes
-    vals = fa.eval_stripped(x) * fb.eval_stripped(x)
-    return measure.jacobian_prefactor * rule.integrate(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = rule.integrate(fa.eval_stripped(x) * fb.eval_stripped(x))
+    if not np.isfinite(value):
+        raise ValueError(f"product integrand leaves double range at quadrature order {order}")
+    return measure.jacobian_prefactor * value
 
 
 @lru_cache(maxsize=512)

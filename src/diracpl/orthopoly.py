@@ -14,7 +14,6 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy.special import loggamma
 
 # Working precision for the terminating-series oracle paths.  The sums
 # alternate and can cancel severely (the value exponentially smaller than the
@@ -233,7 +232,7 @@ def mp_weight(y: float, lam: float, theta: float) -> float:
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}")
-    log_abs_gamma_sq = 2.0 * loggamma(complex(lam, y)).real
+    log_abs_gamma_sq = 2.0 * mp.fp.loggamma(complex(lam, y)).real
     log_w = (
         2.0 * lam * math.log(2.0 * math.sin(theta))
         + (2.0 * theta - math.pi) * y
@@ -360,12 +359,12 @@ def cdh_weight(y: float, lam: float, a: float, b: float) -> float:
     if y <= 0:
         raise ValueError("weight defined for y > 0")
     log_num = (
-        loggamma(complex(lam, y)).real
-        + loggamma(complex(a, y)).real
-        + loggamma(complex(b, y)).real
+        mp.fp.loggamma(complex(lam, y)).real
+        + mp.fp.loggamma(complex(a, y)).real
+        + mp.fp.loggamma(complex(b, y)).real
     )
     log_den = (
-        math.lgamma(lam + a) + math.lgamma(lam + b) + loggamma(complex(0.0, 2.0 * y)).real
+        math.lgamma(lam + a) + math.lgamma(lam + b) + mp.fp.loggamma(complex(0.0, 2.0 * y)).real
     )
     return math.exp(2.0 * (log_num - log_den) - math.log(2.0 * math.pi))
 

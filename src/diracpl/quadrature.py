@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .orthopoly import gamma_ratio, laguerre_all
 
@@ -71,12 +70,12 @@ def _laguerre_and_derivative(order: int, nu: float, x: np.ndarray):
     return vals[order], (order * vals[order] - (order + nu) * vals[order - 1]) / x
 
 
-def gauss_laguerre(order: int, nu: float, newton_steps: int = 2) -> QuadratureRule:
+def gauss_laguerre(order: int, nu: float) -> QuadratureRule:
     """Generalized Gauss-Laguerre rule for the weight x^nu e^{-x}.
 
     Nodes come from the eigenvalues of the symmetric Jacobi matrix of the
     Laguerre recurrence (diagonal 2k+nu+1, off-diagonal sqrt(k(k+nu))),
-    then are polished by vectorised Newton iteration on L_order^nu.  Weights
+    then are polished by two vectorised Newton steps on L_order^nu.  Weights
     use the derivative form
     w_i = Gamma(order+nu+1)/Gamma(order+1) / (x_i [L_order^nu'(x_i)]^2),
     evaluated at the polished nodes.
@@ -87,15 +86,15 @@ def gauss_laguerre(order: int, nu: float, newton_steps: int = 2) -> QuadratureRu
         raise ValueError(f"Gauss-Laguerre weight requires nu > -1, got {nu}")
 
     k = np.arange(order, dtype=float)
-    diag = 2.0 * k + nu + 1.0
     off = np.sqrt(k[1:] * (k[1:] + nu))
-    nodes, _ = eigh_tridiagonal(diag, off)
+    jacobi = np.diag(2.0 * k + nu + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes = np.linalg.eigvalsh(jacobi)
 
     # Past the order where L_order^nu leaves double range the polish and the
     # weights turn inf/nan; the checks below turn that into a ValueError.
     with np.errstate(over="ignore", invalid="ignore"):
         lag, dlag = _laguerre_and_derivative(order, nu, nodes)
-        for _ in range(newton_steps):
+        for _ in range(2):
             nodes = nodes - lag / dlag
             lag, dlag = _laguerre_and_derivative(order, nu, nodes)
 

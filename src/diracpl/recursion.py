@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import Rep
 from .orthopoly import hyp_mp_series, mod_cdh_series
@@ -123,8 +122,12 @@ def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
     elements of `derived`).  The default is the natural relation
     (`natural_scaling`): for representations a/b the g-scaled relation
     normalized by |sigma_-|, so the coefficients carry the branch's sign
-    pattern; for c the h-scaled relation.  Any other scaling raises ValueError.
+    pattern; for c the h-scaled relation.  Any other scaling raises ValueError,
+    and so do a `rep` or `nu` that are not those of `derived`.
     """
+    if rep is not derived.rep or nu != derived.nu:
+        raise ValueError(f"representation {rep.value} with nu = {nu} does not match the "
+                         f"derived parameters ({derived.rep.value}, nu = {derived.nu})")
     natural = natural_scaling(rep)
     scaling = natural if scaling is None else scaling
     if scaling == "f":
@@ -298,22 +301,22 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
     return CoefficientSequence(values=vals, scaling="g", nu=derived.nu)
 
 
-def rescale(seq: CoefficientSequence, target: str, nu: float | None = None) -> CoefficientSequence:
+def rescale(seq: CoefficientSequence, target: str) -> CoefficientSequence:
     """Convert between the f, g and h scalings; round trips are exact inverses.
 
     Raises ValueError when a scaling factor or a converted coefficient leaves
     double range."""
     if target not in ("f", "g", "h"):
         raise ValueError(f"unknown scaling {target!r}")
-    nu = seq.nu if nu is None else nu
+    nu = seq.nu
     if nu <= -1.0:
         raise ValueError("scaling factors need nu > -1 (positive Gamma arguments)")
     if target == seq.scaling:
         return CoefficientSequence(values=seq.values.copy(), scaling=target, nu=nu)
     # g_n / f_n = sqrt(Gamma(n+1+nu)/Gamma(n+1)); h_n / f_n is its inverse.
-    n = np.arange(len(seq.values), dtype=float)
     with np.errstate(over="ignore"):
-        factors = np.exp(0.5 * (gammaln(n + 1.0 + nu) - gammaln(n + 1.0)))
+        factors = np.exp([0.5 * (math.lgamma(n + 1.0 + nu) - math.lgamma(n + 1.0))
+                          for n in range(len(seq.values))])
     _check_finite(factors, f"scaling factor sqrt(Gamma(n+1+nu)/Gamma(n+1)) at nu = {nu:.6g}")
     to_f = {"f": 1.0, "g": 1.0 / factors, "h": factors}[seq.scaling]
     from_f = {"f": 1.0, "g": factors, "h": 1.0 / factors}[target]

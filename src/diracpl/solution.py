@@ -65,7 +65,8 @@ class SeriesSolution:
     coeffs holds f_0..f_N (f-scaling, pre-normalization); f_next = f_{N+1}
     feeds the weak-form boundary identity.  For eps = -1 the stored basis and
     derived parameters belong to the reflected (+1) problem and the component
-    forms are already swapped.
+    forms are already swapped.  quad_order is the user's Gauss-Laguerre order
+    override, or None for the exact order `integrate_product` picks per integral.
     """
 
     phys: PhysicalParams
@@ -78,7 +79,7 @@ class SeriesSolution:
     norm_const: float
     form_plus: LaguerreForm
     form_minus: LaguerreForm
-    quad_order: int
+    quad_order: int | None
     mapped_phys: PhysicalParams | None = None
 
     def coefficient(self, n: int) -> float:
@@ -118,6 +119,25 @@ def _series_forms(basis: BasisParams, fvals: np.ndarray) -> tuple[LaguerreForm, 
     return fp, fm
 
 
+def _normalized(phys: PhysicalParams, basis: BasisParams, der: DerivedParams,
+                coeffs: np.ndarray, f_next: float,
+                quad_order: int | None) -> SeriesSolution:
+    """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
+
+    Raises ValueError when the norm is not a positive finite number."""
+    form_plus, form_minus = _series_forms(basis, coeffs)
+    norm_sq = sum(integrate_product(form, form, basis.measure, order=quad_order)
+                  for form in (form_plus, form_minus))
+    if not 0.0 < norm_sq < math.inf:
+        raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
+                         "cannot normalize")
+    return SeriesSolution(
+        phys=phys, basis=basis, derived=der, eps=1, N=len(coeffs) - 1, coeffs=coeffs,
+        f_next=f_next, norm_const=1.0 / math.sqrt(norm_sq),
+        form_plus=form_plus, form_minus=form_minus, quad_order=quad_order,
+    )
+
+
 def assemble(phys: PhysicalParams, basis: BasisParams, N: int,
              quad_order: int | None = None) -> SeriesSolution:
     """Build and normalize the N-term series solution at eps = +1.
@@ -130,21 +150,7 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int,
     der = derived_params(basis, phys)
     seq = coefficient_sequence(der, N + 1)
     fall = rescale(seq, "f").values
-    coeffs, f_next = fall[:N + 1], float(fall[N + 1])
-    quad_order = quad_order if quad_order is not None else 2 * N + 20
-
-    form_plus, form_minus = _series_forms(basis, coeffs)
-    measure = basis.measure
-    norm_sq = integrate_product(form_plus, form_plus, measure, order=quad_order)
-    norm_sq += integrate_product(form_minus, form_minus, measure, order=quad_order)
-    if not 0.0 < norm_sq < math.inf:
-        raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
-                         "cannot normalize")
-    return SeriesSolution(
-        phys=phys, basis=basis, derived=der, eps=1, N=N, coeffs=coeffs,
-        f_next=f_next, norm_const=1.0 / math.sqrt(norm_sq),
-        form_plus=form_plus, form_minus=form_minus, quad_order=quad_order,
-    )
+    return _normalized(phys, basis, der, fall[:N + 1], float(fall[N + 1]), quad_order)
 
 
 def solve(phys: PhysicalParams, N: int, omega: float | None = None,
@@ -264,7 +270,7 @@ def second_order_scale(sol: SeriesSolution, r, component: str = "+"):
     return d2 + pot_mag * val
 
 
-def weak_form_residual(sol: SeriesSolution, n: int, order: int | None = None) -> tuple[float, float]:
+def weak_form_residual(sol: SeriesSolution, n: int) -> tuple[float, float]:
     """(<psi_n|(H-eps)|chi_N>, cancellation scale), by quadrature.
 
     The projection is one bilinear form of psi_n against the assembled series
@@ -278,13 +284,12 @@ def weak_form_residual(sol: SeriesSolution, n: int, order: int | None = None) ->
     depend on n and is computed once per solution."""
     if sol.eps != 1:
         raise ValueError("weak-form projections are computed on the eps = +1 problem")
-    order = order if order is not None else sol.quad_order
-    series = (sol.form_plus, sol.form_minus)
-    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n), series, order=order)
+    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n),
+                          (sol.form_plus, sol.form_minus), order=sol.quad_order)
     return sol.norm_const * value, sol.weak_form_scale
 
 
-def weak_form_boundary_check(sol: SeriesSolution, order: int | None = None) -> dict:
+def weak_form_boundary_check(sol: SeriesSolution) -> dict:
     """Compare the n = N weak-form residual with the analytic B_N f_{N+1}.
 
     The identity is only testable while the boundary term stands above the
@@ -293,7 +298,7 @@ def weak_form_boundary_check(sol: SeriesSolution, order: int | None = None) -> d
     `resolvable` turns False (the identity then holds trivially at quadrature
     precision).  Callers should treat an unresolvable comparison as vacuous
     rather than failed."""
-    value, scale = weak_form_residual(sol, sol.N, order=order)
+    value, scale = weak_form_residual(sol, sol.N)
     b_n = matrix_element_analytic(sol.derived, sol.N + 1, sol.N)
     expected = -b_n * sol.norm_const * sol.f_next
     rel = abs(abs(value) - abs(expected)) / max(abs(expected), 1e-300)
@@ -365,17 +370,7 @@ def diagonal_special_case(phys: PhysicalParams, quad_order: int | None = None) -
         raise ValueError("diagonal reduction conditions failed: "
                          f"sigma_-={der.sigma_minus}, D_0={d0}")
 
-    coeffs = np.array([1.0])
-    form_plus, form_minus = _series_forms(basis, coeffs)
-    quad_order = quad_order if quad_order is not None else 20
-    norm_sq = integrate_product(form_plus, form_plus, basis.measure, order=quad_order)
-    if not form_minus.is_zero:
-        norm_sq += integrate_product(form_minus, form_minus, basis.measure, order=quad_order)
-    return SeriesSolution(
-        phys=phys, basis=basis, derived=der, eps=1, N=0, coeffs=coeffs,
-        f_next=0.0, norm_const=1.0 / math.sqrt(norm_sq),
-        form_plus=form_plus, form_minus=form_minus, quad_order=quad_order,
-    )
+    return _normalized(phys, basis, der, np.array([1.0]), 0.0, quad_order)
 
 
 def diagonal_correspondence(basis: BasisParams) -> dict:

@@ -159,10 +159,9 @@ def matrix_element_analytic(derived: DerivedParams, n: int, m: int) -> float:
     return -4.0 * common * (p * s + u / 2.0) * math.sqrt(k * (k + nu))
 
 
-def overlap_plus(basis: BasisParams, n: int, m: int, order: int | None = None) -> float:
+def overlap_plus(basis: BasisParams, n: int, m: int) -> float:
     """<phi_n^+|phi_m^+>; a dense Gram matrix except at the excluded beta = 2."""
-    return integrate_product(phi_plus_form(basis, n), phi_plus_form(basis, m),
-                             basis.measure, order=order)
+    return integrate_product(phi_plus_form(basis, n), phi_plus_form(basis, m), basis.measure)
 
 
 def basis_spinor(basis: BasisParams, n: int) -> Spinor:
@@ -201,11 +200,9 @@ def bilinear_form(basis: BasisParams, phys: PhysicalParams, left: Spinor, right:
     return total + lam * omega * cross
 
 
-def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: int,
-                           order: int | None = None) -> float:
+def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: int) -> float:
     """<psi_n|H-eps|psi_m> by quadrature of the literal operator expansion."""
-    return bilinear_form(basis, phys, basis_spinor(basis, n), basis_spinor(basis, m),
-                         order=order)
+    return bilinear_form(basis, phys, basis_spinor(basis, n), basis_spinor(basis, m))
 
 
 @dataclass(frozen=True)

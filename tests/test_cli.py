@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from diracpl.cli import main
@@ -184,7 +185,7 @@ class TestEntryPoint:
         assert "double range" in proc.stderr
 
     def test_quadrature_overflow_exits_without_warnings(self, tmp_path):
-        # the README library configuration at N = 200 asks for an order-420
+        # the README library configuration at N = 200 asks for an order-208
         # Gauss-Laguerre rule, whose Laguerre values leave double range: the
         # run must end in the one-line configuration error, with no NumPy
         # RuntimeWarning printed before it
@@ -195,3 +196,63 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert "Warning" not in proc.stderr
+
+    def test_integrand_overflow_exits_without_warnings(self, tmp_path):
+        # representation a at N = 120: f_n reaches ~1e56 and the squared
+        # series leaves double range at the quadrature nodes
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "3", "--mu", "-2",
+             "--kappa", "1", "--N", "120", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "double range" in proc.stderr
+
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency: a solve must not import it
+        code = ("import sys\n"
+                "from diracpl.cli import main\n"
+                f"assert main(['solve', *{SOLVE_ARGS!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestQuadratureOrder:
+    """Each integral takes the exact Gauss-Laguerre order for its degree unless
+    --quad-order overrides it."""
+
+    @pytest.mark.parametrize("args", [
+        ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1"],
+        ["--A", "1", "--mu", "-1.5", "--kappa", "-3"],
+        ["--A", "1", "--mu", "2", "--kappa", "-1"],
+    ], ids=["a", "b", "c"])
+    def test_override_matches_exact_orders(self, tmp_path, capsys, args):
+        exact, override = tmp_path / "exact", tmp_path / "override"
+        assert main(["solve", *args, "--N", "40", "--out", str(exact)]) == 0
+        assert main(["solve", *args, "--N", "40", "--quad-order", "100",
+                     "--out", str(override)]) == 0
+        assert ((exact / "coefficients.json").read_bytes()
+                == (override / "coefficients.json").read_bytes())
+        ref = np.loadtxt(exact / "samples.csv", delimiter=",", skiprows=1)
+        got = np.loadtxt(override / "samples.csv", delimiter=",", skiprows=1)
+        spinor_scale = np.max(np.abs(ref[:, 1:3]))
+        assert np.max(np.abs(got[:, 1:3] - ref[:, 1:3])) <= 1e-12 * spinor_scale
+        scale = json.loads((exact / "report.json").read_text())["residual_stats"]["scale"]
+        assert np.max(np.abs(got[:, 3:] - ref[:, 3:])) <= 1e-12 * scale
+
+    def test_too_low_override_is_config_error(self, tmp_path, capsys):
+        code = main(["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "40",
+                     "--quad-order", "10", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "quadrature order 10" in err
+
+    @pytest.mark.parametrize("args", [["--A", "1", "--mu", "-1.5", "--kappa", "-3"],
+                                      ["--A", "1", "--mu", "2", "--kappa", "-1"]],
+                             ids=["b", "c"])
+    def test_solve_at_n160(self, tmp_path, capsys, args):
+        # exact orders stay below the order where Laguerre values overflow
+        assert main(["solve", *args, "--N", "160", "--out", str(tmp_path)]) == 0

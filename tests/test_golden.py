@@ -45,9 +45,12 @@ def test_solve_matches_golden(case, tmp_path):
     stats = report["residual_stats"]
     rows, ref = _samples(tmp_path), _samples(golden)
     np.testing.assert_allclose(rows[:, 0], ref[:, 0], rtol=1e-14, atol=0.0)
-    # phi_plus, phi_minus against their column maxima
+    # phi_plus, phi_minus against the spinor scale: a component that is an
+    # analytic zero (phi_minus of rep-b-n40) holds only roundoff, so its own
+    # maximum is no scale to measure its roundoff against
+    spinor_scale = np.max(np.abs(ref[:, 1:3]))
     for col in (1, 2):
-        assert np.max(np.abs(rows[:, col] - ref[:, col])) <= 1e-12 * np.max(np.abs(ref[:, col]))
+        assert np.max(np.abs(rows[:, col] - ref[:, col])) <= 1e-12 * spinor_scale
     # the residual rows are cancellations; measure them against the term scale
     for col in (3, 4):
         assert np.max(np.abs(rows[:, col] - ref[:, col])) <= 1e-12 * stats["scale"]

@@ -66,6 +66,16 @@ class TestBuildRecursion:
             build_recursion(basis.rep, der, basis.nu)
 
 
+    def test_parameters_must_match_derived(self):
+        # the "f" relation follows derived; a rep or nu of another case would
+        # silently build the natural relation from mixed constants
+        _, basis, der = _case_with_derived("a_rho2")
+        with pytest.raises(ValueError, match="does not match"):
+            build_recursion(Rep.C, der, basis.nu)
+        with pytest.raises(ValueError, match="does not match"):
+            build_recursion(basis.rep, der, basis.nu + 1.0)
+
+
 class TestSolveForward:
     def test_rep_a_first_step(self):
         _, basis, der = _case_with_derived("a_rho2")
@@ -90,7 +100,8 @@ class TestSolveForward:
             assert abs(rec.residual(seq.values, n)) < 1e-12 * lead
 
     def test_zero_c_reported_with_index(self):
-        rec = build_recursion(Rep.C, _case_with_derived("c_rho_plus")[2], 2.0)
+        der = _case_with_derived("c_rho_plus")[2]
+        rec = build_recursion(Rep.C, der, der.nu)
         broken = type(rec)(a=rec.a, b=rec.b, c=lambda n: 0.0 if n == 2 else rec.c(n),
                            scaling=rec.scaling, nu=rec.nu)
         with pytest.raises(ValueError, match="c\\(2\\)"):
