@@ -62,6 +62,12 @@ class Rep(str, Enum):
     C = "c"
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Inputs defining the problem: W(r) = A/r^mu, spin-orbit kappa, Compton
@@ -74,6 +80,7 @@ class PhysicalParams:
     eps: int = 1
 
     def __post_init__(self):
+        _require_finite(A=self.A, mu=self.mu, lam=self.lam)
         if self.A == 0.0:
             raise ValueError("potential strength A must be nonzero")
         if float(self.mu) in _EXCLUDED_MU:
@@ -170,6 +177,7 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
     value giving |rho| = 2; |rho| = 1 exactly is rejected there because the
     recursion degenerates (representation c owns that boundary).
     """
+    _require_finite(omega=omega, alpha=alpha)
     beta = phys.beta
     kappa = phys.kappa
     bk = beta * kappa

@@ -20,8 +20,7 @@ import numpy as np
 from . import __version__
 from .basis import PhysicalParams, kinetic_balance_apply, phi_minus
 from .recursion import (CoefficientSequence, build_recursion, closed_form_sequence,
-                        coefficient_sequence, minimal_sector, natural_scaling, rescale,
-                        solve_backward, solve_forward)
+                        coefficient_sequence, natural_scaling, rescale)
 from .solution import (SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_residual,
                        evaluate_grid, map_params, residual_scale,
@@ -207,8 +206,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("recursion-residual", res, 1e-10,
         "closed-form coefficients satisfy the three-term relation")
 
-    solver = solve_backward if minimal_sector(der) else solve_forward
-    raw = solver(build_recursion(basis.rep, der, basis.nu, scaling="f"), 20)
+    raw = coefficient_sequence(der, 20, scaling="f")
     red = rescale(stable, "f").values
     red = red / red[0]
     chain = float(np.max(np.abs(raw.values - red) / (np.abs(raw.values) + 1e-300)))
@@ -221,12 +219,13 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
             "cosh^2 - sinh^2 = 1 for the recursion angle")
 
     base_sol = sol if sol.eps == 1 else swap_energy(sol)
-    interior = 0.0
-    for n in sorted(set(np.linspace(0, max(config.N - 1, 0), 6, dtype=int))):
-        value, scale = weak_form_residual(base_sol, int(n))
-        interior = max(interior, abs(value) / scale)
-    add("weak-form-interior", interior, 1e-8,
-        "interior projections of the operator on the series vanish")
+    if config.N > 0:  # n = N is the boundary projection, so N = 0 has no interior
+        interior = 0.0
+        for n in sorted(set(np.linspace(0, config.N - 1, 6, dtype=int))):
+            value, scale = weak_form_residual(base_sol, int(n))
+            interior = max(interior, abs(value) / scale)
+        add("weak-form-interior", interior, 1e-8,
+            "interior projections of the operator on the series vanish")
 
     boundary = weak_form_boundary_check(base_sol)
     if boundary["resolvable"]:

@@ -251,13 +251,16 @@ def minimal_sector(derived: DerivedParams) -> bool:
     return derived.rep is Rep.B and derived.rho > 0.0
 
 
-def coefficient_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
-    """s_0..s_N of the natural-scaling recursion by the route stable in its sector.
+def coefficient_sequence(derived: DerivedParams, N: int,
+                         scaling: str | None = None) -> CoefficientSequence:
+    """s_0..s_N of the recursion by the route stable in its sector.
 
-    Backward (Miller) recurrence in the minimal sector, forward recurrence
-    elsewhere; float arithmetic, O(N) work.  Raises ValueError if the
-    sequence leaves double range."""
-    rec = build_recursion(derived.rep, derived, derived.nu)
+    The recursion is the one `build_recursion` gives for `scaling`: the
+    natural relation by default, the raw one for 'f'.  Backward (Miller)
+    recurrence in the minimal sector, forward recurrence elsewhere; float
+    arithmetic, O(N) work.  Raises ValueError if the sequence leaves double
+    range."""
+    rec = build_recursion(derived.rep, derived, derived.nu, scaling)
     return solve_backward(rec, N) if minimal_sector(derived) else solve_forward(rec, N)
 
 

@@ -7,7 +7,9 @@ extended-precision closed forms are its oracle, not the production route.
 Because the basis satisfies the first-order (kinetic-balance) relation
 identically, one row of the Dirac system vanishes by construction and the
 other row carries the whole truncation error; both rows are evaluated with
-exact analytic derivatives.
+exact analytic derivatives.  Each equation is one list of its separate terms:
+the residual is their sum and its cancellation scale the sum of their
+magnitudes.
 
 Negative-energy (eps = -1) solutions are built by the energy reflection
 A -> -A, kappa -> -kappa with the two spinor components swapped; applying the
@@ -178,103 +180,85 @@ def evaluate_grid(sol: SeriesSolution, r) -> tuple[np.ndarray, np.ndarray]:
             sol.norm_const * sol.form_minus.eval(x))
 
 
-def _component_values(sol: SeriesSolution, r):
-    """chi+-, their radial derivatives, and the potential pieces at r."""
-    r = _check_r(r)
-    x = sol.basis.x_of_r(r)
-    c = sol.norm_const
-    plus = c * sol.form_plus.eval(x)
-    minus = c * sol.form_minus.eval(x)
-    dplus = c * sol.d_dr_forms["+"][0].eval(x)
-    dminus = c * sol.d_dr_forms["-"][0].eval(x)
-    pot = sol.phys.kappa / r + sol.phys.A * np.power(r, -sol.phys.mu)
-    return r, plus, minus, dplus, dminus, pot
-
-
-def dirac_residual(sol: SeriesSolution, r):
-    """Residuals of the two rows of the first-order Dirac system at radius r.
+def _dirac_terms(sol: SeriesSolution, r) -> tuple[list, list]:
+    """The separate terms of the two first-order Dirac rows at radius r.
 
     Row 1: (1-eps) chi+ + lam (kappa/r + A/r^mu - d/dr) chi-
     Row 2: lam (kappa/r + A/r^mu + d/dr) chi+ - (1+eps) chi-
+    """
+    r = _check_r(r)
+    x = sol.basis.x_of_r(r)
+    c, lam, eps = sol.norm_const, sol.phys.lam, float(sol.eps)
+    plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
+    dplus, dminus = (c * sol.d_dr_forms[k][0].eval(x) for k in "+-")
+    spin_orbit = lam * sol.phys.kappa / r
+    potential = lam * sol.phys.A * np.power(r, -sol.phys.mu)
+    return ([(1.0 - eps) * plus, spin_orbit * minus, potential * minus, -lam * dminus],
+            [spin_orbit * plus, potential * plus, lam * dplus, -(1.0 + eps) * minus])
+
+
+def _second_order_terms(sol: SeriesSolution, r, component: str) -> list:
+    """The separate terms of the second-order radial equation for one component:
+
+    [-d^2/dr^2 + kappa(kappa+-1)/r^2 + A^2/r^{2 mu} + A(2 kappa +- mu)/r^{mu+1}
+     - (eps^2-1)/lam^2] chi^+-
+
+    The energy term vanishes identically at eps = +-1 but is kept literally."""
+    if component not in ("+", "-"):
+        raise ValueError("component must be '+' or '-'")
+    r = _check_r(r)
+    kappa, A, mu, lam, eps = (sol.phys.kappa, sol.phys.A, sol.phys.mu, sol.phys.lam,
+                              float(sol.eps))
+    sgn = 1.0 if component == "+" else -1.0
+    form = sol.form_plus if component == "+" else sol.form_minus
+    x = sol.basis.x_of_r(r)
+    val = sol.norm_const * form.eval(x)
+    d2 = sol.norm_const * sol.d_dr_forms[component][1].eval(x)
+    return [-d2, kappa * (kappa + sgn) / r ** 2 * val,
+            A * A * np.power(r, -2.0 * mu) * val,
+            A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)) * val,
+            -(eps * eps - 1.0) / lam / lam * val]
+
+
+def dirac_residual(sol: SeriesSolution, r):
+    """Residuals of the two rows of the first-order Dirac system at radius r,
+    each the sum of its terms in `_dirac_terms`.
 
     For the basis-led component the corresponding row vanishes identically
     (kinetic balance); the other row measures the truncation error.
     """
-    scalar = np.ndim(r) == 0
-    _, plus, minus, dplus, dminus, pot = _component_values(sol, r)
-    lam, eps = sol.phys.lam, float(sol.eps)
-    row1 = (1.0 - eps) * plus + lam * (pot * minus - dminus)
-    row2 = lam * (pot * plus + dplus) - (1.0 + eps) * minus
-    if scalar:
+    row1, row2 = (sum(terms) for terms in _dirac_terms(sol, r))
+    if np.ndim(r) == 0:
         return float(row1), float(row2)
     return row1, row2
 
 
 def residual_scale(sol: SeriesSolution, r):
-    """Size of the individual operator terms entering the residual rows.
+    """Sum of the magnitudes of the separate terms of both Dirac rows.
 
     Residuals are near-total cancellations, so pass/fail thresholds compare
     against the magnitudes of the separate terms, not their sum."""
-    r, plus, minus, dplus, dminus, _ = _component_values(sol, r)
-    lam, eps = sol.phys.lam, float(sol.eps)
-    pot_mag = abs(sol.phys.kappa) / r + abs(sol.phys.A) * np.power(r, -sol.phys.mu)
-    return (lam * pot_mag * (np.abs(plus) + np.abs(minus))
-            + lam * (np.abs(dplus) + np.abs(dminus))
-            + abs(1.0 - eps) * np.abs(plus) + abs(1.0 + eps) * np.abs(minus))
+    return sum(np.abs(term) for terms in _dirac_terms(sol, r) for term in terms)
 
 
 def second_order_residual(sol: SeriesSolution, r, component: str = "+"):
-    """Residual of the second-order (Schroedinger-type) radial equation
-
-    [-d^2/dr^2 + kappa(kappa+-1)/r^2 + A^2/r^{2 mu} + A(2 kappa +- mu)/r^{mu+1}
-     - (eps^2-1)/lam^2] chi^+- ,
-
-    for the chosen component; the energy term vanishes identically at
-    eps = +-1 but is kept literally."""
-    if component not in ("+", "-"):
-        raise ValueError("component must be '+' or '-'")
-    r = _check_r(r)
-    scalar = np.ndim(r) == 0
-    phys = sol.phys
-    kappa, A, mu, lam, eps = phys.kappa, phys.A, phys.mu, phys.lam, float(sol.eps)
-    sgn = 1.0 if component == "+" else -1.0
-    form = sol.form_plus if component == "+" else sol.form_minus
-    x = sol.basis.x_of_r(r)
-    c = sol.norm_const
-    val = c * form.eval(x)
-    d2 = c * sol.d_dr_forms[component][1].eval(x)
-    potential = (kappa * (kappa + sgn) / r ** 2
-                 + A * A * np.power(r, -2.0 * mu)
-                 + A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)))
-    res = -d2 + potential * val - (eps * eps - 1.0) / lam ** 2 * val
-    return float(res) if scalar else res
+    """Residual of the second-order (Schroedinger-type) radial equation for the
+    chosen component: the sum of its terms in `_second_order_terms`."""
+    res = sum(_second_order_terms(sol, r, component))
+    return float(res) if np.ndim(r) == 0 else res
 
 
 def second_order_scale(sol: SeriesSolution, r, component: str = "+"):
-    """Term-magnitude scale for second_order_residual."""
-    if component not in ("+", "-"):
-        raise ValueError("component must be '+' or '-'")
-    r = _check_r(r)
-    phys = sol.phys
-    kappa, A, mu, lam, eps = phys.kappa, phys.A, phys.mu, phys.lam, float(sol.eps)
-    sgn = 1.0 if component == "+" else -1.0
-    form = sol.form_plus if component == "+" else sol.form_minus
-    x = sol.basis.x_of_r(r)
-    c = sol.norm_const
-    val = np.abs(c * form.eval(x))
-    d2 = np.abs(c * sol.d_dr_forms[component][1].eval(x))
-    pot_mag = (abs(kappa * (kappa + sgn)) / r ** 2
-               + A * A * np.power(r, -2.0 * mu)
-               + abs(A * (2.0 * kappa + sgn * mu)) * np.power(r, -(mu + 1.0))
-               + abs(eps * eps - 1.0) / lam ** 2)
-    return d2 + pot_mag * val
+    """Term-magnitude scale for second_order_residual: the sum of the
+    magnitudes of its terms."""
+    return sum(np.abs(term) for term in _second_order_terms(sol, r, component))
 
 
 def weak_form_residual(sol: SeriesSolution, n: int) -> tuple[float, float]:
     """(<psi_n|(H-eps)|chi_N>, cancellation scale), by quadrature.
 
     The projection is one bilinear form of psi_n against the assembled series
-    chi_N = C (form_plus, form_minus): at most six integrals, whatever N.
+    chi_N = C (form_plus, form_minus): at most five integrals, whatever N.
     The tridiagonal structure telescopes it: interior projections vanish up
     to quadrature error and the n = N projection equals -B_N f_{N+1}.
     The scale is the operator-weighted coefficient mass

@@ -174,19 +174,18 @@ def bilinear_form(basis: BasisParams, phys: PhysicalParams, left: Spinor, right:
     """<left|H-eps|right> by quadrature of the literal operator expansion.
 
     Linear in each argument, so a projection on a series costs the same
-    four to six integrals as a single matrix element."""
+    one to five integrals as a single matrix element."""
     if phys.eps != 1:
         raise ValueError(
             "matrix elements are computed at eps = +1; eps = -1 solutions come "
             "from the energy-reflection mapping in the solution module"
         )
-    eps = float(phys.eps)
     beta, omega, lam, tau = basis.beta, basis.omega, basis.lam, basis.tau
     measure = basis.measure
     (up_l, low_l), (up_r, low_r) = left, right
 
-    total = (1.0 - eps) * integrate_product(up_l, up_r, measure, order=order)
-    total -= (1.0 + eps - 1.0 / tau) * integrate_product(low_l, low_r, measure, order=order)
+    # at eps = +1 the upper-upper term (1 - eps) <u+|v+> vanishes
+    total = -(2.0 - 1.0 / tau) * integrate_product(low_l, low_r, measure, order=order)
 
     c0 = phys.kappa - beta * basis.gamma
     q = phys.A / omega ** beta - beta * basis.rho / 2.0

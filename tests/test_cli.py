@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,14 @@ class TestExitCodes:
         assert code == 0
         assert "PASS diagonal-dirac-residual" in out
 
+    def test_special_case_tiny_lambda_passes(self, tmp_path, capsys):
+        # lam^2 underflows to 0 at lam = 1e-200; the second-order energy term
+        # (eps^2 - 1)/lam^2 chi is still 0 at eps = +-1, not a division by zero
+        code = run_cli(["special-case", "--A", "2", "--mu", "0.5", "--kappa", "-1",
+                        "--lambda", "1e-200"], tmp_path)
+        assert code == 0
+        assert "PASS diagonal-second-order-residual" in capsys.readouterr().out
+
     def test_special_case_wrong_sector_is_config_error(self, tmp_path, capsys):
         code = run_cli(["special-case", "--A", "3", "--mu", "-2", "--kappa", "1"],
                        tmp_path)
@@ -60,6 +69,39 @@ class TestExitCodes:
         assert code == 0
         assert "PASS coefficient-dual-path" in out
         assert "PASS scaling-equivalence" in out
+
+    @pytest.mark.parametrize("args", [
+        ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1"],
+        ["--A", "1", "--mu", "-1.5", "--kappa", "-3"],
+        ["--A", "1", "--mu", "2", "--kappa", "-1"],
+        ["--A", "2", "--mu", "0.5", "--kappa", "-1", "--epsilon", "-1"],
+    ], ids=["a", "b", "c", "eps-minus"])
+    def test_verify_single_term_passes(self, tmp_path, capsys, args):
+        # at N = 0 the only projection is the boundary one, -B_0 f_1: there
+        # is no interior index to check
+        code = run_cli(["verify", *args, "--N", "0"], tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "weak-form-interior" not in out
+        assert "PASS weak-form-boundary" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag,args", [
+        ("A", ["--mu", "-2", "--kappa", "1"]),
+        ("mu", ["--A", "3", "--kappa", "1"]),
+        ("lambda", ["--A", "3", "--mu", "-2", "--kappa", "1"]),
+        ("omega", ["--A", "3", "--mu", "-2", "--kappa", "1"]),
+        ("alpha", ["--A", "1", "--mu", "2", "--kappa", "-1"]),
+    ])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, flag, args, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            code = run_cli(["solve", *args, f"--{flag}={value}"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "Warning" not in err
+        assert "must be a finite number" in err
 
     def test_verify_negative_energy(self, tmp_path, capsys):
         code = run_cli(["verify", "--A", "3", "--mu", "-2", "--kappa", "1",

@@ -211,6 +211,66 @@ class TestWeakForm:
             assert type(check[key]) is float, key
 
 
+def _reference_residual_scale(sol, r):
+    # the hand-written magnitude formula of the first-order rows
+    x = sol.basis.x_of_r(r)
+    c, lam, eps = sol.norm_const, sol.phys.lam, float(sol.eps)
+    plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
+    dplus = c * sol.form_plus.d_dr(sol.basis.measure).eval(x)
+    dminus = c * sol.form_minus.d_dr(sol.basis.measure).eval(x)
+    pot_mag = abs(sol.phys.kappa) / r + abs(sol.phys.A) * np.power(r, -sol.phys.mu)
+    return (lam * pot_mag * (np.abs(plus) + np.abs(minus))
+            + lam * (np.abs(dplus) + np.abs(dminus))
+            + abs(1.0 - eps) * np.abs(plus) + abs(1.0 + eps) * np.abs(minus))
+
+
+def _reference_second_order_scale(sol, r, component):
+    # the hand-written magnitude formula of the second-order equation
+    kappa, A, mu, lam, eps = (sol.phys.kappa, sol.phys.A, sol.phys.mu, sol.phys.lam,
+                              float(sol.eps))
+    sgn = 1.0 if component == "+" else -1.0
+    form = sol.form_plus if component == "+" else sol.form_minus
+    m = sol.basis.measure
+    x = m.x_of_r(r)
+    val = np.abs(sol.norm_const * form.eval(x))
+    d2 = np.abs(sol.norm_const * form.d_dr(m).d_dr(m).eval(x))
+    pot_mag = (abs(kappa * (kappa + sgn)) / r ** 2
+               + A * A * np.power(r, -2.0 * mu)
+               + abs(A * (2.0 * kappa + sgn * mu)) * np.power(r, -(mu + 1.0))
+               + abs(eps * eps - 1.0) / lam ** 2)
+    return d2 + pot_mag * val
+
+
+def _scale_case(label):
+    if label == "eps_minus":
+        return solve(PhysicalParams(A=2.0, mu=0.5, kappa=-1, eps=-1), N=40)
+    if label == "diagonal":
+        return diagonal_special_case(PhysicalParams(**DIAG_PHYS))
+    return _solve_case(label, N=20)[1]
+
+
+class TestResidualScales:
+    """The scales are the magnitude sums of the term lists the residuals sum;
+    they must equal the hand-written magnitude formulas."""
+
+    @pytest.mark.parametrize("label", CASE_IDS + ["eps_minus", "diagonal"])
+    def test_term_sums_match_formulas(self, label):
+        sol = _scale_case(label)
+        r = default_r_grid(sol.basis)
+        np.testing.assert_allclose(residual_scale(sol, r), _reference_residual_scale(sol, r),
+                                   rtol=1e-14, atol=0.0)
+        for comp in ("+", "-"):
+            np.testing.assert_allclose(second_order_scale(sol, r, comp),
+                                       _reference_second_order_scale(sol, r, comp),
+                                       rtol=1e-14, atol=0.0)
+
+    def test_rejects_unknown_component(self):
+        sol = _solve_case("a_rho2")[1]
+        for func in (second_order_residual, second_order_scale):
+            with pytest.raises(ValueError, match="component"):
+                func(sol, 1.0, "x")
+
+
 class TestDiagonalSpecialCase:
     def test_construction_and_conditions(self):
         sol = diagonal_special_case(PhysicalParams(**DIAG_PHYS))

@@ -200,7 +200,7 @@ def _general_basis(basis):
 
 
 class TestBilinearForm:
-    @pytest.mark.parametrize("label", ["a_rho2", "b_rho2", "c_rho_minus"])
+    @pytest.mark.parametrize("label", CASE_IDS)
     @pytest.mark.parametrize("general", [False, True])
     def test_matrix_elements_bitwise_unchanged_on_band(self, label, general):
         phys, basis = build_case(label)
