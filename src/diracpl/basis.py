@@ -150,19 +150,17 @@ def _validate_basis(basis: BasisParams) -> None:
         )
 
 
-def _scale_power(base: float, exponent: float, what: str, mu: float) -> float:
-    """base**exponent for the basis scale, or a ValueError when it is not a
-    positive finite float (near the excluded mu = 1, beta -> 0 and 1/beta
-    drives omega and omega^beta out of double range)."""
+def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
+    """base**exponent for the basis scale, or a ValueError naming the inputs
+    that entered it when it is not a positive finite float (a large |A|, a
+    user omega far from 1, or mu near the excluded mu = 1, where beta -> 0)."""
     try:
         value = base ** exponent
     except OverflowError:
         value = math.inf
     if not 0.0 < value < math.inf:
         raise ValueError(
-            f"{what} = {base!r}**{exponent!r} is out of floating-point range at "
-            f"mu = {mu!r}; mu this close to the excluded mu = 1 cannot be represented"
-        )
+            f"{what} = {base!r}**{exponent!r} is out of floating-point range at {inputs}")
     return value
 
 
@@ -181,6 +179,7 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
     beta = phys.beta
     kappa = phys.kappa
     bk = beta * kappa
+    a_mu = f"A = {phys.A!r}, mu = {phys.mu!r}"  # the inputs of the default omega
 
     if rep is not None:
         rep = Rep(rep)
@@ -199,7 +198,7 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             raise ValueError(
                 "omega is fixed to |2A/beta|^(1/beta) in representation c"
             )
-        omega = _scale_power(abs(2.0 * phys.A / beta), 1.0 / beta, "omega", phys.mu)
+        omega = _scale_power(abs(2.0 * phys.A / beta), 1.0 / beta, "omega", a_mu)
         rho = math.copysign(1.0, beta * phys.A)
         if alpha is None:
             alpha = 1.0 + max(1.0 / beta, -1.0 / (2.0 * beta))
@@ -210,10 +209,11 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
                 f"alpha is fixed by kappa and beta in representation {rep.value}"
             )
         if omega is None:
-            omega = _scale_power(abs(phys.A / beta), 1.0 / beta, "omega", phys.mu)  # |rho| = 2
+            omega = _scale_power(abs(phys.A / beta), 1.0 / beta, "omega", a_mu)  # |rho| = 2
         elif omega <= 0.0:
             raise ValueError("omega must be positive")
-        rho = 2.0 * phys.A / (beta * _scale_power(omega, beta, "omega^beta", phys.mu))
+        rho = 2.0 * phys.A / (beta * _scale_power(omega, beta, "omega^beta",
+                                                  f"omega = {omega!r}"))
         if rho * rho == 1.0 and not allow_unit_rho:
             raise ValueError(
                 "|rho| = 1 degenerates the three-term recursion in representations "

@@ -23,9 +23,9 @@ from .recursion import (CoefficientSequence, build_recursion, closed_form_sequen
                         coefficient_sequence, natural_scaling, rescale)
 from .solution import (SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_residual,
-                       evaluate_grid, map_params, residual_scale,
-                       second_order_residual, second_order_scale, solve,
-                       swap_energy, weak_form_boundary_check, weak_form_residual)
+                       evaluate_grid, residual_scale, second_order_residual,
+                       second_order_scale, solve, swap_energy,
+                       weak_form_boundary_check, weak_form_residual)
 from .wave_operator import basis_spinor, bilinear_form, build_operator
 
 CONVERGENCE_NS = (5, 10, 20, 40)
@@ -101,8 +101,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             dest, conv = _FILE_KEYS[key]
             merged[dest] = conv(raw)
-    for dest in ("A", "mu", "kappa", "lam", "omega", "alpha", "N",
-                 "quad_order", "eps", "seed", "out"):
+    for dest, _ in _FILE_KEYS.values():
         val = getattr(args, dest, None)
         if val is not None:
             merged[dest] = val
@@ -154,10 +153,10 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     """Invariant suite for one configuration; returns results and context."""
     rng = np.random.default_rng(config.seed)
     phys = config.physical_params()
-    work_phys = phys if phys.eps == 1 else map_params(phys)
     sol = solve(phys, N=config.N, omega=config.omega, alpha=config.alpha,
                 quad_order=config.quad_order)
-    basis, der = sol.basis, sol.derived  # the eps = +1 problem's, also for eps = -1
+    base = sol if sol.eps == 1 else swap_energy(sol)  # the eps = +1 problem
+    basis, der = base.basis, base.derived
     checks: list[CheckResult] = []
 
     def add(name, measured, tol, description, larger_fails=True):
@@ -181,7 +180,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     worst_far, worst_band = 0.0, 0.0
     for n in range(nmax + 1):
         for m in range(n, min(n + 4, nmax) + 1):
-            num = bilinear_form(basis, work_phys, spinors[n], spinors[m], order=config.quad_order)
+            num = bilinear_form(basis, base.phys, spinors[n], spinors[m], order=config.quad_order)
             if m - n > 1:
                 worst_far = max(worst_far, abs(num) / op_scale)
             else:
@@ -218,16 +217,15 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         add("hyperbolic-identity", hyper, 1e-14,
             "cosh^2 - sinh^2 = 1 for the recursion angle")
 
-    base_sol = sol if sol.eps == 1 else swap_energy(sol)
     if config.N > 0:  # n = N is the boundary projection, so N = 0 has no interior
         interior = 0.0
         for n in sorted(set(np.linspace(0, config.N - 1, 6, dtype=int))):
-            value, scale = weak_form_residual(base_sol, int(n))
+            value, scale = weak_form_residual(base, int(n))
             interior = max(interior, abs(value) / scale)
         add("weak-form-interior", interior, 1e-8,
             "interior projections of the operator on the series vanish")
 
-    boundary = weak_form_boundary_check(base_sol)
+    boundary = weak_form_boundary_check(base)
     if boundary["resolvable"]:
         add("weak-form-boundary", boundary["relative_error"], 1e-6,
             "the surviving projection equals the boundary term B_N f_{N+1}")
@@ -236,59 +234,66 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
             "boundary term below quadrature noise; projection vanishes with it")
 
     if phys.eps == -1:
-        direct = solve(map_params(phys), N=config.N, omega=config.omega,
+        direct = solve(base.phys, N=config.N, omega=config.omega,
                        alpha=config.alpha, quad_order=config.quad_order)
         r_probe = np.sort(rng.uniform(0.2, 5.0, size=10)) / basis.omega
-        a1, a2 = evaluate_grid(swap_energy(sol), r_probe)
+        a1, a2 = evaluate_grid(base, r_probe)
         b1, b2 = evaluate_grid(direct, r_probe)
         ref = max(np.max(np.abs(b1)), np.max(np.abs(b2)), 1e-300)
         invol = float(max(np.max(np.abs(a1 - b1)), np.max(np.abs(a2 - b2))) / ref)
         add("energy-reflection-involution", invol, 1e-8,
             "reflecting the energy twice reproduces the solution")
 
-    context = {"basis": _basis_dict(sol), "derived": _derived_dict(sol),
-               "normalization_constant": sol.norm_const}
-    return checks, context
+    return checks, _solution_dict(sol)
 
 
 # ---------------------------------------------------------------------------
 # report plumbing
 
 
-def _basis_dict(sol: SeriesSolution) -> dict:
-    b = sol.basis
-    return {"representation": b.rep.value, "beta": b.beta, "omega": b.omega,
-            "alpha": b.alpha, "nu": b.nu, "gamma": b.gamma, "rho": b.rho,
-            "tau": b.tau, "lam": b.lam}
+def _solution_dict(sol: SeriesSolution) -> dict:
+    """The report block every mode that builds a solution writes."""
+    b, d = sol.basis, sol.derived
+    return {
+        "basis": {"representation": b.rep.value, "beta": b.beta, "omega": b.omega,
+                  "alpha": b.alpha, "nu": b.nu, "gamma": b.gamma, "rho": b.rho,
+                  "tau": b.tau, "lam": b.lam},
+        "derived": {"p": d.p, "q": d.q, "sigma_plus": d.sigma_plus,
+                    "sigma_minus": d.sigma_minus, "zeta": d.zeta, "theta": d.theta,
+                    "y": d.y, "z": d.z, "d": d.d, "u": d.u},
+        "normalization_constant": sol.norm_const,
+    }
 
 
-def _derived_dict(sol: SeriesSolution) -> dict:
-    d = sol.derived
-    return {"p": d.p, "q": d.q, "sigma_plus": d.sigma_plus,
-            "sigma_minus": d.sigma_minus, "zeta": d.zeta, "theta": d.theta,
-            "y": d.y, "z": d.z, "d": d.d, "u": d.u}
-
-
-def _config_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
+def _out_path(config: RunConfig, name: str) -> Path:
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
 
 
 def _write_report(config: RunConfig, payload: dict) -> Path:
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"version": __version__, "config": _config_dict(config), **payload}
-    path = out_dir / "report.json"
+    path = _out_path(config, "report.json")
+    payload = {"version": __version__, "config": dataclasses.asdict(config), **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _finish(config: RunConfig, mode: str, checks: list[CheckResult], payload: dict) -> int:
+    """Print the check lines, write the report with its verdicts, return the exit code."""
+    for check in checks:
+        print(check.line())
+    passed = all(c.passed for c in checks)
+    _write_report(config, {"mode": mode, **payload,
+                           "checks": [dataclasses.asdict(c) for c in checks],
+                           "all_passed": passed})
+    return 0 if passed else 1
 
 
 def _write_samples(config: RunConfig, sol: SeriesSolution) -> Path:
     r = default_r_grid(sol.basis)
     plus, minus = evaluate_grid(sol, r)
     res_p, res_m = dirac_residual(sol, r)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "samples.csv"
+    path = _out_path(config, "samples.csv")
     lines = ["r,phi_plus,phi_minus,residual_plus,residual_minus"]
     for i in range(len(r)):
         lines.append(",".join(_float_repr(v) for v in
@@ -302,9 +307,7 @@ def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
     scaled = rescale(seq, natural_scaling(sol.basis.rep))
     rows = [{"n": n, "f_n": float(sol.coeffs[n]), "g_or_h_n": float(scaled.values[n])}
             for n in range(sol.N + 1)]
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "coefficients.json"
+    path = _out_path(config, "coefficients.json")
     path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -312,16 +315,14 @@ def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
 def _residual_stats(sol: SeriesSolution) -> dict:
     r = default_r_grid(sol.basis)
     res_p, res_m = dirac_residual(sol, r)
+    lead, identity = (res_p, res_m) if sol.eps == 1 else (res_m, res_p)
     scale = np.max(residual_scale(sol, r))
-    interior = slice(5, len(r) - 5)
-    lead = res_p if sol.eps == 1 else res_m
     return {
         "grid_points": len(r),
         "scale": float(scale),
         "max_leading_row_relative": float(np.max(np.abs(lead)) / scale),
-        "max_interior_leading_row_relative": float(np.max(np.abs(lead[interior])) / scale),
-        "max_identity_row_relative": float(
-            np.max(np.abs(res_m if sol.eps == 1 else res_p)) / scale),
+        "max_interior_leading_row_relative": float(np.max(np.abs(lead[5:-5])) / scale),
+        "max_identity_row_relative": float(np.max(np.abs(identity)) / scale),
     }
 
 
@@ -336,9 +337,7 @@ def _cmd_solve(config: RunConfig) -> int:
     coeffs = _write_coefficients(config, sol)
     report = _write_report(config, {
         "mode": "solve",
-        "basis": _basis_dict(sol),
-        "derived": _derived_dict(sol),
-        "normalization_constant": sol.norm_const,
+        **_solution_dict(sol),
         "residual_stats": _residual_stats(sol),
         "outputs": {"samples": samples.name, "coefficients": coeffs.name},
     })
@@ -347,16 +346,7 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    checks, context = run_verify_checks(config)
-    for check in checks:
-        print(check.line())
-    _write_report(config, {
-        "mode": "verify",
-        **context,
-        "checks": [dataclasses.asdict(c) for c in checks],
-        "all_passed": all(c.passed for c in checks),
-    })
-    return 0 if all(c.passed for c in checks) else 1
+    return _finish(config, "verify", *run_verify_checks(config))
 
 
 def _cmd_convergence(config: RunConfig) -> int:
@@ -371,9 +361,7 @@ def _cmd_convergence(config: RunConfig) -> int:
                      "interior_residual": stats["max_interior_leading_row_relative"],
                      "boundary_relative_error": boundary["relative_error"],
                      "boundary_resolvable": boundary["resolvable"]})
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "convergence.csv"
+    csv_path = _out_path(config, "convergence.csv")
     lines = ["N,interior_residual,boundary_relative_error"]
     for row in rows:
         lines.append(f"{row['N']},{_float_repr(row['interior_residual'])},"
@@ -395,19 +383,12 @@ def _cmd_convergence(config: RunConfig) -> int:
                     "surviving projection equals B_N f_{N+1} at every "
                     "noise-resolvable N"),
     ]
-    for check in checks:
-        print(check.line())
+    code = _finish(config, "convergence", checks,
+                   {"sweep": rows, "outputs": {"sweep": csv_path.name}})
     for row in rows:
         print(f"  N={row['N']:2d}: interior={row['interior_residual']:.3e} "
               f"boundary={row['boundary_relative_error']:.3e}")
-    _write_report(config, {
-        "mode": "convergence",
-        "sweep": rows,
-        "checks": [dataclasses.asdict(c) for c in checks],
-        "all_passed": all(c.passed for c in checks),
-        "outputs": {"sweep": csv_path.name},
-    })
-    return 0 if all(c.passed for c in checks) else 1
+    return code
 
 
 def _cmd_special_case(config: RunConfig) -> int:
@@ -415,10 +396,9 @@ def _cmd_special_case(config: RunConfig) -> int:
         raise ValueError("the diagonal case tunes omega itself; do not pass --omega")
     sol = diagonal_special_case(config.physical_params(),
                                 quad_order=config.quad_order)
+    stats = _residual_stats(sol)
+    dirac_rel = max(stats["max_leading_row_relative"], stats["max_identity_row_relative"])
     r = default_r_grid(sol.basis)
-    res_p, res_m = dirac_residual(sol, r)
-    scale = float(np.max(residual_scale(sol, r)))
-    dirac_rel = float(max(np.max(np.abs(res_p)), np.max(np.abs(res_m))) / scale)
     so_rel = 0.0
     for comp in ("+", "-"):
         so_scale = np.max(second_order_scale(sol, r, comp))
@@ -439,19 +419,9 @@ def _cmd_special_case(config: RunConfig) -> int:
                     0.0 if only_expected else 1.0, 0.5,
                     "only n=0, rho=+1 with beta*kappa<0 diagonalizes (n <= 40 scan)"),
     ]
-    for check in checks:
-        print(check.line())
-    _write_report(config, {
-        "mode": "special-case",
-        "basis": _basis_dict(sol),
-        "derived": _derived_dict(sol),
-        "normalization_constant": sol.norm_const,
-        "correspondence": diagonal_correspondence(sol.basis),
-        "scan_hits": hits,
-        "checks": [dataclasses.asdict(c) for c in checks],
-        "all_passed": all(c.passed for c in checks),
-    })
-    return 0 if all(c.passed for c in checks) else 1
+    return _finish(config, "special-case", checks,
+                   {**_solution_dict(sol), "correspondence": diagonal_correspondence(sol.basis),
+                    "scan_hits": hits})
 
 
 _COMMANDS = {

@@ -69,20 +69,31 @@ class SeriesSolution:
     derived parameters belong to the reflected (+1) problem and the component
     forms are already swapped.  quad_order is the user's Gauss-Laguerre order
     override, or None for the exact order `integrate_product` picks per integral.
+    eps, N and mapped_phys are read off phys and coeffs, so they cannot disagree.
     """
 
     phys: PhysicalParams
     basis: BasisParams
     derived: DerivedParams
-    eps: int
-    N: int
     coeffs: np.ndarray
     f_next: float
     norm_const: float
     form_plus: LaguerreForm
     form_minus: LaguerreForm
     quad_order: int | None
-    mapped_phys: PhysicalParams | None = None
+
+    @property
+    def eps(self) -> int:
+        return self.phys.eps
+
+    @property
+    def N(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def mapped_phys(self) -> PhysicalParams | None:
+        """The reflected (eps = +1) parameters the basis was built for, at eps = -1."""
+        return map_params(self.phys) if self.eps == -1 else None
 
     def coefficient(self, n: int) -> float:
         """Normalized expansion coefficient C * f_n."""
@@ -134,8 +145,8 @@ def _normalized(phys: PhysicalParams, basis: BasisParams, der: DerivedParams,
         raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
                          "cannot normalize")
     return SeriesSolution(
-        phys=phys, basis=basis, derived=der, eps=1, N=len(coeffs) - 1, coeffs=coeffs,
-        f_next=f_next, norm_const=1.0 / math.sqrt(norm_sq),
+        phys=phys, basis=basis, derived=der, coeffs=coeffs, f_next=f_next,
+        norm_const=1.0 / math.sqrt(norm_sq),
         form_plus=form_plus, form_minus=form_minus, quad_order=quad_order,
     )
 
@@ -300,14 +311,8 @@ def map_params(phys: PhysicalParams) -> PhysicalParams:
 def swap_energy(sol: SeriesSolution) -> SeriesSolution:
     """The reflected-energy partner solution: components swapped, parameters
     reflected.  An involution: swap_energy(swap_energy(s)) reproduces s."""
-    return replace(
-        sol,
-        phys=map_params(sol.phys),
-        eps=-sol.eps,
-        form_plus=sol.form_minus,
-        form_minus=sol.form_plus,
-        mapped_phys=sol.phys,
-    )
+    return replace(sol, phys=map_params(sol.phys),
+                   form_plus=sol.form_minus, form_minus=sol.form_plus)
 
 
 def negative_energy_solution(phys: PhysicalParams, N: int, omega: float | None = None,

@@ -150,6 +150,42 @@ class TestSolveOutputs:
         assert r1 == r2
 
 
+VERIFY_CHECKS = ["kinetic-balance", "operator-tridiagonality", "operator-band-agreement",
+                 "coefficient-dual-path", "recursion-residual", "scaling-equivalence",
+                 "hyperbolic-identity", "weak-form-interior", "weak-form-boundary"]
+SOLUTION_KEYS = {"basis", "derived", "normalization_constant"}
+
+
+class TestCheckedReports:
+    """report.json of the checked subcommands: verdicts, check order, solution block."""
+
+    @pytest.mark.parametrize("args,names,solution_block", [
+        (["verify", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1", "--N", "8"],
+         VERIFY_CHECKS, True),
+        (["verify", "--A", "2", "--mu", "0.5", "--kappa", "-1", "--epsilon", "-1", "--N", "8"],
+         VERIFY_CHECKS + ["energy-reflection-involution"], True),
+        (["convergence", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--omega", "0.5253"],
+         ["interior-residual-decrease", "boundary-identity"], False),
+        (["convergence", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1"],
+         ["interior-residual-decrease", "boundary-identity"], False),
+        (["special-case", "--A", "2", "--mu", "0.5", "--kappa", "-1"],
+         ["diagonal-dirac-residual", "diagonal-second-order-residual",
+          "diagonal-uniqueness-scan"], True),
+    ], ids=["verify", "verify-eps-minus", "convergence", "convergence-failing",
+            "special-case"])
+    def test_report(self, tmp_path, capsys, args, names, solution_block):
+        code = run_cli(args, tmp_path)
+        out = capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["mode"] == args[0]
+        assert [c["name"] for c in report["checks"]] == names
+        assert report["all_passed"] == all(c["passed"] for c in report["checks"])
+        assert code == (0 if report["all_passed"] else 1)
+        assert [line.split()[1].rstrip(":") for line in out.splitlines()
+                if line.startswith(("PASS", "FAIL"))] == names
+        assert SOLUTION_KEYS & set(report) == (SOLUTION_KEYS if solution_block else set())
+
+
 class TestConfigFile:
     def test_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -211,6 +247,18 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"mu = {mu}" in proc.stderr
+
+    def test_user_omega_power_names_omega(self, tmp_path):
+        # omega^beta = (1e-300)^3 underflows at mu = -2, far from the excluded
+        # mu = 1: the message blames the user's omega
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "verify", "--A", "3", "--mu", "-2",
+             "--kappa", "1", "--omega", "1e-300", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "omega = 1e-300" in proc.stderr
+        assert "excluded" not in proc.stderr
 
     @pytest.mark.parametrize("A,kappa", [(1, -2), (-5, 2), (1, -1)])
     def test_out_of_double_range_is_config_error(self, tmp_path, A, kappa):

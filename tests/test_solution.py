@@ -334,6 +334,13 @@ class TestEnergyReflection:
         assert np.max(np.abs(a1 - b1)) < 1e-8 * ref
         assert np.max(np.abs(a2 - b2)) < 1e-8 * ref
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_swap_energy_involution_parameters(self, eps):
+        sol = solve(PhysicalParams(A=3.0, mu=-2.0, kappa=1, eps=eps), N=4, omega=1.0)
+        back = swap_energy(swap_energy(sol))
+        assert (back.eps, back.phys, back.mapped_phys) == (sol.eps, sol.phys, sol.mapped_phys)
+        assert back.N == sol.N == 4
+
     def test_negative_energy_solves_original_equations(self):
         # reflected problem (-A, -kappa) sits in the decaying rep-b sector
         phys = PhysicalParams(A=-1.0, mu=-1.5, kappa=3, eps=-1)
