@@ -41,6 +41,7 @@ __all__ = [
     "phi_plus",
     "phi_minus",
     "kinetic_balance_apply",
+    "spinor_forms",
     "phi_plus_form",
     "phi_minus_form",
     "kinetic_balance_form",
@@ -232,46 +233,60 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
     return basis
 
 
-def phi_plus_form(basis: BasisParams, n: int) -> LaguerreForm:
-    """phi_n^+ = a_n x^alpha e^{-x/2} L_n^nu(x) as a Laguerre form."""
-    if n < 0:
-        raise ValueError("basis index must be non-negative")
-    return LaguerreForm.single(basis.norm_const(n), basis.alpha, n, basis.nu)
+def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
+    """The spinor series sum_n c_n psi_n as its (upper, lower) Laguerre forms.
 
-
-def phi_minus_form(basis: BasisParams, n: int) -> LaguerreForm:
-    """Lower spinor component of basis element n, in the active representation.
-
-    All three closed forms are algebraically equal to the kinetic-balance
-    operator acting on phi_n^+; each is written with the Laguerre parameter
-    that makes its own representation's matrix elements band-limited.  The
-    form holds one Laguerre parameter, the largest one present, and lower
-    ones are mapped onto it by L_m^{s-1} = L_m^s - L_{m-1}^s: rep a's
-    nu-1 terms land on L^nu, rep b's nu term on L^{nu+1}.
+    The upper form is the one row c_n a_n.  The lower form is the kinetic-balance
+    operator applied to it: per n a 2- or 3-term stencil, written with the
+    Laguerre parameter that makes the representation's matrix elements
+    band-limited (rep a's nu-1 terms mapped onto L^nu and rep b's nu term onto
+    L^{nu+1} by L_m^{s-1} = L_m^s - L_{m-1}^s).  The stencils are added as
+    shifted vectors, highest shift first: each order sums elements n-1, n, n+1.
     """
-    if n < 0:
-        raise ValueError("basis index must be non-negative")
+    c = np.asarray(c, dtype=float)
+    n = np.arange(len(c), dtype=float)
+    a_n = np.array([basis.norm_const(k) for k in range(len(c))])
     a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
-    pre = basis.lam * basis.omega * basis.tau * basis.beta * basis.norm_const(n)
-    p = a - 1.0 / basis.beta
-    coef = np.zeros((2, n + 3))  # column j holds order j - 1; order -1 is dropped
+    upper = LaguerreForm(a, nu, (c * a_n)[None, :])
+    pre = basis.lam * basis.omega * basis.tau * basis.beta * a_n
+    # stencil[k, j] holds power offset k and order n - 1 + j
     if basis.rep is Rep.A:
         # 2(g+a-nu) L_n^nu + (1+rho)(n+nu) L_n^{nu-1} + (1-rho)(n+1) L_{n+1}^{nu-1}
         low, high = (1.0 + rho) * (n + nu), (1.0 - rho) * (n + 1.0)
-        coef[0, n:n + 3] = [-low, 2.0 * (g + a - nu) + low - high, high]
+        stencil = np.array([[-low, 2.0 * (g + a - nu) + low - high, high]])
     elif basis.rep is Rep.B:
         # 2(g+a) x^p L_n^nu - x^{p+1} [(1-rho) L_n^{nu+1} + (1+rho) L_{n-1}^{nu+1}],
         # written on L^{nu+1}
-        coef[0, n:n + 2] = [-2.0 * (g + a), 2.0 * (g + a)]
-        coef[1, n:n + 2] = [-(1.0 + rho), -(1.0 - rho)]
+        stencil = np.array([[[-2.0 * (g + a)], [2.0 * (g + a)]],
+                            [[-(1.0 + rho)], [-(1.0 - rho)]]])
         nu += 1.0
     else:
-        coef[0, n:n + 3] = [
-            -(1.0 + rho) * (n + nu),
-            2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
-            (1.0 - rho) * (n + 1.0),
-        ]
-    return LaguerreForm(p, nu, coef[:, 1:]).scaled(pre)
+        stencil = np.array([[-(1.0 + rho) * (n + nu),
+                             2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
+                             (1.0 - rho) * (n + 1.0)]])
+    terms = c * (pre * stencil)
+    rows, width = stencil.shape[:2]
+    coef = np.zeros((rows, len(c) + width - 1))  # column i holds order i - 1
+    for j in reversed(range(width)):
+        coef[:, j:j + len(c)] += terms[:, j]
+    return upper, LaguerreForm(a - 1.0 / basis.beta, nu, coef[:, 1:])  # order -1 is dropped
+
+
+def _unit(n: int) -> np.ndarray:
+    """The coefficient vector of basis element n alone."""
+    if n < 0:
+        raise ValueError("basis index must be non-negative")
+    return np.eye(1, n + 1, n)[0]
+
+
+def phi_plus_form(basis: BasisParams, n: int) -> LaguerreForm:
+    """phi_n^+ = a_n x^alpha e^{-x/2} L_n^nu(x) as a Laguerre form."""
+    return spinor_forms(basis, _unit(n))[0]
+
+
+def phi_minus_form(basis: BasisParams, n: int) -> LaguerreForm:
+    """Lower spinor component of basis element n, in the active representation."""
+    return spinor_forms(basis, _unit(n))[1]
 
 
 def kinetic_balance_form(basis: BasisParams, n: int) -> LaguerreForm:
@@ -296,19 +311,22 @@ def _check_r(r):
     return r
 
 
+def _at_r(basis: BasisParams, form: LaguerreForm, r):
+    """A form's value at radius r (scalar or array)."""
+    val = form.eval(basis.x_of_r(_check_r(r)))
+    return float(val) if np.ndim(r) == 0 else val
+
+
 def phi_plus(basis: BasisParams, n: int, r):
     """Upper basis component at radius r (scalar or array)."""
-    val = phi_plus_form(basis, n).eval(basis.x_of_r(_check_r(r)))
-    return float(val) if np.ndim(r) == 0 else val
+    return _at_r(basis, phi_plus_form(basis, n), r)
 
 
 def phi_minus(basis: BasisParams, n: int, r):
     """Lower basis component at radius r (scalar or array)."""
-    val = phi_minus_form(basis, n).eval(basis.x_of_r(_check_r(r)))
-    return float(val) if np.ndim(r) == 0 else val
+    return _at_r(basis, phi_minus_form(basis, n), r)
 
 
 def kinetic_balance_apply(basis: BasisParams, n: int, r):
     """First-order-operator route to the lower component, at radius r."""
-    val = kinetic_balance_form(basis, n).eval(basis.x_of_r(_check_r(r)))
-    return float(val) if np.ndim(r) == 0 else val
+    return _at_r(basis, kinetic_balance_form(basis, n), r)

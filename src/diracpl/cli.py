@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .basis import PhysicalParams, kinetic_balance_apply, phi_minus
 from .recursion import (CoefficientSequence, build_recursion, closed_form_sequence,
-                        coefficient_sequence, natural_scaling, rescale)
+                        coefficient_sequence, mp_lambda, natural_scaling, rescale)
 from .solution import (SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_residual,
                        evaluate_grid, residual_scale, second_order_residual,
@@ -212,10 +212,13 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("scaling-equivalence", chain, 1e-12,
         "raw and rescaled recursions produce identical coefficients")
 
-    if der.theta is not None:
-        hyper = abs(np.cosh(der.theta) ** 2 - np.sinh(der.theta) ** 2 - 1.0)
+    if der.theta is not None:  # y enters with sign - for rho^2 < 1 (see recursion)
+        lam, ch, sh = mp_lambda(der), np.cosh(der.theta), np.sinh(der.theta)
+        y = der.y if der.rho ** 2 > 1.0 else -der.y
+        hyper = max(abs(rec.a(n) - 2.0 * ((n + lam) * ch + y * sh)) / (abs(rec.a(n)) + 1e-300)
+                    for n in range(21))
         add("hyperbolic-identity", hyper, 1e-14,
-            "cosh^2 - sinh^2 = 1 for the recursion angle")
+            "recursion diagonal equals 2[(n+lam) cosh theta +- y sinh theta]")
 
     if config.N > 0:  # n = N is the boundary projection, so N = 0 has no interior
         interior = 0.0
@@ -317,6 +320,8 @@ def _residual_stats(sol: SeriesSolution) -> dict:
     res_p, res_m = dirac_residual(sol, r)
     lead, identity = (res_p, res_m) if sol.eps == 1 else (res_m, res_p)
     scale = np.max(residual_scale(sol, r))
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"residual scale {scale} is not a positive finite number")
     return {
         "grid_points": len(r),
         "scale": float(scale),
@@ -333,12 +338,13 @@ def _residual_stats(sol: SeriesSolution) -> dict:
 def _cmd_solve(config: RunConfig) -> int:
     sol = solve(config.physical_params(), N=config.N, omega=config.omega,
                 alpha=config.alpha, quad_order=config.quad_order)
+    stats = _residual_stats(sol)  # may raise: before any file is written
     samples = _write_samples(config, sol)
     coeffs = _write_coefficients(config, sol)
     report = _write_report(config, {
         "mode": "solve",
         **_solution_dict(sol),
-        "residual_stats": _residual_stats(sol),
+        "residual_stats": stats,
         "outputs": {"samples": samples.name, "coefficients": coeffs.name},
     })
     print(f"wrote {samples}, {coeffs}, {report}")

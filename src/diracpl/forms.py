@@ -34,7 +34,7 @@ import numpy as np
 from .orthopoly import laguerre_all
 from .quadrature import RadialMeasure, gauss_laguerre
 
-__all__ = ["LaguerreForm", "combine", "integrate_product"]
+__all__ = ["LaguerreForm", "integrate_product"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +57,6 @@ class LaguerreForm:
         coef.setflags(write=False)
         object.__setattr__(self, "coef", coef)
 
-    @staticmethod
-    def single(coef: float, power: float, order: int, nu: float) -> "LaguerreForm":
-        """The one-term form coef x^power e^{-x/2} L_order^nu(x)."""
-        c = np.zeros((1, order + 1))
-        c[0, order] = coef
-        return LaguerreForm(power, nu, c)
-
     @property
     def is_zero(self) -> bool:
         return self.coef.size == 0
@@ -82,7 +75,19 @@ class LaguerreForm:
         return LaguerreForm(self.power + dp, self.nu, self.coef)
 
     def __add__(self, other: "LaguerreForm") -> "LaguerreForm":
-        return combine([(1.0, self), (1.0, other)])
+        """Sum of two forms with one Laguerre parameter, aligned on the lower power."""
+        if other.nu != self.nu:
+            raise ValueError(f"cannot add forms with different Laguerre parameters: "
+                             f"{sorted({self.nu, other.nu})}")
+        low, high = sorted((self, other), key=lambda f: f.power)
+        k = round(high.power - low.power)
+        if abs(high.power - low.power - k) > 1e-9:
+            raise ValueError(f"power offset {high.power - low.power} is not an integer")
+        (lr, lc), (hr, hc) = low.coef.shape, high.coef.shape
+        out = np.zeros((max(lr, k + hr), max(lc, hc)))
+        out[:lr, :lc] += low.coef
+        out[k:k + hr, :hc] += high.coef
+        return LaguerreForm(low.power, self.nu, out)
 
     def dx(self) -> "LaguerreForm":
         """Exact x-derivative; closed under the term algebra."""
@@ -120,32 +125,6 @@ class LaguerreForm:
         for row in poly[-2::-1]:
             total = total * flat + row
         return total.reshape(x.shape)
-
-
-def _int_offset(delta: float) -> int:
-    k = round(delta)
-    if abs(delta - k) > 1e-9:
-        raise ValueError(f"power offset {delta} is not an integer")
-    return int(k)
-
-
-def combine(weighted_forms) -> LaguerreForm:
-    """Weighted sum of forms with one Laguerre parameter, aligned on the lowest power."""
-    parts = [(w, f) for w, f in weighted_forms if w != 0.0 and not f.is_zero]
-    if not parts:
-        return LaguerreForm(0.0, 0.0, np.zeros((0, 0)))
-    nu = parts[0][1].nu
-    if any(f.nu != nu for _, f in parts):
-        raise ValueError(f"cannot add forms with different Laguerre parameters: "
-                         f"{sorted({f.nu for _, f in parts})}")
-    base = min(f.power for _, f in parts)
-    offsets = [_int_offset(f.power - base) for _, f in parts]
-    out = np.zeros((max(o + f.coef.shape[0] for (_, f), o in zip(parts, offsets)),
-                    max(f.coef.shape[1] for _, f in parts)))
-    for (w, f), o in zip(parts, offsets):
-        rows, cols = f.coef.shape
-        out[o:o + rows, :cols] += w * f.coef
-    return LaguerreForm(base, nu, out)
 
 
 def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure,

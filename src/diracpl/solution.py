@@ -4,6 +4,8 @@ A solution is chi_N = C * sum_{n=0}^N f_n psi_n with C fixed by
 <chi_N|chi_N> = 1 and the f_n from the float recurrence, run in the direction
 stable for the coefficient sector (`recursion.coefficient_sequence`); the
 extended-precision closed forms are its oracle, not the production route.
+The two component forms are built from the coefficient vector in one pass
+(`basis.spinor_forms`).
 Because the basis satisfies the first-order (kinetic-balance) relation
 identically, one row of the Dirac system vanishes by construction and the
 other row carries the whole truncation error; both rows are evaluated with
@@ -24,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (BasisParams, PhysicalParams, Rep, _check_r, phi_minus_form,
-                    phi_plus_form, select_representation)
-from .forms import LaguerreForm, combine, integrate_product
+from .basis import (BasisParams, PhysicalParams, Rep, _check_r, select_representation,
+                    spinor_forms)
+from .forms import LaguerreForm, integrate_product
 from .recursion import coefficient_sequence, rescale
 from .wave_operator import (DerivedParams, basis_spinor, bilinear_form, build_operator,
                             derived_params, matrix_element_analytic)
@@ -126,19 +128,13 @@ def default_r_grid(basis: BasisParams, num: int = 60, x_lo: float = 0.01,
     return np.sort(basis.measure.r_of_x(x))
 
 
-def _series_forms(basis: BasisParams, fvals: np.ndarray) -> tuple[LaguerreForm, LaguerreForm]:
-    fp = combine((fvals[n], phi_plus_form(basis, n)) for n in range(len(fvals)))
-    fm = combine((fvals[n], phi_minus_form(basis, n)) for n in range(len(fvals)))
-    return fp, fm
-
-
 def _normalized(phys: PhysicalParams, basis: BasisParams, der: DerivedParams,
                 coeffs: np.ndarray, f_next: float,
                 quad_order: int | None) -> SeriesSolution:
     """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
 
     Raises ValueError when the norm is not a positive finite number."""
-    form_plus, form_minus = _series_forms(basis, coeffs)
+    form_plus, form_minus = spinor_forms(basis, coeffs)
     norm_sq = sum(integrate_product(form, form, basis.measure, order=quad_order)
                   for form in (form_plus, form_minus))
     if not 0.0 < norm_sq < math.inf:

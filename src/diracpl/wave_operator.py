@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisParams, PhysicalParams, Rep, phi_minus_form, phi_plus_form
+from .basis import BasisParams, PhysicalParams, Rep, _unit, phi_plus_form, spinor_forms
 from .forms import LaguerreForm, integrate_product
 
 __all__ = [
@@ -166,7 +166,7 @@ def overlap_plus(basis: BasisParams, n: int, m: int) -> float:
 
 def basis_spinor(basis: BasisParams, n: int) -> Spinor:
     """psi_n = (phi_n^+, phi_n^-) as a pair of Laguerre forms."""
-    return phi_plus_form(basis, n), phi_minus_form(basis, n)
+    return spinor_forms(basis, _unit(n))
 
 
 def bilinear_form(basis: BasisParams, phys: PhysicalParams, left: Spinor, right: Spinor,

@@ -9,8 +9,9 @@ import pytest
 from conftest import CASE_IDS, build_case, r_window
 from diracpl.basis import (PhysicalParams, Rep, kinetic_balance_apply,
                            kinetic_balance_form, phi_minus, phi_minus_form,
-                           phi_plus, phi_plus_form, select_representation)
+                           phi_plus, phi_plus_form, select_representation, spinor_forms)
 from diracpl.forms import integrate_product
+from diracpl.solution import assemble
 
 
 class TestPhysicalParams:
@@ -239,3 +240,41 @@ class TestSpinorComponents:
         expected = basis.norm_const(n) ** 2 / (basis.omega * abs(basis.beta)) \
             * rule.integrate(lag * lag)
         assert val == pytest.approx(expected, rel=1e-11)
+
+
+class TestSpinorForms:
+    """spinor_forms on a coefficient vector against the sum of its unit-vector
+    cases and against the kinetic-balance operator route."""
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    @pytest.mark.parametrize("N", [0, 1, 20])
+    def test_equals_fold_of_element_forms(self, label, N):
+        # bit for bit: the left fold with + of the scaled per-element forms
+        # adds each order's terms in the same sequence
+        phys, basis = build_case(label)
+        c = assemble(phys, basis, N).coeffs
+        upper, lower = spinor_forms(basis, c)
+        for got, element in ((upper, phi_plus_form), (lower, phi_minus_form)):
+            fold = element(basis, 0).scaled(c[0])
+            for n in range(1, N + 1):
+                fold = fold + element(basis, n).scaled(c[n])
+            assert (got.power, got.nu) == (fold.power, fold.nu)
+            assert np.array_equal(got.coef, fold.coef)
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    @pytest.mark.parametrize("N", [0, 1, 20])
+    def test_lower_equals_kinetic_balance_sum(self, label, N):
+        # the operator route: sum_n c_n (kinetic-balance operator on phi_n^+),
+        # measured against the term-magnitude scale max_x sum_n |c_n kb_n(x)|
+        phys, basis = build_case(label)
+        c = assemble(phys, basis, N).coeffs
+        x = basis.x_of_r(r_window(basis, num=60))
+        terms = np.array([cn * kinetic_balance_form(basis, n).eval(x) for n, cn in enumerate(c)])
+        scale = np.max(np.sum(np.abs(terms), axis=0))
+        got = spinor_forms(basis, c)[1].eval(x)
+        assert np.max(np.abs(got - terms.sum(axis=0))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_empty_coefficients_give_zero_forms(self, label):
+        phys, basis = build_case(label)
+        assert all(form.is_zero for form in spinor_forms(basis, []))

@@ -85,6 +85,21 @@ class TestExitCodes:
         assert "weak-form-interior" not in out
         assert "PASS weak-form-boundary" in out
 
+    @pytest.mark.parametrize("args", [
+        ["--A", "-1.7164122766073617", "--mu", "-3.8641876132271795", "--kappa", "-5",
+         "--omega", "0.9324215474167732"],
+        ["--A", "0.3289248821491397", "--mu", "2.123904947078503", "--kappa", "3",
+         "--omega", "1.7884241215357566"],
+    ], ids=["theta-5.5", "theta-minus-2.8"])
+    def test_verify_large_theta_passes(self, tmp_path, capsys, args):
+        # cosh^2(theta) ~ 1.5e4 at theta = 5.5: the hyperbolic identity is
+        # measured on the recursion's a(n), not as cosh^2 - sinh^2 - 1, whose
+        # float roundoff alone exceeds 1e-14 there
+        code = run_cli(["verify", *args], tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS hyperbolic-identity" in out
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag,args", [
         ("A", ["--mu", "-2", "--kappa", "1"]),
@@ -297,6 +312,20 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert "double range" in proc.stderr
+
+    def test_residual_scale_underflow_is_config_error(self, tmp_path):
+        # representation c with omega = 5e-301: the grid radii reach ~1e299
+        # and every residual term underflows, so the relative residuals have
+        # no scale; the run ends in one line before any output is written
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1e300", "--mu", "2",
+             "--kappa", "-1", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Warning" not in proc.stderr
+        assert "residual scale" in proc.stderr
+        assert not any(tmp_path.iterdir())
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is a test-only dependency: a solve must not import it

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracpl.basis import PhysicalParams
-from diracpl.forms import LaguerreForm, combine
+from diracpl.forms import LaguerreForm
 from diracpl.solution import solve
 
 # The four residual-grid base configurations: (A, mu, kappa, eps).
@@ -17,12 +17,16 @@ GRID_BASES = {
 
 
 def test_adding_forms_with_different_nu_raises():
-    f = LaguerreForm.single(1.0, 0.5, 2, 1.0)
-    g = LaguerreForm.single(1.0, 0.5, 2, 2.0)
+    f = LaguerreForm(0.5, 1.0, [[0.0, 0.0, 1.0]])
+    g = LaguerreForm(0.5, 2.0, [[0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="different Laguerre parameters"):
         f + g
-    with pytest.raises(ValueError):
-        combine([(2.0, f), (-1.0, g)])
+
+
+def test_adding_forms_with_non_integer_power_offset_raises():
+    f = LaguerreForm(0.5, 1.0, [[1.0]])
+    with pytest.raises(ValueError, match="not an integer"):
+        f + f.shifted(0.5)
 
 
 @pytest.mark.parametrize("label", sorted(GRID_BASES))

@@ -100,8 +100,8 @@ class TestRadialMeasure:
             return np.power(x, a_pow) * np.exp(-x)
 
         # x^a_pow e^{-x} as the product of x^a_pow e^{-x/2} and e^{-x/2}
-        ours = integrate_product(LaguerreForm.single(1.0, a_pow, 0, 0.0),
-                                 LaguerreForm.single(1.0, 0.0, 0, 0.0), m, order=40)
+        ours = integrate_product(LaguerreForm(a_pow, 0.0, [[1.0]]),
+                                 LaguerreForm(0.0, 0.0, [[1.0]]), m, order=40)
         ref, err = quad(lambda r: float(f(r)), 0.0, np.inf, limit=400)
         assert ours == pytest.approx(ref, rel=1e-6)
 
@@ -114,8 +114,8 @@ class TestInnerProductRadial:
         m = RadialMeasure(beta=3.0, omega=1.4)
         nu = 1.7
         a_pow = nu + 1.0 - 1.0 / m.beta
-        f = LaguerreForm.single(m.omega * abs(m.beta), a_pow, 0, 0.0)
-        one = LaguerreForm.single(1.0, 0.0, 0, 0.0)
+        f = LaguerreForm(a_pow, 0.0, [[m.omega * abs(m.beta)]])
+        one = LaguerreForm(0.0, 0.0, [[1.0]])
         val = integrate_product(f, one, m, order=24)
         assert val == pytest.approx(math.gamma(nu + 1.0), rel=1e-12)
 
@@ -129,7 +129,7 @@ class TestInnerProductRadial:
 
         def make(n):
             a_n = math.sqrt(omega * beta) * sqrt_gamma_ratio(n + 1.0, n + nu + 1.0)
-            return LaguerreForm.single(a_n, alpha, n, nu)
+            return LaguerreForm(alpha, nu, a_n * np.eye(1, n + 1, n))
 
         def inner(n, k):
             return integrate_product(make(n), make(k), m, order=20)

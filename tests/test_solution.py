@@ -7,9 +7,9 @@ import pytest
 
 from conftest import CASE_IDS, build_case
 import diracpl.wave_operator as wave_operator
-from diracpl.basis import PhysicalParams
+from diracpl.basis import PhysicalParams, spinor_forms
 from diracpl.forms import integrate_product
-from diracpl.solution import (SpinorSample, _series_forms, assemble, default_r_grid,
+from diracpl.solution import (SpinorSample, assemble, default_r_grid,
                               diagonal_conditions_scan, diagonal_correspondence,
                               diagonal_special_case, dirac_residual, evaluate,
                               evaluate_grid, map_params, negative_energy_solution,
@@ -42,7 +42,7 @@ class TestAssembly:
         # scaling the raw coefficient sequence by any positive constant leaves
         # the normalized solution unchanged pointwise
         phys, sol = _solve_case("a_rho2")
-        scaled_plus, scaled_minus = _series_forms(sol.basis, 137.5 * sol.coeffs)
+        scaled_plus, scaled_minus = spinor_forms(sol.basis, 137.5 * sol.coeffs)
         m = sol.basis.measure
         norm = math.sqrt(integrate_product(scaled_plus, scaled_plus, m, order=sol.quad_order)
                          + integrate_product(scaled_minus, scaled_minus, m, order=sol.quad_order))

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import CASE_IDS, build_case
 from diracpl.basis import (PhysicalParams, Rep, phi_minus_form, phi_plus_form,
-                          select_representation)
-from diracpl.forms import combine, integrate_product
+                          select_representation, spinor_forms)
+from diracpl.forms import integrate_product
 from diracpl.wave_operator import (basis_spinor, bilinear_form, build_operator,
                                    derived_params, matrix_element_analytic,
                                    matrix_element_numeric, overlap_plus)
@@ -219,7 +219,7 @@ class TestBilinearForm:
         left = basis_spinor(basis, 3)
         u = [basis_spinor(basis, m) for m in range(6)]
         weights = [0.7, -1.3, 2.1, 0.4, -0.9, 1.6]
-        mix = tuple(combine((w, s[k]) for w, s in zip(weights, u)) for k in (0, 1))
+        mix = spinor_forms(basis, weights)
         order = 30
         parts = [bilinear_form(basis, phys, left, s, order=order) for s in u]
         expected = sum(w * v for w, v in zip(weights, parts))
