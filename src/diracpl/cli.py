@@ -1,9 +1,12 @@
 """Command-line interface: solve, verify, convergence study, and the diagonal case.
 
-Configuration comes from a flat key=value file plus command-line overrides;
-all outputs (CSV samples, coefficient JSON, report JSON) are deterministic
-for a fixed configuration.  Exit codes: 0 all checks pass, 1 a check failed,
-2 invalid configuration.
+One parser serves the four modes.  Each setting is declared once, as a
+`RunConfig` field that carries its flag, type and help; the parser and the
+config-file keys are built from those declarations.  Configuration comes from
+a flat key=value file plus command-line overrides; all outputs (CSV samples,
+coefficient JSON, report JSON) are deterministic for a fixed configuration.
+Exit codes: 0 all checks pass, 1 a check failed, 2 invalid configuration or
+an unusable output path.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,26 +34,48 @@ from .wave_operator import basis_spinor, bilinear_form, build_operator
 CONVERGENCE_NS = (5, 10, 20, 40)
 
 
+def _setting(flag: str, type, help: str, default=MISSING, **argparse_kw):
+    """A RunConfig field set by the flag --<flag>.  Its config-file keys are the
+    flag with '_' for '-' and the field name."""
+    return field(default=default,
+                 metadata={"flag": flag, "type": type, "help": help, **argparse_kw})
+
+
 @dataclass
 class RunConfig:
-    """Validated inputs for one run."""
+    """Validated inputs for one run; each setting declares its flag, type and help."""
 
     mode: str
-    A: float
-    mu: float
-    kappa: int
-    lam: float = 1.0
-    eps: int = 1
-    omega: float | None = None
-    alpha: float | None = None
-    N: int = 40
-    quad_order: int | None = None
-    seed: int = 1234
-    out: str = "."
+    A: float = _setting("A", float, "potential strength (nonzero)")
+    mu: float = _setting("mu", float, "potential power (mu != 0, +1, -1)")
+    kappa: int = _setting("kappa", int, "spin-orbit integer (nonzero)")
+    lam: float = _setting("lambda", float, "Compton length (default 1)", 1.0)
+    eps: int = _setting("epsilon", int, "energy sign in rest-mass units (default +1)", 1,
+                        choices=(1, -1))
+    omega: float | None = _setting("omega", float,
+                                   "basis scale; defaults to the |rho| = 2 choice "
+                                   "(fixed internally for representation c)", None)
+    alpha: float | None = _setting("alpha", float,
+                                   "free basis exponent (representation c only)", None)
+    N: int = _setting("N", int, "series truncation (default 40)", 40)
+    quad_order: int | None = _setting("quad-order", int, "quadrature order for every "
+                                      "integral (default: exact per integral)", None)
+    seed: int = _setting("seed", int, "seed for sampled check points", 1234)
+    out: str = _setting("out", str, "output directory (default .)", ".")
 
     def physical_params(self) -> PhysicalParams:
         return PhysicalParams(A=self.A, mu=self.mu, kappa=self.kappa,
                               lam=self.lam, eps=self.eps)
+
+    def solve(self, N: int | None = None, phys: PhysicalParams | None = None) -> SeriesSolution:
+        """The series solution with this run's basis and quadrature settings, at
+        truncation N (default self.N) and parameters phys (default this run's)."""
+        return solve(self.physical_params() if phys is None else phys,
+                     N=self.N if N is None else N, omega=self.omega, alpha=self.alpha,
+                     quad_order=self.quad_order)
+
+
+_SETTINGS = [f for f in fields(RunConfig) if f.metadata]
 
 
 @dataclass
@@ -67,10 +92,6 @@ class CheckResult:
                 f"tol={self.tolerance:.1e} ({self.description})")
 
 
-def _float_repr(v: float) -> str:
-    return repr(float(v))
-
-
 def _read_config_file(path: str) -> dict:
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -83,31 +104,22 @@ def _read_config_file(path: str) -> dict:
         values[key] = val
     return values
 
-_FILE_KEYS = {
-    "A": ("A", float), "mu": ("mu", float), "kappa": ("kappa", int),
-    "lambda": ("lam", float), "lam": ("lam", float),
-    "omega": ("omega", float), "alpha": ("alpha", float),
-    "N": ("N", int), "quad_order": ("quad_order", int),
-    "epsilon": ("eps", int), "eps": ("eps", int),
-    "seed": ("seed", int), "out": ("out", str),
-}
-
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config:
+        by_key = {key: f for f in _SETTINGS
+                  for key in (f.metadata["flag"].replace("-", "_"), f.name)}
         for key, raw in _read_config_file(args.config).items():
-            if key not in _FILE_KEYS:
+            if key not in by_key:
                 raise ValueError(f"unknown config key {key!r}")
-            dest, conv = _FILE_KEYS[key]
-            merged[dest] = conv(raw)
-    for dest, _ in _FILE_KEYS.values():
-        val = getattr(args, dest, None)
+            merged[by_key[key].name] = by_key[key].metadata["type"](raw)
+    for f in _SETTINGS:
+        val = getattr(args, f.name)
         if val is not None:
-            merged[dest] = val
-    for required in ("A", "mu", "kappa"):
-        if required not in merged:
-            raise ValueError(f"missing required parameter {required!r} "
+            merged[f.name] = val
+        elif f.default is MISSING and f.name not in merged:
+            raise ValueError(f"missing required parameter {f.name!r} "
                              "(flag or config file)")
     return RunConfig(mode=args.mode, **merged)
 
@@ -117,31 +129,12 @@ def make_parser() -> argparse.ArgumentParser:
         prog="diracpl",
         description="Series solutions of the radial Dirac equation with odd "
                     "power-law potential A/r^mu at rest-mass energy.")
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, help_text in (
-        ("solve", "compute a truncated series solution and export samples"),
-        ("verify", "run the invariant check suite for one configuration"),
-        ("convergence", "sweep the truncation N and report residuals"),
-        ("special-case", "build and check the diagonal single-term solution"),
-    ):
-        p = sub.add_parser(mode, help=help_text)
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--A", type=float, help="potential strength (nonzero)")
-        p.add_argument("--mu", type=float, help="potential power (mu != 0, +1, -1)")
-        p.add_argument("--kappa", type=int, help="spin-orbit integer (nonzero)")
-        p.add_argument("--lambda", dest="lam", type=float, help="Compton length (default 1)")
-        p.add_argument("--omega", type=float,
-                       help="basis scale; defaults to the |rho| = 2 choice "
-                            "(fixed internally for representation c)")
-        p.add_argument("--alpha", type=float,
-                       help="free basis exponent (representation c only)")
-        p.add_argument("--N", type=int, help="series truncation (default 40)")
-        p.add_argument("--quad-order", dest="quad_order", type=int,
-                       help="quadrature order for every integral (default: exact per integral)")
-        p.add_argument("--epsilon", dest="eps", type=int, choices=(1, -1),
-                       help="energy sign in rest-mass units (default +1)")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--seed", type=int, help="seed for sampled check points")
+    parser.add_argument("mode", choices=_COMMANDS, help="; ".join(
+        f"{mode}: {help_text}" for mode, (_, help_text) in _COMMANDS.items()))
+    parser.add_argument("--config", help="flat key=value configuration file")
+    for f in _SETTINGS:
+        kwargs = dict(f.metadata)
+        parser.add_argument(f"--{kwargs.pop('flag')}", dest=f.name, **kwargs)
     return parser
 
 
@@ -152,9 +145,7 @@ def make_parser() -> argparse.ArgumentParser:
 def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     """Invariant suite for one configuration; returns results and context."""
     rng = np.random.default_rng(config.seed)
-    phys = config.physical_params()
-    sol = solve(phys, N=config.N, omega=config.omega, alpha=config.alpha,
-                quad_order=config.quad_order)
+    sol = config.solve()
     base = sol if sol.eps == 1 else swap_energy(sol)  # the eps = +1 problem
     basis, der = base.basis, base.derived
     checks: list[CheckResult] = []
@@ -236,9 +227,8 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         add("weak-form-boundary", abs(boundary["projection"]) / boundary["scale"], 1e-9,
             "boundary term below quadrature noise; projection vanishes with it")
 
-    if phys.eps == -1:
-        direct = solve(base.phys, N=config.N, omega=config.omega,
-                       alpha=config.alpha, quad_order=config.quad_order)
+    if sol.eps == -1:
+        direct = config.solve(phys=base.phys)
         r_probe = np.sort(rng.uniform(0.2, 5.0, size=10)) / basis.omega
         a1, a2 = evaluate_grid(base, r_probe)
         b1, b2 = evaluate_grid(direct, r_probe)
@@ -246,6 +236,13 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         invol = float(max(np.max(np.abs(a1 - b1)), np.max(np.abs(a2 - b2))) / ref)
         add("energy-reflection-involution", invol, 1e-8,
             "reflecting the energy twice reproduces the solution")
+        # Each row carries its own (1 -+ eps) factor, so a wrong sign in the
+        # reflected parameters leaves the rows unmatched.
+        s1, s2 = dirac_residual(sol, r_grid)
+        b1, b2 = dirac_residual(base, r_grid)
+        swapped = max(np.max(np.abs(s1 + b2)), np.max(np.abs(s2 + b1)))
+        add("energy-reflection-rows", swapped / np.max(residual_scale(base, r_grid)), 1e-12,
+            "the eps = -1 Dirac rows are minus the swapped rows of the eps = +1 solution")
 
     return checks, _solution_dict(sol)
 
@@ -292,15 +289,18 @@ def _finish(config: RunConfig, mode: str, checks: list[CheckResult], payload: di
     return 0 if passed else 1
 
 
-def _write_samples(config: RunConfig, sol: SeriesSolution) -> Path:
+def _grid_rows(sol: SeriesSolution) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The CLI's radial grid and the two Dirac residual rows on it."""
     r = default_r_grid(sol.basis)
-    plus, minus = evaluate_grid(sol, r)
-    res_p, res_m = dirac_residual(sol, r)
-    path = _out_path(config, "samples.csv")
+    return r, dirac_residual(sol, r)
+
+
+def _write_samples(config: RunConfig, sol: SeriesSolution, r: np.ndarray,
+                   rows: tuple[np.ndarray, np.ndarray]) -> Path:
     lines = ["r,phi_plus,phi_minus,residual_plus,residual_minus"]
-    for i in range(len(r)):
-        lines.append(",".join(_float_repr(v) for v in
-                              (r[i], plus[i], minus[i], res_p[i], res_m[i])))
+    for values in zip(r, *evaluate_grid(sol, r), *rows):
+        lines.append(",".join(repr(float(v)) for v in values))
+    path = _out_path(config, "samples.csv")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -315,9 +315,9 @@ def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
     return path
 
 
-def _residual_stats(sol: SeriesSolution) -> dict:
-    r = default_r_grid(sol.basis)
-    res_p, res_m = dirac_residual(sol, r)
+def _residual_stats(sol: SeriesSolution, r: np.ndarray,
+                    rows: tuple[np.ndarray, np.ndarray]) -> dict:
+    res_p, res_m = rows
     lead, identity = (res_p, res_m) if sol.eps == 1 else (res_m, res_p)
     scale = np.max(residual_scale(sol, r))
     if not 0.0 < scale < np.inf:
@@ -336,10 +336,10 @@ def _residual_stats(sol: SeriesSolution) -> dict:
 
 
 def _cmd_solve(config: RunConfig) -> int:
-    sol = solve(config.physical_params(), N=config.N, omega=config.omega,
-                alpha=config.alpha, quad_order=config.quad_order)
-    stats = _residual_stats(sol)  # may raise: before any file is written
-    samples = _write_samples(config, sol)
+    sol = config.solve()
+    r, rows = _grid_rows(sol)
+    stats = _residual_stats(sol, r, rows)  # may raise: before any file is written
+    samples = _write_samples(config, sol, r, rows)
     coeffs = _write_coefficients(config, sol)
     report = _write_report(config, {
         "mode": "solve",
@@ -358,9 +358,8 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_convergence(config: RunConfig) -> int:
     rows = []
     for N in CONVERGENCE_NS:
-        sol = solve(config.physical_params(), N=N, omega=config.omega,
-                    alpha=config.alpha, quad_order=config.quad_order)
-        stats = _residual_stats(sol)
+        sol = config.solve(N)
+        stats = _residual_stats(sol, *_grid_rows(sol))
         base = sol if sol.eps == 1 else swap_energy(sol)
         boundary = weak_form_boundary_check(base)
         rows.append({"N": N,
@@ -370,8 +369,8 @@ def _cmd_convergence(config: RunConfig) -> int:
     csv_path = _out_path(config, "convergence.csv")
     lines = ["N,interior_residual,boundary_relative_error"]
     for row in rows:
-        lines.append(f"{row['N']},{_float_repr(row['interior_residual'])},"
-                     f"{_float_repr(row['boundary_relative_error'])}")
+        lines.append(f"{row['N']},{float(row['interior_residual'])!r},"
+                     f"{float(row['boundary_relative_error'])!r}")
     csv_path.write_text("\n".join(lines) + "\n")
 
     seq = [row["interior_residual"] for row in rows]
@@ -402,9 +401,9 @@ def _cmd_special_case(config: RunConfig) -> int:
         raise ValueError("the diagonal case tunes omega itself; do not pass --omega")
     sol = diagonal_special_case(config.physical_params(),
                                 quad_order=config.quad_order)
-    stats = _residual_stats(sol)
+    r, rows = _grid_rows(sol)
+    stats = _residual_stats(sol, r, rows)
     dirac_rel = max(stats["max_leading_row_relative"], stats["max_identity_row_relative"])
-    r = default_r_grid(sol.basis)
     so_rel = 0.0
     for comp in ("+", "-"):
         so_scale = np.max(second_order_scale(sol, r, comp))
@@ -431,24 +430,19 @@ def _cmd_special_case(config: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "convergence": _cmd_convergence,
-    "special-case": _cmd_special_case,
+    "solve": (_cmd_solve, "compute a truncated series solution and export samples"),
+    "verify": (_cmd_verify, "run the invariant check suite for one configuration"),
+    "convergence": (_cmd_convergence, "sweep the truncation N and report residuals"),
+    "special-case": (_cmd_special_case, "build and check the diagonal single-term solution"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    try:
+    args = make_parser().parse_args(argv)
+    try:  # a bad input or an unusable --out path: one line, exit 2
         config = build_config(args)
+        return _COMMANDS[config.mode][0](config)
     except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[config.mode](config)
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestCheckedReports:
         (["verify", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1", "--N", "8"],
          VERIFY_CHECKS, True),
         (["verify", "--A", "2", "--mu", "0.5", "--kappa", "-1", "--epsilon", "-1", "--N", "8"],
-         VERIFY_CHECKS + ["energy-reflection-involution"], True),
+         VERIFY_CHECKS + ["energy-reflection-involution", "energy-reflection-rows"], True),
         (["convergence", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--omega", "0.5253"],
          ["interior-residual-decrease", "boundary-identity"], False),
         (["convergence", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1"],
@@ -218,6 +219,72 @@ class TestConfigFile:
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert "whatever" in capsys.readouterr().err
+
+
+BASE_B = {"A": 1.0, "mu": -1.5, "kappa": -3, "N": 2}  # representation b: omega is free
+BASE_C = {"A": 1.0, "mu": 2.0, "kappa": -1, "N": 2}   # representation c: alpha is free
+DEFAULTS = {"mode": "solve", "lam": 1.0, "eps": 1, "omega": None, "alpha": None,
+            "N": 40, "quad_order": None, "seed": 1234, "out": "."}
+# flag, its config-file keys, the RunConfig field, two values, a configuration
+# that accepts both
+SETTINGS = [
+    ("A", ("A",), "A", 1.25, 0.75, BASE_B),
+    ("mu", ("mu",), "mu", -1.25, -1.75, BASE_B),
+    ("kappa", ("kappa",), "kappa", -2, -4, BASE_B),
+    ("lambda", ("lambda", "lam"), "lam", 0.5, 2.0, BASE_B),
+    ("omega", ("omega",), "omega", 0.75, 1.5, BASE_B),
+    ("alpha", ("alpha",), "alpha", 0.75, 1.5, BASE_C),
+    ("N", ("N",), "N", 3, 4, BASE_B),
+    ("quad-order", ("quad_order",), "quad_order", 60, 70, BASE_B),
+    ("epsilon", ("epsilon", "eps"), "eps", -1, 1, BASE_C),
+    ("seed", ("seed",), "seed", 7, 8, BASE_B),
+    ("out", ("out",), "out", "one", "two", BASE_B),
+]
+FILE_KEYS = [(key, *setting) for setting in SETTINGS for key in setting[1]]
+
+
+def _report_config(name, value):
+    out = Path(value if name == "out" else ".")
+    return json.loads((out / "report.json").read_text())["config"]
+
+
+class TestSettings:
+    """Each flag and each config-file key reaches its RunConfig field, as seen
+    in the config block of report.json; every other field keeps its default."""
+
+    @pytest.mark.parametrize("flag,keys,name,value,other,base", SETTINGS,
+                             ids=[s[0] for s in SETTINGS])
+    def test_flag(self, tmp_path, monkeypatch, capsys, flag, keys, name, value, other, base):
+        monkeypatch.chdir(tmp_path)
+        args = [f"--{k}={v}" for k, v in base.items() if k != name]
+        assert main(["solve", *args, f"--{flag}={value}"]) == 0
+        assert _report_config(name, value) == {**DEFAULTS, **base, name: value}
+
+    @pytest.mark.parametrize("key,flag,keys,name,value,other,base", FILE_KEYS,
+                             ids=[k[0] for k in FILE_KEYS])
+    def test_file_key(self, tmp_path, monkeypatch, capsys, key, flag, keys, name, value,
+                      other, base):
+        monkeypatch.chdir(tmp_path)
+        lines = [f"{k} = {v}" for k, v in base.items() if k != name] + [f"{key} = {value}"]
+        Path("run.cfg").write_text("\n".join(lines) + "\n")
+        assert main(["solve", "--config", "run.cfg"]) == 0
+        assert _report_config(name, value) == {**DEFAULTS, **base, name: value}
+        # a flag overrides the file
+        assert main(["solve", "--config", "run.cfg", f"--{flag}={other}"]) == 0
+        assert _report_config(name, other) == {**DEFAULTS, **base, name: other}
+
+    @pytest.mark.parametrize("argv", [["solve", "--epsilon", "2"], ["bogus"]],
+                             ids=["epsilon-choice", "unknown-mode"])
+    def test_parser_error_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_options_before_mode(self, tmp_path, capsys):
+        assert main(["--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "2",
+                     "--out", str(tmp_path), "solve"]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["mode"] == "solve"
 
 
 class TestConvergenceMode:
@@ -326,6 +393,20 @@ class TestEntryPoint:
         assert "Warning" not in proc.stderr
         assert "residual scale" in proc.stderr
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["out-is-file", "out-under-file"])
+    def test_out_not_a_directory_is_config_error(self, tmp_path, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", "-1.5",
+             "--kappa", "-3", "--N", "5", "--out", str(blocker / sub)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == ""
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is a test-only dependency: a solve must not import it
