@@ -124,8 +124,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(mode=args.mode, **merged)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A parse error is one stderr line and exit 2, without the usage block."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracpl",
         description="Series solutions of the radial Dirac equation with odd "
                     "power-law potential A/r^mu at rest-mass energy.")

@@ -22,17 +22,26 @@ representation b (terms in nu and nu+1) on L^{nu+1}.
 Edge rows and columns of c that are exactly zero are trimmed, so p is the
 lowest power present; its fractional part selects the Gauss-Laguerre weight
 exponent for exact integration.
+
+Inner products reuse the Laguerre values at a rule's nodes.  The table
+L_0..L_M^nu is kept per (order, rule exponent, form nu), next to the cached
+rule, and refilled to a larger M when a form of higher degree asks for it.
+The upward recurrence does not depend on M, so its first rows equal
+laguerre_all at a lower degree bit for bit.  Tables are held up to
+TABLE_BYTES in total (1 MiB); the least recently used goes first, so a scan
+that never reuses a rule holds no more than that.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .orthopoly import laguerre_all
-from .quadrature import RadialMeasure, gauss_laguerre
+from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
 
 __all__ = ["LaguerreForm", "integrate_product"]
 
@@ -61,7 +70,7 @@ class LaguerreForm:
     def is_zero(self) -> bool:
         return self.coef.size == 0
 
-    @property
+    @cached_property
     def poly_degree(self) -> int:
         """Degree in x of the polynomial part relative to the base power."""
         k, n = np.nonzero(self.coef)
@@ -119,12 +128,16 @@ class LaguerreForm:
         if self.is_zero:
             return np.zeros_like(x)
         cols = self.coef.shape[1]
-        poly = self.coef @ laguerre_all(cols - 1, self.nu, x).reshape(cols, -1)
-        flat = x.reshape(-1)
+        table = laguerre_all(cols - 1, self.nu, x).reshape(cols, -1)
+        return self._stripped_on(table, x.reshape(-1)).reshape(x.shape)
+
+    def _stripped_on(self, table: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """eval_stripped at the points flat from their table L_0..L_M^nu, M >= columns - 1."""
+        poly = self.coef @ table[:self.coef.shape[1]]
         total = poly[-1]
         for row in poly[-2::-1]:
             total = total * flat + row
-        return total.reshape(x.shape)
+        return total
 
 
 def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure,
@@ -153,9 +166,10 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
             f"quadrature order {order} cannot integrate a degree-{degree} remainder exactly"
         )
     rule = _cached_rule(order, nu_rule)
-    x = rule.nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        value = rule.integrate(fa.eval_stripped(x) * fb.eval_stripped(x))
+        fa_x = fa._stripped_on(_TABLES.get(rule, fa), rule.nodes)
+        fb_x = fb._stripped_on(_TABLES.get(rule, fb), rule.nodes)
+        value = rule.integrate(fa_x * fb_x)
     if not np.isfinite(value):
         raise ValueError(f"product integrand leaves double range at quadrature order {order}")
     return measure.jacobian_prefactor * value
@@ -165,3 +179,38 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
 def _cached_rule(order: int, nu: float):
     # Rules are immutable; sharing across product integrals is safe.
     return gauss_laguerre(order, nu)
+
+
+# Byte bound of all Laguerre tables kept at rule nodes.
+TABLE_BYTES = 1 << 20
+
+
+class _RuleTables:
+    """L_0..L_M^nu at the nodes of cached rules, least recently used evicted
+    first so that the held tables never exceed max_bytes together."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def get(self, rule: QuadratureRule, form: LaguerreForm) -> np.ndarray:
+        """A table with at least the form's columns at the rule's nodes."""
+        key, cols = (rule.order, rule.nu, form.nu), form.coef.shape[1]
+        table = self._tables.get(key)
+        if table is not None and len(table) >= cols:
+            self._tables.move_to_end(key)
+            return table
+        if table is not None:
+            self.nbytes -= self._tables.pop(key).nbytes
+        table = laguerre_all(cols - 1, form.nu, rule.nodes)
+        table.setflags(write=False)  # shared by every later integral on this rule
+        if table.nbytes <= self.max_bytes:
+            while self.nbytes + table.nbytes > self.max_bytes:
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+            self._tables[key] = table
+            self.nbytes += table.nbytes
+        return table
+
+
+_TABLES = _RuleTables(TABLE_BYTES)

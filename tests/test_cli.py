@@ -319,6 +319,27 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv", [["solve", "--epsilon", "2"], ["bogus"],
+                                      ["solve", "--N", "3.5"]],
+                             ids=["epsilon-choice", "unknown-mode", "non-integer-N"])
+    def test_parse_error_is_one_line(self, tmp_path, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", *argv, *SOLVE_ARGS[:6],
+             "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("diracpl: error: ")
+        assert "usage:" not in proc.stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_help_keeps_full_text(self):
+        proc = subprocess.run([sys.executable, "-m", "diracpl.cli", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: diracpl")
+        assert "--quad-order" in proc.stdout
+
     @pytest.mark.parametrize("mu", ["0.999999999", "1.000000001"])
     def test_near_excluded_power_is_config_error(self, tmp_path, mu):
         # omega = |A/beta|^(1/beta) leaves double range as beta = 1 - mu -> 0

@@ -1,10 +1,17 @@
 """The dense Laguerre form: one Laguerre parameter per form, a fixed shape."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import diracpl
+from diracpl import forms
 from diracpl.basis import PhysicalParams
-from diracpl.forms import LaguerreForm
+from diracpl.cli import main
+from diracpl.forms import LaguerreForm, integrate_product
+from diracpl.orthopoly import laguerre_all
+from diracpl.quadrature import RadialMeasure
 from diracpl.solution import solve
 
 # The four residual-grid base configurations: (A, mu, kappa, eps).
@@ -43,3 +50,114 @@ def test_shapes_do_not_depend_on_roundoff_in_mu(label):
     reference = shapes(mu)
     for direction in (-np.inf, np.inf):
         assert shapes(float(np.nextafter(mu, direction))) == reference
+
+
+# ---------------------------------------------------------------------------
+# Laguerre tables kept at rule nodes
+
+MEASURE = RadialMeasure(beta=1.5, omega=0.7)
+
+
+def _form(nu, cols, rows=2, power=0.25, seed=0):
+    coef = np.random.default_rng(seed).standard_normal((rows, cols))
+    return LaguerreForm(power, nu, coef)
+
+
+def _untabled(fa, fb, order, extra_power=0.0):
+    """integrate_product with fresh laguerre_all values for both forms."""
+    nu_rule = fa.power + fb.power + extra_power - 1.0 + 1.0 / MEASURE.beta
+    rule = forms._cached_rule(order, nu_rule)
+    value = rule.integrate(fa.eval_stripped(rule.nodes) * fb.eval_stripped(rule.nodes))
+    return MEASURE.jacobian_prefactor * value
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    fresh = forms._RuleTables(forms.TABLE_BYTES)
+    monkeypatch.setattr(forms, "_TABLES", fresh)
+    return fresh
+
+
+def _assert_tables_consistent(tables):
+    held = list(tables._tables.values())
+    assert tables.nbytes == sum(t.nbytes for t in held) <= tables.max_bytes
+
+
+def test_table_extends_to_a_higher_degree_bit_for_bit(tables):
+    low, high = _form(1.5, 4, seed=1), _form(1.5, 30, seed=2)
+    order = 40
+    values = [integrate_product(low, low, MEASURE, order),
+              integrate_product(low, high, MEASURE, order),
+              integrate_product(high, low, MEASURE, order)]
+    assert values == [_untabled(low, low, order), _untabled(low, high, order),
+                      _untabled(high, low, order)]
+    (table,) = tables._tables.values()
+    nodes = forms._cached_rule(order, 0.5 - 1.0 + 1.0 / MEASURE.beta).nodes
+    assert np.array_equal(table, laguerre_all(29, 1.5, nodes))
+    assert np.array_equal(table[:4], laguerre_all(3, 1.5, nodes))
+
+
+def test_two_nu_on_one_rule_keep_separate_tables(tables):
+    fa, fb = _form(0.5, 12, seed=3), _form(2.0, 9, seed=4)
+    order = 20
+    assert integrate_product(fa, fb, MEASURE, order) == _untabled(fa, fb, order)
+    assert integrate_product(fb, fb, MEASURE, order) == _untabled(fb, fb, order)
+    assert sorted(key[2] for key in tables._tables) == [0.5, 2.0]
+
+
+def test_values_hold_after_eviction(monkeypatch):
+    tables = forms._RuleTables(max_bytes=3 * 12 * 20 * 8)  # three 12-column order-20 tables
+    monkeypatch.setattr(forms, "_TABLES", tables)
+    family = [_form(nu, 12, seed=i) for i, nu in enumerate((0.5, 1.0, 1.5, 2.0, 2.5))]
+    order = 20
+    for _ in range(2):
+        for fa in family:
+            assert integrate_product(fa, fa, MEASURE, order) == _untabled(fa, fa, order)
+            _assert_tables_consistent(tables)
+    assert len(tables._tables) == 3
+    # a hit makes a table the most recent, so the next fill evicts another one
+    a, b, c, d = family[:4]
+    for f in (a, b, c, a, d):
+        integrate_product(f, f, MEASURE, order)
+    assert [key[2] for key in tables._tables] == [c.nu, a.nu, d.nu]
+
+
+def test_table_bytes_stay_within_the_bound_over_fresh_rules(tables):
+    fa = _form(1.0, 40, seed=5)
+    for i in range(200):
+        extra = 0.01 * (i + 1)  # a new rule exponent, so a new rule, each time
+        assert integrate_product(fa, fa, MEASURE, 60, extra) == _untabled(fa, fa, 60, extra)
+        _assert_tables_consistent(tables)
+    assert tables.nbytes > forms.TABLE_BYTES // 2
+
+
+def test_repeated_verify_computes_no_laguerre_values_in_integrals(tmp_path, monkeypatch,
+                                                                  capsys, tables):
+    modules = [m for name, m in sys.modules.items() if name.startswith(diracpl.__name__)]
+    original = forms.integrate_product
+    depth, inside = [0], []
+
+    def counted(*args, **kwargs):
+        inside.append(depth[0] > 0)
+        return laguerre_all(*args, **kwargs)
+
+    def integral(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    wrappers = {"laguerre_all": (laguerre_all, counted),
+                "integrate_product": (original, integral)}
+    for module in modules:
+        for name, (fn, wrapper) in wrappers.items():
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    argv = ["verify", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "40",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert any(inside)
+    inside.clear()
+    assert main(argv) == 0
+    assert inside and not any(inside)
