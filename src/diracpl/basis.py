@@ -166,15 +166,14 @@ def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
 
 
 def select_representation(phys: PhysicalParams, omega: float | None = None,
-                          alpha: float | None = None, rep: Rep | str | None = None,
-                          allow_unit_rho: bool = False) -> BasisParams:
+                          alpha: float | None = None, rep: Rep | str | None = None) -> BasisParams:
     """Choose the basis family from the physics and fix all its constants.
 
     Defaults: representation a for beta*kappa > 0 with kappa != -1,
     b for beta*kappa < 0, c for the mandatory kappa = -1 sector (and on
     explicit request).  For a/b the scale omega is free and defaults to the
-    value giving |rho| = 2; |rho| = 1 exactly is rejected there because the
-    recursion degenerates (representation c owns that boundary).
+    value giving |rho| = 2; at |rho| = 1 the a/b recursion degenerates, which
+    `recursion.build_recursion` reports (representation c owns that boundary).
     """
     _require_finite(omega=omega, alpha=alpha)
     beta = phys.beta
@@ -215,11 +214,6 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             raise ValueError("omega must be positive")
         rho = 2.0 * phys.A / (beta * _scale_power(omega, beta, "omega^beta",
                                                   f"omega = {omega!r}"))
-        if rho * rho == 1.0 and not allow_unit_rho:
-            raise ValueError(
-                "|rho| = 1 degenerates the three-term recursion in representations "
-                "a/b; use representation c (rep='c') or a different omega"
-            )
         if rep is Rep.A:
             alpha = (kappa + 1.0) / beta
             nu = (2.0 * kappa + 1.0) / beta

@@ -197,8 +197,8 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("coefficient-dual-path", dual, 1e-6,
         "sector-stable recurrence equals the orthogonal-polynomial closed form")
 
-    res = max(abs(rec.residual(cf.values, n)) / (abs(rec.a(n) * cf.values[n]) + 1e-300)
-              for n in range(20))
+    n = np.arange(20)
+    res = np.max(np.abs(rec.residual(cf.values, n)) / (np.abs(rec.a(n) * cf.values[n]) + 1e-300))
     add("recursion-residual", res, 1e-10,
         "closed-form coefficients satisfy the three-term relation")
 
@@ -212,8 +212,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     if der.theta is not None:  # y enters with sign - for rho^2 < 1 (see recursion)
         lam, ch, sh = mp_lambda(der), np.cosh(der.theta), np.sinh(der.theta)
         y = der.y if der.rho ** 2 > 1.0 else -der.y
-        hyper = max(abs(rec.a(n) - 2.0 * ((n + lam) * ch + y * sh)) / (abs(rec.a(n)) + 1e-300)
-                    for n in range(21))
+        n = np.arange(21)
+        a = rec.a(n)
+        hyper = np.max(np.abs(a - 2.0 * ((n + lam) * ch + y * sh)) / (np.abs(a) + 1e-300))
         add("hyperbolic-identity", hyper, 1e-14,
             "recursion diagonal equals 2[(n+lam) cosh theta +- y sinh theta]")
 

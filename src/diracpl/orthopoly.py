@@ -5,7 +5,8 @@ Five families are used by the solver: generalized Laguerre, Meixner-Pollaczek
 modified continuous dual Hahn obtained by the imaginary-argument substitution
 y -> -iy.  Each family is evaluated two independent ways: a three-term
 recurrence (the fast path) and the terminating hypergeometric sum (the oracle
-path).  Gamma-function ratios are always computed in log space.
+path); the recurrences other than the Laguerre table share one kernel,
+`forward_recurrence`.  Gamma-function ratios are always computed in log space.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ _MAX_DPS = 4000
 __all__ = [
     "gamma_ratio",
     "sqrt_gamma_ratio",
+    "forward_recurrence",
     "laguerre_eval",
     "laguerre_all",
     "laguerre_series",
@@ -64,6 +66,19 @@ def sqrt_gamma_ratio(a: float, b: float) -> float:
         raise ValueError(f"sqrt_gamma_ratio requires positive arguments, got ({a}, {b})")
     return _exp_in_range(0.5 * (math.lgamma(a) - math.lgamma(b)),
                          f"sqrt(Gamma({a})/Gamma({b}))")
+
+
+def forward_recurrence(a, b, c) -> np.ndarray:
+    """s_0..s_K of a_k s_k + b_k s_{k-1} + c_k s_{k+1} = 0 (k < K) from s_{-1} = 0,
+    s_0 = 1, for coefficient arrays a, b, c, stepped in Python floats (a value
+    out of double range turns inf or nan); c_k = 0 raises ValueError naming k."""
+    prev, cur, out = 0.0, 1.0, [1.0]
+    for k, (ak, bk, ck) in enumerate(zip(*(np.asarray(v, float).tolist() for v in (a, b, c)))):
+        if ck == 0.0:
+            raise ValueError(f"forward recurrence not solvable: c({k}) = 0")
+        prev, cur = cur, -(ak * cur + bk * prev) / ck
+        out.append(cur)
+    return np.array(out)
 
 
 def _oracle_series(series) -> float:
@@ -177,6 +192,14 @@ def _check_mp_params(n: int, lam: float) -> None:
         raise ValueError(f"Meixner-Pollaczek parameter must satisfy lam > 0, got {lam}")
 
 
+def _mp_recurrence(n: int, lam: float, y: float, c: float, s: float) -> float:
+    # Both Meixner-Pollaczek families, (c, s) = (cos, sin) or (cosh, sinh) of theta:
+    # (k+1) P_{k+1} - 2[(k+lam) c + y s] P_k + (k+2lam-1) P_{k-1} = 0.
+    k = np.arange(n)
+    return float(forward_recurrence(-(2.0 * ((k + lam) * c + y * s)), k + 2.0 * lam - 1.0,
+                                    k + 1.0)[-1])
+
+
 def mp_eval(n: int, lam: float, y: float, theta: float) -> float:
     """Meixner-Pollaczek polynomial P_n^lam(y, theta) by recurrence.
 
@@ -189,12 +212,7 @@ def mp_eval(n: int, lam: float, y: float, theta: float) -> float:
             f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}; "
             "use hyp_mp_eval for the hyperbolic continuation"
         )
-    c, s = math.cos(theta), math.sin(theta)
-    p_prev, p = 0.0, 1.0
-    for k in range(n):
-        p_next = (2.0 * ((k + lam) * c + y * s) * p - (k + 2.0 * lam - 1.0) * p_prev) / (k + 1.0)
-        p_prev, p = p, p_next
-    return p
+    return _mp_recurrence(n, lam, y, math.cos(theta), math.sin(theta))
 
 
 def mp_series(n: int, lam: float, y: float, theta: float) -> float:
@@ -252,12 +270,7 @@ def hyp_mp_eval(n: int, lam: float, y: float, theta: float) -> float:
     (n+1) P_{n+1} = 2[(n+lam) cosh(theta) + y sinh(theta)] P_n - (n+2lam-1) P_{n-1}.
     """
     _check_mp_params(n, lam)
-    c, s = math.cosh(theta), math.sinh(theta)
-    p_prev, p = 0.0, 1.0
-    for k in range(n):
-        p_next = (2.0 * ((k + lam) * c + y * s) * p - (k + 2.0 * lam - 1.0) * p_prev) / (k + 1.0)
-        p_prev, p = p, p_next
-    return p
+    return _mp_recurrence(n, lam, y, math.cosh(theta), math.sinh(theta))
 
 
 def hyp_mp_series(n: int, lam: float, y: float, theta: float) -> float:
@@ -292,16 +305,11 @@ def _check_cdh_params(n: int, lam: float, a: float, b: float) -> None:
 
 
 def _cdh_recurrence(n: int, lam: float, ysq: float, a: float, b: float) -> float:
-    # Shared recurrence core; ysq may be negative (modified family, y^2 -> -y^2).
-    s_prev, s = 0.0, 1.0
-    for k in range(n):
-        ka, kb = k + lam + a, k + lam + b
-        if ka == 0.0 or kb == 0.0:
-            raise ValueError(f"recurrence denominator vanished at index {k}")
-        diag = ka * kb + k * (k + a + b - 1.0) - lam * lam - ysq
-        s_next = (diag * s - k * (k + a + b - 1.0) * s_prev) / (ka * kb)
-        s_prev, s = s, s_next
-    return s
+    # (up + down - lam^2 - y^2) S_k - down S_{k-1} - up S_{k+1} = 0; ysq may be
+    # negative (modified family, y^2 -> -y^2).
+    k = np.arange(n)
+    up, down = (k + lam + a) * (k + lam + b), k * (k + a + b - 1.0)
+    return float(forward_recurrence(up + down - lam * lam - ysq, -down, -up)[-1])
 
 
 def _cdh_3f2(n: int, lam: float, ysq: float, a: float, b: float) -> float:
@@ -315,10 +323,7 @@ def _cdh_3f2(n: int, lam: float, ysq: float, a: float, b: float) -> float:
         term = total = magnitude = mp.mpf(1)
         for k in range(n):
             num = (-n + k) * ((lam_ + k) ** 2 + ysq_)
-            den = (lam_a + k) * (lam_b + k) * (k + 1)
-            if den == 0:
-                raise ValueError(f"series denominator Pochhammer vanished at index {k}")
-            term *= num / den
+            term *= num / ((lam_a + k) * (lam_b + k) * (k + 1))
             total += term
             magnitude += abs(term)
         return total, magnitude, float(total)

@@ -3,7 +3,9 @@
 The wave equation projected on the basis gives the raw relation D_n f_n
 + B_{n-1} f_{n-1} + B_n f_{n+1} = 0, whose coefficients are the rows of the
 tridiagonal operator: `build_recursion(..., scaling="f")` reads them from
-`wave_operator.matrix_element_analytic` and writes no formula of its own.
+`wave_operator.band_elements` and writes no formula of its own.  Coefficients
+map an index array to an array, so a solve evaluates them once per pass; the
+forward pass is the kernel `orthopoly.forward_recurrence`.
 After the Gamma-ratio rescalings
 
     g_n = sqrt(Gamma(n+1+nu)/Gamma(n+1)) f_n     (representations a, b)
@@ -42,8 +44,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import Rep
-from .orthopoly import hyp_mp_series, mod_cdh_series
-from .wave_operator import DerivedParams, matrix_element_analytic
+from .orthopoly import forward_recurrence, hyp_mp_series, mod_cdh_series
+from .wave_operator import DerivedParams, band_elements
 
 __all__ = [
     "ThreeTermRecursion",
@@ -63,16 +65,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThreeTermRecursion:
-    """Coefficients of a(n) s_n + b(n) s_{n-1} + c(n) s_{n+1} = 0, s_0 = 1."""
+    """Coefficients of a(n) s_n + b(n) s_{n-1} + c(n) s_{n+1} = 0, s_0 = 1, s_{-1} = 0;
+    a, b and c map an index array n >= 0 to an array, or one index to a float."""
 
-    a: Callable[[int], float]
-    b: Callable[[int], float]
-    c: Callable[[int], float]
+    a: Callable
+    b: Callable
+    c: Callable
     scaling: str  # 'f', 'g' or 'h': which rescaling of the f_n it propagates
     nu: float
 
-    def residual(self, seq: np.ndarray, n: int) -> float:
-        prev = seq[n - 1] if n >= 1 else 0.0
+    def residual(self, seq: np.ndarray, n):
+        """The relation's left side at index n (an array or one index)."""
+        prev = np.where(np.asarray(n) >= 1, seq[n - 1], 0.0)
         return self.a(n) * seq[n] + self.b(n) * prev + self.c(n) * seq[n + 1]
 
 
@@ -123,18 +127,21 @@ def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
     (`natural_scaling`): for representations a/b the g-scaled relation
     normalized by |sigma_-|, so the coefficients carry the branch's sign
     pattern; for c the h-scaled relation.  Any other scaling raises ValueError,
-    and so do a `rep` or `nu` that are not those of `derived`.
+    and so do a `rep` or `nu` not those of `derived`, and |rho| = 1 in a/b.
     """
     if rep is not derived.rep or nu != derived.nu:
         raise ValueError(f"representation {rep.value} with nu = {nu} does not match the "
                          f"derived parameters ({derived.rep.value}, nu = {derived.nu})")
+    if rep is not Rep.C and (derived.rho * derived.rho == 1.0 or derived.sigma_minus == 0.0):
+        raise ValueError("|rho| = 1 degenerates the three-term recursion in representations "
+                         "a/b; use representation c (rep='c') or a different omega")
     natural = natural_scaling(rep)
     scaling = natural if scaling is None else scaling
     if scaling == "f":
         return ThreeTermRecursion(
-            a=lambda n: matrix_element_analytic(derived, n, n),
-            b=lambda n: matrix_element_analytic(derived, n, n - 1) if n else 0.0,
-            c=lambda n: matrix_element_analytic(derived, n + 1, n),
+            a=lambda n: band_elements(derived, n),
+            b=lambda n: band_elements(derived, n, offdiag=True),
+            c=lambda n: band_elements(derived, n + 1, offdiag=True),
             scaling="f", nu=nu)
     if scaling != natural:
         raise ValueError(f"unsupported scaling {scaling!r} for representation {rep.value}")
@@ -149,11 +156,6 @@ def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
             scaling="h", nu=nu)
 
     sp, sm, zeta = derived.sigma_plus, derived.sigma_minus, derived.zeta
-    if sm == 0.0:
-        raise ValueError(
-            "sigma_- = 0 (|rho| = 1): the a/b recursion degenerates; "
-            "use representation c"
-        )
     lam_mp = (nu + 1.0) / 2.0
     sgn = math.copysign(1.0, sm)
     return ThreeTermRecursion(
@@ -171,21 +173,17 @@ def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def solve_forward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
-    """Forward recurrence s_0 = 1, s_{n+1} = -(a(n) s_n + b(n) s_{n-1}) / c(n).
+    """Forward recurrence s_0 = 1, s_{n+1} = -(a(n) s_n + b(n) s_{n-1}) / c(n),
+    with a, b and c evaluated once, over n = 0..N-1.
 
     The overall factor is fixed later by wavefunction normalization.  Stable
     where the pinned sequence is the dominant solution; raises ValueError
     when it leaves double range."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    vals = [1.0]
-    for n in range(N):
-        cn = rec.c(n)
-        if cn == 0.0:
-            raise ValueError(f"forward recurrence not solvable: c({n}) = 0")
-        prev = vals[n - 1] if n >= 1 else 0.0
-        vals.append(-(rec.a(n) * vals[n] + rec.b(n) * prev) / cn)
-    values = _check_finite(np.array(vals), "forward recurrence")
+    n = np.arange(N)
+    values = _check_finite(forward_recurrence(rec.a(n), rec.b(n), rec.c(n)),
+                           "forward recurrence")
     return CoefficientSequence(values=values, scaling=rec.scaling, nu=rec.nu)
 
 
@@ -200,17 +198,17 @@ _MILLER_TINY = 1e-290
 
 
 def _miller_pass(rec: ThreeTermRecursion, N: int, start: int) -> np.ndarray:
-    # r_n = s_n / s_{n-1} = -b(n) / (a(n) + c(n) r_{n+1}), from r_{start+1} = 0.
-    ratios = np.ones(N + 1)
-    r = 0.0
-    for n in range(start, 0, -1):
-        den = rec.a(n) + rec.c(n) * r
+    # r_n = s_n / s_{n-1} = -b(n) / (a(n) + c(n) r_{n+1}) for n = start..1 from
+    # r_{start+1} = 0, with a, b and c evaluated once over that range.
+    n = np.arange(start, 0, -1)
+    ratios, r = [], 0.0
+    for k, ak, bk, ck in zip(n.tolist(), *(f(n).tolist() for f in (rec.a, rec.b, rec.c))):
+        den = ak + ck * r
         if den == 0.0:
-            raise ValueError(f"backward recurrence not solvable: zero denominator at n = {n}")
-        r = -rec.b(n) / den
-        if n <= N:
-            ratios[n] = r
-    return np.cumprod(ratios)
+            raise ValueError(f"backward recurrence not solvable: zero denominator at n = {k}")
+        r = -bk / den
+        ratios.append(r)
+    return np.cumprod([1.0] + ratios[::-1][:N])
 
 
 def solve_backward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
@@ -294,13 +292,9 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
             "closed forms for representations a/b exist under the rest-mass-energy "
             "assignments with |rho| != 1"
         )
-    lam_mp = mp_lambda(derived)
-    theta, y = derived.theta, derived.y
-    if derived.rho ** 2 > 1.0:
-        vals = np.array([hyp_mp_series(n, lam_mp, y, theta) for n in range(N + 1)])
-    else:
-        vals = np.array([(-1.0) ** n * hyp_mp_series(n, lam_mp, -y, theta)
-                         for n in range(N + 1)])
+    lam_mp, theta = mp_lambda(derived), derived.theta
+    sign, y = (1.0, derived.y) if derived.rho ** 2 > 1.0 else (-1.0, -derived.y)
+    vals = np.array([sign ** n * hyp_mp_series(n, lam_mp, y, theta) for n in range(N + 1)])
     return CoefficientSequence(values=vals, scaling="g", nu=derived.nu)
 
 

@@ -343,12 +343,12 @@ def diagonal_special_case(phys: PhysicalParams, quad_order: int | None = None) -
     if beta * phys.A <= 0.0:
         raise ValueError("diagonal case requires beta*A > 0 so that rho = +1 is reachable")
     omega = (2.0 * phys.A / beta) ** (1.0 / beta)
-    basis = select_representation(phys, omega=omega, allow_unit_rho=True)
+    basis = select_representation(phys, omega=omega)
     if abs(basis.rho - 1.0) > 1e-10:
         raise ValueError(f"omega tuning failed to reach rho = +1 (rho = {basis.rho})")
     basis = replace(basis, rho=1.0)  # snap roundoff so the degeneracy is exact
 
-    der = derived_params(basis, phys, allow_unit_rho=True)
+    der = derived_params(basis, phys)
     d0 = matrix_element_analytic(der, 0, 0)
     b_scale = abs(matrix_element_analytic(der, 1, 1)) + 1.0
     if der.sigma_minus != 0.0 or abs(d0) > 1e-12 * b_scale:

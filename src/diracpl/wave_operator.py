@@ -38,6 +38,7 @@ __all__ = [
     "DerivedParams",
     "TridiagonalOperator",
     "derived_params",
+    "band_elements",
     "matrix_element_analytic",
     "matrix_element_numeric",
     "Spinor",
@@ -83,8 +84,7 @@ class DerivedParams:
     u: float
 
 
-def derived_params(basis: BasisParams, phys: PhysicalParams,
-                   allow_unit_rho: bool = False) -> DerivedParams:
+def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
     """Compute p, q, sigma_+-, zeta, theta, y, z, d, u for the given basis."""
     beta, omega, tau, gamma, rho = basis.beta, basis.omega, basis.tau, basis.gamma, basis.rho
     if tau == 0.5:
@@ -96,12 +96,6 @@ def derived_params(basis: BasisParams, phys: PhysicalParams,
     sigma_minus = (rho + c) ** 2 - c * c - 1.0
     nut = (2.0 * phys.kappa + 1.0) / beta
     zeta = (nut - 1.0) * (rho + c)
-
-    if basis.rep is not Rep.C and sigma_minus == 0.0 and not allow_unit_rho:
-        raise ValueError(
-            "sigma_- = 0 (|rho| = 1) divides the recursion in representations a/b; "
-            "use representation c for this boundary"
-        )
 
     q_zero = abs(q) <= _KB_TOL * (abs(rho * beta) / 2.0 + 1.0)
     if q_zero:
@@ -130,33 +124,36 @@ def derived_params(basis: BasisParams, phys: PhysicalParams,
     )
 
 
-def matrix_element_analytic(derived: DerivedParams, n: int, m: int) -> float:
-    """Closed-form element <psi_n|H-1|psi_m>; exactly 0 for |n-m| > 1.
-
-    Reps a and b share one formula in nu (+-(2 kappa + 1)/beta respectively)."""
-    if n < 0 or m < 0:
-        raise ValueError("matrix indices must be non-negative")
-    if abs(n - m) > 1:
-        return 0.0
+def band_elements(derived: DerivedParams, k, offdiag: bool = False):
+    """Closed-form band of H-1 over an index array k (or one index): D_k =
+    <psi_k|H-1|psi_k>, or with offdiag B_{k-1} = <psi_k|H-1|psi_{k-1}>, which
+    sqrt(k (k+nu)) makes 0 at k = 0.  Reps a and b share one formula in nu."""
+    k = np.asarray(k)
     lam, omega, beta, tau = derived.lam, derived.omega, derived.beta, derived.tau
     p, q, rho, nu = derived.p, derived.q, derived.rho, derived.nu
     common = lam * lam * omega * omega * beta * tau
-    k = max(n, m)
 
     if derived.rep is not Rep.C:
-        nut = (2.0 * derived.kappa + 1.0) / beta
-        if n == m:
-            return common * ((2.0 * n + 1.0 + nu) * (p * (rho * rho + 1.0) + 2.0 * q * rho)
+        if not offdiag:
+            nut = (2.0 * derived.kappa + 1.0) / beta
+            return common * ((2.0 * k + 1.0 + nu) * (p * (rho * rho + 1.0) + 2.0 * q * rho)
                              + 2.0 * (nut - 1.0) * (p * rho + q))
-        return -common * (p * (rho * rho - 1.0) + 2.0 * q * rho) * math.sqrt(k * (k + nu))
+        return -common * (p * (rho * rho - 1.0) + 2.0 * q * rho) * np.sqrt(k * (k + nu))
 
     alpha, gamma, u = derived.alpha, derived.gamma, derived.u
-    if n == m:
-        s = n + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
-        t = n + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
+    if not offdiag:
+        s = k + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
+        t = k + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
         return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
     s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
-    return -4.0 * common * (p * s + u / 2.0) * math.sqrt(k * (k + nu))
+    return -4.0 * common * (p * s + u / 2.0) * np.sqrt(k * (k + nu))
+
+
+def matrix_element_analytic(derived: DerivedParams, n: int, m: int) -> float:
+    """Closed-form element <psi_n|H-1|psi_m>; exactly 0 for |n-m| > 1."""
+    if n < 0 or m < 0:
+        raise ValueError("matrix indices must be non-negative")
+    return 0.0 if abs(n - m) > 1 else float(band_elements(derived, max(n, m), offdiag=n != m))
 
 
 def overlap_plus(basis: BasisParams, n: int, m: int) -> float:
@@ -237,6 +234,6 @@ def build_operator(derived: DerivedParams, N: int) -> TridiagonalOperator:
     """Assemble D_0..D_N and B_0..B_{N-1} from the closed forms."""
     if N < 1:
         raise ValueError("operator size N must be >= 1")
-    diag = np.array([matrix_element_analytic(derived, n, n) for n in range(N + 1)])
-    off = np.array([matrix_element_analytic(derived, n + 1, n) for n in range(N)])
-    return TridiagonalOperator(diag=diag, offdiag=off)
+    k = np.arange(N + 1)
+    return TridiagonalOperator(diag=band_elements(derived, k),
+                               offdiag=band_elements(derived, k[1:], offdiag=True))

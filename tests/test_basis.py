@@ -74,14 +74,6 @@ class TestSelectRepresentation:
         assert basis.rho == pytest.approx(2.0 * phys.A / (basis.beta * basis.omega ** basis.beta))
         assert basis.gamma == pytest.approx(phys.kappa / basis.beta)
 
-    def test_unit_rho_rejected_and_redirected(self):
-        phys = PhysicalParams(A=2.0, mu=0.5, kappa=-1)  # beta = 0.5
-        omega_unit = (2.0 * phys.A / phys.beta) ** (1.0 / phys.beta)
-        with pytest.raises(ValueError, match="representation c"):
-            select_representation(phys, omega=omega_unit)
-        basis = select_representation(phys, omega=omega_unit, allow_unit_rho=True)
-        assert basis.rho == pytest.approx(1.0)
-
     def test_explicit_rep_c_request(self):
         basis = select_representation(PhysicalParams(A=2.0, mu=3.0, kappa=1), rep="c")
         assert basis.rep is Rep.C

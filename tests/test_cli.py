@@ -429,6 +429,29 @@ class TestEntryPoint:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == ""
 
+    def test_unit_rho_is_config_error(self, tmp_path):
+        # rep a with omega = 1 gives rho = 2A/(beta omega^beta) = 1 exactly,
+        # where the a/b recursion degenerates
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1.5", "--mu", "-2",
+             "--kappa", "1", "--omega", "1", "--N", "5", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "|rho| = 1" in proc.stderr and "representation c" in proc.stderr
+
+    def test_huge_quad_order_is_config_error(self, tmp_path):
+        # refused before the order-10^5 Jacobi matrix is allocated
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "verify", "--A", "1", "--mu", "-1.5",
+             "--kappa", "-3", "--quad-order", "100000", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "quadrature order" in proc.stderr and "got 100000" in proc.stderr
+
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is a test-only dependency: a solve must not import it
         code = ("import sys\n"

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from diracpl.orthopoly import (cdh_eval, cdh_series, gamma_ratio, hyp_mp_eval,
-                               hyp_mp_series, laguerre_all, laguerre_deriv,
+from diracpl.orthopoly import (cdh_eval, cdh_series, forward_recurrence, gamma_ratio,
+                               hyp_mp_eval, hyp_mp_series, laguerre_all, laguerre_deriv,
                                laguerre_eval, laguerre_series, mod_cdh_eval,
                                mod_cdh_series, mp_eval, mp_series)
 
@@ -252,3 +252,53 @@ class TestOraclePrecision:
                                              1 - mp.exp(-2j * mp.mpf(theta)))))
         assert laguerre_series(150, 0.5, 300.0) == pytest.approx(lag, rel=1e-12)
         assert mp_series(n, lam, y, theta) == pytest.approx(mp_ref, rel=1e-12)
+
+
+def _mp_loop(n, lam, y, c, s):
+    # the per-step Meixner-Pollaczek loop the kernel replaced (reference)
+    p_prev, p = 0.0, 1.0
+    for k in range(n):
+        p_next = (2.0 * ((k + lam) * c + y * s) * p - (k + 2.0 * lam - 1.0) * p_prev) / (k + 1.0)
+        p_prev, p = p, p_next
+    return p
+
+
+def _cdh_loop(n, lam, ysq, a, b):
+    # the per-step continuous dual Hahn loop the kernel replaced (reference)
+    s_prev, s = 0.0, 1.0
+    for k in range(n):
+        ka, kb = k + lam + a, k + lam + b
+        diag = ka * kb + k * (k + a + b - 1.0) - lam * lam - ysq
+        s_prev, s = s, (diag * s - k * (k + a + b - 1.0) * s_prev) / (ka * kb)
+    return s
+
+
+class TestForwardRecurrence:
+    def test_empty_coefficients_give_s0(self):
+        np.testing.assert_array_equal(forward_recurrence([], [], []), [1.0])
+
+    @pytest.mark.parametrize("nu", NU_GRID)
+    def test_laguerre_recurrence_bit_for_bit(self, nu):
+        # (k+1) L_{k+1} - (2k+nu+1-x) L_k + (k+nu) L_{k-1} = 0
+        k = np.arange(30)
+        for x in X_GRID[::8]:
+            got = forward_recurrence(-(2 * k + nu + 1.0 - x), k + nu, k + 1.0)
+            np.testing.assert_array_equal(got, laguerre_all(30, nu, x))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_family_evaluators_bit_for_bit(self, n):
+        for lam, y, theta in [(0.6, -2.0, 0.8), (2.5, 0.7, 2.4)]:
+            assert mp_eval(n, lam, y, theta) == _mp_loop(n, lam, y, math.cos(theta),
+                                                         math.sin(theta))
+        for lam, y, theta in [(0.5, -1.0, -0.7), (2.0, 0.8, 1.2)]:
+            assert hyp_mp_eval(n, lam, y, theta) == _mp_loop(n, lam, y, math.cosh(theta),
+                                                             math.sinh(theta))
+        for lam, ysq, a, b in [(0.6, 0.5, 0.8, 1.2), (1.5, 7.0, 0.7, 2.0)]:
+            assert cdh_eval(n, lam, ysq, a, b) == _cdh_loop(n, lam, ysq, a, b)
+            y = math.sqrt(ysq)
+            assert mod_cdh_eval(n, lam, y, a, b) == _cdh_loop(n, lam, -y * y, a, b)
+
+    def test_zero_c_names_the_index(self):
+        c = np.array([1.0, 2.0, 0.0, 4.0])
+        with pytest.raises(ValueError, match="c\\(2\\) = 0"):
+            forward_recurrence(np.ones(4), np.ones(4), c)

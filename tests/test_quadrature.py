@@ -9,7 +9,7 @@ from scipy.special import roots_genlaguerre
 
 from diracpl.forms import LaguerreForm, integrate_product
 from diracpl.orthopoly import gamma_ratio
-from diracpl.quadrature import RadialMeasure, gauss_laguerre
+from diracpl.quadrature import MAX_ORDER, RadialMeasure, gauss_laguerre
 
 
 class TestRuleConstruction:
@@ -56,6 +56,17 @@ class TestRuleConstruction:
             gauss_laguerre(0, 0.0)
         with pytest.raises(ValueError):
             gauss_laguerre(5, -1.0)
+
+    def test_refuses_order_above_bound_before_allocating(self, monkeypatch):
+        # the dense Jacobi matrix of order 10^5 would take 75 GiB
+        def no_solve(_):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        for order in (MAX_ORDER + 1, 100_000):
+            with pytest.raises(ValueError, match=f"from 1 to {MAX_ORDER}, got {order}"):
+                gauss_laguerre(order, 0.5)
+        assert MAX_ORDER >= 800
 
 
 class TestLaguerreOrthogonality:

@@ -1,6 +1,7 @@
 """Coefficient recursions: forward solve, closed forms, scalings."""
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -8,18 +9,33 @@ import pytest
 from scipy.special import gammaln
 
 from conftest import CASE_IDS, build_case
+from diracpl import recursion
 from diracpl.basis import PhysicalParams, Rep, select_representation
 from diracpl.orthopoly import sqrt_gamma_ratio
 from diracpl.recursion import (CoefficientSequence, build_recursion, cdh_parameters,
                                closed_form_sequence, coefficient_sequence, minimal_sector,
                                mp_lambda, rescale, solve_backward, solve_forward)
-from diracpl.solution import assemble
+from diracpl.solution import assemble, solve
 from diracpl.wave_operator import build_operator, derived_params
 
 
 def _case_with_derived(label):
     phys, basis = build_case(label)
     return phys, basis, derived_params(basis, phys)
+
+
+# (physics, omega) with |rho| = 1: rep a at rho = +1 (exact), rep b at rho = +-1
+UNIT_RHO_CASES = [
+    (PhysicalParams(A=1.5, mu=-2.0, kappa=1), 1.0),
+    (PhysicalParams(A=2.0, mu=0.5, kappa=-1), 64.0),
+    (PhysicalParams(A=-2.0, mu=0.5, kappa=-1), 64.0),
+]
+
+
+def _unit_rho_case(phys, omega):
+    basis = select_representation(phys, omega=omega)
+    assert basis.rep is not Rep.C and basis.rho ** 2 == 1.0
+    return basis, derived_params(basis, phys)
 
 
 class TestBuildRecursion:
@@ -56,14 +72,45 @@ class TestBuildRecursion:
             assert rec.c(n) == pytest.approx(-(n + 3.0) * (n + 2.0), rel=1e-13)
 
     def test_unit_rho_refused(self):
-        from dataclasses import replace
-        phys = PhysicalParams(A=2.0, mu=0.5, kappa=-1)
+        # rep a (rho = +1 exactly) and rep b (rho = +-1): every scaling degenerates
+        for phys, omega in UNIT_RHO_CASES:
+            basis, der = _unit_rho_case(phys, omega)
+            for scaling in (None, "f"):
+                with pytest.raises(ValueError, match="representation c"):
+                    build_recursion(basis.rep, der, basis.nu, scaling)
+
+    def test_unit_rho_rejected_and_redirected(self):
+        # the basis and the derived constants exist at rho = 1; the solve is
+        # refused where the recursion is built, and representation c takes it
+        phys = PhysicalParams(A=2.0, mu=0.5, kappa=-1)  # beta = 0.5
         omega_unit = (2.0 * phys.A / phys.beta) ** (1.0 / phys.beta)
-        basis = select_representation(phys, omega=omega_unit, allow_unit_rho=True)
-        basis = replace(basis, rho=1.0)
-        der = derived_params(basis, phys, allow_unit_rho=True)
-        with pytest.raises(ValueError, match="representation c"):
-            build_recursion(basis.rep, der, basis.nu)
+        assert select_representation(phys, omega=omega_unit).rho == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="use representation c"):
+            solve(phys, 5, omega=omega_unit)
+        assert solve(phys, 5, rep="c").basis.rep is Rep.C
+
+    def test_unit_rho_rejected_for_a_b(self):
+        # derived_params accepts sigma_- = 0; build_recursion is the one check
+        for phys, omega in UNIT_RHO_CASES:
+            basis, der = _unit_rho_case(phys, omega)
+            assert der.sigma_minus == 0.0 and der.theta is None
+            with pytest.raises(ValueError, match=r"\|rho\| = 1"):
+                coefficient_sequence(der, 5)
+
+    def test_index_arrays_match_single_indices(self):
+        # a, b, c and residual take one index (as callers with ints do) or an
+        # index array, with the same values
+        for label in CASE_IDS:
+            _, basis, der = _case_with_derived(label)
+            seq, n = closed_form_sequence(der, 12).values, np.arange(12)
+            for scaling in (None, "f"):
+                rec = build_recursion(basis.rep, der, basis.nu, scaling)
+                for f in (rec.a, rec.b, rec.c):
+                    np.testing.assert_array_equal(f(n), [f(k) for k in range(12)])
+                np.testing.assert_array_equal(rec.residual(seq, n),
+                                              [rec.residual(seq, k) for k in range(12)])
+            # the raw relation's b(0) = B_{-1} is 0, so s_{-1} drops out
+            assert build_recursion(basis.rep, der, basis.nu, "f").b(0) == 0.0
 
 
     def test_parameters_must_match_derived(self):
@@ -102,10 +149,85 @@ class TestSolveForward:
     def test_zero_c_reported_with_index(self):
         der = _case_with_derived("c_rho_plus")[2]
         rec = build_recursion(Rep.C, der, der.nu)
-        broken = type(rec)(a=rec.a, b=rec.b, c=lambda n: 0.0 if n == 2 else rec.c(n),
+        broken = type(rec)(a=rec.a, b=rec.b, c=lambda n: np.where(n == 2, 0.0, rec.c(n)),
                            scaling=rec.scaling, nu=rec.nu)
         with pytest.raises(ValueError, match="c\\(2\\)"):
             solve_forward(broken, 5)
+
+
+def _counting(rec):
+    """rec with a, b and c wrapped to count their calls."""
+    calls = {"a": 0, "b": 0, "c": 0}
+
+    def wrap(name):
+        def f(n):
+            calls[name] += 1
+            return getattr(rec, name)(n)
+        return f
+
+    return replace(rec, a=wrap("a"), b=wrap("b"), c=wrap("c")), calls
+
+
+class TestCoefficientEvaluationCount:
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_forward_evaluates_each_coefficient_once(self, label):
+        _, basis, der = _case_with_derived(label)
+        for scaling in (None, "f"):
+            rec, calls = _counting(build_recursion(basis.rep, der, basis.nu, scaling))
+            solve_forward(rec, 40)
+            assert calls == {"a": 1, "b": 1, "c": 1}
+
+    @pytest.mark.parametrize("scaling", [None, "f"])
+    def test_backward_evaluates_once_per_miller_pass(self, monkeypatch, scaling):
+        _, basis, der = _case_with_derived("b_pos_beta")
+        passes = []
+        miller_pass = recursion._miller_pass
+
+        def counted_pass(rec, N, start):
+            passes.append(start)
+            return miller_pass(rec, N, start)
+
+        monkeypatch.setattr(recursion, "_miller_pass", counted_pass)
+        rec, calls = _counting(build_recursion(basis.rep, der, basis.nu, scaling))
+        solve_backward(rec, 160)
+        assert len(passes) >= 2
+        assert calls == {"a": len(passes), "b": len(passes), "c": len(passes)}
+
+
+def _forward_loop(rec, N):
+    # the per-n forward loop solve_forward replaced (reference)
+    vals = [1.0]
+    for n in range(N):
+        prev = vals[n - 1] if n >= 1 else 0.0
+        vals.append(-(rec.a(n) * vals[n] + rec.b(n) * prev) / rec.c(n))
+    return np.array(vals)
+
+
+def _miller_loop(rec, N, start):
+    # the per-n Miller pass _miller_pass replaced (reference)
+    ratios, r = np.ones(N + 1), 0.0
+    for n in range(start, 0, -1):
+        r = -rec.b(n) / (rec.a(n) + rec.c(n) * r)
+        if n <= N:
+            ratios[n] = r
+    return np.cumprod(ratios)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_passes_equal_per_index_loops_bit_for_bit(self, label):
+        _, basis, der = _case_with_derived(label)
+        for scaling in (None, "f"):
+            rec = build_recursion(basis.rep, der, basis.nu, scaling)
+            np.testing.assert_array_equal(_bits(solve_forward(rec, 40).values),
+                                          _bits(_forward_loop(rec, 40)))
+            for N in (0, 7, 60):
+                np.testing.assert_array_equal(_bits(recursion._miller_pass(rec, N, 2 * N + 20)),
+                                              _bits(_miller_loop(rec, N, 2 * N + 20)))
 
 
 class TestClosedForm:

@@ -10,9 +10,10 @@ from conftest import CASE_IDS, build_case
 from diracpl.basis import (PhysicalParams, Rep, phi_minus_form, phi_plus_form,
                           select_representation, spinor_forms)
 from diracpl.forms import integrate_product
-from diracpl.wave_operator import (basis_spinor, bilinear_form, build_operator,
-                                   derived_params, matrix_element_analytic,
-                                   matrix_element_numeric, overlap_plus)
+from diracpl.wave_operator import (band_elements, basis_spinor, bilinear_form,
+                                   build_operator, derived_params,
+                                   matrix_element_analytic, matrix_element_numeric,
+                                   overlap_plus)
 
 
 class TestDerivedParams:
@@ -48,16 +49,6 @@ class TestDerivedParams:
             der = derived_params(basis, phys)
             assert der.theta is not None
             assert abs(math.cosh(der.theta) ** 2 - math.sinh(der.theta) ** 2 - 1.0) < 1e-14
-
-    def test_unit_rho_rejected_for_a_b(self):
-        phys = PhysicalParams(A=2.0, mu=0.5, kappa=-1)
-        omega_unit = (2.0 * phys.A / phys.beta) ** (1.0 / phys.beta)
-        basis = select_representation(phys, omega=omega_unit, allow_unit_rho=True)
-        basis = replace(basis, rho=1.0)
-        with pytest.raises(ValueError, match="sigma_-"):
-            derived_params(basis, phys)
-        der = derived_params(basis, phys, allow_unit_rho=True)
-        assert der.sigma_minus == 0.0
 
     def test_tau_half_rejected(self):
         phys, basis = build_case("a_rho2")
@@ -225,3 +216,67 @@ class TestBilinearForm:
         expected = sum(w * v for w, v in zip(weights, parts))
         scale = sum(abs(w * v) for w, v in zip(weights, parts))
         assert abs(bilinear_form(basis, phys, left, mix, order=order) - expected) < 1e-13 * scale
+
+
+def _scalar_element(derived, n, m):
+    """The per-index closed forms as written before the bands were vectorised,
+    kept as the reference for `band_elements`."""
+    if abs(n - m) > 1:
+        return 0.0
+    lam, omega, beta, tau = derived.lam, derived.omega, derived.beta, derived.tau
+    p, q, rho, nu = derived.p, derived.q, derived.rho, derived.nu
+    common = lam * lam * omega * omega * beta * tau
+    k = max(n, m)
+
+    if derived.rep is not Rep.C:
+        nut = (2.0 * derived.kappa + 1.0) / beta
+        if n == m:
+            return common * ((2.0 * n + 1.0 + nu) * (p * (rho * rho + 1.0) + 2.0 * q * rho)
+                             + 2.0 * (nut - 1.0) * (p * rho + q))
+        return -common * (p * (rho * rho - 1.0) + 2.0 * q * rho) * math.sqrt(k * (k + nu))
+
+    alpha, gamma, u = derived.alpha, derived.gamma, derived.u
+    if n == m:
+        s = n + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
+        t = n + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
+        return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
+    s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
+    return -4.0 * common * (p * s + u / 2.0) * math.sqrt(k * (k + nu))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestBandElements:
+    N_BAND = 59
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    @pytest.mark.parametrize("general", [False, True])
+    def test_bands_equal_scalar_formulas_bit_for_bit(self, label, general):
+        phys, basis = build_case(label)
+        if general:
+            basis = _general_basis(basis)
+        der = derived_params(basis, phys)
+        n = range(self.N_BAND + 1)
+        diag = [_scalar_element(der, k, k) for k in n]
+        off = [_scalar_element(der, k + 1, k) for k in n]
+        op = build_operator(der, self.N_BAND + 1)
+        np.testing.assert_array_equal(_bits(op.diag[:-1]), _bits(diag))
+        np.testing.assert_array_equal(_bits(op.offdiag), _bits(off))
+        k = np.arange(self.N_BAND + 1)
+        np.testing.assert_array_equal(_bits(band_elements(der, k)), _bits(diag))
+        np.testing.assert_array_equal(_bits(band_elements(der, k + 1, offdiag=True)),
+                                      _bits(off))
+        for k in n:
+            for m in (k, k + 1):
+                for pair in ((k, m), (m, k)):
+                    got = matrix_element_analytic(der, *pair)
+                    assert type(got) is float
+                    assert _bits(got) == _bits(_scalar_element(der, *pair))
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_subdiagonal_vanishes_at_zero(self, label):
+        # <psi_0|H-1|psi_{-1}> = B_{-1} comes out 0 of sqrt(k (k + nu)) at k = 0
+        phys, basis = build_case(label)
+        assert band_elements(derived_params(basis, phys), 0, offdiag=True) == 0.0
