@@ -239,7 +239,7 @@ def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
     """
     c = np.asarray(c, dtype=float)
     n = np.arange(len(c), dtype=float)
-    a_n = np.array([basis.norm_const(k) for k in range(len(c))])
+    a_n = np.array([basis.norm_const(k) if ck else 0.0 for k, ck in enumerate(c.tolist())])
     a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
     upper = LaguerreForm(a, nu, (c * a_n)[None, :])
     pre = basis.lam * basis.omega * basis.tau * basis.beta * a_n

@@ -43,7 +43,7 @@ import numpy as np
 from .orthopoly import laguerre_all
 from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
 
-__all__ = ["LaguerreForm", "integrate_product"]
+__all__ = ["LaguerreForm", "integrate_product", "quadrature_order"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +160,7 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
         )
     degree = fa.poly_degree + fb.poly_degree
     if order is None:
-        order = max(8, degree // 2 + 8)
+        order = quadrature_order(degree)
     elif 2 * order - 1 < degree:
         raise ValueError(
             f"quadrature order {order} cannot integrate a degree-{degree} remainder exactly"
@@ -173,6 +173,11 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
     if not np.isfinite(value):
         raise ValueError(f"product integrand leaves double range at quadrature order {order}")
     return measure.jacobian_prefactor * value
+
+
+def quadrature_order(degree: int) -> int:
+    """The order integrate_product picks for a degree-`degree` remainder."""
+    return max(8, degree // 2 + 8)
 
 
 @lru_cache(maxsize=512)

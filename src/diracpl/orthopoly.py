@@ -5,22 +5,27 @@ Five families are used by the solver: generalized Laguerre, Meixner-Pollaczek
 modified continuous dual Hahn obtained by the imaginary-argument substitution
 y -> -iy.  Each family is evaluated two independent ways: a three-term
 recurrence (the fast path) and the terminating hypergeometric sum (the oracle
-path); the recurrences other than the Laguerre table share one kernel,
-`forward_recurrence`.  Gamma-function ratios are always computed in log space.
+path).  The recurrences other than the Laguerre table share one kernel,
+`forward_recurrence`; the sums share `terminating_series`, which gives orders
+0..N of a family at once, at one precision per sequence, in O(N) extended-
+precision and O(N^2) exact integer operations.  Gamma-function ratios are
+always computed in log space.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
 
 # Working precision for the terminating-series oracle paths.  The sums
 # alternate and can cancel severely (the value exponentially smaller than the
-# individual terms), so each is accumulated in extended precision, starting at
-# _ORACLE_DPS digits and raised until _GUARD_DIGITS digits survive the
-# measured cancellation; a sum that would need more than _MAX_DPS is refused.
+# individual terms), so each family n = 0..N is built in extended precision,
+# starting at _ORACLE_DPS digits and raised until _GUARD_DIGITS digits survive
+# its worst measured cancellation; a family needing more than _MAX_DPS is refused.
 _ORACLE_DPS = 40
 _GUARD_DIGITS = 20
 _MAX_DPS = 4000
@@ -29,6 +34,7 @@ __all__ = [
     "gamma_ratio",
     "sqrt_gamma_ratio",
     "forward_recurrence",
+    "terminating_series",
     "laguerre_eval",
     "laguerre_all",
     "laguerre_series",
@@ -38,11 +44,13 @@ __all__ = [
     "mp_weight",
     "hyp_mp_eval",
     "hyp_mp_series",
+    "hyp_mp_series_all",
     "cdh_eval",
     "cdh_series",
     "cdh_weight",
     "mod_cdh_eval",
     "mod_cdh_series",
+    "mod_cdh_series_all",
 ]
 
 
@@ -81,41 +89,60 @@ def forward_recurrence(a, b, c) -> np.ndarray:
     return np.array(out)
 
 
-def _oracle_series(series) -> float:
-    """Evaluate a terminating series at a precision its cancellation leaves intact.
+def _binomial_table(row: list, op) -> list:
+    """sum_k C(n, k) (-1)^k row[k] (op = operator.sub) or sum_k C(n, k) row[k]
+    (operator.add) for every n < len(row), from one difference (sum) table."""
+    out = []
+    while row:
+        out.append(row[0])
+        row = list(map(op, row, row[1:]))
+    return out
 
-    series() runs at the current mpmath precision and returns
-    (total, magnitude, value): the sum, the sum of its terms' absolute values,
-    and the float result built from the sum.  Summation loses about
-    log10(magnitude/|total|) digits, so the precision is raised until
-    _GUARD_DIGITS digits remain; a fixed precision would return wrong values
-    without any sign once the loss exceeds it.  A sum that is exactly zero at
-    two successive precisions is an exact zero.
+
+def terminating_series(N: int, terms) -> np.ndarray:
+    """v_0..v_N of v_n = Re(p_n sum_{k<=n} (-n)_k/k! u_k), summed as one family.
+
+    terms() runs at the current mpmath precision and returns the N ratios
+    u_{k+1}/u_k and p_{n+1}/p_n (real or complex; u_0 = p_0 = 1).  Only
+    (-n)_k/k! = (-1)^k C(n, k) depends on n, so the u_k, rounded to integers U_k
+    at P = ceil(dps log2 10) + N + 16 bits, give every S_n = sum_k (-1)^k C(n, k) U_k
+    and M_n = sum_k C(n, k) |U_k| exactly; u_0 = 1 makes M_n >= 2^P, so that
+    rounding (at most 2^(n-1)) stays below the rounding of the u_k.  Summation
+    loses about log10(M_n/|S_n|) digits, so the precision is raised until
+    _GUARD_DIGITS digits remain at the worst n.  A sum exactly zero at two
+    successive precisions is an exact zero; needing more than _MAX_DPS digits
+    raises ValueError.
     """
-    dps = _ORACLE_DPS
-    zero_before = False
+    dps, zero_before = _ORACLE_DPS, [False] * (N + 1)
     while True:
+        bits = math.ceil(dps * math.log2(10)) + N + 16
         with mp.workdps(dps):
-            total, magnitude, value = series()
-            if total == 0:
-                if zero_before:
-                    return value
-                zero_before, lost = True, float(dps)
-            else:
-                zero_before, lost = False, float(mp.log10(magnitude / abs(total)))
-        if dps - lost >= _GUARD_DIGITS:
-            return value
+            ratios, scales = terms()
+            u = list(accumulate(ratios, operator.mul, initial=mp.ldexp(1, bits)))  # u_k 2^P
+            parts = (mp.re, mp.im) if any(isinstance(r, mp.mpc) for r in ratios) else (mp.re,)
+            sums = [_binomial_table([int(mp.nint(part(x))) for x in u], operator.sub)
+                    for part in parts]
+            magnitudes = _binomial_table([int(mp.nint(abs(x))) for x in u], operator.add)
+            norms = [sum(v * v for v in s) for s in zip(*sums)]  # |S_n|^2
+            lost = max(math.log10(m) - math.log10(q) / 2 if q else 0.0 if zero else dps
+                       for m, q, zero in zip(magnitudes, norms, zero_before))
+            zero_before = [q == 0 for q in norms]
+            if dps - lost >= _GUARD_DIGITS:
+                p = accumulate(scales, operator.mul, initial=mp.ldexp(1, -bits))  # p_n 2^-P
+                return np.array([float(mp.re(pn * mp.mpc(*s))) for pn, *s in zip(p, *sums)])
         if dps >= _MAX_DPS:
             raise ValueError(f"oracle series cancels {lost:.0f} digits; "
                              f"more than {_MAX_DPS} would be needed")
         dps = min(max(2 * dps, int(lost) + 2 * _GUARD_DIGITS), _MAX_DPS)
 
 
-def _check_laguerre_params(n: int, nu: float) -> None:
+def _check_laguerre_params(n: int, nu: float, x) -> None:
     if n < 0 or n != int(n):
         raise ValueError(f"polynomial order must be a non-negative integer, got {n}")
     if nu <= -1:
         raise ValueError(f"Laguerre parameter must satisfy nu > -1, got nu={nu}")
+    if np.any(np.asarray(x) < 0):
+        raise ValueError("Laguerre evaluation requires x >= 0")
 
 
 def laguerre_all(n: int, nu: float, x):
@@ -123,10 +150,8 @@ def laguerre_all(n: int, nu: float, x):
 
     x may be a scalar or ndarray; returns shape (n+1,) + shape(x).
     """
-    _check_laguerre_params(n, nu)
+    _check_laguerre_params(n, nu, x)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("Laguerre evaluation requires x >= 0")
     out = np.empty((n + 1,) + x.shape, dtype=float)
     out[0] = 1.0
     if n >= 1:
@@ -149,21 +174,14 @@ def laguerre_series(n: int, nu: float, x) -> float:
     L_n^nu(x) = [Gamma(n+nu+1) / (Gamma(n+1) Gamma(nu+1))] 1F1(-n; nu+1; x),
     an exact sum of n+1 terms.
     """
-    _check_laguerre_params(n, nu)
+    _check_laguerre_params(n, nu, x)
     x = float(x)
-    if x < 0:
-        raise ValueError("Laguerre evaluation requires x >= 0")
 
-    def series():
-        term = total = magnitude = mp.mpf(1)
-        for k in range(n):
-            term *= (-n + k) * mp.mpf(x) / ((mp.mpf(nu) + 1 + k) * (k + 1))
-            total += term
-            magnitude += abs(term)
-        prefac = mp.gamma(n + mp.mpf(nu) + 1) / (mp.gamma(n + 1) * mp.gamma(mp.mpf(nu) + 1))
-        return total, magnitude, float(prefac * total)
+    def terms():
+        nu1 = mp.mpf(nu) + 1
+        return [x / (nu1 + k) for k in range(n)], [(nu1 + k) / (k + 1) for k in range(n)]
 
-    return _oracle_series(series)
+    return float(terminating_series(n, terms)[-1])
 
 
 def laguerre_deriv(n: int, nu: float, x) -> float:
@@ -173,10 +191,8 @@ def laguerre_deriv(n: int, nu: float, x) -> float:
     analytic limit -Gamma(n+nu+1)/(Gamma(n) Gamma(nu+2)) of the series
     derivative (the recurrence form divides by x).
     """
-    _check_laguerre_params(n, nu)
+    _check_laguerre_params(n, nu, x)
     x = float(x)
-    if x < 0:
-        raise ValueError("Laguerre evaluation requires x >= 0")
     if n == 0:
         return 0.0
     if x == 0.0:
@@ -226,20 +242,13 @@ def mp_series(n: int, lam: float, y: float, theta: float) -> float:
     if not 0.0 < theta < math.pi:
         raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}")
 
-    def series():
-        th = mp.mpf(theta)
-        z = 1 - mp.exp(-2j * th)
-        b = mp.mpc(lam, y)
-        term = total = mp.mpc(1)
-        magnitude = mp.mpf(1)
-        for k in range(n):
-            term *= (-n + k) * (b + k) * z / ((2 * mp.mpf(lam) + k) * (k + 1))
-            total += term
-            magnitude += abs(term)
-        prefac = mp.gamma(n + 2 * mp.mpf(lam)) / (mp.gamma(n + 1) * mp.gamma(2 * mp.mpf(lam)))
-        return total, magnitude, float(mp.re(prefac * mp.exp(1j * n * th) * total))
+    def terms():
+        th, two_lam, b = mp.mpf(theta), 2 * mp.mpf(lam), mp.mpc(lam, y)
+        z, turn = 1 - mp.expj(-2 * th), mp.expj(th)
+        return ([(b + k) * z / (two_lam + k) for k in range(n)],
+                [(two_lam + k) / (k + 1) * turn for k in range(n)])
 
-    return _oracle_series(series)
+    return float(terminating_series(n, terms)[-1])
 
 
 def mp_weight(y: float, lam: float, theta: float) -> float:
@@ -279,29 +288,32 @@ def hyp_mp_series(n: int, lam: float, y: float, theta: float) -> float:
     P_n = [Gamma(n+2lam)/(Gamma(n+1)Gamma(2lam))] e^{-n theta}
           2F1(-n, lam+y; 2lam; 1-e^{2 theta}).
     """
-    _check_mp_params(n, lam)
-
-    def series():
-        z = 1 - mp.exp(2 * mp.mpf(theta))
-        lam_y, two_lam = mp.mpf(lam) + y, 2 * mp.mpf(lam)
-        term = total = magnitude = mp.mpf(1)
-        for k in range(n):
-            term *= (-n + k) * (lam_y + k) * z / ((two_lam + k) * (k + 1))
-            total += term
-            magnitude += abs(term)
-        prefac = mp.gamma(n + two_lam) / (mp.gamma(n + 1) * mp.gamma(two_lam))
-        return total, magnitude, float(prefac * mp.exp(-n * mp.mpf(theta)) * total)
-
-    return _oracle_series(series)
+    return float(hyp_mp_series_all(n, lam, y, theta)[-1])
 
 
-def _check_cdh_params(n: int, lam: float, a: float, b: float) -> None:
+def hyp_mp_series_all(N: int, lam: float, y: float, theta: float) -> np.ndarray:
+    """hyp_mp_series for n = 0..N, as one `terminating_series` family."""
+    _check_mp_params(N, lam)
+
+    def terms():
+        th, lam_y, two_lam = mp.mpf(theta), mp.mpf(lam) + y, 2 * mp.mpf(lam)
+        z, decay = 1 - mp.exp(2 * th), mp.exp(-th)
+        return ([(lam_y + k) * z / (two_lam + k) for k in range(N)],
+                [(two_lam + k) / (k + 1) * decay for k in range(N)])
+
+    return terminating_series(N, terms)
+
+
+def _check_cdh_params(n: int, lam: float, ysq: float, a: float, b: float) -> None:
     if n < 0 or n != int(n):
         raise ValueError(f"polynomial order must be a non-negative integer, got {n}")
     if lam <= 0 or a <= 0 or b <= 0:
         raise ValueError(
             f"continuous dual Hahn requires lam, a, b > 0, got ({lam}, {a}, {b})"
         )
+    if ysq < 0:
+        raise ValueError(f"continuous dual Hahn requires y^2 >= 0, got {ysq}; "
+                         "use mod_cdh_eval for real-argument continuation")
 
 
 def _cdh_recurrence(n: int, lam: float, ysq: float, a: float, b: float) -> float:
@@ -312,23 +324,17 @@ def _cdh_recurrence(n: int, lam: float, ysq: float, a: float, b: float) -> float
     return float(forward_recurrence(up + down - lam * lam - ysq, -down, -up)[-1])
 
 
-def _cdh_3f2(n: int, lam: float, ysq: float, a: float, b: float) -> float:
-    # 3F2(-n, lam+iy, lam-iy; lam+a, lam+b; 1) with (lam+iy)_k (lam-iy)_k
+def _cdh_3f2(N: int, lam: float, ysq: float, a: float, b: float) -> np.ndarray:
+    # 3F2(-n, lam+iy, lam-iy; lam+a, lam+b; 1) for n = 0..N, with (lam+iy)_k (lam-iy)_k
     # accumulated as the real product prod_j ((lam+j)^2 + y^2); ysq may be
     # negative, which realizes the y -> -iy substitution.
 
-    def series():
-        lam_, ysq_ = mp.mpf(lam), mp.mpf(ysq)
-        lam_a, lam_b = lam_ + a, lam_ + b
-        term = total = magnitude = mp.mpf(1)
-        for k in range(n):
-            num = (-n + k) * ((lam_ + k) ** 2 + ysq_)
-            term *= num / ((lam_a + k) * (lam_b + k) * (k + 1))
-            total += term
-            magnitude += abs(term)
-        return total, magnitude, float(total)
+    def terms():
+        lam_ = mp.mpf(lam)
+        return ([((lam_ + k) ** 2 + ysq) / ((lam_ + a + k) * (lam_ + b + k)) for k in range(N)],
+                [1] * N)
 
-    return _oracle_series(series)
+    return terminating_series(N, terms)
 
 
 def cdh_eval(n: int, lam: float, ysq: float, a: float, b: float) -> float:
@@ -338,19 +344,14 @@ def cdh_eval(n: int, lam: float, ysq: float, a: float, b: float) -> float:
     y^2 S_n = [(n+lam+a)(n+lam+b) + n(n+a+b-1) - lam^2] S_n
               - n(n+a+b-1) S_{n-1} - (n+lam+a)(n+lam+b) S_{n+1}.
     """
-    _check_cdh_params(n, lam, a, b)
-    if ysq < 0:
-        raise ValueError(f"continuous dual Hahn requires y^2 >= 0, got {ysq}; "
-                         "use mod_cdh_eval for real-argument continuation")
+    _check_cdh_params(n, lam, ysq, a, b)
     return _cdh_recurrence(n, lam, ysq, a, b)
 
 
 def cdh_series(n: int, lam: float, ysq: float, a: float, b: float) -> float:
     """S_n^lam(y; a, b) = 3F2(-n, lam+iy, lam-iy; lam+a, lam+b; 1), oracle path."""
-    _check_cdh_params(n, lam, a, b)
-    if ysq < 0:
-        raise ValueError(f"continuous dual Hahn requires y^2 >= 0, got {ysq}")
-    return _cdh_3f2(n, lam, ysq, a, b)
+    _check_cdh_params(n, lam, ysq, a, b)
+    return float(_cdh_3f2(n, lam, ysq, a, b)[-1])
 
 
 def cdh_weight(y: float, lam: float, a: float, b: float) -> float:
@@ -401,5 +402,10 @@ def mod_cdh_series(n: int, lam: float, y: float, a: float, b: float) -> float:
     3F2(-n, lam+y, lam-y; lam+a, lam+b; 1),
 
     the oracle for mod_cdh_eval."""
-    _check_mod_cdh_params(n, lam, a, b)
-    return _cdh_3f2(n, lam, -y * y, a, b)
+    return float(mod_cdh_series_all(n, lam, y, a, b)[-1])
+
+
+def mod_cdh_series_all(N: int, lam: float, y: float, a: float, b: float) -> np.ndarray:
+    """mod_cdh_series for n = 0..N, as one `terminating_series` family."""
+    _check_mod_cdh_params(N, lam, a, b)
+    return _cdh_3f2(N, lam, -y * y, a, b)

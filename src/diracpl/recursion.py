@@ -24,7 +24,8 @@ rho < 0) forward recurrence follows it.  In representation b with rho > 0 the
 pinned sequence is the decaying, minimal solution, which forward recurrence
 loses to the dominant one; there Miller's backward recurrence, in ratio form,
 computes it (`solve_backward`).  The extended-precision closed forms
-(`closed_form_sequence`) are O(N^2) and serve only as the oracle.
+(`closed_form_sequence`) cost O(N) extended-precision operations plus O(N^2)
+exact integer additions, and serve only as the oracle.
 
 Branch handling for a/b: with sigma_- > 0 (rho^2 > 1) the normalized
 coefficients read  2[(n+lam_mp) cosh(theta) + y sinh(theta)] g_n
@@ -44,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import Rep
-from .orthopoly import forward_recurrence, hyp_mp_series, mod_cdh_series
+from .orthopoly import forward_recurrence, hyp_mp_series_all, mod_cdh_series_all
 from .wave_operator import DerivedParams, band_elements
 
 __all__ = [
@@ -273,28 +274,26 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
     c (h-scaled):    h_n = modified continuous dual Hahn of order (nu+1)/2
                      with arguments from `cdh_parameters`.
 
-    Values come from the terminating-series evaluators, run at a precision
-    that survives their cancellation; they are exact even where the
-    coefficient sequence is the decaying (minimal) solution of the recursion.
-    The cost is O(N^2) extended-precision work, so this is the oracle the
-    float routes of `coefficient_sequence` are judged against, not the
-    production path.
+    Values come from one terminating-series family per sequence, at a
+    precision its worst cancellation leaves intact; they are exact even where
+    the coefficient sequence is the decaying (minimal) solution of the
+    recursion.  The cost is O(N) extended-precision and O(N^2) exact integer
+    operations, so this is the oracle the float routes of
+    `coefficient_sequence` are judged against, not the production path.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
     if derived.rep is Rep.C:
-        lam, yv, a, b = cdh_parameters(derived)
-        vals = np.array([mod_cdh_series(n, lam, yv, a, b) for n in range(N + 1)])
-        return CoefficientSequence(values=vals, scaling="h", nu=derived.nu)
+        return CoefficientSequence(values=mod_cdh_series_all(N, *cdh_parameters(derived)),
+                                   scaling="h", nu=derived.nu)
 
     if derived.theta is None or derived.y is None:
         raise ValueError(
             "closed forms for representations a/b exist under the rest-mass-energy "
             "assignments with |rho| != 1"
         )
-    lam_mp, theta = mp_lambda(derived), derived.theta
     sign, y = (1.0, derived.y) if derived.rho ** 2 > 1.0 else (-1.0, -derived.y)
-    vals = np.array([sign ** n * hyp_mp_series(n, lam_mp, y, theta) for n in range(N + 1)])
+    vals = sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived), y, derived.theta)
     return CoefficientSequence(values=vals, scaling="g", nu=derived.nu)
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .basis import (BasisParams, PhysicalParams, Rep, _check_r, select_representation,
                     spinor_forms)
-from .forms import LaguerreForm, integrate_product
+from .forms import LaguerreForm, integrate_product, quadrature_order
+from .quadrature import MAX_ORDER
 from .recursion import coefficient_sequence, rescale
 from .wave_operator import (DerivedParams, basis_spinor, bilinear_form, build_operator,
                             derived_params, matrix_element_analytic)
@@ -151,11 +152,15 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int,
              quad_order: int | None = None) -> SeriesSolution:
     """Build and normalize the N-term series solution at eps = +1.
 
-    Raises ValueError when the coefficients or the norm leave double range."""
+    Raises ValueError when the coefficients or the norm leave double range, and
+    before the recursion when the norm would need an order above MAX_ORDER."""
     if phys.eps != 1:
         raise ValueError("assemble works at eps = +1; use negative_energy_solution")
     if N < 0:
         raise ValueError("truncation N must be non-negative")
+    if quad_order is None and (order := quadrature_order(2 * N)) > MAX_ORDER:  # <phi+|phi+>
+        raise ValueError(f"N = {N} is too large: the series norm needs quadrature order "
+                         f"{order}, above the largest, {MAX_ORDER}")
     der = derived_params(basis, phys)
     seq = coefficient_sequence(der, N + 1)
     fall = rescale(seq, "f").values

@@ -54,6 +54,25 @@ class TestExitCodes:
         assert code == 0
         assert "PASS diagonal-second-order-residual" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode,epsilon", [("solve", "1"), ("solve", "-1"),
+                                              ("verify", "1")])
+    def test_norm_order_above_max_is_refused_before_the_recursion(
+            self, tmp_path, capsys, monkeypatch, mode, epsilon):
+        # N = 20000 needs an order-20008 rule for the norm integral, above
+        # quadrature.MAX_ORDER: one line naming N, and no coefficient recursion
+        import diracpl.solution
+
+        def no_recursion(*args, **kwargs):
+            raise AssertionError("the coefficient recursion ran")
+
+        monkeypatch.setattr(diracpl.solution, "coefficient_sequence", no_recursion)
+        code = run_cli([mode, "--A", "1", "--mu", "2", "--kappa", "-1",
+                        "--epsilon", epsilon, "--N", "20000"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "N = 20000" in err and "20008" in err
+
     def test_special_case_wrong_sector_is_config_error(self, tmp_path, capsys):
         code = run_cli(["special-case", "--A", "3", "--mu", "-2", "--kappa", "1"],
                        tmp_path)

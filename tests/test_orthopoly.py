@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracpl.orthopoly import (cdh_eval, cdh_series, forward_recurrence, gamma_ratio,
                                hyp_mp_eval, hyp_mp_series, laguerre_all, laguerre_deriv,
                                laguerre_eval, laguerre_series, mod_cdh_eval,
-                               mod_cdh_series, mp_eval, mp_series)
+                               mod_cdh_series, mp_eval, mp_series, terminating_series)
 
 NU_GRID = [-0.5, 0.0, 1.0, 2.5]
 RNG = np.random.default_rng(20250809)
@@ -302,3 +305,92 @@ class TestForwardRecurrence:
         c = np.array([1.0, 2.0, 0.0, 4.0])
         with pytest.raises(ValueError, match="c\\(2\\) = 0"):
             forward_recurrence(np.ones(4), np.ones(4), c)
+
+
+FAMILIES = ("laguerre", "mp", "hyp_mp", "cdh", "mod_cdh")
+
+
+def _series_and_reference(family, n, lam, y, theta, a, b, x):
+    """The family's terminating-series value, and the same value from mpmath's
+    own hypergeometric function at 50 digits.  The reference takes the inputs
+    the series sees: Laguerre parameter nu = a - 1 and y^2 rounded to a float."""
+    nu, ysq = a - 1.0, y * y
+    with mpmath.workdps(50):
+        lam_, y_, theta_, a_, b_, x_ = (mpmath.mpf(v) for v in (lam, y, theta, a, b, x))
+        nu1, y_sq = mpmath.mpf(nu) + 1, mpmath.sqrt(ysq)
+
+        def pfq(upper, lower, z):  # an exact zero, such as L_1^0(1), is 0, not an error
+            return mpmath.hyper([-n, *upper], lower, z, zeroprec=1000)
+
+        pochhammer = mpmath.rf(2 * lam_, n) / mpmath.factorial(n)
+        if family == "laguerre":
+            return (laguerre_series(n, nu, x),
+                    mpmath.rf(nu1, n) / mpmath.factorial(n) * pfq([], [nu1], x_))
+        if family == "mp":
+            return (mp_series(n, lam, y, theta),
+                    mpmath.re(pochhammer * mpmath.expj(n * theta_) * pfq(
+                        [mpmath.mpc(lam_, y_)], [2 * lam_], 1 - mpmath.expj(-2 * theta_))))
+        if family == "hyp_mp":
+            return (hyp_mp_series(n, lam, y, theta),
+                    pochhammer * mpmath.exp(-n * theta_)
+                    * pfq([lam_ + y_], [2 * lam_], 1 - mpmath.exp(2 * theta_)))
+        if family == "cdh":
+            return (cdh_series(n, lam, ysq, a, b),
+                    mpmath.re(pfq([mpmath.mpc(lam_, y_sq), mpmath.mpc(lam_, -y_sq)],
+                                  [lam_ + a_, lam_ + b_], 1)))
+        return (mod_cdh_series(n, lam, y, a, b),
+                pfq([lam_ + y_sq, lam_ - y_sq], [lam_ + a_, lam_ + b_], 1))
+
+
+_positive = st.floats(0.1, 4.0)
+
+
+class TestTerminatingSeries:
+    """One exact-integer binomial table per family, at one precision per sequence."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(FAMILIES), n=st.integers(0, 40), lam=_positive,
+           y=st.floats(-4.0, 4.0), theta=st.floats(0.05, 3.09), sign=st.sampled_from([-1, 1]),
+           a=_positive, b=_positive, x=st.floats(0.0, 60.0))
+    def test_matches_mpmath_hypergeometric_functions(self, family, n, lam, y, theta, sign,
+                                                      a, b, x):
+        if family == "hyp_mp":
+            theta *= sign  # the hyperbolic family takes either sign of theta
+        value, reference = _series_and_reference(family, n, lam, y, theta, a, b, x)
+        assert value == pytest.approx(float(reference), rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def _power_family(N, c, seen):
+        # u_k = c^k, so v_n = sum_k (-1)^k C(n, k) c^k = (1 - c)^n exactly; the
+        # terms reach (1 + c)^n, so about n log10((1 + c)/|1 - c|) digits cancel
+        def terms():
+            seen.append(mpmath.mp.dps)
+            return [c()] * N, [1] * N
+        return terms
+
+    def test_cancellation_raises_the_precision(self):
+        # c = 1 + 2^-10: v_30 = 2^-300 under ~99 cancelled digits, which the
+        # 40-digit start cannot hold; the result is exact
+        seen = []
+        values = terminating_series(30, self._power_family(30, lambda: 1 + mpmath.mpf(2) ** -10,
+                                                           seen))
+        assert seen[0] == 40 and seen[-1] >= 99 + 20
+        np.testing.assert_array_equal(values, [(-2.0 ** -10) ** n for n in range(31)])
+
+    def test_refuses_beyond_max_dps(self):
+        # c = 1 + 2^-100 cancels ~30 digits per order: ~4100 at n = 135
+        with pytest.raises(ValueError, match="more than 4000 would be needed"):
+            terminating_series(135, self._power_family(135, lambda: 1 + mpmath.mpf(2) ** -100,
+                                                       []))
+
+    def test_exact_zero_at_two_precisions(self):
+        # c = 1: every v_n with n >= 1 is exactly zero at 40 and again at 80
+        # digits, which makes it an exact zero rather than a total cancellation
+        seen = []
+        values = terminating_series(6, self._power_family(6, lambda: mpmath.mpf(1), seen))
+        assert seen == [40, 80]
+        np.testing.assert_array_equal(values, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        # L_1^nu(x) = nu + 1 - x, and S_1 = 1 - (lam^2 + y^2)/((lam+a)(lam+b)) is 0
+        # at lam = a = b = 1, y^2 = 3
+        assert laguerre_series(1, 0.5, 1.5) == 0.0
+        assert cdh_series(1, 1.0, 3.0, 1.0, 1.0) == 0.0

@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from conftest import CASE_IDS, build_case
 from diracpl import recursion
 from diracpl.basis import PhysicalParams, Rep, select_representation
-from diracpl.orthopoly import sqrt_gamma_ratio
+from diracpl.orthopoly import hyp_mp_series, mod_cdh_series, sqrt_gamma_ratio
 from diracpl.recursion import (CoefficientSequence, build_recursion, cdh_parameters,
                                closed_form_sequence, coefficient_sequence, minimal_sector,
                                mp_lambda, rescale, solve_backward, solve_forward)
@@ -239,6 +239,22 @@ class TestClosedForm:
         assert cf.scaling == fwd.scaling
         np.testing.assert_allclose(cf.values, fwd.values, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(fwd.values)))
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_sequence_equals_per_order_series(self, label):
+        # one terminating-series family per sequence gives the values of the
+        # per-order oracles: g_n = P_n(y) or (-1)^n P_n(-y) for a/b, h_n the
+        # modified continuous dual Hahn value for c
+        _, basis, der = _case_with_derived(label)
+        N = 24
+        if der.rep is Rep.C:
+            per_order = [mod_cdh_series(n, *cdh_parameters(der)) for n in range(N + 1)]
+        else:
+            sign, y = (1.0, der.y) if der.rho ** 2 > 1.0 else (-1.0, -der.y)
+            per_order = [sign ** n * hyp_mp_series(n, mp_lambda(der), y, der.theta)
+                         for n in range(N + 1)]
+        np.testing.assert_allclose(closed_form_sequence(der, N).values, per_order,
+                                   rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_normalized_start(self, label):
