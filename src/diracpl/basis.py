@@ -227,21 +227,29 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
     return basis
 
 
+def _upper(basis: BasisParams, c) -> tuple[np.ndarray, LaguerreForm]:
+    """(a_n, the upper form c_n a_n) for coefficient rows c; a_n only where c uses n."""
+    c = np.asarray(c, dtype=float)
+    used = c.any(axis=tuple(range(c.ndim - 1)))
+    a_n = np.array([basis.norm_const(k) if u else 0.0 for k, u in enumerate(used.tolist())])
+    return a_n, LaguerreForm(basis.alpha, basis.nu, (c * a_n)[..., None, :])
+
+
 def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
     """The spinor series sum_n c_n psi_n as its (upper, lower) Laguerre forms.
 
-    The upper form is the one row c_n a_n.  The lower form is the kinetic-balance
-    operator applied to it: per n a 2- or 3-term stencil, written with the
-    Laguerre parameter that makes the representation's matrix elements
-    band-limited (rep a's nu-1 terms mapped onto L^nu and rep b's nu term onto
-    L^{nu+1} by L_m^{s-1} = L_m^s - L_{m-1}^s).  The stencils are added as
-    shifted vectors, highest shift first: each order sums elements n-1, n, n+1.
+    A matrix c, one row per spinor, gives batched forms.  The upper form is the
+    row c_n a_n.  The lower form is the kinetic-balance operator applied to it:
+    per n a 2- or 3-term stencil, written with the Laguerre parameter that makes
+    the representation's matrix elements band-limited (rep a's nu-1 terms mapped
+    onto L^nu and rep b's nu term onto L^{nu+1} by L_m^{s-1} = L_m^s - L_{m-1}^s).
+    The stencils are added as shifted vectors, highest shift first: each order
+    sums elements n-1, n, n+1.
     """
     c = np.asarray(c, dtype=float)
-    n = np.arange(len(c), dtype=float)
-    a_n = np.array([basis.norm_const(k) if ck else 0.0 for k, ck in enumerate(c.tolist())])
+    a_n, upper = _upper(basis, c)
+    n = np.arange(c.shape[-1], dtype=float)
     a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
-    upper = LaguerreForm(a, nu, (c * a_n)[None, :])
     pre = basis.lam * basis.omega * basis.tau * basis.beta * a_n
     # stencil[k, j] holds power offset k and order n - 1 + j
     if basis.rep is Rep.A:
@@ -258,44 +266,48 @@ def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
         stencil = np.array([[-(1.0 + rho) * (n + nu),
                              2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
                              (1.0 - rho) * (n + 1.0)]])
-    terms = c * (pre * stencil)
+    terms = c[..., None, None, :] * (pre * stencil)
     rows, width = stencil.shape[:2]
-    coef = np.zeros((rows, len(c) + width - 1))  # column i holds order i - 1
+    coef = np.zeros(c.shape[:-1] + (rows, len(n) + width - 1))  # column i holds order i - 1
     for j in reversed(range(width)):
-        coef[:, j:j + len(c)] += terms[:, j]
-    return upper, LaguerreForm(a - 1.0 / basis.beta, nu, coef[:, 1:])  # order -1 is dropped
+        coef[..., j:j + len(n)] += terms[..., j, :]
+    return upper, LaguerreForm(a - 1.0 / basis.beta, nu, coef[..., 1:])  # order -1 is dropped
 
 
-def _unit(n: int) -> np.ndarray:
-    """The coefficient vector of basis element n alone."""
-    if n < 0:
+def _unit(n) -> np.ndarray:
+    """The coefficient vector of basis element n alone (a row per index of an array)."""
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("basis index must be non-negative")
-    return np.eye(1, n + 1, n)[0]
+    return (np.arange(np.max(n, initial=0) + 1) == n[..., None]).astype(float)
 
 
-def phi_plus_form(basis: BasisParams, n: int) -> LaguerreForm:
-    """phi_n^+ = a_n x^alpha e^{-x/2} L_n^nu(x) as a Laguerre form."""
-    return spinor_forms(basis, _unit(n))[0]
+def phi_plus_form(basis: BasisParams, n) -> LaguerreForm:
+    """phi_n^+ = a_n x^alpha e^{-x/2} L_n^nu(x) as a Laguerre form (batched over n)."""
+    return _upper(basis, _unit(n))[1]
 
 
-def phi_minus_form(basis: BasisParams, n: int) -> LaguerreForm:
+def phi_minus_form(basis: BasisParams, n) -> LaguerreForm:
     """Lower spinor component of basis element n, in the active representation."""
     return spinor_forms(basis, _unit(n))[1]
 
 
-def kinetic_balance_form(basis: BasisParams, n: int) -> LaguerreForm:
+def kinetic_balance_form(basis: BasisParams, n) -> LaguerreForm:
     """The first-order operator route to the lower component:
 
     phi_n^- = (2 lam omega tau beta / x^{1/beta}) (gamma + rho x/2 + x d/dx) phi_n^+,
 
-    built with the analytic Laguerre derivative.  Under the rest-mass-energy
-    parameter assignments this is the oracle for phi_minus_form.
+    built from the upper form and its analytic Laguerre derivative, never from
+    the stencil of spinor_forms.  Under the rest-mass-energy parameter
+    assignments this is the oracle for phi_minus_form.
     """
-    fp = phi_plus_form(basis, n)
-    inner = fp.scaled(basis.gamma) + fp.shifted(1.0).scaled(basis.rho / 2.0) \
-        + fp.dx().shifted(1.0)
+    fp = phi_plus_form(basis, n)  # one row of coefficients
+    d = fp.dx()
+    k = round(d.power + 1.0 - fp.power)  # x d/dx starts k rows above fp
+    inner = np.concatenate([basis.gamma * fp.coef, (basis.rho / 2.0) * fp.coef], axis=-2)
+    inner[..., k:k + d.coef.shape[-2], :d.coef.shape[-1]] += d.coef
     pre = 2.0 * basis.lam * basis.omega * basis.tau * basis.beta
-    return inner.shifted(-1.0 / basis.beta).scaled(pre)
+    return LaguerreForm(fp.power - 1.0 / basis.beta, fp.nu, pre * inner)
 
 
 def _check_r(r):
@@ -306,21 +318,21 @@ def _check_r(r):
 
 
 def _at_r(basis: BasisParams, form: LaguerreForm, r):
-    """A form's value at radius r (scalar or array)."""
+    """A form's value at radius r (scalar or array), batch axes first."""
     val = form.eval(basis.x_of_r(_check_r(r)))
-    return float(val) if np.ndim(r) == 0 else val
+    return float(val) if np.ndim(val) == 0 else val
 
 
-def phi_plus(basis: BasisParams, n: int, r):
-    """Upper basis component at radius r (scalar or array)."""
+def phi_plus(basis: BasisParams, n, r):
+    """Upper basis component at radius r (scalar or array), a row per index of n."""
     return _at_r(basis, phi_plus_form(basis, n), r)
 
 
-def phi_minus(basis: BasisParams, n: int, r):
+def phi_minus(basis: BasisParams, n, r):
     """Lower basis component at radius r (scalar or array)."""
     return _at_r(basis, phi_minus_form(basis, n), r)
 
 
-def kinetic_balance_apply(basis: BasisParams, n: int, r):
+def kinetic_balance_apply(basis: BasisParams, n, r):
     """First-order-operator route to the lower component, at radius r."""
     return _at_r(basis, kinetic_balance_form(basis, n), r)

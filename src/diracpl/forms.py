@@ -23,6 +23,11 @@ Edge rows and columns of c that are exactly zero are trimmed, so p is the
 lowest power present; its fractional part selects the Gauss-Laguerre weight
 exponent for exact integration.
 
+A form may be a batch: coef of shape (..., K, M), one matrix per entry on a
+shared p and nu, edges trimmed over the union of the entries.  Values carry
+the batch axes in front, and two batches integrate to the Gram array of every
+pair, (F_a w) F_b^T, so a whole basis is one form and one matrix product.
+
 Inner products reuse the Laguerre values at a rule's nodes.  The table
 L_0..L_M^nu is kept per (order, rule exponent, form nu), next to the cached
 rule, and refilled to a larger M when a form of higher degree asks for it.
@@ -48,7 +53,8 @@ __all__ = ["LaguerreForm", "integrate_product", "quadrature_order"]
 
 @dataclass(frozen=True, eq=False)
 class LaguerreForm:
-    """Immutable sum_{k,n} coef[k, n] x^{power+k} e^{-x/2} L_n^nu(x)."""
+    """Immutable sum_{k,n} coef[..., k, n] x^{power+k} e^{-x/2} L_n^nu(x); leading
+    axes of coef, if any, index a batch of forms on one power and nu."""
 
     power: float
     nu: float
@@ -56,12 +62,13 @@ class LaguerreForm:
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=float)
-        rows = np.flatnonzero(coef.any(axis=1))
+        used = coef.any(axis=tuple(range(coef.ndim - 2))) if coef.ndim > 2 else coef
+        rows = np.flatnonzero(used.any(axis=1))
         if rows.size == 0:
-            coef = coef[:0, :0]
+            coef = coef[..., :0, :0]
         else:
-            cols = np.flatnonzero(coef.any(axis=0))
-            coef = coef[rows[0]:rows[-1] + 1, :cols[-1] + 1]
+            cols = np.flatnonzero(used.any(axis=0))
+            coef = coef[..., rows[0]:rows[-1] + 1, :cols[-1] + 1]
             object.__setattr__(self, "power", float(self.power) + int(rows[0]))
         coef.setflags(write=False)
         object.__setattr__(self, "coef", coef)
@@ -70,10 +77,14 @@ class LaguerreForm:
     def is_zero(self) -> bool:
         return self.coef.size == 0
 
+    @property
+    def batch_shape(self) -> tuple:
+        return self.coef.shape[:-2]
+
     @cached_property
     def poly_degree(self) -> int:
-        """Degree in x of the polynomial part relative to the base power."""
-        k, n = np.nonzero(self.coef)
+        """Degree in x of the polynomial part relative to the base power (batch maximum)."""
+        k, n = np.nonzero(self.coef)[-2:]
         return int(np.max(k + n)) if k.size else 0
 
     def scaled(self, c: float) -> "LaguerreForm":
@@ -83,31 +94,16 @@ class LaguerreForm:
         """Multiply by x^dp."""
         return LaguerreForm(self.power + dp, self.nu, self.coef)
 
-    def __add__(self, other: "LaguerreForm") -> "LaguerreForm":
-        """Sum of two forms with one Laguerre parameter, aligned on the lower power."""
-        if other.nu != self.nu:
-            raise ValueError(f"cannot add forms with different Laguerre parameters: "
-                             f"{sorted({self.nu, other.nu})}")
-        low, high = sorted((self, other), key=lambda f: f.power)
-        k = round(high.power - low.power)
-        if abs(high.power - low.power - k) > 1e-9:
-            raise ValueError(f"power offset {high.power - low.power} is not an integer")
-        (lr, lc), (hr, hc) = low.coef.shape, high.coef.shape
-        out = np.zeros((max(lr, k + hr), max(lc, hc)))
-        out[:lr, :lc] += low.coef
-        out[k:k + hr, :hc] += high.coef
-        return LaguerreForm(low.power, self.nu, out)
-
     def dx(self) -> "LaguerreForm":
         """Exact x-derivative; closed under the term algebra."""
         c = self.coef
-        rows, cols = c.shape
+        rows, cols = c.shape[-2:]
         k = np.arange(rows)[:, None]
         n = np.arange(cols)
-        out = np.zeros((rows + 1, cols))
-        out[:rows] = c * (self.power + k + n)
-        out[:rows, :-1] -= c[:, 1:] * (n[1:] + self.nu)
-        out[1:] -= 0.5 * c
+        out = np.zeros(self.batch_shape + (rows + 1, cols))
+        out[..., :rows, :] = c * (self.power + k + n)
+        out[..., :rows, :-1] -= c[..., 1:] * (n[1:] + self.nu)
+        out[..., 1:, :] -= 0.5 * c
         return LaguerreForm(self.power - 1.0, self.nu, out)
 
     def d_dr(self, measure: RadialMeasure) -> "LaguerreForm":
@@ -115,7 +111,7 @@ class LaguerreForm:
         return self.dx().shifted(1.0 - 1.0 / measure.beta).scaled(measure.omega * measure.beta)
 
     def eval(self, x):
-        """Value at x (scalar or array), including the e^{-x/2} envelope."""
+        """Value at x (scalar or array), including the e^{-x/2} envelope, batch axes first."""
         x = np.asarray(x, dtype=float)
         return np.power(x, self.power) * self.eval_stripped(x) * np.exp(-x / 2.0)
 
@@ -126,31 +122,34 @@ class LaguerreForm:
         """Polynomial remainder after factoring x^power e^{-x/2}."""
         x = np.asarray(x, dtype=float)
         if self.is_zero:
-            return np.zeros_like(x)
-        cols = self.coef.shape[1]
+            return np.zeros(self.batch_shape + x.shape)
+        cols = self.coef.shape[-1]
         table = laguerre_all(cols - 1, self.nu, x).reshape(cols, -1)
-        return self._stripped_on(table, x.reshape(-1)).reshape(x.shape)
+        return self._stripped_on(table, x.reshape(-1)).reshape(self.batch_shape + x.shape)
 
     def _stripped_on(self, table: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """eval_stripped at the points flat from their table L_0..L_M^nu, M >= columns - 1."""
-        poly = self.coef @ table[:self.coef.shape[1]]
-        total = poly[-1]
-        for row in poly[-2::-1]:
-            total = total * flat + row
+        poly = self.coef @ table[:self.coef.shape[-1]]
+        total = poly[..., -1, :]
+        for k in range(poly.shape[-2] - 2, -1, -1):
+            total = total * flat + poly[..., k, :]
         return total
 
 
 def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure,
-                      order: int | None = None, extra_power: float = 0.0) -> float:
+                      order: int | None = None, extra_power: float = 0.0):
     """Exact radial integral of fa(r) * fb(r) * x^extra_power dr on (0, inf).
 
     The base power of the product fixes the Gauss-Laguerre weight exponent;
     the polynomial remainder is integrated exactly whenever
     2*order - 1 >= deg(fa) + deg(fb); without an order, the smallest such order
     plus a margin.  A too-low order or a non-finite integrand raises ValueError.
+    Two single forms give a float; batches give the Gram array (F_a w) F_b^T of
+    every pair, of shape fa.batch_shape + fb.batch_shape.
     """
+    shape = fa.batch_shape + fb.batch_shape
     if fa.is_zero or fb.is_zero:
-        return 0.0
+        return np.zeros(shape) if shape else 0.0
     base = fa.power + fb.power + extra_power
     nu_rule = base - 1.0 + 1.0 / measure.beta
     if nu_rule <= -1.0:
@@ -169,8 +168,9 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
     with np.errstate(over="ignore", invalid="ignore"):
         fa_x = fa._stripped_on(_TABLES.get(rule, fa), rule.nodes)
         fb_x = fb._stripped_on(_TABLES.get(rule, fb), rule.nodes)
-        value = rule.integrate(fa_x * fb_x)
-    if not np.isfinite(value):
+        value = (np.tensordot(fa_x * rule.weights, fb_x, axes=(-1, -1)) if shape
+                 else rule.integrate(fa_x * fb_x))
+    if not np.all(np.isfinite(value)):
         raise ValueError(f"product integrand leaves double range at quadrature order {order}")
     return measure.jacobian_prefactor * value
 
@@ -201,7 +201,7 @@ class _RuleTables:
 
     def get(self, rule: QuadratureRule, form: LaguerreForm) -> np.ndarray:
         """A table with at least the form's columns at the rule's nodes."""
-        key, cols = (rule.order, rule.nu, form.nu), form.coef.shape[1]
+        key, cols = (rule.order, rule.nu, form.nu), form.coef.shape[-1]
         table = self._tables.get(key)
         if table is not None and len(table) >= cols:
             self._tables.move_to_end(key)

@@ -9,7 +9,7 @@ path).  The recurrences other than the Laguerre table share one kernel,
 `forward_recurrence`; the sums share `terminating_series`, which gives orders
 0..N of a family at once, at one precision per sequence, in O(N) extended-
 precision and O(N^2) exact integer operations.  Gamma-function ratios are
-always computed in log space.
+always computed in log space.  Only the sums and the weights import mpmath.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import operator
 from itertools import accumulate
 
-import mpmath as mp
 import numpy as np
 
 # Working precision for the terminating-series oracle paths.  The sums
@@ -113,6 +112,7 @@ def terminating_series(N: int, terms) -> np.ndarray:
     successive precisions is an exact zero; needing more than _MAX_DPS digits
     raises ValueError.
     """
+    import mpmath as mp
     dps, zero_before = _ORACLE_DPS, [False] * (N + 1)
     while True:
         bits = math.ceil(dps * math.log2(10)) + N + 16
@@ -176,6 +176,7 @@ def laguerre_series(n: int, nu: float, x) -> float:
     """
     _check_laguerre_params(n, nu, x)
     x = float(x)
+    import mpmath as mp
 
     def terms():
         nu1 = mp.mpf(nu) + 1
@@ -241,6 +242,7 @@ def mp_series(n: int, lam: float, y: float, theta: float) -> float:
     _check_mp_params(n, lam)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}")
+    import mpmath as mp
 
     def terms():
         th, two_lam, b = mp.mpf(theta), 2 * mp.mpf(lam), mp.mpc(lam, y)
@@ -259,6 +261,7 @@ def mp_weight(y: float, lam: float, theta: float) -> float:
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}")
+    import mpmath as mp
     log_abs_gamma_sq = 2.0 * mp.fp.loggamma(complex(lam, y)).real
     log_w = (
         2.0 * lam * math.log(2.0 * math.sin(theta))
@@ -294,6 +297,7 @@ def hyp_mp_series(n: int, lam: float, y: float, theta: float) -> float:
 def hyp_mp_series_all(N: int, lam: float, y: float, theta: float) -> np.ndarray:
     """hyp_mp_series for n = 0..N, as one `terminating_series` family."""
     _check_mp_params(N, lam)
+    import mpmath as mp
 
     def terms():
         th, lam_y, two_lam = mp.mpf(theta), mp.mpf(lam) + y, 2 * mp.mpf(lam)
@@ -328,6 +332,7 @@ def _cdh_3f2(N: int, lam: float, ysq: float, a: float, b: float) -> np.ndarray:
     # 3F2(-n, lam+iy, lam-iy; lam+a, lam+b; 1) for n = 0..N, with (lam+iy)_k (lam-iy)_k
     # accumulated as the real product prod_j ((lam+j)^2 + y^2); ysq may be
     # negative, which realizes the y -> -iy substitution.
+    import mpmath as mp
 
     def terms():
         lam_ = mp.mpf(lam)
@@ -364,6 +369,7 @@ def cdh_weight(y: float, lam: float, a: float, b: float) -> float:
     """
     if y <= 0:
         raise ValueError("weight defined for y > 0")
+    import mpmath as mp
     log_num = (
         mp.fp.loggamma(complex(lam, y)).real
         + mp.fp.loggamma(complex(a, y)).real

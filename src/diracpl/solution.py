@@ -266,11 +266,12 @@ def second_order_scale(sol: SeriesSolution, r, component: str = "+"):
     return sum(np.abs(term) for term in _second_order_terms(sol, r, component))
 
 
-def weak_form_residual(sol: SeriesSolution, n: int) -> tuple[float, float]:
+def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     """(<psi_n|(H-eps)|chi_N>, cancellation scale), by quadrature.
 
     The projection is one bilinear form of psi_n against the assembled series
     chi_N = C (form_plus, form_minus): at most five integrals, whatever N.
+    An index array n gives its projections from one batched bilinear form.
     The tridiagonal structure telescopes it: interior projections vanish up
     to quadrature error and the n = N projection equals -B_N f_{N+1}.
     The scale is the operator-weighted coefficient mass

@@ -18,7 +18,8 @@ symmetric tridiagonal.  Elements are produced two independent ways:
   for any two spinors u = (u^+, u^-), v = (v^+, v^-) written as Laguerre
   forms (`bilinear_form`).  A matrix element takes u = psi_n, v = psi_m; a
   weak-form projection takes v = chi_N, the assembled series, so it costs
-  the same handful of integrals whatever the truncation.
+  the same handful of integrals whatever the truncation.  Batched spinors
+  give the whole matrix from the same handful of Gram integrals.
 
 Each path is the oracle for the other.  This module works at eps = +1 only;
 eps = -1 is reached through the energy-reflection mapping in `solution`.
@@ -161,17 +162,18 @@ def overlap_plus(basis: BasisParams, n: int, m: int) -> float:
     return integrate_product(phi_plus_form(basis, n), phi_plus_form(basis, m), basis.measure)
 
 
-def basis_spinor(basis: BasisParams, n: int) -> Spinor:
-    """psi_n = (phi_n^+, phi_n^-) as a pair of Laguerre forms."""
+def basis_spinor(basis: BasisParams, n) -> Spinor:
+    """psi_n = (phi_n^+, phi_n^-) as a pair of Laguerre forms (batched over n)."""
     return spinor_forms(basis, _unit(n))
 
 
 def bilinear_form(basis: BasisParams, phys: PhysicalParams, left: Spinor, right: Spinor,
-                  order: int | None = None) -> float:
+                  order: int | None = None):
     """<left|H-eps|right> by quadrature of the literal operator expansion.
 
     Linear in each argument, so a projection on a series costs the same
-    one to five integrals as a single matrix element."""
+    one to five integrals as a single matrix element.  Batched spinors give
+    the array of every pair, of shape left batch + right batch."""
     if phys.eps != 1:
         raise ValueError(
             "matrix elements are computed at eps = +1; eps = -1 solutions come "
@@ -187,12 +189,10 @@ def bilinear_form(basis: BasisParams, phys: PhysicalParams, left: Spinor, right:
     c0 = phys.kappa - beta * basis.gamma
     q = phys.A / omega ** beta - beta * basis.rho / 2.0
     cross = 0.0
-    if c0 != 0.0:
-        cross += c0 * (integrate_product(up_l, low_r, measure, order=order, extra_power=-1.0 / beta)
-                       + integrate_product(up_r, low_l, measure, order=order, extra_power=-1.0 / beta))
-    if q != 0.0:
-        cross += q * (integrate_product(up_l, low_r, measure, order=order, extra_power=1.0 - 1.0 / beta)
-                      + integrate_product(up_r, low_l, measure, order=order, extra_power=1.0 - 1.0 / beta))
+    for weight, extra in ((c0, -1.0 / beta), (q, 1.0 - 1.0 / beta)):
+        if weight != 0.0:
+            cross += weight * (integrate_product(up_l, low_r, measure, order, extra)
+                               + integrate_product(low_l, up_r, measure, order, extra))
     return total + lam * omega * cross
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from diracpl.basis import PhysicalParams, select_representation
+from diracpl.forms import LaguerreForm
 from diracpl.wave_operator import derived_params
 
 # (label, physical kwargs, select_representation kwargs)
@@ -36,6 +37,21 @@ def build_case(label):
 def case(request):
     phys, basis = build_case(request.param)
     return phys, basis, derived_params(basis, phys)
+
+
+def add_forms(*forms):
+    """The sum of single forms on one Laguerre parameter with integer power
+    offsets, added left to right, each pair aligned on its lower power."""
+    total = forms[0]
+    for form in forms[1:]:
+        low, high = sorted((total, form), key=lambda f: f.power)
+        k = round(high.power - low.power)
+        (lr, lc), (hr, hc) = low.coef.shape, high.coef.shape
+        out = np.zeros((max(lr, k + hr), max(lc, hc)))
+        out[:lr, :lc] += low.coef
+        out[k:k + hr, :hc] += high.coef
+        total = LaguerreForm(low.power, total.nu, out)
+    return total
 
 
 def r_window(basis, num=25, lo=0.05, hi=20.0):

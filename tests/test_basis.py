@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CASE_IDS, build_case, r_window
+from conftest import CASE_IDS, add_forms, build_case, r_window
 from diracpl.basis import (PhysicalParams, Rep, kinetic_balance_apply,
                            kinetic_balance_form, phi_minus, phi_minus_form,
                            phi_plus, phi_plus_form, select_representation, spinor_forms)
@@ -249,7 +249,7 @@ class TestSpinorForms:
         for got, element in ((upper, phi_plus_form), (lower, phi_minus_form)):
             fold = element(basis, 0).scaled(c[0])
             for n in range(1, N + 1):
-                fold = fold + element(basis, n).scaled(c[n])
+                fold = add_forms(fold, element(basis, n).scaled(c[n]))
             assert (got.power, got.nu) == (fold.power, fold.nu)
             assert np.array_equal(got.coef, fold.coef)
 
@@ -270,3 +270,71 @@ class TestSpinorForms:
     def test_empty_coefficients_give_zero_forms(self, label):
         phys, basis = build_case(label)
         assert all(form.is_zero for form in spinor_forms(basis, []))
+
+
+class TestSpinorBatch:
+    """spinor_forms on a coefficient matrix against one call per row."""
+
+    @staticmethod
+    def _rows(label):
+        phys, basis = build_case(label)
+        dense = np.random.default_rng(7).standard_normal((5, 13))
+        return basis, {"dense": dense, "identity": np.eye(13)}
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    @pytest.mark.parametrize("kind", ["dense", "identity"])
+    def test_rows_equal_single_calls(self, label, kind):
+        # bit for bit once the single form is placed on the batch's power and shape
+        basis, rows = self._rows(label)
+        C = rows[kind]
+        batch = spinor_forms(basis, C)
+        for i, c in enumerate(C):
+            for got, single in zip(batch, spinor_forms(basis, c)):
+                assert got.nu == single.nu and got.coef.shape[0] == len(C)
+                k = round(single.power - got.power)
+                assert k >= 0 and single.power == got.power + k
+                placed = np.zeros(got.coef.shape[1:])
+                rows_, cols = single.coef.shape
+                placed[k:k + rows_, :cols] = single.coef
+                assert np.array_equal(got.coef[i], placed)
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    @pytest.mark.parametrize("kind", ["dense", "identity"])
+    def test_batched_eval_equals_row_eval(self, label, kind):
+        basis, rows = self._rows(label)
+        C = rows[kind]
+        x = basis.x_of_r(r_window(basis, num=40))
+        batch = spinor_forms(basis, C)
+        for component, form in enumerate(batch):
+            values = form.eval(x)
+            assert values.shape == (len(C), len(x))
+            for i, c in enumerate(C):
+                single = spinor_forms(basis, c)[component].eval(x)
+                assert np.max(np.abs(values[i] - single)) <= 1e-14 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_index_array_is_a_batch_of_elements(self, label):
+        phys, basis = build_case(label)
+        n = np.array([0, 3, 10])
+        r = r_window(basis, num=20)
+        for batched, single in ((phi_plus, phi_plus), (phi_minus, phi_minus),
+                                (kinetic_balance_apply, kinetic_balance_apply)):
+            values = batched(basis, n, r)
+            for row, k in zip(values, n):
+                ref = single(basis, int(k), r)
+                assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_operator_route_never_calls_the_stencil(self, label, monkeypatch):
+        # kinetic_balance_form is built from the upper form and its dx alone
+        import diracpl.basis as basis_module
+        phys, basis = build_case(label)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator route called spinor_forms")
+
+        monkeypatch.setattr(basis_module, "spinor_forms", refuse)
+        form = kinetic_balance_form(basis, np.arange(11))
+        assert form.coef.shape[0] == 11
+        with pytest.raises(AssertionError):
+            phi_minus_form(basis, 0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracpl.cli import main
+from diracpl.cli import main, make_parser
 
 SOLVE_ARGS = ["--A", "1", "--mu", "2", "--kappa", "-1", "--N", "8"]
 
@@ -480,6 +480,95 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+    def test_solve_imports_no_mpmath(self, tmp_path):
+        # mpmath serves the oracle sums only: a solve must not import it
+        code = ("import sys\n"
+                "from diracpl.cli import main\n"
+                f"assert main(['solve', *{SOLVE_ARGS!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert make_parser() is make_parser()
+
+    def test_successive_calls_leak_no_values(self, tmp_path, capsys):
+        # the second in-process call gives what a fresh process gives
+        first = ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
+                 "--N", "12", "--quad-order", "60", "--seed", "7", "--lambda", "0.5"]
+        second = ["solve", *SOLVE_ARGS]
+        assert main(first + ["--out", str(tmp_path / "first")]) == 0
+        assert main(second + ["--out", str(tmp_path / "second")]) == 0
+        proc = subprocess.run([sys.executable, "-m", "diracpl.cli", *second,
+                               "--out", str(tmp_path / "fresh")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("samples.csv", "coefficients.json"):
+            assert ((tmp_path / "second" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+        reports = [json.loads((tmp_path / d / "report.json").read_text())
+                   for d in ("second", "fresh")]
+        for report in reports:
+            report["config"].pop("out")
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["omega"] is None and reports[0]["config"]["lam"] == 1.0
+
+
+# The four verify-warm benchmark configurations.
+VERIFY_CONFIGS = [
+    ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1"],
+    ["--A", "1", "--mu", "-1.5", "--kappa", "-3"],
+    ["--A", "1", "--mu", "2", "--kappa", "-1"],
+    ["--A", "2", "--mu", "0.5", "--kappa", "-1", "--epsilon", "-1"],
+]
+
+
+def _verdicts(tmp_path, args):
+    code = main(["verify", *args, "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    return code, {c["name"]: c["passed"] for c in report["checks"]}
+
+
+class TestBatchedChecksBite:
+    """A fault planted in one route of a batched check fails that check alone."""
+
+    @pytest.mark.parametrize("args", VERIFY_CONFIGS, ids=["a", "b", "c", "eps-minus"])
+    def test_perturbed_band_elements_fail_band_agreement(self, tmp_path, capsys,
+                                                         monkeypatch, args):
+        import diracpl.wave_operator as wave_operator
+        original = wave_operator.band_elements
+
+        def perturbed(derived, k, offdiag=False):
+            return original(derived, k, offdiag) * np.where(np.asarray(k) <= 12, 1.0 + 1e-3, 1.0)
+
+        monkeypatch.setattr(wave_operator, "band_elements", perturbed)
+        code, passed = _verdicts(tmp_path, args)
+        assert code == 1
+        assert [name for name, ok in passed.items() if not ok] == ["operator-band-agreement"]
+
+    @pytest.mark.parametrize("n", [0, 5, 10])
+    @pytest.mark.parametrize("args", VERIFY_CONFIGS, ids=["a", "b", "c", "eps-minus"])
+    def test_perturbed_stencil_column_fails_kinetic_balance(self, tmp_path, capsys,
+                                                            monkeypatch, args, n):
+        # element n's lower stencil scaled by 1 + 1e-3; the upper row is untouched
+        import diracpl.basis as basis_module
+        original = basis_module.spinor_forms
+
+        def perturbed(basis, c):
+            c = np.asarray(c, dtype=float)
+            weight = np.ones(c.shape[-1])
+            weight[n:n + 1] += 1e-3
+            return original(basis, c)[0], original(basis, c * weight)[1]
+
+        monkeypatch.setattr(basis_module, "spinor_forms", perturbed)
+        code, passed = _verdicts(tmp_path, args)
+        assert code == 1
+        assert [name for name, ok in passed.items() if not ok] == ["kinetic-balance"]
 
 
 class TestQuadratureOrder:

@@ -23,19 +23,6 @@ GRID_BASES = {
 }
 
 
-def test_adding_forms_with_different_nu_raises():
-    f = LaguerreForm(0.5, 1.0, [[0.0, 0.0, 1.0]])
-    g = LaguerreForm(0.5, 2.0, [[0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError, match="different Laguerre parameters"):
-        f + g
-
-
-def test_adding_forms_with_non_integer_power_offset_raises():
-    f = LaguerreForm(0.5, 1.0, [[1.0]])
-    with pytest.raises(ValueError, match="not an integer"):
-        f + f.shifted(0.5)
-
-
 @pytest.mark.parametrize("label", sorted(GRID_BASES))
 def test_shapes_do_not_depend_on_roundoff_in_mu(label):
     # terms that cancel in exact arithmetic must not change the form's size:
@@ -161,3 +148,22 @@ def test_repeated_verify_computes_no_laguerre_values_in_integrals(tmp_path, monk
     inside.clear()
     assert main(argv) == 0
     assert inside and not any(inside)
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+def test_batch_integral_is_the_gram_of_its_entries(tables):
+    rng = np.random.default_rng(9)
+    fa = LaguerreForm(0.25, 1.5, rng.standard_normal((4, 2, 9)))
+    fb = LaguerreForm(1.25, 1.5, rng.standard_normal((3, 2, 7)))
+    order = 20
+    gram = integrate_product(fa, fb, MEASURE, order)
+    pairwise = np.array([[integrate_product(LaguerreForm(fa.power, fa.nu, a),
+                                            LaguerreForm(fb.power, fb.nu, b), MEASURE, order)
+                          for b in fb.coef] for a in fa.coef])
+    assert gram.shape == (4, 3)
+    assert np.max(np.abs(gram - pairwise)) <= 1e-14 * np.max(np.abs(pairwise))
+    row = integrate_product(fa, LaguerreForm(fb.power, fb.nu, fb.coef[1]), MEASURE, order)
+    assert row.shape == (4,) and np.allclose(row, gram[:, 1], rtol=1e-14, atol=0.0)
+    assert len(tables._tables) == 1  # one Laguerre table serves every pair

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CASE_IDS, build_case
+from conftest import CASE_IDS, add_forms, build_case
 import diracpl.wave_operator as wave_operator
 from diracpl.basis import PhysicalParams, spinor_forms
 from diracpl.forms import integrate_product
@@ -124,13 +124,13 @@ class TestDiracResidual:
         pot_w = phys.A * m.omega ** (1.0 - m.beta)
         chi_p = sol.form_plus.scaled(sol.norm_const)
         chi_m = sol.form_minus.scaled(sol.norm_const)
-        row2_form = (chi_p.shifted(-1.0 / m.beta).scaled(lam * kap_w)
-                     + chi_p.shifted(1.0 - 1.0 / m.beta).scaled(lam * pot_w)
-                     + chi_p.d_dr(m).scaled(lam)
-                     + chi_m.scaled(-(1.0 + eps)))
-        dminus_row2 = (row2_form.shifted(-1.0 / m.beta).scaled(kap_w)
-                       + row2_form.shifted(1.0 - 1.0 / m.beta).scaled(pot_w)
-                       + row2_form.d_dr(m).scaled(-1.0))
+        row2_form = add_forms(chi_p.shifted(-1.0 / m.beta).scaled(lam * kap_w),
+                              chi_p.shifted(1.0 - 1.0 / m.beta).scaled(lam * pot_w),
+                              chi_p.d_dr(m).scaled(lam),
+                              chi_m.scaled(-(1.0 + eps)))
+        dminus_row2 = add_forms(row2_form.shifted(-1.0 / m.beta).scaled(kap_w),
+                                row2_form.shifted(1.0 - 1.0 / m.beta).scaled(pot_w),
+                                row2_form.d_dr(m).scaled(-1.0))
         r = default_r_grid(sol.basis, num=30)
         x = m.x_of_r(r)
         row1, _ = dirac_residual(sol, r)
@@ -185,6 +185,17 @@ class TestWeakForm:
                           + (abs(matrix_element_analytic(der, m, m - 1)) if m else 0.0))
                        for m in range(sol.N + 1))
             assert scale == pytest.approx(mass, rel=1e-13)
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_index_array_matches_scalar_projections(self, label):
+        phys, sol = _solve_case(label, N=20)
+        n = np.array([0, 3, 8, 13, 19, 20])
+        values, scale = weak_form_residual(sol, n)
+        assert values.shape == n.shape
+        for value, k in zip(values, n):
+            ref, ref_scale = weak_form_residual(sol, int(k))
+            assert ref_scale == scale
+            assert abs(value - ref) <= 1e-14 * scale
 
     @pytest.mark.parametrize("label", ["a_neg_beta", "b_rho2", "c_rho_minus"])
     def test_projection_cost_independent_of_truncation(self, label, monkeypatch):

@@ -218,6 +218,45 @@ class TestBilinearForm:
         assert abs(bilinear_form(basis, phys, left, mix, order=order) - expected) < 1e-13 * scale
 
 
+class TestGram:
+    """bilinear_form of two batches against one call per pair."""
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_gram_matches_pairwise_bilinear_form(self, label):
+        phys, basis = build_case(label)
+        op = build_operator(derived_params(basis, phys), 12)
+        scale = max(float(np.max(np.abs(op.as_matrix()))), 1.0)
+        psi = basis_spinor(basis, np.arange(13))
+        gram = bilinear_form(basis, phys, psi, psi)
+        assert gram.shape == (13, 13)
+        pairwise = np.array([[matrix_element_numeric(basis, phys, n, m) for m in range(13)]
+                             for n in range(13)])
+        assert np.max(np.abs(gram - pairwise)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("label", ["a_rho2", "b_pos_beta", "c_rho_plus"])
+    def test_general_parameters_and_mixed_batches(self, label):
+        # off the balanced assignment every cross term is live; a batch
+        # against a single spinor gives one row of the Gram
+        phys, basis = build_case(label)
+        basis = _general_basis(basis)
+        left, right = basis_spinor(basis, np.arange(8)), basis_spinor(basis, np.array([2, 5]))
+        gram = bilinear_form(basis, phys, left, right, order=30)
+        row = bilinear_form(basis, phys, left, basis_spinor(basis, 5), order=30)
+        scale = np.max(np.abs(gram))
+        for n in range(8):
+            for j, m in enumerate((2, 5)):
+                ref = bilinear_form(basis, phys, basis_spinor(basis, n), basis_spinor(basis, m),
+                                    order=30)
+                assert abs(gram[n, j] - ref) <= 1e-14 * scale
+            assert abs(row[n] - gram[n, 1]) <= 1e-14 * scale
+
+    def test_zero_batch_gives_zero_gram(self):
+        phys, basis = build_case("b_rho2")
+        zero = spinor_forms(basis, np.zeros((3, 4)))
+        assert np.array_equal(bilinear_form(basis, phys, zero, basis_spinor(basis, np.arange(2))),
+                              np.zeros((3, 2)))
+
+
 def _scalar_element(derived, n, m):
     """The per-index closed forms as written before the bands were vectorised,
     kept as the reference for `band_elements`."""
