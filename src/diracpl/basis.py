@@ -30,7 +30,6 @@ from enum import Enum
 import numpy as np
 
 from .forms import LaguerreForm
-from .orthopoly import sqrt_gamma_ratio
 from .quadrature import RadialMeasure
 
 __all__ = [
@@ -118,9 +117,12 @@ class BasisParams:
     def measure(self) -> RadialMeasure:
         return RadialMeasure(beta=self.beta, omega=self.omega)
 
-    def norm_const(self, n: int) -> float:
-        """a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1))."""
-        return math.sqrt(self.omega * abs(self.beta)) * sqrt_gamma_ratio(n + 1.0, n + self.nu + 1.0)
+    def norm_const(self, n):
+        """a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1)) for one index or an index array."""
+        scale, nu = math.sqrt(self.omega * abs(self.beta)), self.nu  # nu > -1 once validated
+        a_n = [scale * math.exp(0.5 * (math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0)))
+               for k in np.ravel(n).tolist()]
+        return a_n[0] if np.ndim(n) == 0 else np.reshape(a_n, np.shape(n))
 
     def x_of_r(self, r):
         return self.measure.x_of_r(r)
@@ -228,10 +230,9 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
 
 
 def _upper(basis: BasisParams, c) -> tuple[np.ndarray, LaguerreForm]:
-    """(a_n, the upper form c_n a_n) for coefficient rows c; a_n only where c uses n."""
+    """(a_n, the upper form c_n a_n) for coefficient rows c."""
     c = np.asarray(c, dtype=float)
-    used = c.any(axis=tuple(range(c.ndim - 1)))
-    a_n = np.array([basis.norm_const(k) if u else 0.0 for k, u in enumerate(used.tolist())])
+    a_n = basis.norm_const(np.arange(c.shape[-1]))
     return a_n, LaguerreForm(basis.alpha, basis.nu, (c * a_n)[..., None, :])
 
 

@@ -182,26 +182,25 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("operator-band-agreement", np.max(band), 1e-8,
         "quadrature matrix elements match the closed forms on the bands")
 
-    # Recurrence legs run in the direction stable for the sector: forward
-    # recurrence cannot follow a minimal (decaying) sequence.
+    # Independent coefficient legs: the production sequence against the closed
+    # form, the closed form against the natural relation, and the production
+    # sequence against the raw relation, i.e. the operator's rows.
     rec = build_recursion(basis.rep, der, basis.nu)
-    stable = coefficient_sequence(der, 20)
+    seq = coefficient_sequence(der, 20)
     cf = closed_form_sequence(der, 20)
-    dual = float(np.max(np.abs(stable.values - cf.values) / (np.abs(cf.values) + 1e-300)))
+    dual = float(np.max(np.abs(seq.values - cf.values) / (np.abs(cf.values) + 1e-300)))
     add("coefficient-dual-path", dual, 1e-6,
-        "sector-stable recurrence equals the orthogonal-polynomial closed form")
+        "production coefficient sequence equals the orthogonal-polynomial closed form")
 
     n = np.arange(20)
     res = np.max(np.abs(rec.residual(cf.values, n)) / (np.abs(rec.a(n) * cf.values[n]) + 1e-300))
     add("recursion-residual", res, 1e-10,
         "closed-form coefficients satisfy the three-term relation")
 
-    raw = coefficient_sequence(der, 20, scaling="f")
-    red = rescale(stable, "f").values
-    red = red / red[0]
-    chain = float(np.max(np.abs(raw.values - red) / (np.abs(raw.values) + 1e-300)))
+    raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
+    chain = np.max(raw.relative_residual(rescale(seq, "f").values, n))
     add("scaling-equivalence", chain, 1e-12,
-        "raw and rescaled recursions produce identical coefficients")
+        "the production sequence, rescaled to f, satisfies the operator's raw relation")
 
     if der.theta is not None:  # y enters with sign - for rho^2 < 1 (see recursion)
         lam, ch, sh = mp_lambda(der), np.cosh(der.theta), np.sinh(der.theta)

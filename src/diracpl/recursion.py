@@ -16,16 +16,16 @@ a hyperbolic Meixner-Pollaczek recurrence (a, b) or a modified continuous dual
 Hahn recurrence (c), so the coefficients have closed forms evaluated by
 `orthopoly`.  Both routes are implemented; each is the oracle for the other.
 
-The production route (`coefficient_sequence`) is the float recurrence, run
-in the direction that is stable for the sector (Gautschi, "Computational
-aspects of three-term recurrence relations", SIAM Rev. 9, 1967).  Where the
-pinned sequence grows or is dominant (representations a and c, and b with
-rho < 0) forward recurrence follows it.  In representation b with rho > 0 the
-pinned sequence is the decaying, minimal solution, which forward recurrence
-loses to the dominant one; there Miller's backward recurrence, in ratio form,
-computes it (`solve_backward`).  The extended-precision closed forms
-(`closed_form_sequence`) cost O(N) extended-precision operations plus O(N^2)
-exact integer additions, and serve only as the oracle.
+The production route (`coefficient_sequence`) is float arithmetic.  In
+representation b, lam + y = 0, so the hyperbolic Meixner-Pollaczek
+2F1(-n, lam + y; 2 lam; .) is a single term and the pinned sequence is the
+running product g_n = g_{n-1} (2 lam + n - 1)/n s e^{-theta'}, s = +-1 by
+branch (Koekoek, Lesky & Swarttouw, "Hypergeometric Orthogonal Polynomials",
+2010, sec. 9.7).  In representations a and c the pinned sequence is the
+dominant solution, and forward recurrence on the natural relation follows it.
+The extended-precision closed forms (`closed_form_sequence`) cost O(N)
+extended-precision operations plus O(N^2) exact integer additions, and serve
+only as the oracle.
 
 Branch handling for a/b: with sigma_- > 0 (rho^2 > 1) the normalized
 coefficients read  2[(n+lam_mp) cosh(theta) + y sinh(theta)] g_n
@@ -54,8 +54,6 @@ __all__ = [
     "natural_scaling",
     "build_recursion",
     "solve_forward",
-    "solve_backward",
-    "minimal_sector",
     "coefficient_sequence",
     "closed_form_sequence",
     "rescale",
@@ -75,10 +73,19 @@ class ThreeTermRecursion:
     scaling: str  # 'f', 'g' or 'h': which rescaling of the f_n it propagates
     nu: float
 
+    def _terms(self, seq: np.ndarray, n) -> tuple:
+        """The relation's three terms a(n) s_n, b(n) s_{n-1}, c(n) s_{n+1} at index n."""
+        prev = np.where(np.asarray(n) >= 1, seq[n - 1], 0.0)
+        return self.a(n) * seq[n], self.b(n) * prev, self.c(n) * seq[n + 1]
+
     def residual(self, seq: np.ndarray, n):
         """The relation's left side at index n (an array or one index)."""
-        prev = np.where(np.asarray(n) >= 1, seq[n - 1], 0.0)
-        return self.a(n) * seq[n] + self.b(n) * prev + self.c(n) * seq[n + 1]
+        return sum(self._terms(seq, n))
+
+    def relative_residual(self, seq: np.ndarray, n):
+        """|residual| at index n over the sum of its three terms' magnitudes."""
+        terms = self._terms(seq, n)
+        return np.abs(sum(terms)) / (sum(np.abs(t) for t in terms) + 1e-300)
 
 
 @dataclass(frozen=True)
@@ -188,79 +195,31 @@ def solve_forward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
     return CoefficientSequence(values=values, scaling=rec.scaling, nu=rec.nu)
 
 
-# Miller start indices: the first is 2N + _MILLER_MIN_START, doubled until two
-# starts agree to _MILLER_RTOL; beyond _MILLER_MAX_START the route gives up.
-_MILLER_MIN_START = 20
-_MILLER_MAX_START = 1 << 18
-_MILLER_RTOL = 1e-14
-# Entries below this magnitude sit in or near the subnormal range, where the
-# relative agreement test is meaningless.
-_MILLER_TINY = 1e-290
+def coefficient_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
+    """s_0..s_N of the natural relation, in float arithmetic with O(N) work.
 
-
-def _miller_pass(rec: ThreeTermRecursion, N: int, start: int) -> np.ndarray:
-    # r_n = s_n / s_{n-1} = -b(n) / (a(n) + c(n) r_{n+1}) for n = start..1 from
-    # r_{start+1} = 0, with a, b and c evaluated once over that range.
-    n = np.arange(start, 0, -1)
-    ratios, r = [], 0.0
-    for k, ak, bk, ck in zip(n.tolist(), *(f(n).tolist() for f in (rec.a, rec.b, rec.c))):
-        den = ak + ck * r
-        if den == 0.0:
-            raise ValueError(f"backward recurrence not solvable: zero denominator at n = {k}")
-        r = -bk / den
-        ratios.append(r)
-    return np.cumprod([1.0] + ratios[::-1][:N])
-
-
-def solve_backward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
-    """Minimal solution with s_0 = 1 by Miller's backward recurrence, in ratio form.
-
-    The ratios r_n = s_n/s_{n-1} run downward from a start index M (taking
-    s_{M+1} = 0), and s_n = prod_{k<=n} r_k upward, so no intermediate value
-    can overflow.  M starts at 2N + 20 and doubles until the first N+1 values
-    of two successive starts agree to 1e-14 on every entry inside double
-    range; entries that underflow are returned as (sub)normal floats or zero.
-    Stable only where the pinned sequence is the minimal solution.
-    """
+    In representation b (lam + y = 0) the pinned sequence is a single term,
+    g_n = (2 lam)_n / n! (s e^{-theta'})^n with (s, theta') = (1, theta) for
+    rho^2 > 1 and (-1, -theta) for rho^2 < 1, computed as one running product.
+    Everywhere else the pinned sequence is dominant and forward recurrence
+    follows it.  Raises ValueError at |rho| = 1 in a/b, for representation b
+    off the rest-mass-energy assignments, and if the sequence leaves double
+    range."""
+    rec = build_recursion(derived.rep, derived, derived.nu)  # refuses |rho| = 1 in a/b
+    if derived.rep is not Rep.B:
+        return solve_forward(rec, N)
     if N < 0:
         raise ValueError("N must be non-negative")
-    start = 2 * N + _MILLER_MIN_START
-    prev = _miller_pass(rec, N, start)
-    while True:
-        start *= 2
-        vals = _miller_pass(rec, N, start)
-        inside = (np.abs(vals) > _MILLER_TINY) | (np.abs(prev) > _MILLER_TINY)
-        if np.all(np.abs(vals - prev)[inside] <= _MILLER_RTOL * np.abs(vals[inside])):
-            break
-        if start >= _MILLER_MAX_START:
-            raise ValueError(f"backward recurrence did not settle by start index {start}")
-        prev = vals
-    values = _check_finite(vals, "backward recurrence")
-    return CoefficientSequence(values=values, scaling=rec.scaling, nu=rec.nu)
-
-
-def minimal_sector(derived: DerivedParams) -> bool:
-    """True where the pinned coefficient sequence is the recursion's minimal solution.
-
-    That is representation b with rho > 0.  Representation b has lam + y = 0,
-    so the closed form reduces to |g_n| = (2 lam)_n / n! e^{-n |theta|}, which
-    decays against the e^{+n |theta|} growth of the second solution; for
-    rho < 0 the same expression grows as e^{+n |theta|}.  Outside this sector
-    the pinned sequence is dominant and forward recurrence is stable."""
-    return derived.rep is Rep.B and derived.rho > 0.0
-
-
-def coefficient_sequence(derived: DerivedParams, N: int,
-                         scaling: str | None = None) -> CoefficientSequence:
-    """s_0..s_N of the recursion by the route stable in its sector.
-
-    The recursion is the one `build_recursion` gives for `scaling`: the
-    natural relation by default, the raw one for 'f'.  Backward (Miller)
-    recurrence in the minimal sector, forward recurrence elsewhere; float
-    arithmetic, O(N) work.  Raises ValueError if the sequence leaves double
-    range."""
-    rec = build_recursion(derived.rep, derived, derived.nu, scaling)
-    return solve_backward(rec, N) if minimal_sector(derived) else solve_forward(rec, N)
+    if derived.theta is None:
+        raise ValueError("representation b's coefficient product exists under the "
+                         "rest-mass-energy assignments only")
+    s, theta = (1.0, derived.theta) if derived.rho ** 2 > 1.0 else (-1.0, -derived.theta)
+    k = np.arange(1.0, N + 1.0)
+    steps = (2.0 * mp_lambda(derived) + k - 1.0) / k * (s * math.exp(-theta))
+    with np.errstate(over="ignore"):
+        values = np.cumprod(np.r_[1.0, steps])
+    return CoefficientSequence(values=_check_finite(values, "coefficient product"),
+                               scaling="g", nu=derived.nu)
 
 
 def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:

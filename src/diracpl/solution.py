@@ -1,9 +1,9 @@
 """Truncated series spinor solutions, residual diagnostics, and the special cases.
 
 A solution is chi_N = C * sum_{n=0}^N f_n psi_n with C fixed by
-<chi_N|chi_N> = 1 and the f_n from the float recurrence, run in the direction
-stable for the coefficient sector (`recursion.coefficient_sequence`); the
-extended-precision closed forms are its oracle, not the production route.
+<chi_N|chi_N> = 1 and the f_n from float arithmetic (representation b's
+running product, forward recurrence for a and c: `recursion.coefficient_sequence`);
+the extended-precision closed forms are its oracle, not the production route.
 The two component forms are built from the coefficient vector in one pass
 (`basis.spinor_forms`).
 Because the basis satisfies the first-order (kinetic-balance) relation

@@ -11,6 +11,7 @@ from diracpl.basis import (PhysicalParams, Rep, kinetic_balance_apply,
                            kinetic_balance_form, phi_minus, phi_minus_form,
                            phi_plus, phi_plus_form, select_representation, spinor_forms)
 from diracpl.forms import integrate_product
+from diracpl.orthopoly import sqrt_gamma_ratio
 from diracpl.solution import assemble
 
 
@@ -214,6 +215,18 @@ class TestSpinorComponents:
             scale = np.max(np.abs(ref)) + 1e-300
             assert np.max(np.abs(via_c - ref)) < 1e-12 * scale
             assert np.max(np.abs(op - ref)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_norm_const_row_equals_per_index_values_bit_for_bit(self, label):
+        # one call over an index array against the per-order Gamma ratio
+        _, basis = build_case(label)
+        n = np.arange(120)
+        loop = [math.sqrt(basis.omega * abs(basis.beta))
+                * sqrt_gamma_ratio(k + 1.0, k + basis.nu + 1.0) for k in range(120)]
+        row = basis.norm_const(n)
+        np.testing.assert_array_equal(row.view(np.uint64), np.array(loop).view(np.uint64))
+        assert [basis.norm_const(k) for k in (0, 7)] == [loop[0], loop[7]]
+        np.testing.assert_array_equal(basis.norm_const(n.reshape(8, 15)), row.reshape(8, 15))
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_upper_gram_matches_weighted_moments(self, label):

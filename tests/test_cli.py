@@ -83,7 +83,7 @@ class TestExitCodes:
     def test_verify_decaying_sector_passes(self, tmp_path, capsys, mu, kappa):
         # representation b at rho = 2 (the first is the README library
         # example): the coefficients are the decaying (minimal) solution,
-        # which only the backward recurrence leg follows
+        # which forward recurrence would lose to the dominant one
         code = run_cli(["verify", "--A", "1", f"--mu={mu}", f"--kappa={kappa}"], tmp_path)
         out = capsys.readouterr().out
         assert code == 0
@@ -569,6 +569,46 @@ class TestBatchedChecksBite:
         code, passed = _verdicts(tmp_path, args)
         assert code == 1
         assert [name for name, ok in passed.items() if not ok] == ["kinetic-balance"]
+
+    @pytest.mark.parametrize("args", VERIFY_CONFIGS, ids=["a", "b", "c", "eps-minus"])
+    def test_perturbed_raw_relation_fails_scaling_equivalence(self, tmp_path, capsys,
+                                                              monkeypatch, args):
+        # D_10 scaled by 1 + 1e-9, below the band-agreement tolerance: only
+        # the raw relation's residual on the production sequence sees it
+        import diracpl.recursion as recursion
+        import diracpl.wave_operator as wave_operator
+        original = wave_operator.band_elements
+
+        def perturbed(derived, k, offdiag=False):
+            bands = original(derived, k, offdiag)
+            return bands if offdiag else bands * np.where(np.asarray(k) == 10, 1.0 + 1e-9, 1.0)
+
+        monkeypatch.setattr(wave_operator, "band_elements", perturbed)
+        monkeypatch.setattr(recursion, "band_elements", perturbed)
+        code, passed = _verdicts(tmp_path, args)
+        assert code == 1
+        assert [name for name, ok in passed.items() if not ok] == ["scaling-equivalence"]
+
+
+# Representation b with |theta| <= 0.03 (rho = 553, 2.0e-3, 95 and 0.0146),
+# where the pinned sequence decays or grows by only e^{-n |theta|} per step.
+SMALL_THETA_REP_B = [
+    ["--A", "14.202967632234262", "--mu", "-0.0003961086828168446", "--kappa", "-6",
+     "--omega", "0.05136804371362816"],
+    ["--A", "-0.3372028221213064", "--mu", "2.8386956774008363", "--kappa", "7",
+     "--omega", "0.05923706474750621"],
+    ["--A", "4.497592454869093", "--mu", "-0.7132539993309948", "--kappa", "-7", "--N", "20",
+     "--omega", "0.18394612601671675"],
+    ["--A", "0.682400674505875", "--mu", "-1.8283871637591878", "--kappa", "-2", "--N", "80",
+     "--omega", "3.447820115026237"],
+]
+
+
+@pytest.mark.parametrize("args", SMALL_THETA_REP_B,
+                         ids=["rho-553", "rho-2e-3", "rho-95", "rho-0.0146"])
+def test_small_theta_rep_b_verifies(tmp_path, capsys, args):
+    code, passed = _verdicts(tmp_path, args)
+    assert code == 0, [name for name, ok in passed.items() if not ok]
 
 
 class TestQuadratureOrder:

@@ -6,15 +6,16 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from conftest import CASE_IDS, build_case
-from diracpl import recursion
 from diracpl.basis import PhysicalParams, Rep, select_representation
 from diracpl.orthopoly import hyp_mp_series, mod_cdh_series, sqrt_gamma_ratio
 from diracpl.recursion import (CoefficientSequence, build_recursion, cdh_parameters,
-                               closed_form_sequence, coefficient_sequence, minimal_sector,
-                               mp_lambda, rescale, solve_backward, solve_forward)
+                               closed_form_sequence, coefficient_sequence, mp_lambda, rescale,
+                               solve_forward)
 from diracpl.solution import assemble, solve
 from diracpl.wave_operator import build_operator, derived_params
 
@@ -177,22 +178,6 @@ class TestCoefficientEvaluationCount:
             solve_forward(rec, 40)
             assert calls == {"a": 1, "b": 1, "c": 1}
 
-    @pytest.mark.parametrize("scaling", [None, "f"])
-    def test_backward_evaluates_once_per_miller_pass(self, monkeypatch, scaling):
-        _, basis, der = _case_with_derived("b_pos_beta")
-        passes = []
-        miller_pass = recursion._miller_pass
-
-        def counted_pass(rec, N, start):
-            passes.append(start)
-            return miller_pass(rec, N, start)
-
-        monkeypatch.setattr(recursion, "_miller_pass", counted_pass)
-        rec, calls = _counting(build_recursion(basis.rep, der, basis.nu, scaling))
-        solve_backward(rec, 160)
-        assert len(passes) >= 2
-        assert calls == {"a": len(passes), "b": len(passes), "c": len(passes)}
-
 
 def _forward_loop(rec, N):
     # the per-n forward loop solve_forward replaced (reference)
@@ -201,16 +186,6 @@ def _forward_loop(rec, N):
         prev = vals[n - 1] if n >= 1 else 0.0
         vals.append(-(rec.a(n) * vals[n] + rec.b(n) * prev) / rec.c(n))
     return np.array(vals)
-
-
-def _miller_loop(rec, N, start):
-    # the per-n Miller pass _miller_pass replaced (reference)
-    ratios, r = np.ones(N + 1), 0.0
-    for n in range(start, 0, -1):
-        r = -rec.b(n) / (rec.a(n) + rec.c(n) * r)
-        if n <= N:
-            ratios[n] = r
-    return np.cumprod(ratios)
 
 
 def _bits(values):
@@ -225,9 +200,6 @@ class TestLoopReference:
             rec = build_recursion(basis.rep, der, basis.nu, scaling)
             np.testing.assert_array_equal(_bits(solve_forward(rec, 40).values),
                                           _bits(_forward_loop(rec, 40)))
-            for N in (0, 7, 60):
-                np.testing.assert_array_equal(_bits(recursion._miller_pass(rec, N, 2 * N + 20)),
-                                              _bits(_miller_loop(rec, N, 2 * N + 20)))
 
 
 class TestClosedForm:
@@ -371,13 +343,14 @@ class TestScalings:
     @pytest.mark.parametrize("N", [20, 60])
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_raw_relation_sector_stable_over_full_horizon(self, label, N):
-        # verify's scaling-equivalence leg: the raw relation, solved in the
-        # direction stable for the sector, reproduces the production sequence
-        # over the whole horizon, decaying (minimal) cases included
-        _, _, der = _case_with_derived(label)
-        raw = coefficient_sequence(der, N, scaling="f").values
-        red_f = rescale(coefficient_sequence(der, N), "f").values
-        np.testing.assert_allclose(raw, red_f / red_f[0], rtol=1e-12, atol=0.0)
+        # verify's scaling-equivalence leg: the production sequence, rescaled
+        # to f, satisfies the raw relation read off the operator's bands over
+        # the whole horizon, decaying (minimal) cases included, each row
+        # against its own term magnitudes
+        _, basis, der = _case_with_derived(label)
+        raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
+        f = rescale(coefficient_sequence(der, N), "f").values
+        assert np.max(raw.relative_residual(f, np.arange(N))) <= 1e-12
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_raw_recursion_matches_operator(self, label):
@@ -403,13 +376,19 @@ def _oracle(label):
     return closed_form_sequence(der, ORACLE_N).values
 
 
-def _rep_b_case(A, rho):
-    # A = +-1, mu = -1.5, kappa = -3 (beta = 5/2) with omega tuned to the given rho
-    phys = PhysicalParams(A=A, mu=-1.5, kappa=-3)
+def _rep_b_case(A, rho, mu=-1.5, kappa=-3):
+    # omega tuned so that rho = 2A/(beta omega^beta) takes the given value (A/beta
+    # must have its sign); by default mu = -1.5, kappa = -3 (beta = 5/2)
+    phys = PhysicalParams(A=A, mu=mu, kappa=kappa)
     omega = (2.0 * A / (phys.beta * rho)) ** (1.0 / phys.beta)
     basis = select_representation(phys, omega=omega)
     assert basis.rep is Rep.B and basis.rho == pytest.approx(rho, rel=1e-12)
     return basis, derived_params(basis, phys)
+
+
+# (mu, kappa) pairs of representation b (beta kappa < 0), both signs of beta
+REP_B_POWERS = [(-1.5, -3), (0.5, -2), (-0.0003961086828168446, -6), (3.0, 2),
+                (2.8386956774008363, 7)]
 
 
 class TestCoefficientSequence:
@@ -425,24 +404,21 @@ class TestCoefficientSequence:
                                        (1.0, 0.3), (1.0, 0.7),
                                        (-1.0, -0.5), (-1.0, -2.0), (-1.0, -16.0)])
     def test_rep_b_omega_sweep(self, A, rho):
-        # rho > 0: the pinned sequence decays (minimal solution), backward
-        # route; the slow decay at rho = 16 (theta = 0.125) needs a Miller
-        # start index far beyond N.  rho < 0: growing, forward route.
+        # rho > 0: the pinned sequence decays (minimal solution), slowly at
+        # rho = 16 (theta = 0.125); rho < 0: it grows
         basis, der = _rep_b_case(A, rho)
-        assert minimal_sector(der) == (rho > 0.0)
         N = 80
         seq = coefficient_sequence(der, N).values
         ref = closed_form_sequence(der, N).values
         np.testing.assert_allclose(seq, ref, rtol=1e-12, atol=0.0)
         assert (abs(ref[N]) < abs(ref[0])) == (rho > 0.0)
 
-    def test_small_positive_rho_is_backward_route(self):
+    def test_small_positive_rho_matches_exact_product(self):
         # 0 < rho < 1 (reached only through omega): the closed form is
         # (-1)^n e^{n theta} (2 lam)_n / n! with theta < 0, a minimal solution;
         # at N = 60 it cancels ~60 digits in the 2F1 sum, beyond a fixed
         # 40-digit evaluation, so it is checked against the exact expression
         basis, der = _rep_b_case(1.0, 0.5071505162084872)
-        assert minimal_sector(der)
         N = 60
         two_lam = 2.0 * mp_lambda(der)
         n = np.arange(N + 1.0)
@@ -453,14 +429,61 @@ class TestCoefficientSequence:
         np.testing.assert_allclose(closed_form_sequence(der, N).values, exact,
                                    rtol=1e-12, atol=0.0)
 
-    def test_backward_solution_satisfies_recursion(self):
+    def test_production_sequence_satisfies_raw_relation(self):
+        # the decaying rep-b product, rescaled to f, against the operator's bands
         _, basis, der = _case_with_derived("b_pos_beta")
         rec = build_recursion(basis.rep, der, basis.nu, scaling="f")
-        seq = solve_backward(rec, 40).values
-        assert seq[0] == 1.0
+        seq = coefficient_sequence(der, 40)
+        assert seq.values[0] == 1.0
+        f = rescale(seq, "f").values
         for n in range(40):
-            lead = abs(rec.a(n) * seq[n]) + 1e-300
-            assert abs(rec.residual(seq, n)) < 1e-12 * lead
+            assert rec.relative_residual(f, n) < 1e-12
+
+    def test_rho_40_matches_oracle_at_n160(self):
+        # rho >> 1 (theta = 0.05) with nu = 6, where the recursion's rounded
+        # coefficients once limited agreement to 4.6e-9
+        basis, der = _rep_b_case(0.7, 40.0, mu=0.5, kappa=-2)
+        assert basis.nu == 6.0
+        np.testing.assert_allclose(coefficient_sequence(der, 160).values,
+                                   closed_form_sequence(der, 160).values, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(powers=st.sampled_from(REP_B_POWERS), log_rho=st.floats(-3.0, 3.0),
+           sign=st.sampled_from([-1.0, 1.0]), N=st.integers(0, 60))
+    def test_rep_b_product_property(self, powers, log_rho, sign, N):
+        # the running product against the oracle, and, rescaled to f, against
+        # the raw relation of the operator's bands; entries below the normal
+        # range (only within ~1e-5 of |rho| = 1) are held to an absolute bound
+        mu, kappa = powers
+        beta = 1.0 - mu
+        basis, der = _rep_b_case(math.copysign(1.0, sign * beta), sign * 10.0 ** log_rho,
+                                 mu=mu, kappa=kappa)
+        if basis.rho ** 2 == 1.0:
+            with pytest.raises(ValueError, match="representation c"):
+                coefficient_sequence(der, N)
+            return
+        seq = coefficient_sequence(der, N)
+        np.testing.assert_allclose(seq.values, closed_form_sequence(der, N).values,
+                                   rtol=1e-12, atol=np.finfo(float).tiny)
+        raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
+        f = rescale(seq, "f").values
+        assert np.all(raw.relative_residual(f, np.arange(N)) <= 1e-12)
+
+    def test_off_rest_mass_assignments_raise(self):
+        # theta exists only where q = A/omega^beta - beta rho/2 vanishes; an
+        # omega not tied to rho leaves the product undefined
+        phys, basis, _ = _case_with_derived("b_pos_beta")
+        der = derived_params(replace(basis, omega=1.1 * basis.omega), phys)
+        assert der.theta is None and der.rho ** 2 != 1.0
+        with pytest.raises(ValueError, match="rest-mass-energy"):
+            coefficient_sequence(der, 5)
+
+    def test_rep_b_product_out_of_double_range_raises(self):
+        # rho = -1.001: theta = -7.6, so g_n grows like e^{7.6 n} past 1e308 near n = 90
+        _, der = _rep_b_case(-1.0, -1.001)
+        assert np.all(np.isfinite(coefficient_sequence(der, 80).values))
+        with pytest.raises(ValueError, match="double range"):
+            coefficient_sequence(der, 200)
 
     def test_out_of_double_range_raises(self):
         # rep a at rho = 4/3 grows like ~e^{1.94 n}: past 1e308 before n = 400
