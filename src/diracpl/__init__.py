@@ -9,7 +9,7 @@ from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
 from .recursion import (CoefficientSequence, ThreeTermRecursion, build_recursion,
                         closed_form_sequence, coefficient_sequence, rescale, solve_forward)
 from .solution import (SeriesSolution, SpinorSample, assemble, default_r_grid,
-                       diagonal_special_case, dirac_residual, evaluate,
+                       diagonal_special_case, dirac_grid, dirac_residual, evaluate,
                        map_params, negative_energy_solution, second_order_residual,
                        solve, swap_energy, weak_form_boundary_check, weak_form_residual)
 from .wave_operator import (DerivedParams, TridiagonalOperator, build_operator,
@@ -25,7 +25,7 @@ __all__ = [
     "ThreeTermRecursion", "CoefficientSequence", "build_recursion",
     "solve_forward", "coefficient_sequence", "closed_form_sequence", "rescale",
     "SeriesSolution", "SpinorSample", "assemble", "solve", "evaluate",
-    "default_r_grid", "dirac_residual", "second_order_residual",
+    "default_r_grid", "dirac_grid", "dirac_residual", "second_order_residual",
     "weak_form_residual", "weak_form_boundary_check", "diagonal_special_case",
     "map_params", "swap_energy", "negative_energy_solution",
 ]

@@ -25,9 +25,9 @@ from . import __version__
 from .basis import PhysicalParams, kinetic_balance_apply, phi_minus
 from .recursion import (CoefficientSequence, build_recursion, closed_form_sequence,
                         coefficient_sequence, mp_lambda, natural_scaling, rescale)
-from .solution import (SeriesSolution, default_r_grid, diagonal_conditions_scan,
-                       diagonal_correspondence, diagonal_special_case, dirac_residual,
-                       evaluate_grid, residual_scale, second_order_residual,
+from .solution import (DiracGrid, SeriesSolution, default_r_grid, diagonal_conditions_scan,
+                       diagonal_correspondence, diagonal_special_case, dirac_grid,
+                       dirac_residual, evaluate_grid, second_order_residual,
                        second_order_scale, solve, swap_energy,
                        weak_form_boundary_check, weak_form_residual)
 from .wave_operator import basis_spinor, bilinear_form, build_operator
@@ -74,6 +74,13 @@ class RunConfig:
         return solve(self.physical_params() if phys is None else phys,
                      N=self.N if N is None else N, omega=self.omega, alpha=self.alpha,
                      quad_order=self.quad_order)
+
+    @functools.cached_property
+    def out_dir(self) -> Path:
+        """The output directory, created on first use: once per command."""
+        path = Path(self.out)
+        path.mkdir(parents=True, exist_ok=True)
+        return path
 
 
 _SETTINGS = [f for f in fields(RunConfig) if f.metadata]
@@ -237,9 +244,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         # Each row carries its own (1 -+ eps) factor, so a wrong sign in the
         # reflected parameters leaves the rows unmatched.
         s1, s2 = dirac_residual(sol, r_grid)
-        b1, b2 = dirac_residual(base, r_grid)
-        swapped = max(np.max(np.abs(s1 + b2)), np.max(np.abs(s2 + b1)))
-        add("energy-reflection-rows", swapped / np.max(residual_scale(base, r_grid)), 1e-12,
+        grid = dirac_grid(base, r_grid)
+        swapped = max(np.max(np.abs(s1 + grid.row2)), np.max(np.abs(s2 + grid.row1)))
+        add("energy-reflection-rows", swapped / np.max(grid.scale), 1e-12,
             "the eps = -1 Dirac rows are minus the swapped rows of the eps = +1 solution")
 
     return checks, _solution_dict(sol)
@@ -263,14 +270,8 @@ def _solution_dict(sol: SeriesSolution) -> dict:
     }
 
 
-def _out_path(config: RunConfig, name: str) -> Path:
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
-
-
 def _write_report(config: RunConfig, payload: dict) -> Path:
-    path = _out_path(config, "report.json")
+    path = config.out_dir / "report.json"
     payload = {"version": __version__, "config": dataclasses.asdict(config), **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -287,37 +288,37 @@ def _finish(config: RunConfig, mode: str, checks: list[CheckResult], payload: di
     return 0 if passed else 1
 
 
-def _grid_rows(sol: SeriesSolution) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The CLI's radial grid and the two Dirac residual rows on it."""
+def _grid(sol: SeriesSolution) -> tuple[np.ndarray, DiracGrid]:
+    """The CLI's radial grid and the solution's one `dirac_grid` pass on it."""
     r = default_r_grid(sol.basis)
-    return r, dirac_residual(sol, r)
+    return r, dirac_grid(sol, r)
 
 
-def _write_samples(config: RunConfig, sol: SeriesSolution, r: np.ndarray,
-                   rows: tuple[np.ndarray, np.ndarray]) -> Path:
+def _write_samples(config: RunConfig, r: np.ndarray, grid: DiracGrid) -> Path:
+    columns = (c.tolist() for c in (r, grid.phi_plus, grid.phi_minus, grid.row1, grid.row2))
     lines = ["r,phi_plus,phi_minus,residual_plus,residual_minus"]
-    for values in zip(r, *evaluate_grid(sol, r), *rows):
-        lines.append(",".join(repr(float(v)) for v in values))
-    path = _out_path(config, "samples.csv")
+    lines += (",".join(map(repr, values)) for values in zip(*columns))
+    path = config.out_dir / "samples.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
+    """json.dumps(rows, indent=2, sort_keys=True) of the rows {n, f_n, g_or_h_n}: the
+    coefficients of a normalized solution are finite, so each float is its repr."""
     seq = CoefficientSequence(values=sol.coeffs, scaling="f", nu=sol.basis.nu)
     scaled = rescale(seq, natural_scaling(sol.basis.rep))
-    rows = [{"n": n, "f_n": float(sol.coeffs[n]), "g_or_h_n": float(scaled.values[n])}
-            for n in range(sol.N + 1)]
-    path = _out_path(config, "coefficients.json")
-    path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    rows = ",\n".join(f'  {{\n    "f_n": {f!r},\n    "g_or_h_n": {g!r},\n    "n": {n}\n  }}'
+                      for n, (f, g) in enumerate(zip(sol.coeffs.tolist(),
+                                                     scaled.values.tolist())))
+    path = config.out_dir / "coefficients.json"
+    path.write_text(f"[\n{rows}\n]\n")
     return path
 
 
-def _residual_stats(sol: SeriesSolution, r: np.ndarray,
-                    rows: tuple[np.ndarray, np.ndarray]) -> dict:
-    res_p, res_m = rows
-    lead, identity = (res_p, res_m) if sol.eps == 1 else (res_m, res_p)
-    scale = np.max(residual_scale(sol, r))
+def _residual_stats(sol: SeriesSolution, r: np.ndarray, grid: DiracGrid) -> dict:
+    lead, identity = (grid.row1, grid.row2) if sol.eps == 1 else (grid.row2, grid.row1)
+    scale = np.max(grid.scale)
     if not 0.0 < scale < np.inf:
         raise ValueError(f"residual scale {scale} is not a positive finite number")
     return {
@@ -335,9 +336,9 @@ def _residual_stats(sol: SeriesSolution, r: np.ndarray,
 
 def _cmd_solve(config: RunConfig) -> int:
     sol = config.solve()
-    r, rows = _grid_rows(sol)
-    stats = _residual_stats(sol, r, rows)  # may raise: before any file is written
-    samples = _write_samples(config, sol, r, rows)
+    r, grid = _grid(sol)
+    stats = _residual_stats(sol, r, grid)  # may raise: before any file is written
+    samples = _write_samples(config, r, grid)
     coeffs = _write_coefficients(config, sol)
     report = _write_report(config, {
         "mode": "solve",
@@ -357,14 +358,14 @@ def _cmd_convergence(config: RunConfig) -> int:
     rows = []
     for N in CONVERGENCE_NS:
         sol = config.solve(N)
-        stats = _residual_stats(sol, *_grid_rows(sol))
+        stats = _residual_stats(sol, *_grid(sol))
         base = sol if sol.eps == 1 else swap_energy(sol)
         boundary = weak_form_boundary_check(base)
         rows.append({"N": N,
                      "interior_residual": stats["max_interior_leading_row_relative"],
                      "boundary_relative_error": boundary["relative_error"],
                      "boundary_resolvable": boundary["resolvable"]})
-    csv_path = _out_path(config, "convergence.csv")
+    csv_path = config.out_dir / "convergence.csv"
     lines = ["N,interior_residual,boundary_relative_error"]
     for row in rows:
         lines.append(f"{row['N']},{float(row['interior_residual'])!r},"
@@ -399,8 +400,8 @@ def _cmd_special_case(config: RunConfig) -> int:
         raise ValueError("the diagonal case tunes omega itself; do not pass --omega")
     sol = diagonal_special_case(config.physical_params(),
                                 quad_order=config.quad_order)
-    r, rows = _grid_rows(sol)
-    stats = _residual_stats(sol, r, rows)
+    r, grid = _grid(sol)
+    stats = _residual_stats(sol, r, grid)
     dirac_rel = max(stats["max_leading_row_relative"], stats["max_identity_row_relative"])
     so_rel = 0.0
     for comp in ("+", "-"):

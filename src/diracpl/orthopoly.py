@@ -24,10 +24,12 @@ import numpy as np
 # alternate and can cancel severely (the value exponentially smaller than the
 # individual terms), so each family n = 0..N is built in extended precision,
 # starting at _ORACLE_DPS digits and raised until _GUARD_DIGITS digits survive
-# its worst measured cancellation; a family needing more than _MAX_DPS is refused.
+# its worst measured cancellation (for an exact zero: until its rounding bound is
+# _UNDERFLOW_DIGITS decades down, below 2^-1075); needing more than _MAX_DPS is refused.
 _ORACLE_DPS = 40
 _GUARD_DIGITS = 20
 _MAX_DPS = 4000
+_UNDERFLOW_DIGITS = 325
 
 __all__ = [
     "gamma_ratio",
@@ -108,32 +110,33 @@ def terminating_series(N: int, terms) -> np.ndarray:
     and M_n = sum_k C(n, k) |U_k| exactly; u_0 = 1 makes M_n >= 2^P, so that
     rounding (at most 2^(n-1)) stays below the rounding of the u_k.  Summation
     loses about log10(M_n/|S_n|) digits, so the precision is raised until
-    _GUARD_DIGITS digits remain at the worst n.  A sum exactly zero at two
-    successive precisions is an exact zero; needing more than _MAX_DPS digits
-    raises ValueError.
+    _GUARD_DIGITS digits remain at the worst n.  A sum S_n that is exactly zero
+    may be a rounded argument (1 - e^{2 theta} -> 1), so it is accepted only at
+    a precision whose rounding bound (N+1) |p_n| M_n 10^-dps is below the
+    smallest double.  Needing more than _MAX_DPS digits raises ValueError.
     """
     import mpmath as mp
-    dps, zero_before = _ORACLE_DPS, [False] * (N + 1)
+    dps = _ORACLE_DPS
     while True:
         bits = math.ceil(dps * math.log2(10)) + N + 16
         with mp.workdps(dps):
             ratios, scales = terms()
             u = list(accumulate(ratios, operator.mul, initial=mp.ldexp(1, bits)))  # u_k 2^P
+            p = list(accumulate(scales, operator.mul, initial=mp.ldexp(1, -bits)))  # p_n 2^-P
             parts = (mp.re, mp.im) if any(isinstance(r, mp.mpc) for r in ratios) else (mp.re,)
             sums = [_binomial_table([int(mp.nint(part(x))) for x in u], operator.sub)
                     for part in parts]
             magnitudes = _binomial_table([int(mp.nint(abs(x))) for x in u], operator.add)
             norms = [sum(v * v for v in s) for s in zip(*sums)]  # |S_n|^2
-            lost = max(math.log10(m) - math.log10(q) / 2 if q else 0.0 if zero else dps
-                       for m, q, zero in zip(magnitudes, norms, zero_before))
-            zero_before = [q == 0 for q in norms]
-            if dps - lost >= _GUARD_DIGITS:
-                p = accumulate(scales, operator.mul, initial=mp.ldexp(1, -bits))  # p_n 2^-P
+            need = max(math.log10(m) - math.log10(q) / 2 + _GUARD_DIGITS if q
+                       else float(mp.log10((N + 1) * abs(pn) * m)) + _UNDERFLOW_DIGITS
+                       for m, q, pn in zip(magnitudes, norms, p))
+            if dps >= need:
                 return np.array([float(mp.re(pn * mp.mpc(*s))) for pn, *s in zip(p, *sums)])
         if dps >= _MAX_DPS:
-            raise ValueError(f"oracle series cancels {lost:.0f} digits; "
+            raise ValueError(f"oracle series needs {need:.0f} digits; "
                              f"more than {_MAX_DPS} would be needed")
-        dps = min(max(2 * dps, int(lost) + 2 * _GUARD_DIGITS), _MAX_DPS)
+        dps = min(max(2 * dps, int(need) + _GUARD_DIGITS), _MAX_DPS)
 
 
 def _check_laguerre_params(n: int, nu: float, x) -> None:

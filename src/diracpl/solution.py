@@ -21,6 +21,7 @@ reflection twice is the identity.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -41,6 +42,8 @@ __all__ = [
     "solve",
     "evaluate",
     "default_r_grid",
+    "DiracGrid",
+    "dirac_grid",
     "dirac_residual",
     "residual_scale",
     "second_order_residual",
@@ -112,14 +115,15 @@ class SeriesSolution:
         return max(float(np.sum(mass * (diag + off + below))), 1e-300)
 
     @cached_property
-    def d_dr_forms(self) -> dict[str, tuple[LaguerreForm, LaguerreForm]]:
-        """First and second d/dr of each component form, keyed "+" and "-"."""
-        measure = self.basis.measure
-        out = {}
-        for component, form in (("+", self.form_plus), ("-", self.form_minus)):
-            first = form.d_dr(measure)
-            out[component] = (first, first.d_dr(measure))
-        return out
+    def d_dr_forms(self) -> dict[str, LaguerreForm]:
+        """d/dr of each component form, keyed "+" and "-"."""
+        return {"+": self.form_plus.d_dr(self.basis.measure),
+                "-": self.form_minus.d_dr(self.basis.measure)}
+
+    @cached_property
+    def d2_dr2_forms(self) -> dict[str, LaguerreForm]:
+        """d^2/dr^2 of each component form, keyed "+" and "-"."""
+        return {k: form.d_dr(self.basis.measure) for k, form in self.d_dr_forms.items()}
 
 
 def default_r_grid(basis: BasisParams, num: int = 60, x_lo: float = 0.01,
@@ -192,8 +196,13 @@ def evaluate_grid(sol: SeriesSolution, r) -> tuple[np.ndarray, np.ndarray]:
             sol.norm_const * sol.form_minus.eval(x))
 
 
-def _dirac_terms(sol: SeriesSolution, r) -> tuple[list, list]:
-    """The separate terms of the two first-order Dirac rows at radius r.
+# chi+, chi-, the two first-order Dirac rows and their cancellation scale at r.
+DiracGrid = namedtuple("DiracGrid", "phi_plus phi_minus row1 row2 scale")
+
+
+def dirac_grid(sol: SeriesSolution, r) -> DiracGrid:
+    """chi+, chi-, the two first-order Dirac rows and their cancellation scale
+    at radius r, from one evaluation of the four first-order forms.
 
     Row 1: (1-eps) chi+ + lam (kappa/r + A/r^mu - d/dr) chi-
     Row 2: lam (kappa/r + A/r^mu + d/dr) chi+ - (1+eps) chi-
@@ -202,11 +211,13 @@ def _dirac_terms(sol: SeriesSolution, r) -> tuple[list, list]:
     x = sol.basis.x_of_r(r)
     c, lam, eps = sol.norm_const, sol.phys.lam, float(sol.eps)
     plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
-    dplus, dminus = (c * sol.d_dr_forms[k][0].eval(x) for k in "+-")
+    dplus, dminus = (c * sol.d_dr_forms[k].eval(x) for k in "+-")
     spin_orbit = lam * sol.phys.kappa / r
     potential = lam * sol.phys.A * np.power(r, -sol.phys.mu)
-    return ([(1.0 - eps) * plus, spin_orbit * minus, potential * minus, -lam * dminus],
+    rows = ([(1.0 - eps) * plus, spin_orbit * minus, potential * minus, -lam * dminus],
             [spin_orbit * plus, potential * plus, lam * dplus, -(1.0 + eps) * minus])
+    return DiracGrid(plus, minus, *(sum(terms) for terms in rows),
+                     sum(np.abs(term) for terms in rows for term in terms))
 
 
 def _second_order_terms(sol: SeriesSolution, r, component: str) -> list:
@@ -225,7 +236,7 @@ def _second_order_terms(sol: SeriesSolution, r, component: str) -> list:
     form = sol.form_plus if component == "+" else sol.form_minus
     x = sol.basis.x_of_r(r)
     val = sol.norm_const * form.eval(x)
-    d2 = sol.norm_const * sol.d_dr_forms[component][1].eval(x)
+    d2 = sol.norm_const * sol.d2_dr2_forms[component].eval(x)
     return [-d2, kappa * (kappa + sgn) / r ** 2 * val,
             A * A * np.power(r, -2.0 * mu) * val,
             A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)) * val,
@@ -234,23 +245,23 @@ def _second_order_terms(sol: SeriesSolution, r, component: str) -> list:
 
 def dirac_residual(sol: SeriesSolution, r):
     """Residuals of the two rows of the first-order Dirac system at radius r,
-    each the sum of its terms in `_dirac_terms`.
+    each the sum of its terms in `dirac_grid`.
 
     For the basis-led component the corresponding row vanishes identically
     (kinetic balance); the other row measures the truncation error.
     """
-    row1, row2 = (sum(terms) for terms in _dirac_terms(sol, r))
+    grid = dirac_grid(sol, r)
     if np.ndim(r) == 0:
-        return float(row1), float(row2)
-    return row1, row2
+        return float(grid.row1), float(grid.row2)
+    return grid.row1, grid.row2
 
 
 def residual_scale(sol: SeriesSolution, r):
-    """Sum of the magnitudes of the separate terms of both Dirac rows.
+    """Sum of the magnitudes of the separate terms of both Dirac rows (`dirac_grid`).
 
     Residuals are near-total cancellations, so pass/fail thresholds compare
     against the magnitudes of the separate terms, not their sum."""
-    return sum(np.abs(term) for terms in _dirac_terms(sol, r) for term in terms)
+    return dirac_grid(sol, r).scale
 
 
 def second_order_residual(sol: SeriesSolution, r, component: str = "+"):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file schemas, determinism."""
 
+import collections
 import json
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracpl.cli import main, make_parser
+from diracpl.cli import build_config, main, make_parser
+from diracpl.forms import LaguerreForm
+from diracpl.recursion import CoefficientSequence, natural_scaling, rescale
 
 SOLVE_ARGS = ["--A", "1", "--mu", "2", "--kappa", "-1", "--N", "8"]
 
@@ -183,6 +186,45 @@ class TestSolveOutputs:
         r2 = json.loads((d2 / "report.json").read_text())
         r1["config"].pop("out"), r2["config"].pop("out")
         assert r1 == r2
+
+    def test_one_grid_pass(self, tmp_path, capsys, monkeypatch):
+        # samples, rows and scale come from one evaluation of the two component
+        # forms and their two first derivatives; no second derivative is
+        # built, and the output directory is made once
+        calls = collections.Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LaguerreForm, "eval", counted("eval", LaguerreForm.eval))
+        monkeypatch.setattr(LaguerreForm, "d_dr", counted("d_dr", LaguerreForm.d_dr))
+        monkeypatch.setattr(Path, "mkdir", counted("mkdir", Path.mkdir))
+        assert run_cli(["solve"] + SOLVE_ARGS, tmp_path) == 0
+        assert calls == {"eval": 4, "d_dr": 2, "mkdir": 1}
+
+    @pytest.mark.parametrize("args", [
+        ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1", "--N", "20"],
+        ["--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "40"],
+        ["--A", "1", "--mu", "2", "--kappa", "-1", "--N", "40"],
+        ["--A", "2", "--mu", "0.5", "--kappa", "-1", "--epsilon", "-1", "--N", "40"],
+        ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1", "--N", "113"],
+        ["--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "160"],
+    ], ids=["readme-solve", "rep-b-n40", "rep-c-n40", "eps-minus-n40", "rep-a-n113",
+            "rep-b-n160"])
+    def test_coefficients_are_json_dumps(self, tmp_path, capsys, args):
+        # coefficients.json is written from a format string; its bytes are
+        # those json.dumps gives for the rows, up to rep a's ceiling
+        assert main(["solve", *args, "--out", str(tmp_path)]) == 0
+        sol = build_config(make_parser().parse_args(["solve", *args])).solve()
+        seq = CoefficientSequence(values=sol.coeffs, scaling="f", nu=sol.basis.nu)
+        scaled = rescale(seq, natural_scaling(sol.basis.rep)).values
+        rows = [{"n": n, "f_n": float(sol.coeffs[n]), "g_or_h_n": float(scaled[n])}
+                for n in range(sol.N + 1)]
+        assert ((tmp_path / "coefficients.json").read_text()
+                == json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
 
 VERIFY_CHECKS = ["kinetic-balance", "operator-tridiagonality", "operator-band-agreement",

@@ -31,7 +31,8 @@ def test_shapes_do_not_depend_on_roundoff_in_mu(label):
 
     def shapes(mu_value):
         sol = solve(PhysicalParams(A=A, mu=mu_value, kappa=kappa, eps=eps), N=80)
-        forms = [sol.form_plus, sol.form_minus, *sol.d_dr_forms["+"], *sol.d_dr_forms["-"]]
+        forms = [sol.form_plus, sol.form_minus, *sol.d_dr_forms.values(),
+                 *sol.d2_dr2_forms.values()]
         return [f.coef.shape for f in forms]
 
     reference = shapes(mu)

@@ -384,13 +384,24 @@ class TestTerminatingSeries:
                                                        []))
 
     def test_exact_zero_at_two_precisions(self):
-        # c = 1: every v_n with n >= 1 is exactly zero at 40 and again at 80
-        # digits, which makes it an exact zero rather than a total cancellation
+        # c = 1: every v_n with n >= 1 is exactly zero at 40 digits and again at
+        # the precision where its rounding bound 7 * 2^n * 10^-dps lies below the
+        # smallest double, which makes it an exact zero, not a total cancellation
         seen = []
         values = terminating_series(6, self._power_family(6, lambda: mpmath.mpf(1), seen))
-        assert seen == [40, 80]
+        assert len(seen) == 2 and seen[0] == 40 and seen[1] >= 324 + math.log10(7 * 2 ** 6)
         np.testing.assert_array_equal(values, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         # L_1^nu(x) = nu + 1 - x, and S_1 = 1 - (lam^2 + y^2)/((lam+a)(lam+b)) is 0
         # at lam = a = b = 1, y^2 = 3
         assert laguerre_series(1, 0.5, 1.5) == 0.0
         assert cdh_series(1, 1.0, 3.0, 1.0, 1.0) == 0.0
+
+    def test_rounded_argument_is_no_exact_zero(self):
+        # z = 1 - e^{2 theta} = 1 - 1e-99 rounds to 1 at 40 and at 80 digits, so
+        # S_1 = 1 - z is exactly zero there; P_1 = 3 e^theta = 9.28e-50 is in
+        # double range, and the series gives it or refuses
+        try:
+            value = hyp_mp_series(1, 1.5, 1.5, -114.0)
+        except ValueError:
+            return
+        assert value == pytest.approx(9.28005003392568e-50, rel=1e-12, abs=0.0)
