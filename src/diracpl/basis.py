@@ -7,8 +7,7 @@ x = (omega r)^beta the upper basis component is
     a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1)),
 
 and the lower component follows from the first-order (kinetic-balance)
-operator.  Three admissible parameter families exist, selected by the signs
-of beta*kappa and the value of kappa:
+operator.  Three parameter families exist:
 
   rep a:  beta*kappa > 0, kappa != -1:   gamma = kappa/beta,
           alpha = (kappa+1)/beta, nu = (2 kappa + 1)/beta
@@ -16,6 +15,12 @@ of beta*kappa and the value of kappa:
           alpha = -kappa/beta,  nu = -(2 kappa + 1)/beta
   rep c:  rho = sign(beta A) = +-1, omega = |2A/beta|^{1/beta},
           nu = 2 alpha - 1 - 1/beta (alpha free within bounds)
+
+The default is b if beta*kappa < 0, else c if kappa = -1, else a; an explicit
+request must name the default or c.  Square integrability bounds only rep c's
+free alpha: alpha > max(1/beta, -1/(2 beta)), which gives alpha > 0 and
+nu > -1.  Reps a and b always meet their bounds (rep a has nu > 0, rep b
+nu >= 1/|beta|).
 
 Matching the first-order operator to the Dirac equation at rest-mass energy
 fixes tau = 1/4, gamma = kappa/beta and rho = 2A/(beta omega^beta).
@@ -119,38 +124,13 @@ class BasisParams:
 
     def norm_const(self, n):
         """a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1)) for one index or an index array."""
-        scale, nu = math.sqrt(self.omega * abs(self.beta)), self.nu  # nu > -1 once validated
+        scale, nu = math.sqrt(self.omega * abs(self.beta)), self.nu  # nu > -1 in every basis
         a_n = [scale * math.exp(0.5 * (math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0)))
                for k in np.ravel(n).tolist()]
         return a_n[0] if np.ndim(n) == 0 else np.reshape(a_n, np.shape(n))
 
     def x_of_r(self, r):
         return self.measure.x_of_r(r)
-
-
-def _table_alpha_bound(rep: Rep, beta: float) -> float:
-    # Square-integrability / boundary-condition bounds on alpha per beta range.
-    if beta < 0.0:
-        return -1.0 / (2.0 * beta)
-    if rep is Rep.B:
-        return (-1.0 + 1.0 / beta) if beta < 1.0 else 0.0
-    return 1.0 / beta
-
-
-def _validate_basis(basis: BasisParams) -> None:
-    rep, beta, alpha, nu = basis.rep, basis.beta, basis.alpha, basis.nu
-    if nu <= -1.0:
-        raise ValueError(f"basis requires nu > -1, got nu={nu}")
-    if rep is Rep.A and nu <= 0.0:
-        raise ValueError(f"representation a requires nu > 0, got nu={nu}")
-    if alpha <= 0.0:
-        raise ValueError(f"basis requires alpha > 0, got alpha={alpha}")
-    bound = _table_alpha_bound(rep, beta)
-    if alpha <= bound:
-        raise ValueError(
-            f"square integrability requires alpha > {bound} for representation "
-            f"{rep.value} with beta={beta}, got alpha={alpha}"
-        )
 
 
 def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
@@ -171,29 +151,22 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
                           alpha: float | None = None, rep: Rep | str | None = None) -> BasisParams:
     """Choose the basis family from the physics and fix all its constants.
 
-    Defaults: representation a for beta*kappa > 0 with kappa != -1,
-    b for beta*kappa < 0, c for the mandatory kappa = -1 sector (and on
-    explicit request).  For a/b the scale omega is free and defaults to the
-    value giving |rho| = 2; at |rho| = 1 the a/b recursion degenerates, which
+    The default and the admissible requests follow the rule in the module
+    docstring.  For a/b the scale omega is free and defaults to the value
+    giving |rho| = 2; at |rho| = 1 the a/b recursion degenerates, which
     `recursion.build_recursion` reports (representation c owns that boundary).
     """
     _require_finite(omega=omega, alpha=alpha)
     beta = phys.beta
     kappa = phys.kappa
-    bk = beta * kappa
     a_mu = f"A = {phys.A!r}, mu = {phys.mu!r}"  # the inputs of the default omega
 
-    if rep is not None:
-        rep = Rep(rep)
-        if rep is Rep.A and not (bk > 0.0 and kappa != -1):
-            raise ValueError("representation a requires beta*kappa > 0 and kappa != -1")
-        if rep is Rep.B and not bk < 0.0:
-            raise ValueError("representation b requires beta*kappa < 0")
-    else:
-        if bk > 0.0:
-            rep = Rep.C if kappa == -1 else Rep.A
-        else:
-            rep = Rep.B
+    default = Rep.B if beta * kappa < 0.0 else Rep.C if kappa == -1 else Rep.A
+    rep = Rep(rep or default)
+    if rep not in (default, Rep.C):
+        raise ValueError(
+            f"representation {rep.value} does not apply at beta*kappa = {beta * kappa!r}, "
+            f"kappa = {kappa}: use {default.value} (the default) or c")
 
     if rep is Rep.C:
         if omega is not None:
@@ -202,9 +175,13 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             )
         omega = _scale_power(abs(2.0 * phys.A / beta), 1.0 / beta, "omega", a_mu)
         rho = math.copysign(1.0, beta * phys.A)
-        if alpha is None:
-            alpha = 1.0 + max(1.0 / beta, -1.0 / (2.0 * beta))
+        bound = max(1.0 / beta, -1.0 / (2.0 * beta))  # square integrability
+        alpha = 1.0 + bound if alpha is None else alpha
         nu = 2.0 * alpha - 1.0 - 1.0 / beta
+        if alpha <= bound or nu <= -1.0:  # at |beta| >~ 1e16, nu can round onto -1
+            raise ValueError(
+                f"square integrability requires alpha > {bound} for representation c "
+                f"with beta={beta}, got alpha={alpha}")
     else:
         if alpha is not None:
             raise ValueError(
@@ -223,10 +200,8 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             alpha = -kappa / beta
             nu = -(2.0 * kappa + 1.0) / beta
 
-    basis = BasisParams(rep=rep, beta=beta, omega=omega, alpha=alpha, nu=nu,
-                        gamma=kappa / beta, rho=rho, tau=0.25, lam=phys.lam)
-    _validate_basis(basis)
-    return basis
+    return BasisParams(rep=rep, beta=beta, omega=omega, alpha=alpha, nu=nu,
+                       gamma=kappa / beta, rho=rho, tau=0.25, lam=phys.lam)
 
 
 def _upper(basis: BasisParams, c) -> tuple[np.ndarray, LaguerreForm]:
@@ -242,10 +217,11 @@ def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
     A matrix c, one row per spinor, gives batched forms.  The upper form is the
     row c_n a_n.  The lower form is the kinetic-balance operator applied to it:
     per n a 2- or 3-term stencil, written with the Laguerre parameter that makes
-    the representation's matrix elements band-limited (rep a's nu-1 terms mapped
-    onto L^nu and rep b's nu term onto L^{nu+1} by L_m^{s-1} = L_m^s - L_{m-1}^s).
-    The stencils are added as shifted vectors, highest shift first: each order
-    sums elements n-1, n, n+1.
+    the representation's matrix elements band-limited.  Reps a and c share one
+    stencil on L^nu; rep b's nu term is mapped onto L^{nu+1} by
+    L_m^nu = L_m^{nu+1} - L_{m-1}^{nu+1}, since the form's integrability needs
+    its factor x.  The stencils are added as shifted vectors, highest shift
+    first: each order sums elements n-1, n, n+1.
     """
     c = np.asarray(c, dtype=float)
     a_n, upper = _upper(basis, c)
@@ -253,17 +229,15 @@ def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
     a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
     pre = basis.lam * basis.omega * basis.tau * basis.beta * a_n
     # stencil[k, j] holds power offset k and order n - 1 + j
-    if basis.rep is Rep.A:
-        # 2(g+a-nu) L_n^nu + (1+rho)(n+nu) L_n^{nu-1} + (1-rho)(n+1) L_{n+1}^{nu-1}
-        low, high = (1.0 + rho) * (n + nu), (1.0 - rho) * (n + 1.0)
-        stencil = np.array([[-low, 2.0 * (g + a - nu) + low - high, high]])
-    elif basis.rep is Rep.B:
+    if basis.rep is Rep.B:
         # 2(g+a) x^p L_n^nu - x^{p+1} [(1-rho) L_n^{nu+1} + (1+rho) L_{n-1}^{nu+1}],
         # written on L^{nu+1}
         stencil = np.array([[[-2.0 * (g + a)], [2.0 * (g + a)]],
                             [[-(1.0 + rho)], [-(1.0 - rho)]]])
         nu += 1.0
     else:
+        # -(1+rho)(n+nu) L_{n-1}^nu + [2(g+a-(nu+1)/2) + 2 rho (n+(nu+1)/2)] L_n^nu
+        # + (1-rho)(n+1) L_{n+1}^nu
         stencil = np.array([[-(1.0 + rho) * (n + nu),
                              2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
                              (1.0 - rho) * (n + 1.0)]])

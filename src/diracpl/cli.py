@@ -27,9 +27,8 @@ from .recursion import (CoefficientSequence, build_recursion, closed_form_sequen
                         coefficient_sequence, mp_lambda, natural_scaling, rescale)
 from .solution import (DiracGrid, SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_grid,
-                       dirac_residual, evaluate_grid, second_order_residual,
-                       second_order_scale, solve, swap_energy,
-                       weak_form_boundary_check, weak_form_residual)
+                       dirac_residual, evaluate_grid, second_order_grid, solve,
+                       swap_energy, weak_form_boundary_check, weak_form_residual)
 from .wave_operator import basis_spinor, bilinear_form, build_operator
 
 CONVERGENCE_NS = (5, 10, 20, 40)
@@ -405,10 +404,10 @@ def _cmd_special_case(config: RunConfig) -> int:
     dirac_rel = max(stats["max_leading_row_relative"], stats["max_identity_row_relative"])
     so_rel = 0.0
     for comp in ("+", "-"):
-        so_scale = np.max(second_order_scale(sol, r, comp))
+        so = second_order_grid(sol, r, comp)
+        so_scale = np.max(so.scale)
         if so_scale > 0.0:
-            so_rel = max(so_rel, float(
-                np.max(np.abs(second_order_residual(sol, r, comp))) / so_scale))
+            so_rel = max(so_rel, float(np.max(np.abs(so.residual)) / so_scale))
     kappas = [k for k in range(-4, 5) if k != 0]
     mus = [-2.5, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0]
     hits = diagonal_conditions_scan(kappas, mus, n_max=40)

@@ -212,12 +212,11 @@ def _check_mp_params(n: int, lam: float) -> None:
         raise ValueError(f"Meixner-Pollaczek parameter must satisfy lam > 0, got {lam}")
 
 
-def _mp_recurrence(n: int, lam: float, y: float, c: float, s: float) -> float:
-    # Both Meixner-Pollaczek families, (c, s) = (cos, sin) or (cosh, sinh) of theta:
-    # (k+1) P_{k+1} - 2[(k+lam) c + y s] P_k + (k+2lam-1) P_{k-1} = 0.
+def _mp_recurrence(n: int, lam: float, diag) -> float:
+    # Both Meixner-Pollaczek families: (k+1) P_{k+1} - d_k P_k + (k+2lam-1) P_{k-1} = 0,
+    # with the family's diagonal d_k = diag(k).
     k = np.arange(n)
-    return float(forward_recurrence(-(2.0 * ((k + lam) * c + y * s)), k + 2.0 * lam - 1.0,
-                                    k + 1.0)[-1])
+    return float(forward_recurrence(-diag(k), k + 2.0 * lam - 1.0, k + 1.0)[-1])
 
 
 def mp_eval(n: int, lam: float, y: float, theta: float) -> float:
@@ -232,7 +231,8 @@ def mp_eval(n: int, lam: float, y: float, theta: float) -> float:
             f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}; "
             "use hyp_mp_eval for the hyperbolic continuation"
         )
-    return _mp_recurrence(n, lam, y, math.cos(theta), math.sin(theta))
+    c, s = math.cos(theta), math.sin(theta)
+    return _mp_recurrence(n, lam, lambda k: 2.0 * ((k + lam) * c + y * s))
 
 
 def mp_series(n: int, lam: float, y: float, theta: float) -> float:
@@ -282,10 +282,14 @@ def hyp_mp_eval(n: int, lam: float, y: float, theta: float) -> float:
     real second argument; theta may be any real number.  Recurrence from
     P_{-1} = 0, P_0 = 1:
 
-    (n+1) P_{n+1} = 2[(n+lam) cosh(theta) + y sinh(theta)] P_n - (n+2lam-1) P_{n-1}.
+    (n+1) P_{n+1} = 2[(n+lam) cosh(theta) + y sinh(theta)] P_n - (n+2lam-1) P_{n-1},
+
+    with the diagonal written as (n+lam+y) e^theta + (n+lam-y) e^{-theta}:
+    cosh and sinh would cancel exactly in floats at large |theta|.
     """
     _check_mp_params(n, lam)
-    return _mp_recurrence(n, lam, y, math.cosh(theta), math.sinh(theta))
+    up, down = math.exp(theta), math.exp(-theta)
+    return _mp_recurrence(n, lam, lambda k: (k + lam + y) * up + (k + lam - y) * down)
 
 
 def hyp_mp_series(n: int, lam: float, y: float, theta: float) -> float:

@@ -46,6 +46,8 @@ __all__ = [
     "dirac_grid",
     "dirac_residual",
     "residual_scale",
+    "SecondOrderGrid",
+    "second_order_grid",
     "second_order_residual",
     "weak_form_residual",
     "weak_form_boundary_check",
@@ -220,13 +222,20 @@ def dirac_grid(sol: SeriesSolution, r) -> DiracGrid:
                      sum(np.abs(term) for terms in rows for term in terms))
 
 
-def _second_order_terms(sol: SeriesSolution, r, component: str) -> list:
-    """The separate terms of the second-order radial equation for one component:
+# The second-order residual of one component and its cancellation scale at r.
+SecondOrderGrid = namedtuple("SecondOrderGrid", "residual scale")
+
+
+def second_order_grid(sol: SeriesSolution, r, component: str = "+") -> SecondOrderGrid:
+    """The second-order radial equation for one component at radius r, from one
+    evaluation of its value and second-derivative forms:
 
     [-d^2/dr^2 + kappa(kappa+-1)/r^2 + A^2/r^{2 mu} + A(2 kappa +- mu)/r^{mu+1}
      - (eps^2-1)/lam^2] chi^+-
 
-    The energy term vanishes identically at eps = +-1 but is kept literally."""
+    The residual is the sum of the separate terms and the scale the sum of
+    their magnitudes.  The energy term vanishes identically at eps = +-1 but is
+    kept literally."""
     if component not in ("+", "-"):
         raise ValueError("component must be '+' or '-'")
     r = _check_r(r)
@@ -237,10 +246,11 @@ def _second_order_terms(sol: SeriesSolution, r, component: str) -> list:
     x = sol.basis.x_of_r(r)
     val = sol.norm_const * form.eval(x)
     d2 = sol.norm_const * sol.d2_dr2_forms[component].eval(x)
-    return [-d2, kappa * (kappa + sgn) / r ** 2 * val,
-            A * A * np.power(r, -2.0 * mu) * val,
-            A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)) * val,
-            -(eps * eps - 1.0) / lam / lam * val]
+    terms = [-d2, kappa * (kappa + sgn) / r ** 2 * val,
+             A * A * np.power(r, -2.0 * mu) * val,
+             A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)) * val,
+             -(eps * eps - 1.0) / lam / lam * val]
+    return SecondOrderGrid(sum(terms), sum(np.abs(term) for term in terms))
 
 
 def dirac_residual(sol: SeriesSolution, r):
@@ -266,15 +276,15 @@ def residual_scale(sol: SeriesSolution, r):
 
 def second_order_residual(sol: SeriesSolution, r, component: str = "+"):
     """Residual of the second-order (Schroedinger-type) radial equation for the
-    chosen component: the sum of its terms in `_second_order_terms`."""
-    res = sum(_second_order_terms(sol, r, component))
+    chosen component: the sum of its terms in `second_order_grid`."""
+    res = second_order_grid(sol, r, component).residual
     return float(res) if np.ndim(r) == 0 else res
 
 
 def second_order_scale(sol: SeriesSolution, r, component: str = "+"):
     """Term-magnitude scale for second_order_residual: the sum of the
-    magnitudes of its terms."""
-    return sum(np.abs(term) for term in _second_order_terms(sol, r, component))
+    magnitudes of its terms (`second_order_grid`)."""
+    return second_order_grid(sol, r, component).scale
 
 
 def weak_form_residual(sol: SeriesSolution, n) -> tuple:

@@ -80,15 +80,44 @@ class TestSelectRepresentation:
         assert basis.rep is Rep.C
         assert basis.rho == -1.0  # sign(beta * A) with beta = -2
 
-    def test_rep_misuse_rejected(self):
-        with pytest.raises(ValueError):
-            select_representation(PhysicalParams(A=1.0, mu=3.0, kappa=2), rep="a")
-        with pytest.raises(ValueError):
-            select_representation(PhysicalParams(A=3.0, mu=-2.0, kappa=1), rep="b")
-        with pytest.raises(ValueError):
-            select_representation(PhysicalParams(A=3.0, mu=-2.0, kappa=1), alpha=1.0)
-        with pytest.raises(ValueError):
-            select_representation(PhysicalParams(A=1.0, mu=2.0, kappa=-1), omega=1.0)
+    @pytest.mark.parametrize("rep", ["a", "b", "c"])
+    @pytest.mark.parametrize("kw,default", [
+        (dict(A=3.0, mu=-2.0, kappa=1), "a"),    # beta*kappa > 0, kappa != -1
+        (dict(A=1.0, mu=3.0, kappa=2), "b"),     # beta*kappa < 0
+        (dict(A=1.0, mu=2.0, kappa=-1), "c"),    # beta*kappa > 0, kappa = -1
+    ], ids=["a-sector", "b-sector", "c-sector"])
+    def test_rep_misuse_rejected(self, kw, default, rep):
+        # an explicit rep is accepted if and only if it is the default or c
+        phys = PhysicalParams(**kw)
+        assert select_representation(phys).rep.value == default
+        if rep in (default, "c"):
+            assert select_representation(phys, rep=rep).rep.value == rep
+        else:
+            with pytest.raises(ValueError, match=f"use {default} \\(the default\\) or c"):
+                select_representation(phys, rep=rep)
+        if default != "c":
+            with pytest.raises(ValueError, match="alpha is fixed"):
+                select_representation(phys, alpha=1.0)
+        else:
+            with pytest.raises(ValueError, match="omega is fixed"):
+                select_representation(phys, omega=1.0)
+
+    # (mu, kappa, explicit rep, the alpha bound max(1/beta, -1/(2 beta)))
+    @pytest.mark.parametrize("mu,kappa,rep,bound", [(2.0, -1, None, 0.5),
+                                                    (0.5, 1, "c", 2.0)],
+                             ids=["beta-negative", "beta-positive"])
+    def test_rep_c_alpha_at_or_below_bound_rejected(self, mu, kappa, rep, bound):
+        phys = PhysicalParams(A=1.0, mu=mu, kappa=kappa)
+        assert select_representation(phys, rep=rep, alpha=bound + 1e-9).rep is Rep.C
+        for alpha in (bound, bound - 0.25, 0.0, -1.0):  # at, below, and alpha <= 0
+            with pytest.raises(ValueError, match=f"requires alpha > {bound} for representation c"):
+                select_representation(phys, rep=rep, alpha=alpha)
+
+    def test_rep_c_alpha_rounding_onto_nu_minus_one_rejected(self):
+        # at beta = -1e17, alpha = 1e-17 exceeds the bound 5e-18 but
+        # nu = 2 alpha - 1 - 1/beta rounds to -1
+        with pytest.raises(ValueError, match="requires alpha > 5e-18 for representation c"):
+            select_representation(PhysicalParams(A=1.0, mu=1e17, kappa=-1), alpha=1e-17)
 
     @pytest.mark.parametrize("mu", [0.999999999, 1.000000001])
     @pytest.mark.parametrize("kappa", [-2, 2, -1])
@@ -106,19 +135,22 @@ class TestSelectRepresentation:
     @pytest.mark.parametrize("mu", [-2.5, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0])
     def test_constraint_table_on_grid(self, kappa, mu):
         # produced (alpha, nu) always satisfy the admissibility bounds
+        # for the default rep, explicit rep c, and a user omega for reps a and b
         phys = PhysicalParams(A=1.3, mu=mu, kappa=kappa)
-        basis = select_representation(phys)
-        beta = basis.beta
-        assert basis.nu > -1.0
-        assert basis.alpha > 0.0
-        if basis.rep is Rep.A:
-            assert basis.nu > 0.0
-        if beta < 0:
-            assert basis.alpha > -1.0 / (2.0 * beta)
-        elif basis.rep in (Rep.A, Rep.C):
-            assert basis.alpha > 1.0 / beta
-        elif beta < 1.0:
-            assert basis.alpha > -1.0 + 1.0 / beta
+        bases = [select_representation(phys), select_representation(phys, rep="c")]
+        bases += [select_representation(phys, omega=w) for w in (0.3, 2.7)]  # reps a, b
+        for basis in bases:
+            beta = basis.beta
+            assert basis.nu > -1.0
+            assert basis.alpha > 0.0
+            if basis.rep is Rep.A:
+                assert basis.nu > 0.0
+            if beta < 0:
+                assert basis.alpha > -1.0 / (2.0 * beta)
+            elif basis.rep in (Rep.A, Rep.C):
+                assert basis.alpha > 1.0 / beta
+            elif beta < 1.0:
+                assert basis.alpha > -1.0 + 1.0 / beta
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_exponent_identity_and_integrability(self, label):

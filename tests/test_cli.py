@@ -22,6 +22,21 @@ def run_cli(args, tmp_path, capsys=None):
     return code
 
 
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (owner, name) method while the test runs."""
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
 class TestExitCodes:
     def test_verify_passes(self, tmp_path, capsys):
         code = run_cli(["verify", "--A", "3", "--mu", "-2", "--kappa", "1",
@@ -191,19 +206,18 @@ class TestSolveOutputs:
         # samples, rows and scale come from one evaluation of the two component
         # forms and their two first derivatives; no second derivative is
         # built, and the output directory is made once
-        calls = collections.Counter()
-
-        def counted(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(LaguerreForm, "eval", counted("eval", LaguerreForm.eval))
-        monkeypatch.setattr(LaguerreForm, "d_dr", counted("d_dr", LaguerreForm.d_dr))
-        monkeypatch.setattr(Path, "mkdir", counted("mkdir", Path.mkdir))
+        calls = _count_calls(monkeypatch, (LaguerreForm, "eval"), (LaguerreForm, "d_dr"),
+                             (Path, "mkdir"))
         assert run_cli(["solve"] + SOLVE_ARGS, tmp_path) == 0
         assert calls == {"eval": 4, "d_dr": 2, "mkdir": 1}
+
+    def test_special_case_second_order_pass(self, tmp_path, capsys, monkeypatch):
+        # the first-order grid pass (4 evals), then per component one evaluation
+        # of its value and second-derivative forms for residual and scale together
+        calls = _count_calls(monkeypatch, (LaguerreForm, "eval"))
+        assert run_cli(["special-case", "--A", "2", "--mu", "0.5", "--kappa", "-1"],
+                       tmp_path) == 0
+        assert calls == {"eval": 8}
 
     @pytest.mark.parametrize("args", [
         ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1", "--N", "20"],
@@ -501,6 +515,17 @@ class TestEntryPoint:
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert "|rho| = 1" in proc.stderr and "representation c" in proc.stderr
+
+    def test_rep_c_alpha_at_bound_is_config_error(self, tmp_path):
+        # representation c's free alpha must exceed max(1/beta, -1/(2 beta)) = 0.5
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", "2",
+             "--kappa", "-1", "--alpha=0.5", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert "requires alpha > 0.5 for representation c" in proc.stderr
 
     def test_huge_quad_order_is_config_error(self, tmp_path):
         # refused before the order-10^5 Jacobi matrix is allocated

@@ -158,6 +158,13 @@ class TestHyperbolicMeixnerPollaczek:
             expected = 2.0 * (lam * math.cosh(th) + y * math.sinh(th))
             assert hyp_mp_eval(1, lam, y, th) == pytest.approx(expected, rel=1e-13)
 
+    def test_large_theta_keeps_the_decaying_exponential(self):
+        # at theta = -114, P_1 = (lam+y) e^theta + (lam-y) e^{-theta} = 3 e^{-114}:
+        # cosh and sinh (each ~1.6e49 in size) cancel exactly in floats
+        expected = hyp_mp_series(1, 1.5, 1.5, -114.0)
+        assert expected == pytest.approx(3.0 * math.exp(-114.0), rel=1e-14, abs=0.0)
+        assert hyp_mp_eval(1, 1.5, 1.5, -114.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("lam", [0.5, 1.25, 2.0])
     @pytest.mark.parametrize("theta", [-0.7, 0.4, 1.2])
     @pytest.mark.parametrize("y", [-1.0, 0.0, 0.8])
@@ -257,11 +264,12 @@ class TestOraclePrecision:
         assert mp_series(n, lam, y, theta) == pytest.approx(mp_ref, rel=1e-12)
 
 
-def _mp_loop(n, lam, y, c, s):
-    # the per-step Meixner-Pollaczek loop the kernel replaced (reference)
+def _mp_loop(n, lam, diag):
+    # the per-step Meixner-Pollaczek loop the kernel replaced (reference), with
+    # the family's diagonal diag(k)
     p_prev, p = 0.0, 1.0
     for k in range(n):
-        p_next = (2.0 * ((k + lam) * c + y * s) * p - (k + 2.0 * lam - 1.0) * p_prev) / (k + 1.0)
+        p_next = (diag(k) * p - (k + 2.0 * lam - 1.0) * p_prev) / (k + 1.0)
         p_prev, p = p, p_next
     return p
 
@@ -291,11 +299,13 @@ class TestForwardRecurrence:
     @pytest.mark.parametrize("n", [0, 1, 7, 40])
     def test_family_evaluators_bit_for_bit(self, n):
         for lam, y, theta in [(0.6, -2.0, 0.8), (2.5, 0.7, 2.4)]:
-            assert mp_eval(n, lam, y, theta) == _mp_loop(n, lam, y, math.cos(theta),
-                                                         math.sin(theta))
+            c, s = math.cos(theta), math.sin(theta)
+            assert mp_eval(n, lam, y, theta) == _mp_loop(
+                n, lam, lambda k: 2.0 * ((k + lam) * c + y * s))
         for lam, y, theta in [(0.5, -1.0, -0.7), (2.0, 0.8, 1.2)]:
-            assert hyp_mp_eval(n, lam, y, theta) == _mp_loop(n, lam, y, math.cosh(theta),
-                                                             math.sinh(theta))
+            up, down = math.exp(theta), math.exp(-theta)
+            assert hyp_mp_eval(n, lam, y, theta) == _mp_loop(
+                n, lam, lambda k: (k + lam + y) * up + (k + lam - y) * down)
         for lam, ysq, a, b in [(0.6, 0.5, 0.8, 1.2), (1.5, 7.0, 0.7, 2.0)]:
             assert cdh_eval(n, lam, ysq, a, b) == _cdh_loop(n, lam, ysq, a, b)
             y = math.sqrt(ysq)

@@ -21,8 +21,9 @@ from pathlib import Path
 
 # (name, argv): the README commands, the four golden cases (readme-solve is
 # one), the four verify-warm configurations (readme-verify is one, at its
-# default N = 40), long-horizon and ceiling solves, and one solve past the
-# rep-b ceiling (exit 2).
+# default N = 40), the CI verifies at a large recursion angle, at extreme rho
+# and with a user rep-c alpha, long-horizon and ceiling solves, and two refused
+# inputs (exit 2): a solve past the rep-b ceiling and a rep-c alpha at its bound.
 COMMANDS = (
     ("readme-solve", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
                       "--N", "20"]),
@@ -39,12 +40,24 @@ COMMANDS = (
     ("verify-rep-c", ["verify", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "40"]),
     ("verify-eps-minus", ["verify", "--A", "2", "--mu", "0.5", "--kappa", "-1",
                           "--epsilon", "-1", "--N", "40"]),
+    ("verify-large-theta", ["verify", "--A", "-1.7164122766073617", "--mu",
+                            "-3.8641876132271795", "--kappa", "-5", "--omega",
+                            "0.9324215474167732"]),
+    ("verify-rho-553", ["verify", "--A", "14.202967632234262", "--mu",
+                        "-0.0003961086828168446", "--kappa", "-6", "--omega",
+                        "0.05136804371362816"]),
+    ("verify-rho-0.0146", ["verify", "--A", "0.682400674505875", "--mu", "-1.8283871637591878",
+                           "--kappa", "-2", "--N", "80", "--omega", "3.447820115026237"]),
+    ("verify-rep-c-alpha", ["verify", "--A", "1", "--mu", "2", "--kappa", "-1",
+                            "--alpha", "1.2"]),
     ("solve-rep-b-160", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "160"]),
     ("solve-rep-a-113", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
                          "--N", "113"]),
     ("solve-rep-b-177", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "177"]),
     ("solve-rep-c-176", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "176"]),
     ("solve-rep-b-178", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "178"]),
+    ("solve-rep-c-alpha-bound", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1",
+                                 "--alpha=0.5"]),
 )
 
 
