@@ -58,8 +58,6 @@ class RunConfig:
     alpha: float | None = _setting("alpha", float,
                                    "free basis exponent (representation c only)", None)
     N: int = _setting("N", int, "series truncation (default 40)", 40)
-    quad_order: int | None = _setting("quad-order", int, "quadrature order for every "
-                                      "integral (default: exact per integral)", None)
     seed: int = _setting("seed", int, "seed for sampled check points", 1234)
     out: str = _setting("out", str, "output directory (default .)", ".")
 
@@ -68,11 +66,9 @@ class RunConfig:
                               lam=self.lam, eps=self.eps)
 
     def solve(self, N: int | None = None, phys: PhysicalParams | None = None) -> SeriesSolution:
-        """The series solution with this run's basis and quadrature settings, at
-        truncation N (default self.N) and parameters phys (default this run's)."""
+        """The series solution at truncation N and parameters phys (default: this run's)."""
         return solve(self.physical_params() if phys is None else phys,
-                     N=self.N if N is None else N, omega=self.omega, alpha=self.alpha,
-                     quad_order=self.quad_order)
+                     N=self.N if N is None else N, omega=self.omega, alpha=self.alpha)
 
     @functools.cached_property
     def out_dir(self) -> Path:
@@ -180,7 +176,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     k = np.arange(min(12, max(config.N, 2)) + 1)
     ana = build_operator(der, k[-1]).as_matrix()
     psi = basis_spinor(basis, k)
-    num = bilinear_form(basis, base.phys, psi, psi, order=config.quad_order)
+    num = bilinear_form(basis, base.phys, psi, psi)
     far = np.abs(k[:, None] - k) > 1
     add("operator-tridiagonality", np.max(np.abs(num[far])) / max(np.max(np.abs(ana)), 1.0),
         1e-8, "projections vanish beyond the three central bands")
@@ -397,8 +393,7 @@ def _cmd_convergence(config: RunConfig) -> int:
 def _cmd_special_case(config: RunConfig) -> int:
     if config.omega is not None:
         raise ValueError("the diagonal case tunes omega itself; do not pass --omega")
-    sol = diagonal_special_case(config.physical_params(),
-                                quad_order=config.quad_order)
+    sol = diagonal_special_case(config.physical_params())
     r, grid = _grid(sol)
     stats = _residual_stats(sol, r, grid)
     dirac_rel = max(stats["max_leading_row_relative"], stats["max_identity_row_relative"])

@@ -139,9 +139,18 @@ def terminating_series(N: int, terms) -> np.ndarray:
         dps = min(max(2 * dps, int(need) + _GUARD_DIGITS), _MAX_DPS)
 
 
-def _check_laguerre_params(n: int, nu: float, x) -> None:
+def _check_order(n: int) -> None:
     if n < 0 or n != int(n):
         raise ValueError(f"polynomial order must be a non-negative integer, got {n}")
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got {theta}; see hyp_mp_*")
+
+
+def _check_laguerre_params(n: int, nu: float, x) -> None:
+    _check_order(n)
     if nu <= -1:
         raise ValueError(f"Laguerre parameter must satisfy nu > -1, got nu={nu}")
     if np.any(np.asarray(x) < 0):
@@ -206,8 +215,7 @@ def laguerre_deriv(n: int, nu: float, x) -> float:
 
 
 def _check_mp_params(n: int, lam: float) -> None:
-    if n < 0 or n != int(n):
-        raise ValueError(f"polynomial order must be a non-negative integer, got {n}")
+    _check_order(n)
     if lam <= 0:
         raise ValueError(f"Meixner-Pollaczek parameter must satisfy lam > 0, got {lam}")
 
@@ -226,11 +234,7 @@ def mp_eval(n: int, lam: float, y: float, theta: float) -> float:
     (n+1) P_{n+1} = 2[(n+lam) cos(theta) + y sin(theta)] P_n - (n+2lam-1) P_{n-1}.
     """
     _check_mp_params(n, lam)
-    if not 0.0 < theta < math.pi:
-        raise ValueError(
-            f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}; "
-            "use hyp_mp_eval for the hyperbolic continuation"
-        )
+    _check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     return _mp_recurrence(n, lam, lambda k: 2.0 * ((k + lam) * c + y * s))
 
@@ -243,8 +247,7 @@ def mp_series(n: int, lam: float, y: float, theta: float) -> float:
     the sum is complex but the value is real (imaginary part is roundoff).
     """
     _check_mp_params(n, lam)
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}")
+    _check_theta(theta)
     import mpmath as mp
 
     def terms():
@@ -262,8 +265,7 @@ def mp_weight(y: float, lam: float, theta: float) -> float:
     rho(y) = (1/2pi) (2 sin theta)^{2 lam} e^{(2 theta - pi) y} |Gamma(lam + iy)|^2,
     normalized so that <P_n, P_m> = [Gamma(n+2lam)/Gamma(n+1)] delta_nm.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"Meixner-Pollaczek requires 0 < theta < pi, got theta={theta}")
+    _check_theta(theta)
     import mpmath as mp
     log_abs_gamma_sq = 2.0 * mp.fp.loggamma(complex(lam, y)).real
     log_w = (
@@ -316,8 +318,7 @@ def hyp_mp_series_all(N: int, lam: float, y: float, theta: float) -> np.ndarray:
 
 
 def _check_cdh_params(n: int, lam: float, ysq: float, a: float, b: float) -> None:
-    if n < 0 or n != int(n):
-        raise ValueError(f"polynomial order must be a non-negative integer, got {n}")
+    _check_order(n)
     if lam <= 0 or a <= 0 or b <= 0:
         raise ValueError(
             f"continuous dual Hahn requires lam, a, b > 0, got ({lam}, {a}, {b})"
@@ -389,8 +390,7 @@ def cdh_weight(y: float, lam: float, a: float, b: float) -> float:
 
 
 def _check_mod_cdh_params(n: int, lam: float, a: float, b: float) -> None:
-    if n < 0 or n != int(n):
-        raise ValueError(f"polynomial order must be a non-negative integer, got {n}")
+    _check_order(n)
     if lam + a <= 0 or lam + b <= 0:
         raise ValueError(
             "modified continuous dual Hahn requires lam+a > 0 and lam+b > 0, "

@@ -75,9 +75,9 @@ class SeriesSolution:
     coeffs holds f_0..f_N (f-scaling, pre-normalization); f_next = f_{N+1}
     feeds the weak-form boundary identity.  For eps = -1 the stored basis and
     derived parameters belong to the reflected (+1) problem and the component
-    forms are already swapped.  quad_order is the user's Gauss-Laguerre order
-    override, or None for the exact order `integrate_product` picks per integral.
-    eps, N and mapped_phys are read off phys and coeffs, so they cannot disagree.
+    forms are already swapped.  Each integral of the forms takes the exact
+    Gauss-Laguerre order for its degree.  eps, N and mapped_phys are read off
+    phys and coeffs, so they cannot disagree.
     """
 
     phys: PhysicalParams
@@ -88,7 +88,6 @@ class SeriesSolution:
     norm_const: float
     form_plus: LaguerreForm
     form_minus: LaguerreForm
-    quad_order: int | None
 
     @property
     def eps(self) -> int:
@@ -130,58 +129,56 @@ class SeriesSolution:
 
 def default_r_grid(basis: BasisParams, num: int = 60, x_lo: float = 0.01,
                    x_hi: float = 30.0) -> np.ndarray:
-    """Log-spaced radial grid covering x = (omega r)^beta in [x_lo, x_hi]."""
-    x = np.geomspace(x_lo, x_hi, num)
-    return np.sort(basis.measure.r_of_x(x))
+    """Log-spaced radial grid covering x = (omega r)^beta in [x_lo, x_hi]; a
+    ValueError when a radius is not a positive finite double."""
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        r = np.sort(basis.measure.r_of_x(np.geomspace(x_lo, x_hi, num)))
+    if not 0.0 < r[0] <= r[-1] < np.inf:
+        raise ValueError(f"radial grid leaves double range (omega = {basis.omega:.4g}, "
+                         f"beta = {basis.beta:.4g})")
+    return r
 
 
 def _normalized(phys: PhysicalParams, basis: BasisParams, der: DerivedParams,
-                coeffs: np.ndarray, f_next: float,
-                quad_order: int | None) -> SeriesSolution:
+                coeffs: np.ndarray, f_next: float) -> SeriesSolution:
     """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
 
     Raises ValueError when the norm is not a positive finite number."""
     form_plus, form_minus = spinor_forms(basis, coeffs)
-    norm_sq = sum(integrate_product(form, form, basis.measure, order=quad_order)
-                  for form in (form_plus, form_minus))
+    norm_sq = sum(integrate_product(f, f, basis.measure) for f in (form_plus, form_minus))
     if not 0.0 < norm_sq < math.inf:
         raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
                          "cannot normalize")
-    return SeriesSolution(
-        phys=phys, basis=basis, derived=der, coeffs=coeffs, f_next=f_next,
-        norm_const=1.0 / math.sqrt(norm_sq),
-        form_plus=form_plus, form_minus=form_minus, quad_order=quad_order,
-    )
+    return SeriesSolution(phys=phys, basis=basis, derived=der, coeffs=coeffs, f_next=f_next,
+                          norm_const=1.0 / math.sqrt(norm_sq),
+                          form_plus=form_plus, form_minus=form_minus)
 
 
-def assemble(phys: PhysicalParams, basis: BasisParams, N: int,
-             quad_order: int | None = None) -> SeriesSolution:
+def assemble(phys: PhysicalParams, basis: BasisParams, N: int) -> SeriesSolution:
     """Build and normalize the N-term series solution at eps = +1.
 
     Raises ValueError when the coefficients or the norm leave double range, and
-    before the recursion when the norm would need an order above MAX_ORDER."""
+    before the recursion when the norm's exact order would exceed MAX_ORDER."""
     if phys.eps != 1:
         raise ValueError("assemble works at eps = +1; use negative_energy_solution")
     if N < 0:
         raise ValueError("truncation N must be non-negative")
-    if quad_order is None and (order := quadrature_order(2 * N)) > MAX_ORDER:  # <phi+|phi+>
+    if (order := quadrature_order(2 * N)) > MAX_ORDER:  # <phi+|phi+>
         raise ValueError(f"N = {N} is too large: the series norm needs quadrature order "
                          f"{order}, above the largest, {MAX_ORDER}")
     der = derived_params(basis, phys)
     seq = coefficient_sequence(der, N + 1)
     fall = rescale(seq, "f").values
-    return _normalized(phys, basis, der, fall[:N + 1], float(fall[N + 1]), quad_order)
+    return _normalized(phys, basis, der, fall[:N + 1], float(fall[N + 1]))
 
 
 def solve(phys: PhysicalParams, N: int, omega: float | None = None,
-          alpha: float | None = None, rep: Rep | str | None = None,
-          quad_order: int | None = None) -> SeriesSolution:
+          alpha: float | None = None, rep: Rep | str | None = None) -> SeriesSolution:
     """Representation selection + assembly, dispatching on the energy sign."""
     if phys.eps == -1:
-        return negative_energy_solution(phys, N, omega=omega, alpha=alpha,
-                                        rep=rep, quad_order=quad_order)
+        return negative_energy_solution(phys, N, omega=omega, alpha=alpha, rep=rep)
     basis = select_representation(phys, omega=omega, alpha=alpha, rep=rep)
-    return assemble(phys, basis, N, quad_order=quad_order)
+    return assemble(phys, basis, N)
 
 
 def evaluate(sol: SeriesSolution, r) -> SpinorSample:
@@ -303,7 +300,7 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     if sol.eps != 1:
         raise ValueError("weak-form projections are computed on the eps = +1 problem")
     value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n),
-                          (sol.form_plus, sol.form_minus), order=sol.quad_order)
+                          (sol.form_plus, sol.form_minus))
     return sol.norm_const * value, sol.weak_form_scale
 
 
@@ -339,8 +336,8 @@ def swap_energy(sol: SeriesSolution) -> SeriesSolution:
 
 
 def negative_energy_solution(phys: PhysicalParams, N: int, omega: float | None = None,
-                             alpha: float | None = None, rep: Rep | str | None = None,
-                             quad_order: int | None = None) -> SeriesSolution:
+                             alpha: float | None = None,
+                             rep: Rep | str | None = None) -> SeriesSolution:
     """Solution at eps = -1, via the reflected eps = +1 problem.
 
     The reflected problem (-A, -kappa) is solved at eps = +1 and the two
@@ -350,10 +347,10 @@ def negative_energy_solution(phys: PhysicalParams, N: int, omega: float | None =
         raise ValueError("negative_energy_solution expects eps = -1 parameters")
     reflected = map_params(phys)
     basis = select_representation(reflected, omega=omega, alpha=alpha, rep=rep)
-    return swap_energy(assemble(reflected, basis, N, quad_order=quad_order))
+    return swap_energy(assemble(reflected, basis, N))
 
 
-def diagonal_special_case(phys: PhysicalParams, quad_order: int | None = None) -> SeriesSolution:
+def diagonal_special_case(phys: PhysicalParams) -> SeriesSolution:
     """The single-term solution where the representation turns diagonal.
 
     Requires beta*kappa < 0 and beta*A > 0; omega is tuned so rho = +1, which
@@ -382,7 +379,7 @@ def diagonal_special_case(phys: PhysicalParams, quad_order: int | None = None) -
         raise ValueError("diagonal reduction conditions failed: "
                          f"sigma_-={der.sigma_minus}, D_0={d0}")
 
-    return _normalized(phys, basis, der, np.array([1.0]), 0.0, quad_order)
+    return _normalized(phys, basis, der, np.array([1.0]), 0.0)
 
 
 def diagonal_correspondence(basis: BasisParams) -> dict:

@@ -299,7 +299,7 @@ class TestConfigFile:
 BASE_B = {"A": 1.0, "mu": -1.5, "kappa": -3, "N": 2}  # representation b: omega is free
 BASE_C = {"A": 1.0, "mu": 2.0, "kappa": -1, "N": 2}   # representation c: alpha is free
 DEFAULTS = {"mode": "solve", "lam": 1.0, "eps": 1, "omega": None, "alpha": None,
-            "N": 40, "quad_order": None, "seed": 1234, "out": "."}
+            "N": 40, "seed": 1234, "out": "."}
 # flag, its config-file keys, the RunConfig field, two values, a configuration
 # that accepts both
 SETTINGS = [
@@ -310,7 +310,6 @@ SETTINGS = [
     ("omega", ("omega",), "omega", 0.75, 1.5, BASE_B),
     ("alpha", ("alpha",), "alpha", 0.75, 1.5, BASE_C),
     ("N", ("N",), "N", 3, 4, BASE_B),
-    ("quad-order", ("quad_order",), "quad_order", 60, 70, BASE_B),
     ("epsilon", ("epsilon", "eps"), "eps", -1, 1, BASE_C),
     ("seed", ("seed",), "seed", 7, 8, BASE_B),
     ("out", ("out",), "out", "one", "two", BASE_B),
@@ -395,8 +394,9 @@ class TestEntryPoint:
         assert (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("argv", [["solve", "--epsilon", "2"], ["bogus"],
-                                      ["solve", "--N", "3.5"]],
-                             ids=["epsilon-choice", "unknown-mode", "non-integer-N"])
+                                      ["solve", "--N", "3.5"], ["solve", "--quad-order", "60"]],
+                             ids=["epsilon-choice", "unknown-mode", "non-integer-N",
+                                  "removed-quad-order"])
     def test_parse_error_is_one_line(self, tmp_path, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "diracpl.cli", *argv, *SOLVE_ARGS[:6],
@@ -413,7 +413,7 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: diracpl")
-        assert "--quad-order" in proc.stdout
+        assert "--epsilon" in proc.stdout and "--config" in proc.stdout
 
     @pytest.mark.parametrize("mu", ["0.999999999", "1.000000001"])
     def test_near_excluded_power_is_config_error(self, tmp_path, mu):
@@ -476,6 +476,21 @@ class TestEntryPoint:
         assert len(proc.stderr.splitlines()) == 1
         assert "double range" in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["solve", "verify", "convergence"])
+    def test_grid_radius_overflow_is_config_error(self, tmp_path, capsys, mode):
+        # representation c near mu = 1 (beta = -0.008, omega = 4.9e-146): the
+        # grid radii x^(1/beta)/omega overflow
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            code = main([mode, "--A", "0.05903017090438638", "--mu", "1.0080326275811557",
+                         "--kappa", "-1", "--N", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "radial grid leaves double range" in err
+        assert not out.exists()
+
     def test_residual_scale_underflow_is_config_error(self, tmp_path):
         # representation c with omega = 5e-301: the grid radii reach ~1e299
         # and every residual term underflows, so the relative residuals have
@@ -527,17 +542,6 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         assert "requires alpha > 0.5 for representation c" in proc.stderr
 
-    def test_huge_quad_order_is_config_error(self, tmp_path):
-        # refused before the order-10^5 Jacobi matrix is allocated
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "verify", "--A", "1", "--mu", "-1.5",
-             "--kappa", "-3", "--quad-order", "100000", "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=30)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-        assert "quadrature order" in proc.stderr and "got 100000" in proc.stderr
-
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is a test-only dependency: a solve must not import it
         code = ("import sys\n"
@@ -567,7 +571,7 @@ class TestParserReuse:
     def test_successive_calls_leak_no_values(self, tmp_path, capsys):
         # the second in-process call gives what a fresh process gives
         first = ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
-                 "--N", "12", "--quad-order", "60", "--seed", "7", "--lambda", "0.5"]
+                 "--N", "12", "--seed", "7", "--lambda", "0.5"]
         second = ["solve", *SOLVE_ARGS]
         assert main(first + ["--out", str(tmp_path / "first")]) == 0
         assert main(second + ["--out", str(tmp_path / "second")]) == 0
@@ -679,35 +683,17 @@ def test_small_theta_rep_b_verifies(tmp_path, capsys, args):
 
 
 class TestQuadratureOrder:
-    """Each integral takes the exact Gauss-Laguerre order for its degree unless
-    --quad-order overrides it."""
+    """Each integral takes the exact Gauss-Laguerre order for its degree; no
+    flag or config key sets another."""
 
-    @pytest.mark.parametrize("args", [
-        ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1"],
-        ["--A", "1", "--mu", "-1.5", "--kappa", "-3"],
-        ["--A", "1", "--mu", "2", "--kappa", "-1"],
-    ], ids=["a", "b", "c"])
-    def test_override_matches_exact_orders(self, tmp_path, capsys, args):
-        exact, override = tmp_path / "exact", tmp_path / "override"
-        assert main(["solve", *args, "--N", "40", "--out", str(exact)]) == 0
-        assert main(["solve", *args, "--N", "40", "--quad-order", "100",
-                     "--out", str(override)]) == 0
-        assert ((exact / "coefficients.json").read_bytes()
-                == (override / "coefficients.json").read_bytes())
-        ref = np.loadtxt(exact / "samples.csv", delimiter=",", skiprows=1)
-        got = np.loadtxt(override / "samples.csv", delimiter=",", skiprows=1)
-        spinor_scale = np.max(np.abs(ref[:, 1:3]))
-        assert np.max(np.abs(got[:, 1:3] - ref[:, 1:3])) <= 1e-12 * spinor_scale
-        scale = json.loads((exact / "report.json").read_text())["residual_stats"]["scale"]
-        assert np.max(np.abs(got[:, 3:] - ref[:, 3:])) <= 1e-12 * scale
-
-    def test_too_low_override_is_config_error(self, tmp_path, capsys):
-        code = main(["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "40",
-                     "--quad-order", "10", "--out", str(tmp_path)])
+    def test_quad_order_config_key_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("A = 1\nmu = -1.5\nkappa = -3\nquad_order = 60\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert code == 2
         assert len(err.splitlines()) == 1
-        assert "quadrature order 10" in err
+        assert "unknown config key 'quad_order'" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [["--A", "1", "--mu", "-1.5", "--kappa", "-3"],
                                       ["--A", "1", "--mu", "2", "--kappa", "-1"]],

@@ -16,7 +16,8 @@ from diracpl.solution import (SpinorSample, assemble, default_r_grid,
                               residual_scale, second_order_residual,
                               second_order_scale, solve, swap_energy,
                               weak_form_boundary_check, weak_form_residual)
-from diracpl.wave_operator import matrix_element_analytic, matrix_element_numeric
+from diracpl.wave_operator import (basis_spinor, bilinear_form, matrix_element_analytic,
+                                   matrix_element_numeric)
 
 DIAG_PHYS = dict(A=2.0, mu=0.5, kappa=-1)  # beta = 0.5: beta*kappa < 0, beta*A > 0
 
@@ -44,8 +45,8 @@ class TestAssembly:
         phys, sol = _solve_case("a_rho2")
         scaled_plus, scaled_minus = spinor_forms(sol.basis, 137.5 * sol.coeffs)
         m = sol.basis.measure
-        norm = math.sqrt(integrate_product(scaled_plus, scaled_plus, m, order=sol.quad_order)
-                         + integrate_product(scaled_minus, scaled_minus, m, order=sol.quad_order))
+        norm = math.sqrt(integrate_product(scaled_plus, scaled_plus, m)
+                         + integrate_product(scaled_minus, scaled_minus, m))
         r = default_r_grid(sol.basis, num=15)
         ref_p, ref_m = evaluate_grid(sol, r)
         x = sol.basis.x_of_r(r)
@@ -54,6 +55,24 @@ class TestAssembly:
         scale = np.max(np.abs(ref_p)) + np.max(np.abs(ref_m))
         assert np.max(np.abs(got_p - ref_p)) < 1e-12 * scale
         assert np.max(np.abs(got_m - ref_m)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("phys,omega", [
+        (PhysicalParams(A=3.0, mu=-2.0, kappa=1), 1.0),
+        (PhysicalParams(A=1.0, mu=-1.5, kappa=-3), None),
+        (PhysicalParams(A=1.0, mu=2.0, kappa=-1), None),
+    ], ids=["a", "b", "c"])
+    def test_over_integration_matches_default_order(self, phys, omega):
+        # the default orders are exact: an order-100 rule changes neither the
+        # norm nor the boundary projection beyond roundoff
+        sol = solve(phys, 40, omega=omega)
+        forms = (sol.form_plus, sol.form_minus)
+        norm = sol.norm_const ** 2 * sum(integrate_product(f, f, sol.basis.measure, order=100)
+                                         for f in forms)
+        assert abs(norm - 1.0) <= 1e-12
+        value, scale = weak_form_residual(sol, sol.N)
+        rich = sol.norm_const * bilinear_form(sol.basis, sol.phys,
+                                              basis_spinor(sol.basis, sol.N), forms, order=100)
+        assert abs(rich - value) <= 1e-12 * scale
 
     def test_single_term_linearity(self):
         phys, basis = build_case("a_rho2")

@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# The README command-line examples and the CLI's refusal contract, run with an
+# installed `diracpl`:
+#
+#     tools/readme_examples.sh OUT_DIR
+#
+# Each command writes under OUT_DIR.  PYTHONWARNINGS=error turns a leaked NumPy
+# warning into a failure.  The N = 160 rep-b solve takes representation b's
+# coefficient product to a long horizon, and the N = 113 rep-a and N = 177
+# rep-b solves sit at the measured ceilings, where coefficients.json holds its
+# largest values (|g| up to 9.2e53 in rep a).  The eps = -1 verify runs the
+# energy reflection (swap_energy) path; the kappa = -1 verify the
+# representation-c branch of the batched stencil, and with --alpha 1.2 a user
+# alpha, which representation c bounds; the theta = 5.5 verify a recursion
+# angle where cosh^2(theta) ~ 1.5e4; the rho = 553 and rho = 0.0146 verifies
+# rep-b coefficients that change by only e^{-|theta|}, |theta| <= 0.03, per
+# step; the --config verify reads a file written with the alias keys lambda
+# and epsilon.  Every one of these exits 0.  The last three commands must be
+# refused with exit 2 and one stderr line: near mu = 1 (beta = -0.008,
+# omega = 4.9e-146) the radial grid leaves double range.
+set -euo pipefail
+out=${1:?usage: tools/readme_examples.sh OUT_DIR}
+export PYTHONWARNINGS=error
+
+diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 20 --out "$out/readme-solve"
+diracpl solve --A 1 --mu -1.5 --kappa -3 --N 160 --out "$out/solve-rep-b-160"
+diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 113 --out "$out/solve-rep-a-ceiling"
+diracpl solve --A 1 --mu -1.5 --kappa -3 --N 177 --out "$out/solve-rep-b-ceiling"
+diracpl verify --A 3 --mu -2 --kappa 1 --omega 1 --out "$out/readme-verify"
+diracpl verify --A 2 --mu 0.5 --kappa -1 --epsilon -1 --out "$out/verify-eps-minus"
+diracpl verify --A 1 --mu 2 --kappa -1 --out "$out/verify-rep-c"
+diracpl verify --A 1 --mu 2 --kappa -1 --alpha 1.2 --out "$out/verify-rep-c-alpha"
+diracpl verify --A -1.7164122766073617 --mu -3.8641876132271795 --kappa -5 --omega 0.9324215474167732 --out "$out/verify-large-theta"
+diracpl verify --A 14.202967632234262 --mu -0.0003961086828168446 --kappa -6 --omega 0.05136804371362816 --out "$out/verify-rho-553"
+diracpl verify --A 0.682400674505875 --mu -1.8283871637591878 --kappa -2 --N 80 --omega 3.447820115026237 --out "$out/verify-rho-0.0146"
+diracpl convergence --A 1 --mu -1.5 --kappa -3 --omega 0.5253 --out "$out/readme-convergence"
+diracpl special-case --A 2 --mu 0.5 --kappa -1 --out "$out/readme-special-case"
+diracpl --help
+printf 'A = 1\nmu = -1.5\nkappa = -3\nlambda = 1\nepsilon = 1\n' > "$out/aliases.cfg"
+diracpl verify --config "$out/aliases.cfg" --out "$out/verify-config"
+
+# refused NAME ARGS...: `diracpl ARGS` exits 2 with exactly one stderr line
+refused() {
+    local name=$1 code=0
+    shift
+    diracpl "$@" --out "$out/$name" 2> "$out/$name.err" || code=$?
+    if [ "$code" -ne 2 ] || [ "$(wc -l < "$out/$name.err")" -ne 1 ]; then
+        echo "expected exit 2 and one stderr line from diracpl $*, got exit $code:" >&2
+        cat "$out/$name.err" >&2
+        exit 1
+    fi
+}
+
+for mode in solve verify convergence; do
+    refused "$mode-grid-overflow" "$mode" --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20
+done
