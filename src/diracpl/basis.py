@@ -123,10 +123,13 @@ class BasisParams:
         return RadialMeasure(beta=self.beta, omega=self.omega)
 
     def norm_const(self, n):
-        """a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1)) for one index or an index array."""
+        """a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1)) for one index or an
+        index array; a ValueError when one is below the smallest normal double."""
         scale, nu = math.sqrt(self.omega * abs(self.beta)), self.nu  # nu > -1 in every basis
         a_n = [scale * math.exp(0.5 * (math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0)))
                for k in np.ravel(n).tolist()]
+        if min(a_n, default=1.0) < np.finfo(float).tiny:
+            raise ValueError(f"basis normalization a_n = {min(a_n):.3g} underflows (nu = {nu:.4g})")
         return a_n[0] if np.ndim(n) == 0 else np.reshape(a_n, np.shape(n))
 
     def x_of_r(self, r):

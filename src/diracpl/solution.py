@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (BasisParams, PhysicalParams, Rep, _check_r, select_representation,
-                    spinor_forms)
+from .basis import (_EXCLUDED_MU, BasisParams, PhysicalParams, Rep, _check_r,
+                    select_representation, spinor_forms)
 from .forms import LaguerreForm, integrate_product, quadrature_order
 from .quadrature import MAX_ORDER
 from .recursion import coefficient_sequence, rescale
@@ -73,21 +73,24 @@ class SeriesSolution:
     """Normalized truncated series solution.
 
     coeffs holds f_0..f_N (f-scaling, pre-normalization); f_next = f_{N+1}
-    feeds the weak-form boundary identity.  For eps = -1 the stored basis and
-    derived parameters belong to the reflected (+1) problem and the component
-    forms are already swapped.  Each integral of the forms takes the exact
-    Gauss-Laguerre order for its degree.  eps, N and mapped_phys are read off
-    phys and coeffs, so they cannot disagree.
+    feeds the weak-form boundary identity.  derived is the one record of the
+    basis and its recursion constants; for eps = -1 it belongs to the reflected
+    (+1) problem and the component forms are already swapped.  Each integral
+    of the forms takes the exact Gauss-Laguerre order for its degree.  eps, N,
+    basis and mapped_phys are read off the fields, so they cannot disagree.
     """
 
     phys: PhysicalParams
-    basis: BasisParams
     derived: DerivedParams
     coeffs: np.ndarray
     f_next: float
     norm_const: float
     form_plus: LaguerreForm
     form_minus: LaguerreForm
+
+    @property
+    def basis(self) -> BasisParams:
+        return self.derived
 
     @property
     def eps(self) -> int:
@@ -127,29 +130,28 @@ class SeriesSolution:
         return {k: form.d_dr(self.basis.measure) for k, form in self.d_dr_forms.items()}
 
 
-def default_r_grid(basis: BasisParams, num: int = 60, x_lo: float = 0.01,
-                   x_hi: float = 30.0) -> np.ndarray:
-    """Log-spaced radial grid covering x = (omega r)^beta in [x_lo, x_hi]; a
+def default_r_grid(basis: BasisParams, num: int = 60) -> np.ndarray:
+    """Log-spaced radial grid covering x = (omega r)^beta in [0.01, 30]; a
     ValueError when a radius is not a positive finite double."""
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        r = np.sort(basis.measure.r_of_x(np.geomspace(x_lo, x_hi, num)))
+        r = np.sort(basis.measure.r_of_x(np.geomspace(0.01, 30.0, num)))
     if not 0.0 < r[0] <= r[-1] < np.inf:
         raise ValueError(f"radial grid leaves double range (omega = {basis.omega:.4g}, "
                          f"beta = {basis.beta:.4g})")
     return r
 
 
-def _normalized(phys: PhysicalParams, basis: BasisParams, der: DerivedParams,
-                coeffs: np.ndarray, f_next: float) -> SeriesSolution:
+def _normalized(phys: PhysicalParams, der: DerivedParams, coeffs: np.ndarray,
+                f_next: float) -> SeriesSolution:
     """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
 
     Raises ValueError when the norm is not a positive finite number."""
-    form_plus, form_minus = spinor_forms(basis, coeffs)
-    norm_sq = sum(integrate_product(f, f, basis.measure) for f in (form_plus, form_minus))
+    form_plus, form_minus = spinor_forms(der, coeffs)
+    norm_sq = sum(integrate_product(f, f, der.measure) for f in (form_plus, form_minus))
     if not 0.0 < norm_sq < math.inf:
         raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
                          "cannot normalize")
-    return SeriesSolution(phys=phys, basis=basis, derived=der, coeffs=coeffs, f_next=f_next,
+    return SeriesSolution(phys=phys, derived=der, coeffs=coeffs, f_next=f_next,
                           norm_const=1.0 / math.sqrt(norm_sq),
                           form_plus=form_plus, form_minus=form_minus)
 
@@ -169,7 +171,7 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int) -> SeriesSolution
     der = derived_params(basis, phys)
     seq = coefficient_sequence(der, N + 1)
     fall = rescale(seq, "f").values
-    return _normalized(phys, basis, der, fall[:N + 1], float(fall[N + 1]))
+    return _normalized(phys, der, fall[:N + 1], float(fall[N + 1]))
 
 
 def solve(phys: PhysicalParams, N: int, omega: float | None = None,
@@ -379,7 +381,7 @@ def diagonal_special_case(phys: PhysicalParams) -> SeriesSolution:
         raise ValueError("diagonal reduction conditions failed: "
                          f"sigma_-={der.sigma_minus}, D_0={d0}")
 
-    return _normalized(phys, basis, der, np.array([1.0]), 0.0)
+    return _normalized(phys, der, np.array([1.0]), 0.0)
 
 
 def diagonal_correspondence(basis: BasisParams) -> dict:
@@ -389,8 +391,7 @@ def diagonal_correspondence(basis: BasisParams) -> dict:
             "lambda_sq_eff": basis.omega ** basis.beta}
 
 
-def diagonal_conditions_scan(kappa_values, mu_values, n_max: int = 40,
-                             tol: float = 1e-9) -> list[dict]:
+def diagonal_conditions_scan(kappa_values, mu_values, n_max: int = 40) -> list[dict]:
     """Scan the diagonalization conditions over a parameter grid.
 
     The off-diagonal elements vanish only for rho^2 = 1, and the diagonal
@@ -399,21 +400,21 @@ def diagonal_conditions_scan(kappa_values, mu_values, n_max: int = 40,
         nu_t (rho + s) + 1 - rho + 2 n = 0,   nu_t = (2 kappa+1)/beta,
 
     with s = +1 for beta*kappa > 0 and s = -1 for beta*kappa < 0.  Returns
-    every (kappa, mu, rho, n) zero found with integer 0 <= n <= n_max.
+    every (kappa, mu, rho, n) zero (to 1e-9) with integer 0 <= n <= n_max.
     """
     hits = []
     for kappa in kappa_values:
         if kappa == 0:
             continue
         for mu in mu_values:
-            if float(mu) in (0.0, 1.0, -1.0):
+            if float(mu) in _EXCLUDED_MU:
                 continue
             beta = 1.0 - mu
             nut = (2.0 * kappa + 1.0) / beta
             s = 1.0 if beta * kappa > 0.0 else -1.0
             for rho in (1.0, -1.0):
                 for n in range(n_max + 1):
-                    if abs(nut * (rho + s) + 1.0 - rho + 2.0 * n) < tol:
+                    if abs(nut * (rho + s) + 1.0 - rho + 2.0 * n) < 1e-9:
                         hits.append({"kappa": kappa, "mu": mu, "rho": rho, "n": n,
                                      "beta_kappa_positive": s > 0})
     return hits

@@ -28,7 +28,7 @@ eps = -1 is reached through the energy-reflection mapping in `solution`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,24 +55,15 @@ Spinor = tuple[LaguerreForm, LaguerreForm]  # (upper, lower) components
 
 
 @dataclass(frozen=True)
-class DerivedParams:
-    """Recursion-level constants derived from one basis + physics pair.
+class DerivedParams(BasisParams):
+    """One basis with the recursion-level constants it has under one physics.
 
     theta and y are the hyperbolic angle and shift entering the a/b-family
     recursions; they are only defined under the rest-mass-energy assignments
     (q = 0) away from the |rho| = 1 boundary, and are None otherwise.
     """
 
-    rep: Rep
-    beta: float
-    omega: float
-    lam: float
-    tau: float
     kappa: int
-    alpha: float
-    nu: float
-    gamma: float
-    rho: float
     p: float
     q: float
     sigma_plus: float
@@ -86,7 +77,7 @@ class DerivedParams:
 
 
 def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
-    """Compute p, q, sigma_+-, zeta, theta, y, z, d, u for the given basis."""
+    """The basis (or a DerivedParams' basis) with p, q, sigma_+-, zeta, theta, y, z, d, u."""
     beta, omega, tau, gamma, rho = basis.beta, basis.omega, basis.tau, basis.gamma, basis.rho
     if tau == 0.5:
         raise ValueError("tau = 1/2 makes p vanish; the recursion reduction needs p != 0")
@@ -117,12 +108,9 @@ def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
     u = rho * (phys.kappa - beta * gamma)
     d = basis.alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta) + u / (2.0 * p)
 
-    return DerivedParams(
-        rep=basis.rep, beta=beta, omega=omega, lam=basis.lam, tau=tau,
-        kappa=phys.kappa, alpha=basis.alpha, nu=basis.nu, gamma=gamma, rho=rho,
-        p=p, q=q, sigma_plus=sigma_plus, sigma_minus=sigma_minus, zeta=zeta,
-        theta=theta, y=y, z=z, d=d, u=u,
-    )
+    return DerivedParams(**{f.name: getattr(basis, f.name) for f in fields(BasisParams)},
+                         kappa=phys.kappa, p=p, q=q, sigma_plus=sigma_plus,
+                         sigma_minus=sigma_minus, zeta=zeta, theta=theta, y=y, z=z, d=d, u=u)
 
 
 def band_elements(derived: DerivedParams, k, offdiag: bool = False):

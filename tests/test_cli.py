@@ -478,13 +478,29 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("mode", ["solve", "verify", "convergence"])
     def test_grid_radius_overflow_is_config_error(self, tmp_path, capsys, mode):
-        # representation c near mu = 1 (beta = -0.008, omega = 4.9e-146): the
-        # grid radii x^(1/beta)/omega overflow
+        # representation c near mu = 1 (beta = -0.008, omega = 4.9e-146, nu = 250):
+        # the basis normalization a_n underflows before the grid radii
+        # x^(1/beta)/omega would overflow
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a leaked NumPy warning raises
             code = main([mode, "--A", "0.05903017090438638", "--mu", "1.0080326275811557",
                          "--kappa", "-1", "--N", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "basis normalization a_n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["solve", "verify"])
+    def test_user_omega_grid_overflow_is_config_error(self, tmp_path, capsys, mode):
+        # representation a with omega = 1e-300 and beta = 0.1: a_n stays normal,
+        # but the grid radii x^10/omega leave double range
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            code = main([mode, "--A", "1", "--mu", "0.9", "--kappa", "1", "--omega", "1e-300",
+                         "--N", "20", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1

@@ -1,6 +1,7 @@
 """Assembled series solutions, residuals, special cases, energy reflection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,19 @@ class TestAssembly:
             integrate_product(sol.form_plus, sol.form_plus, m, order=order)
             + integrate_product(sol.form_minus, sol.form_minus, m, order=order))
         assert norm == pytest.approx(1.0, rel=1e-10)
+
+    def test_solution_stores_one_record(self):
+        phys, sol = _solve_case("b_pos_beta")
+        minus = negative_energy_solution(replace(phys, eps=-1), 5)
+        for s in (sol, minus, diagonal_special_case(PhysicalParams(**DIAG_PHYS))):
+            assert s.basis is s.derived
+
+    def test_underflowing_normalization_is_refused(self):
+        # representation c near mu = 1 (beta = -0.008, nu = 250): a_0 is
+        # subnormal and a_n is 0.0 from n = 4, so the series would be garbage
+        phys = PhysicalParams(A=0.05903017090438638, mu=1.0080326275811557, kappa=-1)
+        with pytest.raises(ValueError, match="basis normalization a_n"):
+            solve(phys, 20)
 
     def test_normalization_invariance(self):
         # scaling the raw coefficient sequence by any positive constant leaves

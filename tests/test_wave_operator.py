@@ -1,13 +1,13 @@
 """Matrix elements of the wave operator: closed forms vs quadrature."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import CASE_IDS, build_case
-from diracpl.basis import (PhysicalParams, Rep, phi_minus_form, phi_plus_form,
+from diracpl.basis import (BasisParams, PhysicalParams, Rep, phi_minus_form, phi_plus_form,
                           select_representation, spinor_forms)
 from diracpl.forms import integrate_product
 from diracpl.wave_operator import (band_elements, basis_spinor, bilinear_form,
@@ -54,6 +54,26 @@ class TestDerivedParams:
         phys, basis = build_case("a_rho2")
         with pytest.raises(ValueError, match="tau"):
             derived_params(replace(basis, tau=0.5), phys)
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_derived_record_is_the_basis(self, label):
+        # one record per basis: the derived constants extend the basis, and
+        # deriving again from that record gives the same record
+        phys, basis = build_case(label)
+        der = derived_params(basis, phys)
+        assert isinstance(der, BasisParams)
+        for f in fields(BasisParams):
+            assert getattr(der, f.name) == getattr(basis, f.name), f.name
+        assert derived_params(der, phys) == der
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_derived_record_builds_the_same_forms(self, label):
+        phys, basis = build_case(label)
+        der = derived_params(basis, phys)
+        c = np.linspace(1.0, -0.5, 7)
+        for got, ref in zip(spinor_forms(der, c), spinor_forms(basis, c)):
+            assert (got.power, got.nu) == (ref.power, ref.nu)
+            assert np.array_equal(got.coef, ref.coef)
 
 
 class TestAnalyticElements:

@@ -15,9 +15,11 @@
 # angle where cosh^2(theta) ~ 1.5e4; the rho = 553 and rho = 0.0146 verifies
 # rep-b coefficients that change by only e^{-|theta|}, |theta| <= 0.03, per
 # step; the --config verify reads a file written with the alias keys lambda
-# and epsilon.  Every one of these exits 0.  The last three commands must be
+# and epsilon.  Every one of these exits 0.  The last five commands must be
 # refused with exit 2 and one stderr line: near mu = 1 (beta = -0.008,
-# omega = 4.9e-146) the radial grid leaves double range.
+# nu = 250) the basis normalization a_n underflows in solve, verify and
+# convergence, and with a user omega = 1e-300 (rep a, beta = 0.1) the radial
+# grid leaves double range in solve and verify.
 set -euo pipefail
 out=${1:?usage: tools/readme_examples.sh OUT_DIR}
 export PYTHONWARNINGS=error
@@ -52,5 +54,8 @@ refused() {
 }
 
 for mode in solve verify convergence; do
-    refused "$mode-grid-overflow" "$mode" --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20
+    refused "$mode-norm-underflow" "$mode" --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20
+done
+for mode in solve verify; do
+    refused "$mode-grid-overflow" "$mode" --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20
 done
