@@ -12,15 +12,15 @@ from .solution import (SeriesSolution, SpinorSample, assemble, default_r_grid,
                        diagonal_special_case, dirac_grid, dirac_residual, evaluate,
                        map_params, negative_energy_solution, second_order_residual,
                        solve, swap_energy, weak_form_boundary_check, weak_form_residual)
-from .wave_operator import (DerivedParams, TridiagonalOperator, build_operator,
-                            derived_params, matrix_element_analytic, matrix_element_numeric)
+from .wave_operator import (DerivedParams, build_operator, derived_params,
+                            matrix_element_analytic, matrix_element_numeric)
 
 __all__ = [
     "__version__",
     "PhysicalParams", "BasisParams", "Rep", "select_representation",
     "phi_plus", "phi_minus", "kinetic_balance_apply",
     "QuadratureRule", "RadialMeasure", "gauss_laguerre",
-    "DerivedParams", "TridiagonalOperator", "derived_params",
+    "DerivedParams", "derived_params",
     "matrix_element_analytic", "matrix_element_numeric", "build_operator",
     "ThreeTermRecursion", "CoefficientSequence", "build_recursion",
     "solve_forward", "coefficient_sequence", "closed_form_sequence", "rescale",

@@ -132,9 +132,6 @@ class BasisParams:
             raise ValueError(f"basis normalization a_n = {min(a_n):.3g} underflows (nu = {nu:.4g})")
         return a_n[0] if np.ndim(n) == 0 else np.reshape(a_n, np.shape(n))
 
-    def x_of_r(self, r):
-        return self.measure.x_of_r(r)
-
 
 def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
     """base**exponent for the basis scale, or a ValueError naming the inputs
@@ -297,7 +294,7 @@ def _check_r(r):
 
 def _at_r(basis: BasisParams, form: LaguerreForm, r):
     """A form's value at radius r (scalar or array), batch axes first."""
-    val = form.eval(basis.x_of_r(_check_r(r)))
+    val = form.eval(basis.measure.x_of_r(_check_r(r)))
     return float(val) if np.ndim(val) == 0 else val
 
 

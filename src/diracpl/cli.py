@@ -174,7 +174,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
 
     # One Gram of <psi_n|H-1|psi_m> over n, m <= 12 against the closed forms.
     k = np.arange(min(12, max(config.N, 2)) + 1)
-    ana = build_operator(der, k[-1]).as_matrix()
+    ana = build_operator(der, k[-1])
     psi = basis_spinor(basis, k)
     num = bilinear_form(basis, base.phys, psi, psi)
     far = np.abs(k[:, None] - k) > 1
@@ -405,7 +405,7 @@ def _cmd_special_case(config: RunConfig) -> int:
             so_rel = max(so_rel, float(np.max(np.abs(so.residual)) / so_scale))
     kappas = [k for k in range(-4, 5) if k != 0]
     mus = [-2.5, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0]
-    hits = diagonal_conditions_scan(kappas, mus, n_max=40)
+    hits = diagonal_conditions_scan(kappas, mus)
     only_expected = all(h["n"] == 0 and h["rho"] == 1.0
                         and not h["beta_kappa_positive"] for h in hits)
     checks = [

@@ -115,9 +115,6 @@ class LaguerreForm:
         x = np.asarray(x, dtype=float)
         return np.power(x, self.power) * self.eval_stripped(x) * np.exp(-x / 2.0)
 
-    def eval_r(self, measure: RadialMeasure, r):
-        return self.eval(measure.x_of_r(r))
-
     def eval_stripped(self, x):
         """Polynomial remainder after factoring x^power e^{-x/2}."""
         x = np.asarray(x, dtype=float)

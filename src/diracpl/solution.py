@@ -113,7 +113,7 @@ class SeriesSolution:
     def weak_form_scale(self) -> float:
         """Operator-weighted coefficient mass sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|)."""
         op = build_operator(self.derived, self.N + 1)
-        diag, off = np.abs(op.diag[:-1]), np.abs(op.offdiag)
+        diag, off = np.abs(np.diag(op)[:-1]), np.abs(np.diag(op, 1))
         below = np.concatenate(([0.0], off[:-1]))
         mass = np.abs(self.norm_const * self.coeffs)
         return max(float(np.sum(mass * (diag + off + below))), 1e-300)
@@ -141,18 +141,29 @@ def default_r_grid(basis: BasisParams, num: int = 60) -> np.ndarray:
     return r
 
 
+def _exact_scale(coeffs: np.ndarray, forms) -> tuple:
+    """(k, the forms times 2^-k), k the frexp exponent of max |f_n|.
+
+    Growing coefficients would overflow the integrands; a power of two keeps
+    every integral of the scaled forms an exact rescaling of the original."""
+    k = math.frexp(float(np.max(np.abs(coeffs))))[1]
+    return k, tuple(form.scaled(math.ldexp(1.0, -k)) for form in forms)
+
+
 def _normalized(phys: PhysicalParams, der: DerivedParams, coeffs: np.ndarray,
                 f_next: float) -> SeriesSolution:
     """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
 
-    Raises ValueError when the norm is not a positive finite number."""
+    The norm is integrated in exact scale (`_exact_scale`).  Raises ValueError
+    when it is not a positive finite number."""
     form_plus, form_minus = spinor_forms(der, coeffs)
-    norm_sq = sum(integrate_product(f, f, der.measure) for f in (form_plus, form_minus))
+    k, scaled = _exact_scale(coeffs, (form_plus, form_minus))
+    norm_sq = sum(integrate_product(f, f, der.measure) for f in scaled)
     if not 0.0 < norm_sq < math.inf:
         raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
                          "cannot normalize")
     return SeriesSolution(phys=phys, derived=der, coeffs=coeffs, f_next=f_next,
-                          norm_const=1.0 / math.sqrt(norm_sq),
+                          norm_const=math.ldexp(1.0 / math.sqrt(norm_sq), -k),
                           form_plus=form_plus, form_minus=form_minus)
 
 
@@ -192,7 +203,7 @@ def evaluate(sol: SeriesSolution, r) -> SpinorSample:
 
 def evaluate_grid(sol: SeriesSolution, r) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (phi_plus, phi_minus) over a radial grid."""
-    x = sol.basis.x_of_r(_check_r(r))
+    x = sol.basis.measure.x_of_r(_check_r(r))
     return (sol.norm_const * sol.form_plus.eval(x),
             sol.norm_const * sol.form_minus.eval(x))
 
@@ -209,7 +220,7 @@ def dirac_grid(sol: SeriesSolution, r) -> DiracGrid:
     Row 2: lam (kappa/r + A/r^mu + d/dr) chi+ - (1+eps) chi-
     """
     r = _check_r(r)
-    x = sol.basis.x_of_r(r)
+    x = sol.basis.measure.x_of_r(r)
     c, lam, eps = sol.norm_const, sol.phys.lam, float(sol.eps)
     plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
     dplus, dminus = (c * sol.d_dr_forms[k].eval(x) for k in "+-")
@@ -242,7 +253,7 @@ def second_order_grid(sol: SeriesSolution, r, component: str = "+") -> SecondOrd
                               float(sol.eps))
     sgn = 1.0 if component == "+" else -1.0
     form = sol.form_plus if component == "+" else sol.form_minus
-    x = sol.basis.x_of_r(r)
+    x = sol.basis.measure.x_of_r(r)
     val = sol.norm_const * form.eval(x)
     d2 = sol.norm_const * sol.d2_dr2_forms[component].eval(x)
     terms = [-d2, kappa * (kappa + sgn) / r ** 2 * val,
@@ -280,12 +291,6 @@ def second_order_residual(sol: SeriesSolution, r, component: str = "+"):
     return float(res) if np.ndim(r) == 0 else res
 
 
-def second_order_scale(sol: SeriesSolution, r, component: str = "+"):
-    """Term-magnitude scale for second_order_residual: the sum of the
-    magnitudes of its terms (`second_order_grid`)."""
-    return second_order_grid(sol, r, component).scale
-
-
 def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     """(<psi_n|(H-eps)|chi_N>, cancellation scale), by quadrature.
 
@@ -298,12 +303,13 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|), the magnitude flowing through
     the quadrature; roundoff from large high-order coefficients is measured
     against it, not against the (near-zero) projection itself.  It does not
-    depend on n and is computed once per solution."""
+    depend on n and is computed once per solution.  The series is projected
+    in exact scale (`_exact_scale`)."""
     if sol.eps != 1:
         raise ValueError("weak-form projections are computed on the eps = +1 problem")
-    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n),
-                          (sol.form_plus, sol.form_minus))
-    return sol.norm_const * value, sol.weak_form_scale
+    k, scaled = _exact_scale(sol.coeffs, (sol.form_plus, sol.form_minus))
+    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n), scaled)
+    return math.ldexp(sol.norm_const, k) * value, sol.weak_form_scale
 
 
 def weak_form_boundary_check(sol: SeriesSolution) -> dict:
@@ -391,7 +397,7 @@ def diagonal_correspondence(basis: BasisParams) -> dict:
             "lambda_sq_eff": basis.omega ** basis.beta}
 
 
-def diagonal_conditions_scan(kappa_values, mu_values, n_max: int = 40) -> list[dict]:
+def diagonal_conditions_scan(kappa_values, mu_values) -> list[dict]:
     """Scan the diagonalization conditions over a parameter grid.
 
     The off-diagonal elements vanish only for rho^2 = 1, and the diagonal
@@ -400,7 +406,7 @@ def diagonal_conditions_scan(kappa_values, mu_values, n_max: int = 40) -> list[d
         nu_t (rho + s) + 1 - rho + 2 n = 0,   nu_t = (2 kappa+1)/beta,
 
     with s = +1 for beta*kappa > 0 and s = -1 for beta*kappa < 0.  Returns
-    every (kappa, mu, rho, n) zero (to 1e-9) with integer 0 <= n <= n_max.
+    every (kappa, mu, rho, n) zero (to 1e-9) with integer 0 <= n <= 40.
     """
     hits = []
     for kappa in kappa_values:
@@ -413,7 +419,7 @@ def diagonal_conditions_scan(kappa_values, mu_values, n_max: int = 40) -> list[d
             nut = (2.0 * kappa + 1.0) / beta
             s = 1.0 if beta * kappa > 0.0 else -1.0
             for rho in (1.0, -1.0):
-                for n in range(n_max + 1):
+                for n in range(41):
                     if abs(nut * (rho + s) + 1.0 - rho + 2.0 * n) < 1e-9:
                         hits.append({"kappa": kappa, "mu": mu, "rho": rho, "n": n,
                                      "beta_kappa_positive": s > 0})

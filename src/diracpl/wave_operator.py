@@ -32,12 +32,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .basis import BasisParams, PhysicalParams, Rep, _unit, phi_plus_form, spinor_forms
+from .basis import BasisParams, PhysicalParams, Rep, _unit, spinor_forms
 from .forms import LaguerreForm, integrate_product
 
 __all__ = [
     "DerivedParams",
-    "TridiagonalOperator",
     "derived_params",
     "band_elements",
     "matrix_element_analytic",
@@ -46,7 +45,6 @@ __all__ = [
     "basis_spinor",
     "bilinear_form",
     "build_operator",
-    "overlap_plus",
 ]
 
 _KB_TOL = 1e-12
@@ -145,11 +143,6 @@ def matrix_element_analytic(derived: DerivedParams, n: int, m: int) -> float:
     return 0.0 if abs(n - m) > 1 else float(band_elements(derived, max(n, m), offdiag=n != m))
 
 
-def overlap_plus(basis: BasisParams, n: int, m: int) -> float:
-    """<phi_n^+|phi_m^+>; a dense Gram matrix except at the excluded beta = 2."""
-    return integrate_product(phi_plus_form(basis, n), phi_plus_form(basis, m), basis.measure)
-
-
 def basis_spinor(basis: BasisParams, n) -> Spinor:
     """psi_n = (phi_n^+, phi_n^-) as a pair of Laguerre forms (batched over n)."""
     return spinor_forms(basis, _unit(n))
@@ -189,39 +182,15 @@ def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: 
     return bilinear_form(basis, phys, basis_spinor(basis, n), basis_spinor(basis, m))
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Symmetric tridiagonal H-1: diag[n] = element (n,n), offdiag[n] = element (n+1,n)."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        if len(self.offdiag) != len(self.diag) - 1:
-            raise ValueError("offdiag must be one shorter than diag")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
-            raise ValueError("matrix elements must be finite")
-
-    def element(self, n: int, m: int) -> float:
-        if abs(n - m) > 1:
-            return 0.0
-        if n == m:
-            return float(self.diag[n])
-        return float(self.offdiag[min(n, m)])
-
-    def as_matrix(self) -> np.ndarray:
-        size = len(self.diag)
-        mat = np.diag(self.diag)
-        idx = np.arange(size - 1)
-        mat[idx, idx + 1] = self.offdiag
-        mat[idx + 1, idx] = self.offdiag
-        return mat
-
-
-def build_operator(derived: DerivedParams, N: int) -> TridiagonalOperator:
-    """Assemble D_0..D_N and B_0..B_{N-1} from the closed forms."""
+def build_operator(derived: DerivedParams, N: int) -> np.ndarray:
+    """The (N+1) x (N+1) symmetric tridiagonal matrix of H-1 from the closed
+    forms: D_0..D_N on the diagonal, B_0..B_{N-1} beside it.  A ValueError for
+    N < 1 or an element that is not finite."""
     if N < 1:
         raise ValueError("operator size N must be >= 1")
     k = np.arange(N + 1)
-    return TridiagonalOperator(diag=band_elements(derived, k),
-                               offdiag=band_elements(derived, k[1:], offdiag=True))
+    mat = np.diag(band_elements(derived, k))
+    mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = band_elements(derived, k[1:], offdiag=True)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix elements must be finite")
+    return mat

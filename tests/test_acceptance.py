@@ -28,7 +28,7 @@ from diracpl.recursion import build_recursion, closed_form_sequence, solve_forwa
 from diracpl.solution import (assemble, default_r_grid, diagonal_conditions_scan,
                               diagonal_special_case, dirac_residual, evaluate_grid,
                               map_params, negative_energy_solution, residual_scale,
-                              second_order_residual, second_order_scale, solve,
+                              second_order_grid, second_order_residual, solve,
                               swap_energy, weak_form_boundary_check)
 from diracpl.wave_operator import (build_operator, derived_params,
                                    matrix_element_numeric)
@@ -188,12 +188,12 @@ def test_criterion_4_tridiagonality():
         phys, basis = build_case(label)
         der = derived_params(basis, phys)
         op = build_operator(der, 13)
-        scale = max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag)), 1.0)
+        scale = max(np.max(np.abs(op)), 1.0)
         for n in range(13):
             for m in range(n, min(n + 5, 13)):
                 num = matrix_element_numeric(basis, phys, n, m)
                 if m - n <= 1:
-                    ana = op.element(n, m)
+                    ana = op[n, m]
                     worst_band = max(worst_band, abs(num - ana) / max(abs(ana), 1e-30))
                 else:
                     worst_far = max(worst_far, abs(num) / scale)
@@ -267,12 +267,12 @@ def test_criterion_7_diagonal_special_case():
     first = max(np.max(np.abs(row1)), np.max(np.abs(row2))) / np.max(residual_scale(sol, r))
     second = 0.0
     for comp in ("+", "-"):
-        s = np.max(second_order_scale(sol, r, comp))
+        s = np.max(second_order_grid(sol, r, comp).scale)
         if s > 0.0:
             second = max(second, float(
                 np.max(np.abs(second_order_residual(sol, r, comp))) / s))
     hits = diagonal_conditions_scan([k for k in range(-4, 5) if k != 0],
-                                    [-2.5, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0], n_max=40)
+                                    [-2.5, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0])
     unique = bool(hits) and all(
         h["n"] == 0 and h["rho"] == 1.0 and not h["beta_kappa_positive"] for h in hits)
     passed = first < 1e-8 and second < 1e-8 and unique

@@ -168,7 +168,7 @@ class TestSpinorComponents:
     def test_phi_plus_n0_shape(self):
         phys, basis = build_case("a_rho2")
         r = 0.8
-        x = basis.x_of_r(r)
+        x = basis.measure.x_of_r(r)
         expected = basis.norm_const(0) * x ** basis.alpha * math.exp(-x / 2.0)
         assert phi_plus(basis, 0, r) == pytest.approx(expected, rel=1e-14)
 
@@ -206,8 +206,8 @@ class TestSpinorComponents:
         for n in (0, 2, 5):
             fp = phi_plus_form(basis, n)
             vals = phys.lam / 2.0 * (
-                (phys.kappa / r + phys.A * np.power(r, -phys.mu)) * fp.eval_r(m, r)
-                + fp.d_dr(m).eval_r(m, r))
+                (phys.kappa / r + phys.A * np.power(r, -phys.mu)) * fp.eval(m.x_of_r(r))
+                + fp.d_dr(m).eval(m.x_of_r(r)))
             direct = phi_minus(basis, n, r)
             scale = np.max(np.abs(direct)) + 1e-300
             assert np.max(np.abs(direct - vals)) < 1e-10 * scale
@@ -239,11 +239,11 @@ class TestSpinorComponents:
         phys, basis = build_case(source)
         general = replace(basis, rho=0.6 * basis.rho, tau=0.37)
         as_c = replace(general, rep=Rep.C)
-        r = r_window(general, num=30)
+        x = general.measure.x_of_r(r_window(general, num=30))
         for n in (0, 1, 4, 8):
-            ref = phi_minus_form(general, n).eval_r(general.measure, r)
-            via_c = phi_minus_form(as_c, n).eval_r(general.measure, r)
-            op = kinetic_balance_form(general, n).eval_r(general.measure, r)
+            ref = phi_minus_form(general, n).eval(x)
+            via_c = phi_minus_form(as_c, n).eval(x)
+            op = kinetic_balance_form(general, n).eval(x)
             scale = np.max(np.abs(ref)) + 1e-300
             assert np.max(np.abs(via_c - ref)) < 1e-12 * scale
             assert np.max(np.abs(op - ref)) < 1e-12 * scale
@@ -305,7 +305,7 @@ class TestSpinorForms:
         # measured against the term-magnitude scale max_x sum_n |c_n kb_n(x)|
         phys, basis = build_case(label)
         c = assemble(phys, basis, N).coeffs
-        x = basis.x_of_r(r_window(basis, num=60))
+        x = basis.measure.x_of_r(r_window(basis, num=60))
         terms = np.array([cn * kinetic_balance_form(basis, n).eval(x) for n, cn in enumerate(c)])
         scale = np.max(np.sum(np.abs(terms), axis=0))
         got = spinor_forms(basis, c)[1].eval(x)
@@ -348,7 +348,7 @@ class TestSpinorBatch:
     def test_batched_eval_equals_row_eval(self, label, kind):
         basis, rows = self._rows(label)
         C = rows[kind]
-        x = basis.x_of_r(r_window(basis, num=40))
+        x = basis.measure.x_of_r(r_window(basis, num=40))
         batch = spinor_forms(basis, C)
         for component, form in enumerate(batch):
             values = form.eval(x)

@@ -226,8 +226,9 @@ class TestSolveOutputs:
         ["--A", "2", "--mu", "0.5", "--kappa", "-1", "--epsilon", "-1", "--N", "40"],
         ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1", "--N", "113"],
         ["--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "160"],
+        ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1", "--N", "176"],
     ], ids=["readme-solve", "rep-b-n40", "rep-c-n40", "eps-minus-n40", "rep-a-n113",
-            "rep-b-n160"])
+            "rep-b-n160", "rep-a-n176"])
     def test_coefficients_are_json_dumps(self, tmp_path, capsys, args):
         # coefficients.json is written from a format string; its bytes are
         # those json.dumps gives for the rows, up to rep a's ceiling
@@ -466,11 +467,11 @@ class TestEntryPoint:
         assert "Warning" not in proc.stderr
 
     def test_integrand_overflow_exits_without_warnings(self, tmp_path):
-        # representation a at N = 120: f_n reaches ~1e56 and the squared
-        # series leaves double range at the quadrature nodes
+        # representation a at N = 177: even with max |f_n| scaled to 1, the
+        # squared series leaves double range at the order-186 quadrature nodes
         proc = subprocess.run(
             [sys.executable, "-m", "diracpl.cli", "solve", "--A", "3", "--mu", "-2",
-             "--kappa", "1", "--N", "120", "--out", str(tmp_path)],
+             "--kappa", "1", "--N", "177", "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
@@ -717,3 +718,28 @@ class TestQuadratureOrder:
     def test_solve_at_n160(self, tmp_path, capsys, args):
         # exact orders stay below the order where Laguerre values overflow
         assert main(["solve", *args, "--N", "160", "--out", str(tmp_path)]) == 0
+
+
+class TestRepACeiling:
+    """Representation a's growing coefficients are normalized in exact scale,
+    so its solves reach the order-186 rule like reps b and c."""
+
+    REP_A = ["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1"]
+
+    def test_solve_at_n176_is_finite(self, tmp_path, capsys):
+        assert main(["solve", *self.REP_A, "--N", "176", "--out", str(tmp_path)]) == 0
+        samples = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
+        rows = json.loads((tmp_path / "coefficients.json").read_text())
+        assert samples.shape[0] > 0 and np.all(np.isfinite(samples))
+        assert len(rows) == 177
+        assert np.all(np.isfinite([[row["f_n"], row["g_or_h_n"]] for row in rows]))
+
+    def test_verify_at_n150_passes(self, tmp_path, capsys):
+        code, passed = _verdicts(tmp_path, [*self.REP_A, "--N", "150"])
+        assert code == 0
+        assert passed == dict.fromkeys(VERIFY_CHECKS, True)
+
+    def test_rep_a_solve_at_n120(self, tmp_path, capsys):
+        # --A 2.1 --mu 1.7 --kappa -2 is rep a (beta kappa > 0) with growing f_n
+        assert main(["solve", "--A", "2.1", "--mu", "1.7", "--kappa", "-2", "--N", "120",
+                     "--out", str(tmp_path)]) == 0

@@ -360,9 +360,9 @@ class TestScalings:
         f = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), 15).values
         op = build_operator(der, 15)
         for n in range(14):
-            res = op.diag[n] * f[n] + op.offdiag[n] * f[n + 1] \
-                + (op.offdiag[n - 1] * f[n - 1] if n >= 1 else 0.0)
-            assert abs(res) < 1e-10 * (abs(op.diag[n] * f[n]) + 1e-300)
+            res = op[n, n] * f[n] + op[n + 1, n] * f[n + 1] \
+                + (op[n, n - 1] * f[n - 1] if n >= 1 else 0.0)
+            assert abs(res) < 1e-10 * (abs(op[n, n] * f[n]) + 1e-300)
 
 
 ORACLE_N = 160

@@ -14,8 +14,8 @@ from diracpl.solution import (SpinorSample, assemble, default_r_grid,
                               diagonal_conditions_scan, diagonal_correspondence,
                               diagonal_special_case, dirac_residual, evaluate,
                               evaluate_grid, map_params, negative_energy_solution,
-                              residual_scale, second_order_residual,
-                              second_order_scale, solve, swap_energy,
+                              residual_scale, second_order_grid, second_order_residual,
+                              solve, swap_energy,
                               weak_form_boundary_check, weak_form_residual)
 from diracpl.wave_operator import (basis_spinor, bilinear_form, matrix_element_analytic,
                                    matrix_element_numeric)
@@ -63,7 +63,7 @@ class TestAssembly:
                          + integrate_product(scaled_minus, scaled_minus, m))
         r = default_r_grid(sol.basis, num=15)
         ref_p, ref_m = evaluate_grid(sol, r)
-        x = sol.basis.x_of_r(r)
+        x = sol.basis.measure.x_of_r(r)
         got_p = scaled_plus.eval(x) / norm
         got_m = scaled_minus.eval(x) / norm
         scale = np.max(np.abs(ref_p)) + np.max(np.abs(ref_m))
@@ -113,7 +113,7 @@ class TestAssembly:
         small = assemble(phys, basis, 8)
         large = assemble(phys, basis, 13)
         r = default_r_grid(basis, num=30)
-        x = basis.x_of_r(r)
+        x = basis.measure.x_of_r(r)
         diff_p = np.abs(large.form_plus.eval(x) - small.form_plus.eval(x))
         diff_m = np.abs(large.form_minus.eval(x) - small.form_minus.eval(x))
         from diracpl.basis import phi_minus_form, phi_plus_form
@@ -169,7 +169,7 @@ class TestDiracResidual:
         row1, _ = dirac_residual(sol, r)
         lhs = lam ** 2 * second_order_residual(sol, r, "+")
         rhs = (1.0 + eps) * row1 + lam * dminus_row2.eval(x)
-        scale = np.max(second_order_scale(sol, r, "+")) * lam ** 2
+        scale = np.max(second_order_grid(sol, r, "+").scale) * lam ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
 
     def test_energy_term_dropped_at_rest_mass(self):
@@ -257,7 +257,7 @@ class TestWeakForm:
 
 def _reference_residual_scale(sol, r):
     # the hand-written magnitude formula of the first-order rows
-    x = sol.basis.x_of_r(r)
+    x = sol.basis.measure.x_of_r(r)
     c, lam, eps = sol.norm_const, sol.phys.lam, float(sol.eps)
     plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
     dplus = c * sol.form_plus.d_dr(sol.basis.measure).eval(x)
@@ -304,13 +304,13 @@ class TestResidualScales:
         np.testing.assert_allclose(residual_scale(sol, r), _reference_residual_scale(sol, r),
                                    rtol=1e-14, atol=0.0)
         for comp in ("+", "-"):
-            np.testing.assert_allclose(second_order_scale(sol, r, comp),
+            np.testing.assert_allclose(second_order_grid(sol, r, comp).scale,
                                        _reference_second_order_scale(sol, r, comp),
                                        rtol=1e-14, atol=0.0)
 
     def test_rejects_unknown_component(self):
         sol = _solve_case("a_rho2")[1]
-        for func in (second_order_residual, second_order_scale):
+        for func in (second_order_residual, second_order_grid):
             with pytest.raises(ValueError, match="component"):
                 func(sol, 1.0, "x")
 
@@ -335,7 +335,7 @@ class TestDiagonalSpecialCase:
         sol = diagonal_special_case(PhysicalParams(**DIAG_PHYS))
         r = default_r_grid(sol.basis)
         res = second_order_residual(sol, r, "+")
-        assert np.max(np.abs(res)) < 1e-8 * np.max(second_order_scale(sol, r, "+"))
+        assert np.max(np.abs(res)) < 1e-8 * np.max(second_order_grid(sol, r, "+").scale)
 
     def test_rejects_wrong_sector(self):
         with pytest.raises(ValueError, match="beta\\*kappa"):
@@ -346,7 +346,7 @@ class TestDiagonalSpecialCase:
     def test_conditions_scan_unique(self):
         kappas = [k for k in range(-4, 5) if k != 0]
         mus = [-2.5, -2.0, -0.5, 0.5, 1.5, 2.0, 3.0]
-        hits = diagonal_conditions_scan(kappas, mus, n_max=40)
+        hits = diagonal_conditions_scan(kappas, mus)
         assert hits, "scan found no diagonalizable point"
         for h in hits:
             assert h["n"] == 0

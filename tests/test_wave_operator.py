@@ -12,8 +12,7 @@ from diracpl.basis import (BasisParams, PhysicalParams, Rep, phi_minus_form, phi
 from diracpl.forms import integrate_product
 from diracpl.wave_operator import (band_elements, basis_spinor, bilinear_form,
                                    build_operator, derived_params,
-                                   matrix_element_analytic, matrix_element_numeric,
-                                   overlap_plus)
+                                   matrix_element_analytic, matrix_element_numeric)
 
 
 class TestDerivedParams:
@@ -110,12 +109,19 @@ class TestAnalyticElements:
         basis = select_representation(phys, omega=1.0)
         der = derived_params(basis, phys)
         op = build_operator(der, 6)
-        assert op.diag[0] == pytest.approx(11.25)
-        assert op.offdiag[0] == pytest.approx(-27.0 * math.sqrt(2.0) / 8.0)
-        mat = op.as_matrix()
-        np.testing.assert_allclose(mat, mat.T, rtol=0, atol=0)
-        assert op.element(3, 4) == op.element(4, 3)
-        assert op.element(2, 5) == 0.0
+        assert op[0, 0] == pytest.approx(11.25)
+        assert op[1, 0] == pytest.approx(-27.0 * math.sqrt(2.0) / 8.0)
+        np.testing.assert_allclose(op, op.T, rtol=0, atol=0)
+        assert op[3, 4] == op[4, 3]
+        assert op[2, 5] == 0.0
+
+    def test_build_operator_refusals(self):
+        phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1)
+        der = derived_params(select_representation(phys, omega=1.0), phys)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            build_operator(der, 0)
+        with pytest.raises(ValueError, match="finite"):
+            build_operator(replace(der, omega=1e200), 4)  # omega^2 overflows the bands
 
 
 class TestNumericAgreement:
@@ -134,7 +140,7 @@ class TestNumericAgreement:
         phys, basis = build_case(label)
         der = derived_params(basis, phys)
         op = build_operator(der, 12)
-        scale = max(np.max(np.abs(op.diag)), np.max(np.abs(op.offdiag)), 1.0)
+        scale = max(np.max(np.abs(op)), 1.0)
         for n in range(0, 9, 2):
             for gap in (2, 3, 4):
                 num = matrix_element_numeric(basis, phys, n, n + gap)
@@ -180,7 +186,7 @@ class TestNumericAgreement:
         # exactly zero at eps = +1; the overlap itself is a dense Gram matrix
         phys, basis = build_case("a_rho2")
         assert (1 - phys.eps) == 0
-        off = overlap_plus(basis, 0, 3)
+        off = integrate_product(phi_plus_form(basis, 0), phi_plus_form(basis, 3), basis.measure)
         assert abs(off) > 1e-6
 
 
@@ -245,7 +251,7 @@ class TestGram:
     def test_gram_matches_pairwise_bilinear_form(self, label):
         phys, basis = build_case(label)
         op = build_operator(derived_params(basis, phys), 12)
-        scale = max(float(np.max(np.abs(op.as_matrix()))), 1.0)
+        scale = max(float(np.max(np.abs(op))), 1.0)
         psi = basis_spinor(basis, np.arange(13))
         gram = bilinear_form(basis, phys, psi, psi)
         assert gram.shape == (13, 13)
@@ -321,8 +327,8 @@ class TestBandElements:
         diag = [_scalar_element(der, k, k) for k in n]
         off = [_scalar_element(der, k + 1, k) for k in n]
         op = build_operator(der, self.N_BAND + 1)
-        np.testing.assert_array_equal(_bits(op.diag[:-1]), _bits(diag))
-        np.testing.assert_array_equal(_bits(op.offdiag), _bits(off))
+        np.testing.assert_array_equal(_bits(np.diag(op)[:-1]), _bits(diag))
+        np.testing.assert_array_equal(_bits(np.diag(op, 1)), _bits(off))
         k = np.arange(self.N_BAND + 1)
         np.testing.assert_array_equal(_bits(band_elements(der, k)), _bits(diag))
         np.testing.assert_array_equal(_bits(band_elements(der, k + 1, offdiag=True)),

@@ -22,8 +22,9 @@ from pathlib import Path
 # (name, argv): the README commands, the four golden cases (readme-solve is
 # one), the four verify-warm configurations (readme-verify is one, at its
 # default N = 40), the CI verifies at a large recursion angle, at extreme rho
-# and with a user rep-c alpha, long-horizon and ceiling solves, and two refused
-# inputs (exit 2): a solve past the rep-b ceiling and a rep-c alpha at its bound.
+# and with a user rep-c alpha, long-horizon and ceiling solves, a rep-a verify
+# at N = 150, and three refused inputs (exit 2): solves past the rep-b and rep-a
+# ceilings and a rep-c alpha at its bound.
 COMMANDS = (
     ("readme-solve", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
                       "--N", "20"]),
@@ -53,9 +54,15 @@ COMMANDS = (
     ("solve-rep-b-160", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "160"]),
     ("solve-rep-a-113", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
                          "--N", "113"]),
+    ("solve-rep-a-176", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
+                         "--N", "176"]),
+    ("verify-rep-a-150", ["verify", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
+                          "--N", "150"]),
     ("solve-rep-b-177", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "177"]),
     ("solve-rep-c-176", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "176"]),
     ("solve-rep-b-178", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "178"]),
+    ("solve-rep-a-177", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
+                         "--N", "177"]),
     ("solve-rep-c-alpha-bound", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1",
                                  "--alpha=0.5"]),
 )

@@ -6,27 +6,28 @@
 #
 # Each command writes under OUT_DIR.  PYTHONWARNINGS=error turns a leaked NumPy
 # warning into a failure.  The N = 160 rep-b solve takes representation b's
-# coefficient product to a long horizon, and the N = 113 rep-a and N = 177
+# coefficient product to a long horizon, and the N = 176 rep-a and N = 177
 # rep-b solves sit at the measured ceilings, where coefficients.json holds its
-# largest values (|g| up to 9.2e53 in rep a).  The eps = -1 verify runs the
+# largest values (|g| up to 1.1e84 in rep a).  The eps = -1 verify runs the
 # energy reflection (swap_energy) path; the kappa = -1 verify the
 # representation-c branch of the batched stencil, and with --alpha 1.2 a user
 # alpha, which representation c bounds; the theta = 5.5 verify a recursion
 # angle where cosh^2(theta) ~ 1.5e4; the rho = 553 and rho = 0.0146 verifies
 # rep-b coefficients that change by only e^{-|theta|}, |theta| <= 0.03, per
 # step; the --config verify reads a file written with the alias keys lambda
-# and epsilon.  Every one of these exits 0.  The last five commands must be
+# and epsilon.  Every one of these exits 0.  The last six commands must be
 # refused with exit 2 and one stderr line: near mu = 1 (beta = -0.008,
 # nu = 250) the basis normalization a_n underflows in solve, verify and
-# convergence, and with a user omega = 1e-300 (rep a, beta = 0.1) the radial
-# grid leaves double range in solve and verify.
+# convergence; with a user omega = 1e-300 (rep a, beta = 0.1) the radial
+# grid leaves double range in solve and verify; and one past the rep-a
+# ceiling, N = 177, the order-186 product integrand leaves double range.
 set -euo pipefail
 out=${1:?usage: tools/readme_examples.sh OUT_DIR}
 export PYTHONWARNINGS=error
 
 diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 20 --out "$out/readme-solve"
 diracpl solve --A 1 --mu -1.5 --kappa -3 --N 160 --out "$out/solve-rep-b-160"
-diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 113 --out "$out/solve-rep-a-ceiling"
+diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 176 --out "$out/solve-rep-a-ceiling"
 diracpl solve --A 1 --mu -1.5 --kappa -3 --N 177 --out "$out/solve-rep-b-ceiling"
 diracpl verify --A 3 --mu -2 --kappa 1 --omega 1 --out "$out/readme-verify"
 diracpl verify --A 2 --mu 0.5 --kappa -1 --epsilon -1 --out "$out/verify-eps-minus"
@@ -59,3 +60,4 @@ done
 for mode in solve verify; do
     refused "$mode-grid-overflow" "$mode" --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20
 done
+refused solve-rep-a-177 solve --A 3 --mu -2 --kappa 1 --omega 1 --N 177
