@@ -3,9 +3,10 @@
 The potential is the odd component W(r) = A / r^mu; with beta = 1 - mu and
 x = (omega r)^beta the upper basis component is
 
-    phi_n^+(r) = a_n x^alpha e^{-x/2} L_n^nu(x),
-    a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1)),
+    phi_n^+(r) = sqrt(omega |beta|) x^{alpha - nu/2} psi_n^nu(x),
 
+with psi_n^nu the orthonormal Laguerre function of `orthopoly.laguerre_functions`,
+which carries the normalization of the paper's a_n x^alpha e^{-x/2} L_n^nu(x),
 and the lower component follows from the first-order (kinetic-balance)
 operator.  Three parameter families exist:
 
@@ -35,6 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .forms import LaguerreForm
+from .orthopoly import laguerre_offdiag
 from .quadrature import RadialMeasure
 
 __all__ = [
@@ -122,17 +124,6 @@ class BasisParams:
     def measure(self) -> RadialMeasure:
         return RadialMeasure(beta=self.beta, omega=self.omega)
 
-    def norm_const(self, n):
-        """a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1)) for one index or an
-        index array; a ValueError when one is below the smallest normal double."""
-        scale, nu = math.sqrt(self.omega * abs(self.beta)), self.nu  # nu > -1 in every basis
-        a_n = [scale * math.exp(0.5 * (math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0)))
-               for k in np.ravel(n).tolist()]
-        if min(a_n, default=1.0) < np.finfo(float).tiny:
-            raise ValueError(f"basis normalization a_n = {min(a_n):.3g} underflows (nu = {nu:.4g})")
-        return a_n[0] if np.ndim(n) == 0 else np.reshape(a_n, np.shape(n))
-
-
 def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
     """base**exponent for the basis scale, or a ValueError naming the inputs
     that entered it when it is not a positive finite float (a large |A|, a
@@ -204,49 +195,54 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
                        gamma=kappa / beta, rho=rho, tau=0.25, lam=phys.lam)
 
 
-def _upper(basis: BasisParams, c) -> tuple[np.ndarray, LaguerreForm]:
-    """(a_n, the upper form c_n a_n) for coefficient rows c."""
+def _upper(basis: BasisParams, c) -> LaguerreForm:
+    """The upper form sum_n c_n phi_n^+ for coefficient rows c."""
     c = np.asarray(c, dtype=float)
-    a_n = basis.norm_const(np.arange(c.shape[-1]))
-    return a_n, LaguerreForm(basis.alpha, basis.nu, (c * a_n)[..., None, :])
+    return LaguerreForm(basis.alpha - basis.nu / 2.0, basis.nu,
+                        math.sqrt(basis.omega * abs(basis.beta)) * c[..., None, :])
 
 
 def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
     """The spinor series sum_n c_n psi_n as its (upper, lower) Laguerre forms.
 
     A matrix c, one row per spinor, gives batched forms.  The upper form is the
-    row c_n a_n.  The lower form is the kinetic-balance operator applied to it:
-    per n a 2- or 3-term stencil, written with the Laguerre parameter that makes
-    the representation's matrix elements band-limited.  Reps a and c share one
-    stencil on L^nu; rep b's nu term is mapped onto L^{nu+1} by
-    L_m^nu = L_m^{nu+1} - L_{m-1}^{nu+1}, since the form's integrability needs
-    its factor x.  The stencils are added as shifted vectors, highest shift
-    first: each order sums elements n-1, n, n+1.
+    row sqrt(omega |beta|) c_n on psi^nu.  The lower form is the kinetic-balance
+    operator applied to it: per n a 2- or 3-term stencil, written with the
+    Laguerre parameter that makes the representation's matrix elements
+    band-limited.  Reps a and c share one stencil on psi^nu; rep b's nu term is
+    mapped onto psi^{nu+1} by x^{1/2} psi_m^nu = sqrt(m+nu+1) psi_m^{nu+1}
+    - sqrt(m) psi_{m-1}^{nu+1}, since the form's integrability needs its factor x.
+    The stencils are added as shifted vectors, highest shift first: each order
+    sums elements n-1, n, n+1.
     """
     c = np.asarray(c, dtype=float)
-    a_n, upper = _upper(basis, c)
+    upper = _upper(basis, c)
     n = np.arange(c.shape[-1], dtype=float)
     a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
-    pre = basis.lam * basis.omega * basis.tau * basis.beta * a_n
+    pre = (basis.lam * basis.omega * basis.tau * basis.beta
+           * math.sqrt(basis.omega * abs(basis.beta)))  # the upper form's scale
     # stencil[k, j] holds power offset k and order n - 1 + j
     if basis.rep is Rep.B:
         # 2(g+a) x^p L_n^nu - x^{p+1} [(1-rho) L_n^{nu+1} + (1+rho) L_{n-1}^{nu+1}],
-        # written on L^{nu+1}
-        stencil = np.array([[[-2.0 * (g + a)], [2.0 * (g + a)]],
-                            [[-(1.0 + rho)], [-(1.0 - rho)]]])
+        # written on psi^{nu+1}
+        down, up = np.sqrt(n), np.sqrt(n + nu + 1.0)
+        stencil = np.array([[-2.0 * (g + a) * down, 2.0 * (g + a) * up],
+                            [-(1.0 + rho) * down, -(1.0 - rho) * up]])
         nu += 1.0
     else:
-        # -(1+rho)(n+nu) L_{n-1}^nu + [2(g+a-(nu+1)/2) + 2 rho (n+(nu+1)/2)] L_n^nu
-        # + (1-rho)(n+1) L_{n+1}^nu
-        stencil = np.array([[-(1.0 + rho) * (n + nu),
+        # -(1+rho) b_n psi_{n-1} + [2(g+a-(nu+1)/2) + 2 rho (n+(nu+1)/2)] psi_n
+        # + (1-rho) b_{n+1} psi_{n+1}
+        b = np.array(laguerre_offdiag(len(n), nu))
+        stencil = np.array([[-(1.0 + rho) * b[:-1],
                              2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
-                             (1.0 - rho) * (n + 1.0)]])
+                             (1.0 - rho) * b[1:]]])
     terms = c[..., None, None, :] * (pre * stencil)
     rows, width = stencil.shape[:2]
     coef = np.zeros(c.shape[:-1] + (rows, len(n) + width - 1))  # column i holds order i - 1
     for j in reversed(range(width)):
         coef[..., j:j + len(n)] += terms[..., j, :]
-    return upper, LaguerreForm(a - 1.0 / basis.beta, nu, coef[..., 1:])  # order -1 is dropped
+    # order -1 is dropped
+    return upper, LaguerreForm(a - 1.0 / basis.beta - nu / 2.0, nu, coef[..., 1:])
 
 
 def _unit(n) -> np.ndarray:
@@ -258,8 +254,8 @@ def _unit(n) -> np.ndarray:
 
 
 def phi_plus_form(basis: BasisParams, n) -> LaguerreForm:
-    """phi_n^+ = a_n x^alpha e^{-x/2} L_n^nu(x) as a Laguerre form (batched over n)."""
-    return _upper(basis, _unit(n))[1]
+    """phi_n^+ = sqrt(omega |beta|) x^{alpha-nu/2} psi_n^nu(x), batched over n."""
+    return _upper(basis, _unit(n))
 
 
 def phi_minus_form(basis: BasisParams, n) -> LaguerreForm:

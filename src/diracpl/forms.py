@@ -2,37 +2,40 @@
 
 A LaguerreForm with power p, Laguerre parameter nu and coefficient matrix c is
 
-    sum_{k,n}  c[k, n] x^{p+k} e^{-x/2} L_n^nu(x),
+    sum_{k,n}  c[k, n] x^{p+k} psi_n^nu(x),
 
-one nu per form and integer power offsets k.  Every spinor-basis component,
-every truncated series, and every radial derivative of these is such a form:
-the x-derivative maps a form to a form of the same nu (via
-x L_n' = n L_n - (n+nu) L_{n-1}), multiplication by a power of x shifts p,
-and d/dr = omega beta x^{1-1/beta} d/dx stays inside the algebra.  This lets
-residuals use exact analytic derivatives and lets inner products strip the
-e^{-x} envelope before quadrature, so no e^{+x} rescaling ever occurs.
+on the orthonormal Laguerre functions psi_n^nu (`orthopoly.laguerre_functions`),
+which hold the normalization, the envelope e^{-x/2} and x^{nu/2}, and stay
+O(1); one nu per form and integer power offsets k.  Every spinor-basis
+component, every truncated series, and every radial derivative of these is
+such a form: the x-derivative maps a form to a form of the same nu (via
+x psi_n' = (n + (nu-x)/2) psi_n - b_n psi_{n-1}, b_n = sqrt(n(n+nu))),
+multiplication by a power of x shifts p, and d/dr = omega beta x^{1-1/beta}
+d/dx stays inside the algebra.  This lets residuals use exact analytic
+derivatives.
 
 A single nu per form is possible because the Laguerre parameter can be
-lowered by two-term identities, L_n^{nu-1} = L_n^nu - L_{n-1}^nu (DLMF
+lowered by two-term identities, x^{1/2} psi_n^nu = sqrt(n+nu+1) psi_n^{nu+1}
+- sqrt(n) psi_{n-1}^{nu+1} (from L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1}, DLMF
 18.9), while raising it needs a full sum over all lower orders.  A form
 therefore takes the largest nu among its terms: the lower component of
-representation a (terms in nu and nu-1) is written on L^nu, that of
-representation b (terms in nu and nu+1) on L^{nu+1}.
+representation a (terms in nu and nu-1) is written on psi^nu, that of
+representation b (terms in nu and nu+1) on psi^{nu+1}.
 
 Edge rows and columns of c that are exactly zero are trimmed, so p is the
-lowest power present; its fractional part selects the Gauss-Laguerre weight
-exponent for exact integration.
+lowest power present; with the two forms' nu it selects the Gauss-Laguerre
+weight exponent of a product for exact integration.
 
 A form may be a batch: coef of shape (..., K, M), one matrix per entry on a
 shared p and nu, edges trimmed over the union of the entries.  Values carry
 the batch axes in front, and two batches integrate to the Gram array of every
 pair, (F_a w) F_b^T, so a whole basis is one form and one matrix product.
 
-Inner products reuse the Laguerre values at a rule's nodes.  The table
-L_0..L_M^nu is kept per (order, rule exponent, form nu), next to the cached
-rule, and refilled to a larger M when a form of higher degree asks for it.
-The upward recurrence does not depend on M, so its first rows equal
-laguerre_all at a lower degree bit for bit.  Tables are held up to
+Inner products reuse the Laguerre-function values at a rule's nodes.  The
+table psi_0..psi_M^nu is kept per (order, rule exponent, form nu), next to
+the cached rule, and refilled to a larger M when a form of higher degree asks
+for it.  The recurrence does not depend on M, so its first rows equal
+laguerre_functions at a lower degree bit for bit.  Tables are held up to
 TABLE_BYTES in total (1 MiB); the least recently used goes first, so a scan
 that never reuses a rule holds no more than that.
 """
@@ -45,7 +48,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .orthopoly import laguerre_all
+from .orthopoly import laguerre_functions, laguerre_offdiag
 from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
 
 __all__ = ["LaguerreForm", "integrate_product", "quadrature_order"]
@@ -53,8 +56,8 @@ __all__ = ["LaguerreForm", "integrate_product", "quadrature_order"]
 
 @dataclass(frozen=True, eq=False)
 class LaguerreForm:
-    """Immutable sum_{k,n} coef[..., k, n] x^{power+k} e^{-x/2} L_n^nu(x); leading
-    axes of coef, if any, index a batch of forms on one power and nu."""
+    """Immutable sum_{k,n} coef[..., k, n] x^{power+k} psi_n^nu(x); leading axes
+    of coef, if any, index a batch of forms on one power and nu."""
 
     power: float
     nu: float
@@ -101,8 +104,8 @@ class LaguerreForm:
         k = np.arange(rows)[:, None]
         n = np.arange(cols)
         out = np.zeros(self.batch_shape + (rows + 1, cols))
-        out[..., :rows, :] = c * (self.power + k + n)
-        out[..., :rows, :-1] -= c[..., 1:] * (n[1:] + self.nu)
+        out[..., :rows, :] = c * (self.power + self.nu / 2.0 + k + n)
+        out[..., :rows, :-1] -= c[..., 1:] * laguerre_offdiag(cols - 1, self.nu)[1:]
         out[..., 1:, :] -= 0.5 * c
         return LaguerreForm(self.power - 1.0, self.nu, out)
 
@@ -111,21 +114,18 @@ class LaguerreForm:
         return self.dx().shifted(1.0 - 1.0 / measure.beta).scaled(measure.omega * measure.beta)
 
     def eval(self, x):
-        """Value at x (scalar or array), including the e^{-x/2} envelope, batch axes first."""
-        x = np.asarray(x, dtype=float)
-        return np.power(x, self.power) * self.eval_stripped(x) * np.exp(-x / 2.0)
-
-    def eval_stripped(self, x):
-        """Polynomial remainder after factoring x^power e^{-x/2}."""
+        """Value at x (scalar or array), batch axes first."""
         x = np.asarray(x, dtype=float)
         if self.is_zero:
             return np.zeros(self.batch_shape + x.shape)
         cols = self.coef.shape[-1]
-        table = laguerre_all(cols - 1, self.nu, x).reshape(cols, -1)
-        return self._stripped_on(table, x.reshape(-1)).reshape(self.batch_shape + x.shape)
+        table = laguerre_functions(cols - 1, self.nu, x).reshape(cols, -1)
+        stripped = self._stripped_on(table, x.reshape(-1)).reshape(self.batch_shape + x.shape)
+        return np.power(x, self.power) * stripped
 
     def _stripped_on(self, table: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """eval_stripped at the points flat from their table L_0..L_M^nu, M >= columns - 1."""
+        """sum_{k,n} coef[..., k, n] x^k psi_n^nu(x), the form without x^power, at the
+        points flat from their table psi_0..psi_M^nu, M >= columns - 1."""
         poly = self.coef @ table[:self.coef.shape[-1]]
         total = poly[..., -1, :]
         for k in range(poly.shape[-2] - 2, -1, -1):
@@ -137,8 +137,9 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
                       order: int | None = None, extra_power: float = 0.0):
     """Exact radial integral of fa(r) * fb(r) * x^extra_power dr on (0, inf).
 
-    The base power of the product fixes the Gauss-Laguerre weight exponent;
-    the polynomial remainder is integrated exactly whenever
+    In x it is x^rest Psi_a Psi_b dx, rest = p_a + p_b + extra_power - 1 + 1/beta;
+    its envelope exponent rest + (nu_a + nu_b)/2 fixes the Gauss-Laguerre rule,
+    and the polynomial remainder is integrated exactly whenever
     2*order - 1 >= deg(fa) + deg(fb); without an order, the smallest such order
     plus a margin.  A too-low order or a non-finite integrand raises ValueError.
     Two single forms give a float; batches give the Gram array (F_a w) F_b^T of
@@ -147,12 +148,12 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
     shape = fa.batch_shape + fb.batch_shape
     if fa.is_zero or fb.is_zero:
         return np.zeros(shape) if shape else 0.0
-    base = fa.power + fb.power + extra_power
-    nu_rule = base - 1.0 + 1.0 / measure.beta
+    rest = fa.power + fb.power + extra_power - 1.0 + 1.0 / measure.beta
+    nu_rule = rest + (fa.nu + fb.nu) / 2.0
     if nu_rule <= -1.0:
         raise ValueError(
-            f"product envelope x^{base} is not integrable against the radial "
-            f"measure (weight exponent {nu_rule} <= -1)"
+            f"product envelope x^{nu_rule} e^-x is not integrable against the radial "
+            "measure (weight exponent <= -1)"
         )
     degree = fa.poly_degree + fb.poly_degree
     if order is None:
@@ -163,10 +164,11 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
         )
     rule = _cached_rule(order, nu_rule)
     with np.errstate(over="ignore", invalid="ignore"):
+        weights = rule.weights * rule.nodes ** rest
         fa_x = fa._stripped_on(_TABLES.get(rule, fa), rule.nodes)
         fb_x = fb._stripped_on(_TABLES.get(rule, fb), rule.nodes)
-        value = (np.tensordot(fa_x * rule.weights, fb_x, axes=(-1, -1)) if shape
-                 else rule.integrate(fa_x * fb_x))
+        value = (np.tensordot(fa_x * weights, fb_x, axes=(-1, -1)) if shape
+                 else float(np.dot(weights, fa_x * fb_x)))
     if not np.all(np.isfinite(value)):
         raise ValueError(f"product integrand leaves double range at quadrature order {order}")
     return measure.jacobian_prefactor * value
@@ -183,12 +185,12 @@ def _cached_rule(order: int, nu: float):
     return gauss_laguerre(order, nu)
 
 
-# Byte bound of all Laguerre tables kept at rule nodes.
+# Byte bound of all Laguerre-function tables kept at rule nodes.
 TABLE_BYTES = 1 << 20
 
 
 class _RuleTables:
-    """L_0..L_M^nu at the nodes of cached rules, least recently used evicted
+    """psi_0..psi_M^nu at the nodes of cached rules, least recently used evicted
     first so that the held tables never exceed max_bytes together."""
 
     def __init__(self, max_bytes: int):
@@ -205,7 +207,7 @@ class _RuleTables:
             return table
         if table is not None:
             self.nbytes -= self._tables.pop(key).nbytes
-        table = laguerre_all(cols - 1, form.nu, rule.nodes)
+        table = laguerre_functions(cols - 1, form.nu, rule.nodes)
         table.setflags(write=False)  # shared by every later integral on this rule
         if table.nbytes <= self.max_bytes:
             while self.nbytes + table.nbytes > self.max_bytes:

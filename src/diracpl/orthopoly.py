@@ -5,11 +5,13 @@ Five families are used by the solver: generalized Laguerre, Meixner-Pollaczek
 modified continuous dual Hahn obtained by the imaginary-argument substitution
 y -> -iy.  Each family is evaluated two independent ways: a three-term
 recurrence (the fast path) and the terminating hypergeometric sum (the oracle
-path).  The recurrences other than the Laguerre table share one kernel,
-`forward_recurrence`; the sums share `terminating_series`, which gives orders
-0..N of a family at once, at one precision per sequence, in O(N) extended-
-precision and O(N^2) exact integer operations.  Gamma-function ratios are
-always computed in log space.  Only the sums and the weights import mpmath.
+path).  The solver uses the Laguerre family as the orthonormal functions of
+`laguerre_functions`; `laguerre_all` is the raw reference table.  The other
+recurrences share one kernel, `forward_recurrence`; the sums share
+`terminating_series`, which gives orders 0..N of a family at once, at one
+precision per sequence, in O(N) extended-precision and O(N^2) exact integer
+operations.  Gamma-function ratios are always computed in log space.  Only the
+sums and the weights import mpmath.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ __all__ = [
     "terminating_series",
     "laguerre_eval",
     "laguerre_all",
+    "laguerre_offdiag",
+    "laguerre_functions",
+    "sqrt_psi0",
     "laguerre_series",
     "laguerre_deriv",
     "mp_eval",
@@ -171,6 +176,43 @@ def laguerre_all(n: int, nu: float, x):
     for k in range(1, n):
         out[k + 1] = ((2 * k + nu + 1.0 - x) * out[k] - (k + nu) * out[k - 1]) / (k + 1.0)
     return out
+
+
+def laguerre_offdiag(n: int, nu: float) -> list:
+    """b_0..b_n, b_k = sqrt(k (k+nu)), as Python floats: the off-diagonal of the
+    symmetric Jacobi matrix of L^nu, whose diagonal is 2k+nu+1."""
+    return [math.sqrt(k * (k + nu)) for k in range(n + 1)]
+
+
+def sqrt_psi0(nu: float, x):
+    """h = sqrt(psi_0^nu(x)) = exp((nu log x - x - lgamma(nu+1))/4)."""
+    with np.errstate(divide="ignore"):
+        return np.exp(0.25 * ((nu * np.log(x) if nu else 0.0) - x - math.lgamma(nu + 1.0)))
+
+
+def laguerre_functions(n: int, nu: float, x):
+    """The dx-orthonormal Laguerre functions psi_k^nu(x) = sqrt(k!/Gamma(k+nu+1))
+    x^(nu/2) e^(-x/2) L_k^nu(x), k = 0..n, shape (n+1,) + shape(x), from
+    b_{k+1} psi_{k+1} = (2k+nu+1-x) psi_k - b_k psi_{k-1} (`laguerre_offdiag`),
+    started at h = sqrt(psi_0) and multiplied by h at the end.  Each step divides
+    by b_{k+1} before it multiplies, so no intermediate leaves double range while
+    h is a normal double (Shen, Tang & Wang, Spectral Methods, 2011, ch. 7)."""
+    _check_laguerre_params(n, nu, x)
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).reshape(-1)  # rows are then views, also for a scalar x
+    h, b = sqrt_psi0(nu, x), laguerre_offdiag(n, nu)
+    out = np.empty((n + 1, x.size))
+    out[0] = h
+    if n >= 1:
+        out[1] = (nu + 1.0 - x) / b[1] * h
+    for k in range(1, n):  # in place: (2k+nu+1-x)/b_{k+1} psi_k - (b_k/b_{k+1}) psi_{k-1}
+        row = out[k + 1]
+        np.subtract(2 * k + nu + 1.0, x, out=row)
+        row /= b[k + 1]
+        row *= out[k]
+        row -= b[k] / b[k + 1] * out[k - 1]
+    out *= h
+    return out.reshape((n + 1,) + shape)
 
 
 def laguerre_eval(n: int, nu: float, x):

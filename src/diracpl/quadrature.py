@@ -3,7 +3,8 @@
 All radial inner products are evaluated in the mapped coordinate x = (omega r)^beta,
 where dr = +-(1/(omega beta)) x^(-1+1/beta) dx for +-beta > 0, so that every
 integrand carries an exact x^nu e^{-x} envelope and a Gauss-Laguerre rule of
-matching nu integrates the polynomial remainder exactly.
+matching nu integrates the polynomial remainder exactly.  A rule weighs the
+integrand itself, envelope included (`QuadratureRule`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import gamma_ratio, laguerre_all
+from .orthopoly import laguerre_functions, laguerre_offdiag, sqrt_psi0
 
 __all__ = [
     "QuadratureRule",
@@ -23,19 +24,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights integrating f against x^nu e^{-x} on (0, inf).
+    """Nodes and weights integrating f dx on (0, inf).
 
-    Nodes are the roots of L_order^nu, strictly increasing and positive;
-    the weights are positive and sum to Gamma(nu+1)."""
+    Nodes are the roots of L_order^nu, strictly increasing and positive.  The
+    weights belong to the integrand itself: sum_i w_i f(x_i) = int f dx exactly
+    for f = x^nu e^{-x} p(x) with deg p <= 2 order - 1.  They are
+    w_i = 1/(x_i psi_order'(x_i)^2) = lambda_i e^{x_i} x_i^{-nu}, lambda_i the
+    Christoffel weights of x^nu e^{-x}, and no Gamma function enters them."""
 
     order: int
     nu: float
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum for integrand values sampled at the nodes."""
-        return float(np.dot(self.weights, values))
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,16 @@ class RadialMeasure:
 MAX_ORDER = 1000
 
 
-def _laguerre_and_derivative(order: int, nu: float, x: np.ndarray):
-    """(L_order^nu(x), d/dx L_order^nu(x)) for x > 0, from one upward recurrence,
-    using x L_n' = n L_n - (n+nu) L_{n-1}."""
-    vals = laguerre_all(order, nu, x)
-    return vals[order], (order * vals[order] - (order + nu) * vals[order - 1]) / x
-
-
 def gauss_laguerre(order: int, nu: float) -> QuadratureRule:
-    """Generalized Gauss-Laguerre rule for the weight x^nu e^{-x}.
+    """Generalized Gauss-Laguerre rule for the envelope x^nu e^{-x}.
 
     Nodes come from the eigenvalues of the symmetric Jacobi matrix of the
-    Laguerre recurrence (diagonal 2k+nu+1, off-diagonal sqrt(k(k+nu))),
-    then are polished by two vectorised Newton steps on L_order^nu.  Weights
-    use the derivative form
-    w_i = Gamma(order+nu+1)/Gamma(order+1) / (x_i [L_order^nu'(x_i)]^2),
-    evaluated at the polished nodes.
+    Laguerre recurrence (diagonal 2k+nu+1, off-diagonal b_k = sqrt(k(k+nu))),
+    then are polished by two vectorised Newton steps on psi_order^nu, using
+    x psi_n' = (n + (nu-x)/2) psi_n - b_n psi_{n-1}.  Weights use the derivative
+    form w_i = 1/(x_i psi_order'(x_i)^2) at the polished nodes (QuadratureRule).
+    A ValueError when sqrt(psi_0) underflows at the largest node, where the
+    functions leave double range.
     """
     if not 1 <= order <= MAX_ORDER or order != int(order):
         raise ValueError(f"quadrature order must be an integer from 1 to {MAX_ORDER}, "
@@ -93,18 +87,21 @@ def gauss_laguerre(order: int, nu: float) -> QuadratureRule:
     if nu <= -1:
         raise ValueError(f"Gauss-Laguerre weight requires nu > -1, got {nu}")
 
+    b = laguerre_offdiag(order, nu)
     k = np.arange(order, dtype=float)
-    off = np.sqrt(k[1:] * (k[1:] + nu))
-    jacobi = np.diag(2.0 * k + nu + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    jacobi = np.diag(2.0 * k + nu + 1.0) + np.diag(b[1:-1], 1) + np.diag(b[1:-1], -1)
     nodes = np.linalg.eigvalsh(jacobi)
+    if sqrt_psi0(nu, nodes[-1]) < np.finfo(float).tiny:  # the recurrence would start subnormal
+        raise ValueError(f"Gauss-Laguerre rule of order {order}, nu={nu} leaves double "
+                         f"range: sqrt(psi_0) underflows at its largest node, {nodes[-1]:.6g}")
 
-    # Past the order where L_order^nu leaves double range the polish and the
-    # weights turn inf/nan; the checks below turn that into a ValueError.
+    # the checks below turn any inf/nan left by the polish into a ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        lag, dlag = _laguerre_and_derivative(order, nu, nodes)
-        for _ in range(2):
-            nodes = nodes - lag / dlag
-            lag, dlag = _laguerre_and_derivative(order, nu, nodes)
+        for step in range(3):  # two Newton steps, then x psi_order' at the polished nodes
+            psi = laguerre_functions(order, nu, nodes)
+            x_dpsi = (order + (nu - nodes) / 2.0) * psi[order] - b[order] * psi[order - 1]
+            if step < 2:
+                nodes = nodes - nodes * psi[order] / x_dpsi
 
         # written as `not all(...)` so that nan nodes are rejected too
         if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
@@ -113,7 +110,7 @@ def gauss_laguerre(order: int, nu: float) -> QuadratureRule:
                 "nodes not positive strictly increasing"
             )
 
-        weights = gamma_ratio(order + nu + 1.0, order + 1.0) / (nodes * dlag ** 2)
+        weights = nodes / x_dpsi ** 2
     if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValueError(
             f"Gauss-Laguerre weight computation failed for order={order}, nu={nu}"

@@ -76,8 +76,9 @@ class SeriesSolution:
     feeds the weak-form boundary identity.  derived is the one record of the
     basis and its recursion constants; for eps = -1 it belongs to the reflected
     (+1) problem and the component forms are already swapped.  Each integral
-    of the forms takes the exact Gauss-Laguerre order for its degree.  eps, N,
-    basis and mapped_phys are read off the fields, so they cannot disagree.
+    of the forms takes the exact Gauss-Laguerre order for its degree, in
+    exact scale (`exact_scale`).  eps, N, basis and mapped_phys are read off
+    the fields, so they cannot disagree.
     """
 
     phys: PhysicalParams
@@ -119,14 +120,21 @@ class SeriesSolution:
         return max(float(np.sum(mass * (diag + off + below))), 1e-300)
 
     @cached_property
+    def exact_scale(self) -> tuple[float, dict[str, LaguerreForm]]:
+        """(C 2^k, the component forms times 2^-k keyed "+" and "-") (`_exact_scale`):
+        values and integrals of the scaled forms stay in double range, and the
+        first entry times one of them is the normalized value, bit for bit."""
+        k, (plus, minus) = _exact_scale(self.coeffs, (self.form_plus, self.form_minus))
+        return math.ldexp(self.norm_const, k), {"+": plus, "-": minus}
+
+    @cached_property
     def d_dr_forms(self) -> dict[str, LaguerreForm]:
-        """d/dr of each component form, keyed "+" and "-"."""
-        return {"+": self.form_plus.d_dr(self.basis.measure),
-                "-": self.form_minus.d_dr(self.basis.measure)}
+        """d/dr of each scaled component form (`exact_scale`), keyed "+" and "-"."""
+        return {k: form.d_dr(self.basis.measure) for k, form in self.exact_scale[1].items()}
 
     @cached_property
     def d2_dr2_forms(self) -> dict[str, LaguerreForm]:
-        """d^2/dr^2 of each component form, keyed "+" and "-"."""
+        """d^2/dr^2 of each scaled component form, keyed "+" and "-"."""
         return {k: form.d_dr(self.basis.measure) for k, form in self.d_dr_forms.items()}
 
 
@@ -144,8 +152,8 @@ def default_r_grid(basis: BasisParams, num: int = 60) -> np.ndarray:
 def _exact_scale(coeffs: np.ndarray, forms) -> tuple:
     """(k, the forms times 2^-k), k the frexp exponent of max |f_n|.
 
-    Growing coefficients would overflow the integrands; a power of two keeps
-    every integral of the scaled forms an exact rescaling of the original."""
+    Growing coefficients would overflow the forms' values and integrals; a
+    power of two keeps each of the scaled forms an exact rescaling of the original."""
     k = math.frexp(float(np.max(np.abs(coeffs))))[1]
     return k, tuple(form.scaled(math.ldexp(1.0, -k)) for form in forms)
 
@@ -176,7 +184,7 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int) -> SeriesSolution
         raise ValueError("assemble works at eps = +1; use negative_energy_solution")
     if N < 0:
         raise ValueError("truncation N must be non-negative")
-    if (order := quadrature_order(2 * N)) > MAX_ORDER:  # <phi+|phi+>
+    if (order := quadrature_order(2 * N + 2)) > MAX_ORDER:  # <phi-|phi->
         raise ValueError(f"N = {N} is too large: the series norm needs quadrature order "
                          f"{order}, above the largest, {MAX_ORDER}")
     der = derived_params(basis, phys)
@@ -204,8 +212,8 @@ def evaluate(sol: SeriesSolution, r) -> SpinorSample:
 def evaluate_grid(sol: SeriesSolution, r) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (phi_plus, phi_minus) over a radial grid."""
     x = sol.basis.measure.x_of_r(_check_r(r))
-    return (sol.norm_const * sol.form_plus.eval(x),
-            sol.norm_const * sol.form_minus.eval(x))
+    c, forms = sol.exact_scale
+    return c * forms["+"].eval(x), c * forms["-"].eval(x)
 
 
 # chi+, chi-, the two first-order Dirac rows and their cancellation scale at r.
@@ -221,8 +229,8 @@ def dirac_grid(sol: SeriesSolution, r) -> DiracGrid:
     """
     r = _check_r(r)
     x = sol.basis.measure.x_of_r(r)
-    c, lam, eps = sol.norm_const, sol.phys.lam, float(sol.eps)
-    plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
+    (c, forms), lam, eps = sol.exact_scale, sol.phys.lam, float(sol.eps)
+    plus, minus = c * forms["+"].eval(x), c * forms["-"].eval(x)
     dplus, dminus = (c * sol.d_dr_forms[k].eval(x) for k in "+-")
     spin_orbit = lam * sol.phys.kappa / r
     potential = lam * sol.phys.A * np.power(r, -sol.phys.mu)
@@ -252,10 +260,10 @@ def second_order_grid(sol: SeriesSolution, r, component: str = "+") -> SecondOrd
     kappa, A, mu, lam, eps = (sol.phys.kappa, sol.phys.A, sol.phys.mu, sol.phys.lam,
                               float(sol.eps))
     sgn = 1.0 if component == "+" else -1.0
-    form = sol.form_plus if component == "+" else sol.form_minus
+    c, forms = sol.exact_scale
     x = sol.basis.measure.x_of_r(r)
-    val = sol.norm_const * form.eval(x)
-    d2 = sol.norm_const * sol.d2_dr2_forms[component].eval(x)
+    val = c * forms[component].eval(x)
+    d2 = c * sol.d2_dr2_forms[component].eval(x)
     terms = [-d2, kappa * (kappa + sgn) / r ** 2 * val,
              A * A * np.power(r, -2.0 * mu) * val,
              A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)) * val,
@@ -304,12 +312,12 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     the quadrature; roundoff from large high-order coefficients is measured
     against it, not against the (near-zero) projection itself.  It does not
     depend on n and is computed once per solution.  The series is projected
-    in exact scale (`_exact_scale`)."""
+    in exact scale (`SeriesSolution.exact_scale`)."""
     if sol.eps != 1:
         raise ValueError("weak-form projections are computed on the eps = +1 problem")
-    k, scaled = _exact_scale(sol.coeffs, (sol.form_plus, sol.form_minus))
-    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n), scaled)
-    return math.ldexp(sol.norm_const, k) * value, sol.weak_form_scale
+    c, forms = sol.exact_scale
+    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n), tuple(forms.values()))
+    return c * value, sol.weak_form_scale
 
 
 def weak_form_boundary_check(sol: SeriesSolution) -> dict:

@@ -15,6 +15,11 @@ from diracpl.orthopoly import sqrt_gamma_ratio
 from diracpl.solution import assemble
 
 
+def _a_n(basis, n):
+    """The paper's normalization a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1))."""
+    return math.sqrt(basis.omega * abs(basis.beta)) * sqrt_gamma_ratio(n + 1.0, n + basis.nu + 1.0)
+
+
 class TestPhysicalParams:
     def test_rejects_excluded_powers(self):
         for mu, fragment in [(0.0, "Coulomb"), (1.0, "free"), (-1.0, "oscillator")]:
@@ -160,7 +165,7 @@ class TestSelectRepresentation:
             assert 2.0 * basis.alpha - 1.0 / basis.beta == pytest.approx(basis.nu, rel=1e-12)
         # both components have an integrable squared envelope in x
         for form in (phi_plus_form(basis, 3), phi_minus_form(basis, 3)):
-            weight_exp = 2.0 * form.power - 1.0 + 1.0 / basis.beta
+            weight_exp = 2.0 * form.power + form.nu - 1.0 + 1.0 / basis.beta
             assert weight_exp > -1.0
 
 
@@ -169,14 +174,14 @@ class TestSpinorComponents:
         phys, basis = build_case("a_rho2")
         r = 0.8
         x = basis.measure.x_of_r(r)
-        expected = basis.norm_const(0) * x ** basis.alpha * math.exp(-x / 2.0)
+        expected = _a_n(basis, 0) * x ** basis.alpha * math.exp(-x / 2.0)
         assert phi_plus(basis, 0, r) == pytest.approx(expected, rel=1e-14)
 
     def test_phi_plus_frozen_value_at_x_equal_one(self):
         # first-order polynomial is nu + 1 - x, giving a_1 e^{-1/2} at x = 1
         phys, basis = build_case("a_rho2")
         r = 1.0 / basis.omega
-        expected = basis.norm_const(1) * math.exp(-0.5) * (basis.nu + 1.0 - 1.0)
+        expected = _a_n(basis, 1) * math.exp(-0.5) * (basis.nu + 1.0 - 1.0)
         assert phi_plus(basis, 1, r) == pytest.approx(expected, rel=1e-13)
 
     def test_rejects_nonpositive_radius(self):
@@ -224,10 +229,13 @@ class TestSpinorComponents:
         # (2 gamma + 1/beta) + rho (nu + 1)
         phys, basis = build_case("c_rho_plus")
         form = phi_minus_form(basis, 0)
-        pre = basis.lam * basis.omega * basis.tau * basis.beta * basis.norm_const(0)
+        # on psi_0 = a_0 x^{nu/2} e^{-x/2} / sqrt(omega |beta|)
+        pre = basis.lam * basis.omega * basis.tau * basis.beta \
+            * math.sqrt(basis.omega * abs(basis.beta))
         expected = pre * (2.0 * basis.gamma + 1.0 / basis.beta
                           + basis.rho * (basis.nu + 1.0))
-        assert (form.power, form.nu) == (basis.alpha - 1.0 / basis.beta, basis.nu)
+        assert (form.power, form.nu) == (basis.alpha - 1.0 / basis.beta - basis.nu / 2.0,
+                                         basis.nu)
         assert form.coef.shape == (1, 1)
         assert form.coef[0, 0] == pytest.approx(expected, rel=1e-13)
 
@@ -249,18 +257,6 @@ class TestSpinorComponents:
             assert np.max(np.abs(op - ref)) < 1e-12 * scale
 
     @pytest.mark.parametrize("label", CASE_IDS)
-    def test_norm_const_row_equals_per_index_values_bit_for_bit(self, label):
-        # one call over an index array against the per-order Gamma ratio
-        _, basis = build_case(label)
-        n = np.arange(120)
-        loop = [math.sqrt(basis.omega * abs(basis.beta))
-                * sqrt_gamma_ratio(k + 1.0, k + basis.nu + 1.0) for k in range(120)]
-        row = basis.norm_const(n)
-        np.testing.assert_array_equal(row.view(np.uint64), np.array(loop).view(np.uint64))
-        assert [basis.norm_const(k) for k in (0, 7)] == [loop[0], loop[7]]
-        np.testing.assert_array_equal(basis.norm_const(n.reshape(8, 15)), row.reshape(8, 15))
-
-    @pytest.mark.parametrize("label", CASE_IDS)
     def test_upper_gram_matches_weighted_moments(self, label):
         # <phi_n^+|phi_m^+> equals the Gamma-moment formula obtained by
         # expanding in the x variable; the family is not orthonormal for
@@ -274,8 +270,9 @@ class TestSpinorComponents:
         from diracpl.quadrature import gauss_laguerre
         rule = gauss_laguerre(30, c)
         lag = laguerre_all(n, basis.nu, rule.nodes)[n]
-        expected = basis.norm_const(n) ** 2 / (basis.omega * abs(basis.beta)) \
-            * rule.integrate(lag * lag)
+        weights = rule.weights * rule.nodes ** c * np.exp(-rule.nodes)  # against x^c e^{-x}
+        expected = _a_n(basis, n) ** 2 / (basis.omega * abs(basis.beta)) \
+            * np.dot(weights, lag * lag)
         assert val == pytest.approx(expected, rel=1e-11)
 
 

@@ -76,7 +76,7 @@ class TestExitCodes:
                                               ("verify", "1")])
     def test_norm_order_above_max_is_refused_before_the_recursion(
             self, tmp_path, capsys, monkeypatch, mode, epsilon):
-        # N = 20000 needs an order-20008 rule for the norm integral, above
+        # N = 20000 needs an order-20009 rule for the norm integral, above
         # quadrature.MAX_ORDER: one line naming N, and no coefficient recursion
         import diracpl.solution
 
@@ -89,7 +89,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert "N = 20000" in err and "20008" in err
+        assert "N = 20000" in err and "20009" in err
+
+    def test_lower_component_norm_order_is_checked_before_the_recursion(
+            self, tmp_path, capsys, monkeypatch):
+        # <phi-|phi-> has degree 2N + 2: at N = 992 it needs order 1001, so the
+        # run is refused before the recursion, not after it
+        import diracpl.solution
+
+        def no_recursion(*args, **kwargs):
+            raise AssertionError("the coefficient recursion ran")
+
+        monkeypatch.setattr(diracpl.solution, "coefficient_sequence", no_recursion)
+        code = run_cli(["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "992"],
+                       tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "N = 992" in err and "order 1001" in err
 
     def test_special_case_wrong_sector_is_config_error(self, tmp_path, capsys):
         code = run_cli(["special-case", "--A", "3", "--mu", "-2", "--kappa", "1"],
@@ -454,24 +471,25 @@ class TestEntryPoint:
         assert "double range" in proc.stderr
 
     def test_quadrature_overflow_exits_without_warnings(self, tmp_path):
-        # the README library configuration at N = 200 asks for an order-208
-        # Gauss-Laguerre rule, whose Laguerre values leave double range: the
-        # run must end in the one-line configuration error, with no NumPy
-        # RuntimeWarning printed before it
+        # representation c at N = 715 asks for an order-723 Gauss-Laguerre
+        # rule, at whose largest node sqrt(psi_0) underflows, so its Laguerre
+        # functions leave double range: the run must end in the one-line
+        # configuration error, with no NumPy RuntimeWarning printed before it
         proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", "-1.5",
-             "--kappa", "-3", "--N", "200", "--out", str(tmp_path)],
+            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", "2",
+             "--kappa", "-1", "--N", "715", "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert "Warning" not in proc.stderr
+        assert "double range" in proc.stderr
 
     def test_integrand_overflow_exits_without_warnings(self, tmp_path):
-        # representation a at N = 177: even with max |f_n| scaled to 1, the
-        # squared series leaves double range at the order-186 quadrature nodes
+        # representation a at N = 639: the growing coefficients leave double
+        # range at f_640, which the weak-form boundary identity needs
         proc = subprocess.run(
             [sys.executable, "-m", "diracpl.cli", "solve", "--A", "3", "--mu", "-2",
-             "--kappa", "1", "--N", "177", "--out", str(tmp_path)],
+             "--kappa", "1", "--N", "639", "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
@@ -480,8 +498,9 @@ class TestEntryPoint:
     @pytest.mark.parametrize("mode", ["solve", "verify", "convergence"])
     def test_grid_radius_overflow_is_config_error(self, tmp_path, capsys, mode):
         # representation c near mu = 1 (beta = -0.008, omega = 4.9e-146, nu = 250):
-        # the basis normalization a_n underflows before the grid radii
-        # x^(1/beta)/omega would overflow
+        # the norm's weight x^rest, rest = 2/beta = -250, leaves double range
+        # and the norm is refused before the grid radii x^(1/beta)/omega would
+        # overflow
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a leaked NumPy warning raises
@@ -490,13 +509,13 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert "basis normalization a_n" in err
+        assert "series norm^2 = 0.0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["solve", "verify"])
     def test_user_omega_grid_overflow_is_config_error(self, tmp_path, capsys, mode):
-        # representation a with omega = 1e-300 and beta = 0.1: a_n stays normal,
-        # but the grid radii x^10/omega leave double range
+        # representation a with omega = 1e-300 and beta = 0.1: the norm is
+        # finite, but the grid radii x^10/omega leave double range
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a leaked NumPy warning raises
@@ -743,3 +762,27 @@ class TestRepACeiling:
         # --A 2.1 --mu 1.7 --kappa -2 is rep a (beta kappa > 0) with growing f_n
         assert main(["solve", "--A", "2.1", "--mu", "1.7", "--kappa", "-2", "--N", "120",
                      "--out", str(tmp_path)]) == 0
+
+
+class TestNoCeilingBelow400:
+    """The forms are written on orthonormal Laguerre functions, which stay O(1),
+    so every representation solves and verifies at N = 400."""
+
+    @pytest.mark.parametrize("args", VERIFY_CONFIGS, ids=["a", "b", "c", "eps-minus"])
+    def test_solve_at_n400_is_finite(self, tmp_path, capsys, args):
+        assert main(["solve", *args, "--N", "400", "--out", str(tmp_path)]) == 0
+        samples = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
+        assert samples.shape[0] > 0 and np.all(np.isfinite(samples))
+
+    @pytest.mark.parametrize("args", VERIFY_CONFIGS, ids=["a", "b", "c", "eps-minus"])
+    def test_verify_at_n400_passes(self, tmp_path, capsys, args):
+        code, passed = _verdicts(tmp_path, [*args, "--N", "400"])
+        assert code == 0, [name for name, ok in passed.items() if not ok]
+
+    def test_tiny_user_omega_verifies(self, tmp_path, capsys):
+        # representation a with omega = 1e-200: the Gamma ratio of a_n lives
+        # inside psi_n, so the lower component's prefactor
+        # lam omega tau beta sqrt(omega |beta|) stays a normal double
+        code, passed = _verdicts(tmp_path, ["--A", "1", "--mu", "0.9", "--kappa", "1",
+                                            "--omega", "1e-200", "--N", "20"])
+        assert code == 0, [name for name, ok in passed.items() if not ok]

@@ -10,7 +10,7 @@ from diracpl import forms
 from diracpl.basis import PhysicalParams
 from diracpl.cli import main
 from diracpl.forms import LaguerreForm, integrate_product
-from diracpl.orthopoly import laguerre_all
+from diracpl.orthopoly import laguerre_functions
 from diracpl.quadrature import RadialMeasure
 from diracpl.solution import solve
 
@@ -52,11 +52,12 @@ def _form(nu, cols, rows=2, power=0.25, seed=0):
 
 
 def _untabled(fa, fb, order, extra_power=0.0):
-    """integrate_product with fresh laguerre_all values for both forms."""
-    nu_rule = fa.power + fb.power + extra_power - 1.0 + 1.0 / MEASURE.beta
-    rule = forms._cached_rule(order, nu_rule)
-    value = rule.integrate(fa.eval_stripped(rule.nodes) * fb.eval_stripped(rule.nodes))
-    return MEASURE.jacobian_prefactor * value
+    """integrate_product with fresh laguerre_functions values for both forms."""
+    rest = fa.power + fb.power + extra_power - 1.0 + 1.0 / MEASURE.beta
+    rule = forms._cached_rule(order, rest + (fa.nu + fb.nu) / 2.0)
+    fa_x, fb_x = (f._stripped_on(laguerre_functions(f.coef.shape[-1] - 1, f.nu, rule.nodes),
+                                 rule.nodes) for f in (fa, fb))
+    return MEASURE.jacobian_prefactor * np.dot(rule.weights * rule.nodes ** rest, fa_x * fb_x)
 
 
 @pytest.fixture
@@ -80,16 +81,18 @@ def test_table_extends_to_a_higher_degree_bit_for_bit(tables):
     assert values == [_untabled(low, low, order), _untabled(low, high, order),
                       _untabled(high, low, order)]
     (table,) = tables._tables.values()
-    nodes = forms._cached_rule(order, 0.5 - 1.0 + 1.0 / MEASURE.beta).nodes
-    assert np.array_equal(table, laguerre_all(29, 1.5, nodes))
-    assert np.array_equal(table[:4], laguerre_all(3, 1.5, nodes))
+    nodes = forms._cached_rule(order, 0.5 - 1.0 + 1.0 / MEASURE.beta + 1.5).nodes
+    assert np.array_equal(table, laguerre_functions(29, 1.5, nodes))
+    assert np.array_equal(table[:4], laguerre_functions(3, 1.5, nodes))
 
 
 def test_two_nu_on_one_rule_keep_separate_tables(tables):
-    fa, fb = _form(0.5, 12, seed=3), _form(2.0, 9, seed=4)
+    # the rule exponent holds (nu_a + nu_b)/2, so the second product keeps the
+    # pair of parameters: its nu = 2 table is refilled to more columns
+    fa, fb, fc = _form(0.5, 12, seed=3), _form(2.0, 9, seed=4), _form(2.0, 15, seed=5)
     order = 20
     assert integrate_product(fa, fb, MEASURE, order) == _untabled(fa, fb, order)
-    assert integrate_product(fb, fb, MEASURE, order) == _untabled(fb, fb, order)
+    assert integrate_product(fa, fc, MEASURE, order) == _untabled(fa, fc, order)
     assert sorted(key[2] for key in tables._tables) == [0.5, 2.0]
 
 
@@ -127,7 +130,7 @@ def test_repeated_verify_computes_no_laguerre_values_in_integrals(tmp_path, monk
 
     def counted(*args, **kwargs):
         inside.append(depth[0] > 0)
-        return laguerre_all(*args, **kwargs)
+        return laguerre_functions(*args, **kwargs)
 
     def integral(*args, **kwargs):
         depth[0] += 1
@@ -136,7 +139,7 @@ def test_repeated_verify_computes_no_laguerre_values_in_integrals(tmp_path, monk
         finally:
             depth[0] -= 1
 
-    wrappers = {"laguerre_all": (laguerre_all, counted),
+    wrappers = {"laguerre_functions": (laguerre_functions, counted),
                 "integrate_product": (original, integral)}
     for module in modules:
         for name, (fn, wrapper) in wrappers.items():

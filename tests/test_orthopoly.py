@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diracpl.orthopoly import (cdh_eval, cdh_series, forward_recurrence, gamma_ratio,
                                hyp_mp_eval, hyp_mp_series, laguerre_all, laguerre_deriv,
-                               laguerre_eval, laguerre_series, mod_cdh_eval,
+                               laguerre_eval, laguerre_functions, laguerre_series, mod_cdh_eval,
                                mod_cdh_series, mp_eval, mp_series, terminating_series)
 
 NU_GRID = [-0.5, 0.0, 1.0, 2.5]
@@ -117,6 +117,42 @@ class TestLaguerre:
             laguerre_eval(2, 0.0, -0.5)
         with pytest.raises(ValueError):
             laguerre_eval(-1, 0.0, 1.0)
+
+
+class TestLaguerreFunctions:
+    """psi_k^nu = sqrt(k!/Gamma(k+nu+1)) x^(nu/2) e^(-x/2) L_k^nu, the kernel of
+    every form, against extended precision far beyond the raw table's range."""
+
+    ORDERS = [0, 1, 2, 7, 50, 201, 450, 690]
+    X = np.geomspace(1e-3, 2700.0, 9)
+
+    @pytest.mark.parametrize("nu", [-0.5, 1.8, 30.0])
+    def test_matches_extended_precision(self, nu):
+        # the worst point, k = 690 at x = 6.4e-3 for nu = 1.8, errs by 6.9e-12
+        # on the raw polynomial route too: the recurrence's conditioning there
+        table = laguerre_functions(max(self.ORDERS), nu, self.X)
+        with mpmath.workdps(60):
+            for k in self.ORDERS:
+                for x, got in zip(self.X, table[k]):
+                    x_mp = mpmath.mpf(float(x))
+                    ref = (mpmath.sqrt(mpmath.factorial(k) / mpmath.gamma(k + nu + 1))
+                           * x_mp ** (mpmath.mpf(nu) / 2) * mpmath.exp(-x_mp / 2)
+                           * mpmath.laguerre(k, nu, x_mp))
+                    assert abs(got - float(ref)) <= 1e-11, (k, x)
+
+    @pytest.mark.parametrize("nu", [-0.5, 1.0, 30.0])
+    def test_orthonormal_in_dx(self, nu):
+        # sum_i w_i psi_n psi_m with the rule's own weights: the integral in dx
+        from diracpl.quadrature import gauss_laguerre
+        rule = gauss_laguerre(40, nu)
+        table = laguerre_functions(30, nu, rule.nodes)
+        gram = (table * rule.weights) @ table.T
+        assert np.max(np.abs(gram - np.eye(31))) < 1e-12
+
+    def test_rows_do_not_depend_on_the_degree(self):
+        x = X_GRID[::5]
+        np.testing.assert_array_equal(laguerre_functions(40, 1.5, x)[:8],
+                                      laguerre_functions(7, 1.5, x))
 
 
 class TestMeixnerPollaczek:

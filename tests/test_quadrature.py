@@ -12,17 +12,22 @@ from diracpl.orthopoly import gamma_ratio
 from diracpl.quadrature import MAX_ORDER, RadialMeasure, gauss_laguerre
 
 
+def christoffel(rule):
+    """The rule's weights for f against x^nu e^{-x}: its own weights integrate f dx."""
+    return rule.weights * rule.nodes ** rule.nu * np.exp(-rule.nodes)
+
+
 class TestRuleConstruction:
     def test_order_one(self):
         rule = gauss_laguerre(1, 0.0)
         np.testing.assert_allclose(rule.nodes, [1.0], rtol=1e-14)
-        np.testing.assert_allclose(rule.weights, [1.0], rtol=1e-14)
+        np.testing.assert_allclose(christoffel(rule), [1.0], rtol=1e-14)
 
     def test_order_two(self):
         rule = gauss_laguerre(2, 0.0)
         np.testing.assert_allclose(rule.nodes, [2.0 - math.sqrt(2), 2.0 + math.sqrt(2)],
                                    rtol=1e-13)
-        np.testing.assert_allclose(rule.weights,
+        np.testing.assert_allclose(christoffel(rule),
                                    [(2.0 + math.sqrt(2)) / 4.0, (2.0 - math.sqrt(2)) / 4.0],
                                    rtol=1e-13)
 
@@ -33,14 +38,14 @@ class TestRuleConstruction:
         assert np.all(rule.nodes > 0)
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(rule.weights > 0)
-        assert np.sum(rule.weights) == pytest.approx(math.gamma(nu + 1.0), rel=1e-12)
+        assert np.sum(christoffel(rule)) == pytest.approx(math.gamma(nu + 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("order,nu", [(6, 0.0), (12, -0.5), (20, 1.5), (40, 3.0)])
     def test_moment_exactness(self, order, nu):
         # integrates x^k exactly against x^nu e^{-x} for k <= 2 order - 1
         rule = gauss_laguerre(order, nu)
         for k in range(2 * order):
-            got = rule.integrate(rule.nodes ** k)
+            got = np.dot(christoffel(rule), rule.nodes ** k)
             exact = math.exp(math.lgamma(nu + k + 1.0))
             assert got == pytest.approx(exact, rel=1e-12)
 
@@ -49,7 +54,7 @@ class TestRuleConstruction:
         nodes, weights = roots_genlaguerre(order, nu)
         rule = gauss_laguerre(order, nu)
         np.testing.assert_allclose(rule.nodes, nodes, rtol=1e-12)
-        np.testing.assert_allclose(rule.weights, weights, rtol=1e-10)
+        np.testing.assert_allclose(christoffel(rule), weights, rtol=1e-10)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -69,6 +74,21 @@ class TestRuleConstruction:
         assert MAX_ORDER >= 800
 
 
+class TestHighOrderRules:
+    """Rules past the raw Laguerre table's range, up to where sqrt(psi_0)
+    underflows at the largest node."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 1.0, 2.5])
+    def test_weights_of_the_envelope_sum_to_gamma(self, nu):
+        rule = gauss_laguerre(700, nu)
+        assert np.all(rule.weights > 0)
+        assert np.sum(christoffel(rule)) == pytest.approx(math.gamma(nu + 1.0), rel=1e-12)
+
+    def test_refuses_where_the_functions_leave_double_range(self):
+        with pytest.raises(ValueError, match="double range"):
+            gauss_laguerre(800, 1.0)
+
+
 class TestLaguerreOrthogonality:
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.5])
     def test_weighted_gram_matrix(self, nu):
@@ -77,7 +97,7 @@ class TestLaguerreOrthogonality:
         table = laguerre_all(20, nu, rule.nodes)
         for n in range(21):
             for m in range(n, 21):
-                val = rule.integrate(table[n] * table[m])
+                val = np.dot(christoffel(rule), table[n] * table[m])
                 if n == m:
                     expected = gamma_ratio(n + nu + 1.0, n + 1.0)
                     assert val == pytest.approx(expected, rel=1e-10)
@@ -132,15 +152,14 @@ class TestInnerProductRadial:
 
     def test_matched_exponent_normalization(self):
         # a basis-shaped function x^alpha e^{-x/2} L_n whose exponents match
-        # the weight integrates to exactly 1 with the standard normalization
-        from diracpl.orthopoly import sqrt_gamma_ratio
+        # the weight integrates to exactly 1 with the standard normalization,
+        # which psi_n carries: sqrt(omega beta) x^{alpha - nu/2} psi_n
         beta, omega, nu = 3.0, 1.2, 1.0
         alpha = (nu + 1.0 - 1.0 / beta) / 2.0
         m = RadialMeasure(beta=beta, omega=omega)
 
         def make(n):
-            a_n = math.sqrt(omega * beta) * sqrt_gamma_ratio(n + 1.0, n + nu + 1.0)
-            return LaguerreForm(alpha, nu, a_n * np.eye(1, n + 1, n))
+            return LaguerreForm(alpha - nu / 2.0, nu, math.sqrt(omega * beta) * np.eye(1, n + 1, n))
 
         def inner(n, k):
             return integrate_product(make(n), make(k), m, order=20)

@@ -47,10 +47,11 @@ class TestAssembly:
             assert s.basis is s.derived
 
     def test_underflowing_normalization_is_refused(self):
-        # representation c near mu = 1 (beta = -0.008, nu = 250): a_0 is
-        # subnormal and a_n is 0.0 from n = 4, so the series would be garbage
+        # representation c near mu = 1 (beta = -0.008, nu = 250): the norm's
+        # weight x^rest, rest = 2/beta = -250, leaves double range at the nodes,
+        # so the norm comes out 0.0 and the series would be garbage
         phys = PhysicalParams(A=0.05903017090438638, mu=1.0080326275811557, kappa=-1)
-        with pytest.raises(ValueError, match="basis normalization a_n"):
+        with pytest.raises(ValueError, match="series norm"):
             solve(phys, 20)
 
     def test_normalization_invariance(self):

@@ -22,9 +22,10 @@ from pathlib import Path
 # (name, argv): the README commands, the four golden cases (readme-solve is
 # one), the four verify-warm configurations (readme-verify is one, at its
 # default N = 40), the CI verifies at a large recursion angle, at extreme rho
-# and with a user rep-c alpha, long-horizon and ceiling solves, a rep-a verify
-# at N = 150, and three refused inputs (exit 2): solves past the rep-b and rep-a
-# ceilings and a rep-c alpha at its bound.
+# and with a user rep-c alpha, long-horizon solves, a rep-a verify at N = 150,
+# solves of reps a, b and c and a rep-a verify at N = 400, and three refused
+# inputs (exit 2): solves past the rep-a and rep-c ceilings (f_640 and the
+# order-723 rule leave double range) and a rep-c alpha at its bound.
 COMMANDS = (
     ("readme-solve", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
                       "--N", "20"]),
@@ -60,9 +61,15 @@ COMMANDS = (
                           "--N", "150"]),
     ("solve-rep-b-177", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "177"]),
     ("solve-rep-c-176", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "176"]),
-    ("solve-rep-b-178", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "178"]),
-    ("solve-rep-a-177", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
-                         "--N", "177"]),
+    ("solve-rep-a-400", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
+                         "--N", "400"]),
+    ("solve-rep-b-400", ["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "400"]),
+    ("solve-rep-c-400", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "400"]),
+    ("verify-rep-a-400", ["verify", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
+                          "--N", "400"]),
+    ("solve-rep-a-639", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
+                         "--N", "639"]),
+    ("solve-rep-c-715", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "715"]),
     ("solve-rep-c-alpha-bound", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1",
                                  "--alpha=0.5"]),
 )

@@ -6,21 +6,23 @@
 #
 # Each command writes under OUT_DIR.  PYTHONWARNINGS=error turns a leaked NumPy
 # warning into a failure.  The N = 160 rep-b solve takes representation b's
-# coefficient product to a long horizon, and the N = 176 rep-a and N = 177
-# rep-b solves sit at the measured ceilings, where coefficients.json holds its
-# largest values (|g| up to 1.1e84 in rep a).  The eps = -1 verify runs the
-# energy reflection (swap_energy) path; the kappa = -1 verify the
-# representation-c branch of the batched stencil, and with --alpha 1.2 a user
-# alpha, which representation c bounds; the theta = 5.5 verify a recursion
-# angle where cosh^2(theta) ~ 1.5e4; the rho = 553 and rho = 0.0146 verifies
-# rep-b coefficients that change by only e^{-|theta|}, |theta| <= 0.03, per
-# step; the --config verify reads a file written with the alias keys lambda
-# and epsilon.  Every one of these exits 0.  The last six commands must be
-# refused with exit 2 and one stderr line: near mu = 1 (beta = -0.008,
-# nu = 250) the basis normalization a_n underflows in solve, verify and
-# convergence; with a user omega = 1e-300 (rep a, beta = 0.1) the radial
-# grid leaves double range in solve and verify; and one past the rep-a
-# ceiling, N = 177, the order-186 product integrand leaves double range.
+# coefficient product to a long horizon, the N = 176 rep-a and N = 177 rep-b
+# solves sit at the ceilings of the raw-polynomial forms the Laguerre-function
+# kernel replaced (|g| up to 1.1e84 in rep a), and the N = 400 solves of reps
+# a, b and c and the N = 400 rep-a verify pass where those forms stopped.  The
+# eps = -1 verify runs the energy reflection (swap_energy) path; the kappa = -1
+# verify the representation-c branch of the batched stencil, and with
+# --alpha 1.2 a user alpha, which representation c bounds; the theta = 5.5
+# verify a recursion angle where cosh^2(theta) ~ 1.5e4; the rho = 553 and
+# rho = 0.0146 verifies rep-b coefficients that change by only e^{-|theta|},
+# |theta| <= 0.03, per step; the --config verify reads a file written with the
+# alias keys lambda and epsilon.  Every one of these exits 0.  The last seven
+# commands must be refused with exit 2 and one stderr line: near mu = 1
+# (beta = -0.008, nu = 250) the series norm underflows to 0 in solve, verify
+# and convergence; with a user omega = 1e-300 (rep a, beta = 0.1) the radial
+# grid leaves double range in solve and verify; one past the rep-a ceiling,
+# N = 639, the coefficients leave double range at f_640; and one past the
+# rep-c ceiling, N = 715, the order-723 rule leaves double range.
 set -euo pipefail
 out=${1:?usage: tools/readme_examples.sh OUT_DIR}
 export PYTHONWARNINGS=error
@@ -29,6 +31,10 @@ diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 20 --out "$out/readme-solve"
 diracpl solve --A 1 --mu -1.5 --kappa -3 --N 160 --out "$out/solve-rep-b-160"
 diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 176 --out "$out/solve-rep-a-ceiling"
 diracpl solve --A 1 --mu -1.5 --kappa -3 --N 177 --out "$out/solve-rep-b-ceiling"
+diracpl solve --A 3 --mu -2 --kappa 1 --omega 1 --N 400 --out "$out/solve-rep-a-400"
+diracpl solve --A 1 --mu -1.5 --kappa -3 --N 400 --out "$out/solve-rep-b-400"
+diracpl solve --A 1 --mu 2 --kappa -1 --N 400 --out "$out/solve-rep-c-400"
+diracpl verify --A 3 --mu -2 --kappa 1 --omega 1 --N 400 --out "$out/verify-rep-a-400"
 diracpl verify --A 3 --mu -2 --kappa 1 --omega 1 --out "$out/readme-verify"
 diracpl verify --A 2 --mu 0.5 --kappa -1 --epsilon -1 --out "$out/verify-eps-minus"
 diracpl verify --A 1 --mu 2 --kappa -1 --out "$out/verify-rep-c"
@@ -60,4 +66,5 @@ done
 for mode in solve verify; do
     refused "$mode-grid-overflow" "$mode" --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20
 done
-refused solve-rep-a-177 solve --A 3 --mu -2 --kappa 1 --omega 1 --N 177
+refused solve-rep-a-639 solve --A 3 --mu -2 --kappa 1 --omega 1 --N 639
+refused solve-rep-c-715 solve --A 1 --mu 2 --kappa -1 --N 715
