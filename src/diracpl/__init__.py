@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .basis import (BasisParams, PhysicalParams, Rep, kinetic_balance_apply,
                     phi_minus, phi_plus, select_representation)
 from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
-from .recursion import (CoefficientSequence, ThreeTermRecursion, build_recursion,
-                        closed_form_sequence, coefficient_sequence, rescale, solve_forward)
+from .recursion import (ThreeTermRecursion, build_recursion, closed_form_sequence,
+                        coefficient_sequence, rescale, solve_forward)
 from .solution import (SeriesSolution, SpinorSample, assemble, default_r_grid,
                        diagonal_special_case, dirac_grid, dirac_residual, evaluate,
                        map_params, negative_energy_solution, second_order_residual,
@@ -22,7 +22,7 @@ __all__ = [
     "QuadratureRule", "RadialMeasure", "gauss_laguerre",
     "DerivedParams", "derived_params",
     "matrix_element_analytic", "matrix_element_numeric", "build_operator",
-    "ThreeTermRecursion", "CoefficientSequence", "build_recursion",
+    "ThreeTermRecursion", "build_recursion",
     "solve_forward", "coefficient_sequence", "closed_form_sequence", "rescale",
     "SeriesSolution", "SpinorSample", "assemble", "solve", "evaluate",
     "default_r_grid", "dirac_grid", "dirac_residual", "second_order_residual",

@@ -221,6 +221,9 @@ def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
     a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
     pre = (basis.lam * basis.omega * basis.tau * basis.beta
            * math.sqrt(basis.omega * abs(basis.beta)))  # the upper form's scale
+    if not math.isfinite(pre):  # inf times a zero stencil entry would be nan
+        raise ValueError(f"lower-component scale leaves double range (omega = "
+                         f"{basis.omega:.4g}, beta = {basis.beta:.4g})")
     # stencil[k, j] holds power offset k and order n - 1 + j
     if basis.rep is Rep.B:
         # 2(g+a) x^p L_n^nu - x^{p+1} [(1-rho) L_n^{nu+1} + (1+rho) L_{n-1}^{nu+1}],

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .basis import PhysicalParams, kinetic_balance_apply, phi_minus
-from .recursion import (CoefficientSequence, build_recursion, closed_form_sequence,
-                        coefficient_sequence, mp_lambda, natural_scaling, rescale)
+from .recursion import (build_recursion, closed_form_sequence, coefficient_sequence,
+                        mp_lambda, rescale)
 from .solution import (DiracGrid, SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_grid,
                        dirac_residual, evaluate_grid, second_order_grid, solve,
@@ -185,24 +185,25 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         "quadrature matrix elements match the closed forms on the bands")
 
     # Independent coefficient legs: the production sequence against the closed
-    # form, the closed form against the natural relation, and the production
-    # sequence against the raw relation, i.e. the operator's rows.
+    # form, the closed form against the natural relation, and the solution's
+    # own f_0..f_{N+1} against the raw relation, i.e. the operator's rows.
     rec = build_recursion(basis.rep, der, basis.nu)
     seq = coefficient_sequence(der, 20)
     cf = closed_form_sequence(der, 20)
-    dual = float(np.max(np.abs(seq.values - cf.values) / (np.abs(cf.values) + 1e-300)))
+    dual = float(np.max(np.abs(seq - cf) / (np.abs(cf) + 1e-300)))
     add("coefficient-dual-path", dual, 1e-6,
         "production coefficient sequence equals the orthogonal-polynomial closed form")
 
     n = np.arange(20)
-    res = np.max(np.abs(rec.residual(cf.values, n)) / (np.abs(rec.a(n) * cf.values[n]) + 1e-300))
+    res = np.max(np.abs(rec.residual(cf, n)) / (np.abs(rec.a(n) * cf[n]) + 1e-300))
     add("recursion-residual", res, 1e-10,
         "closed-form coefficients satisfy the three-term relation")
 
     raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
-    chain = np.max(raw.relative_residual(rescale(seq, "f").values, n))
+    f = np.r_[base.coeffs, base.f_next]
+    chain = np.max(raw.relative_residual(f, np.arange(base.N + 1)))
     add("scaling-equivalence", chain, 1e-12,
-        "the production sequence, rescaled to f, satisfies the operator's raw relation")
+        "the solution's coefficients satisfy the operator's raw relation at every row")
 
     if der.theta is not None:  # y enters with sign - for rho^2 < 1 (see recursion)
         lam, ch, sh = mp_lambda(der), np.cosh(der.theta), np.sinh(der.theta)
@@ -299,13 +300,12 @@ def _write_samples(config: RunConfig, r: np.ndarray, grid: DiracGrid) -> Path:
 
 
 def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
-    """json.dumps(rows, indent=2, sort_keys=True) of the rows {n, f_n, g_or_h_n}: the
-    coefficients of a normalized solution are finite, so each float is its repr."""
-    seq = CoefficientSequence(values=sol.coeffs, scaling="f", nu=sol.basis.nu)
-    scaled = rescale(seq, natural_scaling(sol.basis.rep))
+    """json.dumps(rows, indent=2, sort_keys=True) of the rows {n, f_n, g_or_h_n}: f_n
+    pre-normalization with f_0 = 1, and g_or_h_n = f_n / R_n the natural sequence
+    (`recursion.rescale`).  Both are finite, so each float is its repr."""
+    natural = sol.coeffs / rescale(sol.derived, sol.N)
     rows = ",\n".join(f'  {{\n    "f_n": {f!r},\n    "g_or_h_n": {g!r},\n    "n": {n}\n  }}'
-                      for n, (f, g) in enumerate(zip(sol.coeffs.tolist(),
-                                                     scaled.values.tolist())))
+                      for n, (f, g) in enumerate(zip(sol.coeffs.tolist(), natural.tolist())))
     path = config.out_dir / "coefficients.json"
     path.write_text(f"[\n{rows}\n]\n")
     return path

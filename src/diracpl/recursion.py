@@ -1,36 +1,41 @@
 """Three-term recursions for the expansion coefficients and their closed forms.
 
 The wave equation projected on the basis gives the raw relation D_n f_n
-+ B_{n-1} f_{n-1} + B_n f_{n+1} = 0, whose coefficients are the rows of the
-tridiagonal operator: `build_recursion(..., scaling="f")` reads them from
-`wave_operator.band_elements` and writes no formula of its own.  Coefficients
-map an index array to an array, so a solve evaluates them once per pass; the
-forward pass is the kernel `orthopoly.forward_recurrence`.
-After the Gamma-ratio rescalings
++ B_{n-1} f_{n-1} + B_n f_{n+1} = 0 on the basis coefficients f_n, read off
+the rows of the tridiagonal operator: `build_recursion(..., scaling="f")`
+takes them from `wave_operator.band_elements` and writes no formula of its
+own.  Coefficients map an index array to an array, so a solve evaluates them
+once per pass; the forward pass is the kernel `orthopoly.forward_recurrence`.
 
-    g_n = sqrt(Gamma(n+1+nu)/Gamma(n+1)) f_n     (representations a, b)
-    h_n = sqrt(Gamma(n+1)/Gamma(n+nu+1)) f_n     (representation c)
+There is one convention: f_0 = 1, the overall factor is fixed later by
+wavefunction normalization, and f_n = R_n s_n, with R_n the running product
+(`rescale`)
 
-the relation reduces, per family, to the natural relations written out here:
-a hyperbolic Meixner-Pollaczek recurrence (a, b) or a modified continuous dual
-Hahn recurrence (c), so the coefficients have closed forms evaluated by
-`orthopoly`.  Both routes are implemented; each is the oracle for the other.
+    R_0 = 1,   R_n = R_{n-1} sqrt(n/(n+nu))   (representations a, b)
+               R_n = R_{n-1} sqrt((n+nu)/n)   (representation c).
+
+The natural sequence s_n (s_0 = 1) satisfies the natural relation written out
+here: a hyperbolic Meixner-Pollaczek recurrence (a, b) or a modified
+continuous dual Hahn recurrence (c), so it has closed forms evaluated by
+`orthopoly`.  R_n^2 = n!/(nu+1)_n (or its inverse) is a ratio of Gamma
+functions taken one step at a time; no Gamma function is formed, so R_n stays
+in double range long after Gamma(n+1+nu) has left it.
 
 The production route (`coefficient_sequence`) is float arithmetic.  In
 representation b, lam + y = 0, so the hyperbolic Meixner-Pollaczek
 2F1(-n, lam + y; 2 lam; .) is a single term and the pinned sequence is the
-running product g_n = g_{n-1} (2 lam + n - 1)/n s e^{-theta'}, s = +-1 by
+running product s_n = s_{n-1} (2 lam + n - 1)/n s e^{-theta'}, s = +-1 by
 branch (Koekoek, Lesky & Swarttouw, "Hypergeometric Orthogonal Polynomials",
 2010, sec. 9.7).  In representations a and c the pinned sequence is the
 dominant solution, and forward recurrence on the natural relation follows it.
 The extended-precision closed forms (`closed_form_sequence`) cost O(N)
 extended-precision operations plus O(N^2) exact integer additions, and serve
-only as the oracle.
+only as the oracle; each route is the oracle for the other.
 
 Branch handling for a/b: with sigma_- > 0 (rho^2 > 1) the normalized
-coefficients read  2[(n+lam_mp) cosh(theta) + y sinh(theta)] g_n
-- (n+2 lam_mp-1) g_{n-1} - (n+1) g_{n+1} = 0, while sigma_- < 0 (rho^2 < 1)
-flips the sign of the g_{n-1}, g_{n+1} terms and of the y term; both are the
+coefficients read  2[(n+lam_mp) cosh(theta) + y sinh(theta)] s_n
+- (n+2 lam_mp-1) s_{n-1} - (n+1) s_{n+1} = 0, while sigma_- < 0 (rho^2 < 1)
+flips the sign of the s_{n-1}, s_{n+1} terms and of the y term; both are the
 single sigma-form divided by |sigma_-|, with theta = asinh(2 rho/(rho^2-1))
 throughout (for rho^2 < 1 that arcsinh argument is itself negative, which is
 exactly what makes the flipped relation hold).
@@ -46,12 +51,10 @@ import numpy as np
 
 from .basis import Rep
 from .orthopoly import forward_recurrence, hyp_mp_series_all, mod_cdh_series_all
-from .wave_operator import DerivedParams, band_elements
+from .wave_operator import DerivedParams, ab_diagonal, band_elements
 
 __all__ = [
     "ThreeTermRecursion",
-    "CoefficientSequence",
-    "natural_scaling",
     "build_recursion",
     "solve_forward",
     "coefficient_sequence",
@@ -70,8 +73,6 @@ class ThreeTermRecursion:
     a: Callable
     b: Callable
     c: Callable
-    scaling: str  # 'f', 'g' or 'h': which rescaling of the f_n it propagates
-    nu: float
 
     def _terms(self, seq: np.ndarray, n) -> tuple:
         """The relation's three terms a(n) s_n, b(n) s_{n-1}, c(n) s_{n+1} at index n."""
@@ -86,18 +87,6 @@ class ThreeTermRecursion:
         """|residual| at index n over the sum of its three terms' magnitudes."""
         terms = self._terms(seq, n)
         return np.abs(sum(terms)) / (sum(np.abs(t) for t in terms) + 1e-300)
-
-
-@dataclass(frozen=True)
-class CoefficientSequence:
-    """Expansion coefficients in one of the f/g/h scalings."""
-
-    values: np.ndarray
-    scaling: str
-    nu: float
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def mp_lambda(derived: DerivedParams) -> float:
@@ -120,22 +109,16 @@ def cdh_parameters(derived: DerivedParams) -> tuple[float, float, float, float]:
     return lam, math.sqrt(ysq), lam, derived.d + (1.0 - derived.nu) / 2.0
 
 
-def natural_scaling(rep: Rep) -> str:
-    """The scaling whose relation the closed forms satisfy: 'h' for c, 'g' for a/b."""
-    return "h" if rep is Rep.C else "g"
-
-
 def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
                     scaling: str | None = None) -> ThreeTermRecursion:
-    """The coefficient recursion in its natural scaling (or the raw 'f' one).
+    """The natural relation of the s_n, or with scaling='f' the raw one of the f_n.
 
     scaling='f' returns the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1}
     = 0, read off the rows of the tridiagonal operator (the analytic matrix
-    elements of `derived`).  The default is the natural relation
-    (`natural_scaling`): for representations a/b the g-scaled relation
-    normalized by |sigma_-|, so the coefficients carry the branch's sign
-    pattern; for c the h-scaled relation.  Any other scaling raises ValueError,
-    and so do a `rep` or `nu` not those of `derived`, and |rho| = 1 in a/b.
+    elements of `derived`).  The default is the natural relation: for
+    representations a/b normalized by |sigma_-|, so the coefficients carry the
+    branch's sign pattern.  Any other scaling raises ValueError, and so do a
+    `rep` or `nu` not those of `derived`, and |rho| = 1 in a/b.
     """
     if rep is not derived.rep or nu != derived.nu:
         raise ValueError(f"representation {rep.value} with nu = {nu} does not match the "
@@ -143,34 +126,28 @@ def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
     if rep is not Rep.C and (derived.rho * derived.rho == 1.0 or derived.sigma_minus == 0.0):
         raise ValueError("|rho| = 1 degenerates the three-term recursion in representations "
                          "a/b; use representation c (rep='c') or a different omega")
-    natural = natural_scaling(rep)
-    scaling = natural if scaling is None else scaling
     if scaling == "f":
         return ThreeTermRecursion(
             a=lambda n: band_elements(derived, n),
             b=lambda n: band_elements(derived, n, offdiag=True),
-            c=lambda n: band_elements(derived, n + 1, offdiag=True),
-            scaling="f", nu=nu)
-    if scaling != natural:
-        raise ValueError(f"unsupported scaling {scaling!r} for representation {rep.value}")
+            c=lambda n: band_elements(derived, n + 1, offdiag=True))
+    if scaling is not None:
+        raise ValueError(f"unsupported scaling {scaling!r}: 'f' or None")
 
-    if natural == "h":
+    if rep is Rep.C:
         z, rho, u, p, d = derived.z, derived.rho, derived.u, derived.p, derived.d
         bracket_const = z * (z + rho * u / p) - ((nu + 1.0) / 2.0) ** 2
         return ThreeTermRecursion(
             a=lambda n: (n + nu + 1.0) * (n + d + 1.0) + n * (n + d) + bracket_const,
             b=lambda n: -n * (n + d),
-            c=lambda n: -(n + nu + 1.0) * (n + d + 1.0),
-            scaling="h", nu=nu)
+            c=lambda n: -(n + nu + 1.0) * (n + d + 1.0))
 
-    sp, sm, zeta = derived.sigma_plus, derived.sigma_minus, derived.zeta
-    lam_mp = (nu + 1.0) / 2.0
+    sm = derived.sigma_minus
     sgn = math.copysign(1.0, sm)
     return ThreeTermRecursion(
-        a=lambda n: 2.0 * ((n + lam_mp) * sp + zeta) / abs(sm),
+        a=lambda n: ab_diagonal(derived, n) / abs(sm),
         b=lambda n: -sgn * (n + nu),
-        c=lambda n: -sgn * (n + 1.0),
-        scaling="g", nu=nu)
+        c=lambda n: -sgn * (n + 1.0))
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -180,26 +157,23 @@ def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def solve_forward(rec: ThreeTermRecursion, N: int) -> CoefficientSequence:
+def solve_forward(rec: ThreeTermRecursion, N: int) -> np.ndarray:
     """Forward recurrence s_0 = 1, s_{n+1} = -(a(n) s_n + b(n) s_{n-1}) / c(n),
     with a, b and c evaluated once, over n = 0..N-1.
 
-    The overall factor is fixed later by wavefunction normalization.  Stable
-    where the pinned sequence is the dominant solution; raises ValueError
-    when it leaves double range."""
+    Stable where the pinned sequence is the dominant solution; raises
+    ValueError when it leaves double range."""
     if N < 0:
         raise ValueError("N must be non-negative")
     n = np.arange(N)
-    values = _check_finite(forward_recurrence(rec.a(n), rec.b(n), rec.c(n)),
-                           "forward recurrence")
-    return CoefficientSequence(values=values, scaling=rec.scaling, nu=rec.nu)
+    return _check_finite(forward_recurrence(rec.a(n), rec.b(n), rec.c(n)), "forward recurrence")
 
 
-def coefficient_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
+def coefficient_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     """s_0..s_N of the natural relation, in float arithmetic with O(N) work.
 
     In representation b (lam + y = 0) the pinned sequence is a single term,
-    g_n = (2 lam)_n / n! (s e^{-theta'})^n with (s, theta') = (1, theta) for
+    s_n = (2 lam)_n / n! (s e^{-theta'})^n with (s, theta') = (1, theta) for
     rho^2 > 1 and (-1, -theta) for rho^2 < 1, computed as one running product.
     Everywhere else the pinned sequence is dominant and forward recurrence
     follows it.  Raises ValueError at |rho| = 1 in a/b, for representation b
@@ -218,20 +192,18 @@ def coefficient_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
     steps = (2.0 * mp_lambda(derived) + k - 1.0) / k * (s * math.exp(-theta))
     with np.errstate(over="ignore"):
         values = np.cumprod(np.r_[1.0, steps])
-    return CoefficientSequence(values=_check_finite(values, "coefficient product"),
-                               scaling="g", nu=derived.nu)
+    return _check_finite(values, "coefficient product")
 
 
-def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
-    """Coefficients from the orthogonal-polynomial closed forms.
+def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
+    """The natural sequence s_0..s_N from the orthogonal-polynomial closed forms.
 
-    a/b (g-scaled):  g_n = P_n(y, theta) for rho^2 > 1 and
-                     g_n = (-1)^n P_n(-y, theta) for rho^2 < 1,
-    with the hyperbolic Meixner-Pollaczek family of order (nu+1)/2 and
-    y = (kappa+1/2)/beta - 1/2.
+    a/b:  s_n = P_n(y, theta) for rho^2 > 1 and s_n = (-1)^n P_n(-y, theta)
+          for rho^2 < 1, with the hyperbolic Meixner-Pollaczek family of
+          order (nu+1)/2 and y = (kappa+1/2)/beta - 1/2.
 
-    c (h-scaled):    h_n = modified continuous dual Hahn of order (nu+1)/2
-                     with arguments from `cdh_parameters`.
+    c:    s_n = modified continuous dual Hahn of order (nu+1)/2 with
+          arguments from `cdh_parameters`.
 
     Values come from one terminating-series family per sequence, at a
     precision its worst cancellation leaves intact; they are exact even where
@@ -243,8 +215,7 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
     if N < 0:
         raise ValueError("N must be non-negative")
     if derived.rep is Rep.C:
-        return CoefficientSequence(values=mod_cdh_series_all(N, *cdh_parameters(derived)),
-                                   scaling="h", nu=derived.nu)
+        return mod_cdh_series_all(N, *cdh_parameters(derived))
 
     if derived.theta is None or derived.y is None:
         raise ValueError(
@@ -252,30 +223,18 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> CoefficientSequence:
             "assignments with |rho| != 1"
         )
     sign, y = (1.0, derived.y) if derived.rho ** 2 > 1.0 else (-1.0, -derived.y)
-    vals = sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived), y, derived.theta)
-    return CoefficientSequence(values=vals, scaling="g", nu=derived.nu)
+    return sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived), y, derived.theta)
 
 
-def rescale(seq: CoefficientSequence, target: str) -> CoefficientSequence:
-    """Convert between the f, g and h scalings; round trips are exact inverses.
+def rescale(derived: DerivedParams, N: int) -> np.ndarray:
+    """R_0..R_N, the running product with f_n = R_n s_n (module docstring).
 
-    Raises ValueError when a scaling factor or a converted coefficient leaves
-    double range."""
-    if target not in ("f", "g", "h"):
-        raise ValueError(f"unknown scaling {target!r}")
-    nu = seq.nu
-    if nu <= -1.0:
-        raise ValueError("scaling factors need nu > -1 (positive Gamma arguments)")
-    if target == seq.scaling:
-        return CoefficientSequence(values=seq.values.copy(), scaling=target, nu=nu)
-    # g_n / f_n = sqrt(Gamma(n+1+nu)/Gamma(n+1)); h_n / f_n is its inverse.
+    R_0 = 1 and each step is sqrt(n/(n+nu)), or its reciprocal in
+    representation c.  Raises ValueError when a factor leaves double range."""
+    n = np.arange(1.0, N + 1.0)
+    steps = np.sqrt(n / (n + derived.nu))
+    if derived.rep is Rep.C:
+        steps = 1.0 / steps
     with np.errstate(over="ignore"):
-        factors = np.exp([0.5 * (math.lgamma(n + 1.0 + nu) - math.lgamma(n + 1.0))
-                          for n in range(len(seq.values))])
-    _check_finite(factors, f"scaling factor sqrt(Gamma(n+1+nu)/Gamma(n+1)) at nu = {nu:.6g}")
-    to_f = {"f": 1.0, "g": 1.0 / factors, "h": factors}[seq.scaling]
-    from_f = {"f": 1.0, "g": factors, "h": 1.0 / factors}[target]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = seq.values * to_f * from_f
-    return CoefficientSequence(values=_check_finite(values, f"{target}-scaled coefficient"),
-                               scaling=target, nu=nu)
+        factors = np.cumprod(np.r_[1.0, steps])
+    return _check_finite(factors, f"scaling factor R_n at nu = {derived.nu:.6g}")

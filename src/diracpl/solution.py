@@ -1,9 +1,11 @@
 """Truncated series spinor solutions, residual diagnostics, and the special cases.
 
 A solution is chi_N = C * sum_{n=0}^N f_n psi_n with C fixed by
-<chi_N|chi_N> = 1 and the f_n from float arithmetic (representation b's
-running product, forward recurrence for a and c: `recursion.coefficient_sequence`);
-the extended-precision closed forms are its oracle, not the production route.
+<chi_N|chi_N> = 1 and f_n = R_n s_n, f_0 = 1: the natural sequence s_n from
+float arithmetic (representation b's running product, forward recurrence for a
+and c: `recursion.coefficient_sequence`) times one running product
+(`recursion.rescale`); the extended-precision closed forms are the oracle of
+the s_n, not the production route.
 The two component forms are built from the coefficient vector in one pass
 (`basis.spinor_forms`).
 Because the basis satisfies the first-order (kinetic-balance) relation
@@ -31,7 +33,7 @@ from .basis import (_EXCLUDED_MU, BasisParams, PhysicalParams, Rep, _check_r,
                     select_representation, spinor_forms)
 from .forms import LaguerreForm, integrate_product, quadrature_order
 from .quadrature import MAX_ORDER
-from .recursion import coefficient_sequence, rescale
+from .recursion import _check_finite, coefficient_sequence, rescale
 from .wave_operator import (DerivedParams, basis_spinor, bilinear_form, build_operator,
                             derived_params, matrix_element_analytic)
 
@@ -72,7 +74,7 @@ class SpinorSample:
 class SeriesSolution:
     """Normalized truncated series solution.
 
-    coeffs holds f_0..f_N (f-scaling, pre-normalization); f_next = f_{N+1}
+    coeffs holds f_0..f_N (pre-normalization, f_0 = 1); f_next = f_{N+1}
     feeds the weak-form boundary identity.  derived is the one record of the
     basis and its recursion constants; for eps = -1 it belongs to the reflected
     (+1) problem and the component forms are already swapped.  Each integral
@@ -188,8 +190,9 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int) -> SeriesSolution
         raise ValueError(f"N = {N} is too large: the series norm needs quadrature order "
                          f"{order}, above the largest, {MAX_ORDER}")
     der = derived_params(basis, phys)
-    seq = coefficient_sequence(der, N + 1)
-    fall = rescale(seq, "f").values
+    with np.errstate(over="ignore"):
+        fall = coefficient_sequence(der, N + 1) * rescale(der, N + 1)
+    _check_finite(fall, "coefficient f_n")
     return _normalized(phys, der, fall[:N + 1], float(fall[N + 1]))
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "DerivedParams",
     "derived_params",
     "band_elements",
+    "ab_diagonal",
     "matrix_element_analytic",
     "matrix_element_numeric",
     "Spinor",
@@ -81,25 +82,25 @@ def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
         raise ValueError("tau = 1/2 makes p vanish; the recursion reduction needs p != 0")
     p = beta * (1.0 - 2.0 * tau)
     q = phys.A / omega ** beta - beta * rho / 2.0
-    c = q / p
-    sigma_plus = (rho + c) ** 2 - c * c + 1.0
-    sigma_minus = (rho + c) ** 2 - c * c - 1.0
-    nut = (2.0 * phys.kappa + 1.0) / beta
-    zeta = (nut - 1.0) * (rho + c)
-
     q_zero = abs(q) <= _KB_TOL * (abs(rho * beta) / 2.0 + 1.0)
     if q_zero:
-        # sigma_+- collapse to rho^2 +- 1 whenever q vanishes; p = beta/2 is
-        # additionally forced once tau takes its balanced value.
-        assert abs(sigma_plus - (rho * rho + 1.0)) <= 1e-12 * (rho * rho + 1.0)
-        if tau == 0.25:
+        # The rest-mass-energy assignments make q vanish identically; its
+        # roundoff would otherwise swamp the terms of order rho - 1 near |rho| = 1.
+        q = 0.0
+        if tau == 0.25:  # p = beta/2 is forced once tau takes its balanced value
             assert abs(p - beta / 2.0) <= 1e-13 * abs(beta)
+    c = q / p
+    # rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1
+    sigma_plus = rho * rho + 1.0 + 2.0 * rho * c
+    sigma_minus = (rho - 1.0) * (rho + 1.0) + 2.0 * rho * c
+    nut = (2.0 * phys.kappa + 1.0) / beta
+    zeta = (nut - 1.0) * (rho + c)
 
     # The hyperbolic reduction of the a/b recursions exists whenever q = 0
     # away from the |rho| = 1 boundary.
     theta = y = None
-    if q_zero and rho * rho != 1.0:
-        theta = math.asinh(2.0 * rho / (rho * rho - 1.0))
+    if q_zero and sigma_minus != 0.0:
+        theta = math.asinh(2.0 * rho / sigma_minus)
         y = (phys.kappa + 0.5) / beta - 0.5
 
     z = gamma + 1.0 / (2.0 * beta)
@@ -117,15 +118,13 @@ def band_elements(derived: DerivedParams, k, offdiag: bool = False):
     sqrt(k (k+nu)) makes 0 at k = 0.  Reps a and b share one formula in nu."""
     k = np.asarray(k)
     lam, omega, beta, tau = derived.lam, derived.omega, derived.beta, derived.tau
-    p, q, rho, nu = derived.p, derived.q, derived.rho, derived.nu
+    p, rho, nu = derived.p, derived.rho, derived.nu
     common = lam * lam * omega * omega * beta * tau
 
     if derived.rep is not Rep.C:
         if not offdiag:
-            nut = (2.0 * derived.kappa + 1.0) / beta
-            return common * ((2.0 * k + 1.0 + nu) * (p * (rho * rho + 1.0) + 2.0 * q * rho)
-                             + 2.0 * (nut - 1.0) * (p * rho + q))
-        return -common * (p * (rho * rho - 1.0) + 2.0 * q * rho) * np.sqrt(k * (k + nu))
+            return common * p * ab_diagonal(derived, k)
+        return -common * p * derived.sigma_minus * np.sqrt(k * (k + nu))
 
     alpha, gamma, u = derived.alpha, derived.gamma, derived.u
     if not offdiag:
@@ -134,6 +133,19 @@ def band_elements(derived: DerivedParams, k, offdiag: bool = False):
         return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
     s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
     return -4.0 * common * (p * s + u / 2.0) * np.sqrt(k * (k + nu))
+
+
+def ab_diagonal(derived: DerivedParams, k):
+    """X_k = (2k+1+nu) sigma_+ + 2 zeta of representations a/b, over an index
+    array k: D_k = common p X_k, and the natural relation's diagonal is
+    X_k/|sigma_-|.  Written with rho^2 + 1 = (rho-1)^2 + 2 rho, so the part
+    that vanishes as rho -> 1 (X_0 of representation b, where nu + nut = 0) is a
+    product, not a difference of rounded O(1) terms."""
+    k = np.asarray(k)
+    rho, nu, c = derived.rho, derived.nu, derived.q / derived.p
+    nut = (2.0 * derived.kappa + 1.0) / derived.beta
+    return ((2.0 * k + 1.0 + nu) * (rho - 1.0) ** 2 + 2.0 * rho * (2.0 * k + nu + nut)
+            + 2.0 * c * ((2.0 * k + 1.0 + nu) * rho + nut - 1.0))
 
 
 def matrix_element_analytic(derived: DerivedParams, n: int, m: int) -> float:

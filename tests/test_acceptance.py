@@ -210,13 +210,13 @@ def test_criterion_5_closed_form_solutions():
         phys, basis = build_case(label)
         der = derived_params(basis, phys)
         rec = build_recursion(basis.rep, der, basis.nu)
-        cf = closed_form_sequence(der, 21).values
+        cf = closed_form_sequence(der, 21)
         # forward recurrence loses decaying (minimal) sequences to dominant
         # contamination; the dual comparison is meaningful on the horizon
         # where the recurrence still carries the pinned solution
         growing = abs(cf[20]) >= abs(cf[0])
         horizon = 20 if growing else 12
-        fwd = solve_forward(rec, horizon).values
+        fwd = solve_forward(rec, horizon)
         ref = np.max(np.abs(cf[:horizon + 1]))
         worst_dual = max(worst_dual, float(
             np.max(np.abs(fwd - cf[:horizon + 1])) / ref))

@@ -12,7 +12,7 @@ import pytest
 
 from diracpl.cli import build_config, main, make_parser
 from diracpl.forms import LaguerreForm
-from diracpl.recursion import CoefficientSequence, natural_scaling, rescale
+from diracpl.recursion import rescale
 
 SOLVE_ARGS = ["--A", "1", "--mu", "2", "--kappa", "-1", "--N", "8"]
 
@@ -251,8 +251,7 @@ class TestSolveOutputs:
         # those json.dumps gives for the rows, up to rep a's ceiling
         assert main(["solve", *args, "--out", str(tmp_path)]) == 0
         sol = build_config(make_parser().parse_args(["solve", *args])).solve()
-        seq = CoefficientSequence(values=sol.coeffs, scaling="f", nu=sol.basis.nu)
-        scaled = rescale(seq, natural_scaling(sol.basis.rep)).values
+        scaled = sol.coeffs / rescale(sol.derived, sol.N)
         rows = [{"n": n, "f_n": float(sol.coeffs[n]), "g_or_h_n": float(scaled[n])}
                 for n in range(sol.N + 1)]
         assert ((tmp_path / "coefficients.json").read_text()
@@ -459,9 +458,9 @@ class TestEntryPoint:
     @pytest.mark.parametrize("A,kappa", [(1, -2), (-5, 2), (1, -1)])
     def test_out_of_double_range_is_config_error(self, tmp_path, A, kappa):
         # mu = 0.99 passes the omega range check, but beta = 0.01 makes nu
-        # 100..500: the coefficient scaling sqrt(Gamma(n+1+nu)/Gamma(n+1))
-        # (representations a, b) or the quadrature weight prefactor
-        # Gamma(order+nu+1)/Gamma(order+1) (representation c) leaves double range
+        # 100..500 and omega up to 8e269: the product integrands of the series
+        # norm (kappa = -2, -1) or the lower component's scale
+        # lam omega tau beta sqrt(omega |beta|) (kappa = 2) leave double range
         proc = subprocess.run(
             [sys.executable, "-m", "diracpl.cli", "solve", "--A", str(A), "--mu", "0.99",
              "--kappa", str(kappa), "--N", "10", "--out", str(tmp_path)],
@@ -469,6 +468,19 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "double range" in proc.stderr
+
+    def test_lower_component_scale_overflow_exits_without_warnings(self, tmp_path):
+        # omega = 3.6e251 (beta = 0.0033): lam omega tau beta sqrt(omega |beta|)
+        # overflows, and is refused before inf meets a zero stencil entry
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "diracpl.cli", "verify",
+             "--A=0.023143966390086784", "--mu=0.99665865448885", "--kappa=6", "--N=20",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "configuration error: lower-component scale leaves double range "
+            "(omega = 3.55e+251, beta = 0.003341)"]
 
     def test_quadrature_overflow_exits_without_warnings(self, tmp_path):
         # representation c at N = 715 asks for an order-723 Gauss-Laguerre
@@ -696,6 +708,26 @@ class TestBatchedChecksBite:
         assert code == 1
         assert [name for name, ok in passed.items() if not ok] == ["scaling-equivalence"]
 
+    @pytest.mark.parametrize("args", VERIFY_CONFIGS, ids=["a", "b", "c", "eps-minus"])
+    def test_perturbed_far_bands_fail_scaling_equivalence(self, tmp_path, capsys,
+                                                          monkeypatch, args):
+        # D_n and B_n scaled by 1 + 1e-3 for 25 < n < 35, past every fixed-range
+        # check: the raw relation, read on the solution's own f_0..f_{N+1} at
+        # every row n <= N, sees it (5.5e-5 .. 4.5e-4)
+        import diracpl.recursion as recursion
+        import diracpl.wave_operator as wave_operator
+        original = wave_operator.band_elements
+
+        def perturbed(derived, k, offdiag=False):
+            far = (np.asarray(k) > 25) & (np.asarray(k) < 35)
+            return original(derived, k, offdiag) * np.where(far, 1.0 + 1e-3, 1.0)
+
+        monkeypatch.setattr(wave_operator, "band_elements", perturbed)
+        monkeypatch.setattr(recursion, "band_elements", perturbed)
+        code, passed = _verdicts(tmp_path, [*args, "--N", "40"])
+        assert code == 1
+        assert [name for name, ok in passed.items() if not ok] == ["scaling-equivalence"]
+
 
 # Representation b with |theta| <= 0.03 (rho = 553, 2.0e-3, 95 and 0.0146),
 # where the pinned sequence decays or grows by only e^{-n |theta|} per step.
@@ -716,6 +748,24 @@ SMALL_THETA_REP_B = [
 def test_small_theta_rep_b_verifies(tmp_path, capsys, args):
     code, passed = _verdicts(tmp_path, args)
     assert code == 0, [name for name, ok in passed.items() if not ok]
+
+
+# Contract-sweep draws near mu = 1 (nu = 400, 626 and 957), whose
+# Gamma(n+1+nu) leaves double range while the running product R_n does not.
+LARGE_NU = [
+    ["--A=-0.02824516806695166", "--mu=1.012511070587796", "--kappa=-3", "--N=5"],
+    ["--A=6.571918498063921", "--mu=0.9760228988459303", "--kappa=7", "--N=20",
+     "--omega=2.7864680347990225"],
+    ["--A=-2.699971794706568", "--mu=1.0156696416427031", "--kappa=7", "--N=5",
+     "--omega=16.443493406253143"],
+]
+
+
+@pytest.mark.parametrize("args", LARGE_NU, ids=["nu-400", "nu-626", "nu-957"])
+def test_large_nu_verifies(tmp_path, capsys, args):
+    code, passed = _verdicts(tmp_path, args)
+    assert code == 0, [name for name, ok in passed.items() if not ok]
+    assert len(passed) == 9
 
 
 class TestQuadratureOrder:
@@ -780,8 +830,8 @@ class TestNoCeilingBelow400:
         assert code == 0, [name for name, ok in passed.items() if not ok]
 
     def test_tiny_user_omega_verifies(self, tmp_path, capsys):
-        # representation a with omega = 1e-200: the Gamma ratio of a_n lives
-        # inside psi_n, so the lower component's prefactor
+        # representation a with omega = 1e-200: the orthonormal psi_n carry
+        # their own Gamma normalization, so the lower component's prefactor
         # lam omega tau beta sqrt(omega |beta|) stays a normal double
         code, passed = _verdicts(tmp_path, ["--A", "1", "--mu", "0.9", "--kappa", "1",
                                             "--omega", "1e-200", "--N", "20"])

@@ -1,9 +1,11 @@
-"""Coefficient recursions: forward solve, closed forms, scalings."""
+"""Coefficient recursions: forward solve, closed forms, the running product R_n."""
 
 import math
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,8 @@ from scipy.special import gammaln
 from conftest import CASE_IDS, build_case
 from diracpl.basis import PhysicalParams, Rep, select_representation
 from diracpl.orthopoly import hyp_mp_series, mod_cdh_series, sqrt_gamma_ratio
-from diracpl.recursion import (CoefficientSequence, build_recursion, cdh_parameters,
-                               closed_form_sequence, coefficient_sequence, mp_lambda, rescale,
-                               solve_forward)
+from diracpl.recursion import (build_recursion, cdh_parameters, closed_form_sequence,
+                               coefficient_sequence, mp_lambda, rescale, solve_forward)
 from diracpl.solution import assemble, solve
 from diracpl.wave_operator import build_operator, derived_params
 
@@ -103,7 +104,7 @@ class TestBuildRecursion:
         # index array, with the same values
         for label in CASE_IDS:
             _, basis, der = _case_with_derived(label)
-            seq, n = closed_form_sequence(der, 12).values, np.arange(12)
+            seq, n = closed_form_sequence(der, 12), np.arange(12)
             for scaling in (None, "f"):
                 rec = build_recursion(basis.rep, der, basis.nu, scaling)
                 for f in (rec.a, rec.b, rec.c):
@@ -128,15 +129,15 @@ class TestSolveForward:
     def test_rep_a_first_step(self):
         _, basis, der = _case_with_derived("a_rho2")
         seq = solve_forward(build_recursion(basis.rep, der, basis.nu), 3)
-        assert seq.values[0] == 1.0
-        assert seq.values[1] == pytest.approx(10.0 / 3.0, rel=1e-14)
+        assert seq[0] == 1.0
+        assert seq[1] == pytest.approx(10.0 / 3.0, rel=1e-14)
 
     def test_rep_c_first_step(self):
         phys = PhysicalParams(A=1.0, mu=2.0, kappa=-1)
         basis = select_representation(phys, alpha=1.0)
         der = derived_params(basis, phys)
         seq = solve_forward(build_recursion(basis.rep, der, basis.nu), 2)
-        assert seq.values[1] == pytest.approx(2.0 / 3.0, rel=1e-13)
+        assert seq[1] == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_defining_property(self, label):
@@ -144,14 +145,13 @@ class TestSolveForward:
         rec = build_recursion(basis.rep, der, basis.nu)
         seq = solve_forward(rec, 20)
         for n in range(20):
-            lead = abs(rec.a(n) * seq.values[n]) + 1e-300
-            assert abs(rec.residual(seq.values, n)) < 1e-12 * lead
+            lead = abs(rec.a(n) * seq[n]) + 1e-300
+            assert abs(rec.residual(seq, n)) < 1e-12 * lead
 
     def test_zero_c_reported_with_index(self):
         der = _case_with_derived("c_rho_plus")[2]
         rec = build_recursion(Rep.C, der, der.nu)
-        broken = type(rec)(a=rec.a, b=rec.b, c=lambda n: np.where(n == 2, 0.0, rec.c(n)),
-                           scaling=rec.scaling, nu=rec.nu)
+        broken = type(rec)(a=rec.a, b=rec.b, c=lambda n: np.where(n == 2, 0.0, rec.c(n)))
         with pytest.raises(ValueError, match="c\\(2\\)"):
             solve_forward(broken, 5)
 
@@ -198,7 +198,7 @@ class TestLoopReference:
         _, basis, der = _case_with_derived(label)
         for scaling in (None, "f"):
             rec = build_recursion(basis.rep, der, basis.nu, scaling)
-            np.testing.assert_array_equal(_bits(solve_forward(rec, 40).values),
+            np.testing.assert_array_equal(_bits(solve_forward(rec, 40)),
                                           _bits(_forward_loop(rec, 40)))
 
 
@@ -208,9 +208,7 @@ class TestClosedForm:
         _, basis, der = _case_with_derived(label)
         fwd = solve_forward(build_recursion(basis.rep, der, basis.nu), 20)
         cf = closed_form_sequence(der, 20)
-        assert cf.scaling == fwd.scaling
-        np.testing.assert_allclose(cf.values, fwd.values, rtol=1e-6,
-                                   atol=1e-6 * np.max(np.abs(fwd.values)))
+        np.testing.assert_allclose(cf, fwd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fwd)))
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_sequence_equals_per_order_series(self, label):
@@ -225,19 +223,19 @@ class TestClosedForm:
             sign, y = (1.0, der.y) if der.rho ** 2 > 1.0 else (-1.0, -der.y)
             per_order = [sign ** n * hyp_mp_series(n, mp_lambda(der), y, der.theta)
                          for n in range(N + 1)]
-        np.testing.assert_allclose(closed_form_sequence(der, N).values, per_order,
+        np.testing.assert_allclose(closed_form_sequence(der, N), per_order,
                                    rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_normalized_start(self, label):
         _, basis, der = _case_with_derived(label)
-        assert closed_form_sequence(der, 0).values[0] == pytest.approx(1.0)
+        assert closed_form_sequence(der, 0)[0] == pytest.approx(1.0)
 
     def test_rep_a_first_value_is_hyperbolic_cosine(self):
         _, basis, der = _case_with_derived("a_rho2")
         cf = closed_form_sequence(der, 1)
-        assert cf.values[1] == pytest.approx(2.0 * math.cosh(der.theta), rel=1e-13)
-        assert cf.values[1] == pytest.approx(10.0 / 3.0, rel=1e-13)
+        assert cf[1] == pytest.approx(2.0 * math.cosh(der.theta), rel=1e-13)
+        assert cf[1] == pytest.approx(10.0 / 3.0, rel=1e-13)
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_satisfies_recursion(self, label):
@@ -245,8 +243,8 @@ class TestClosedForm:
         rec = build_recursion(basis.rep, der, basis.nu)
         cf = closed_form_sequence(der, 16)
         for n in range(15):
-            lead = abs(rec.a(n) * cf.values[n]) + 1e-300
-            assert abs(rec.residual(cf.values, n)) < 1e-10 * lead
+            lead = abs(rec.a(n) * cf[n]) + 1e-300
+            assert abs(rec.residual(cf, n)) < 1e-10 * lead
 
     @pytest.mark.parametrize("label", ["c_rho_minus", "c_rho_plus", "c_requested"])
     def test_cdh_parameter_matching(self, label):
@@ -277,47 +275,28 @@ class TestClosedForm:
 
 
 class TestScalings:
-    def test_round_trips(self):
-        seq = CoefficientSequence(values=np.array([1.0, -2.5, 3.75, 0.1]),
-                                  scaling="f", nu=1.5)
-        for target in ("g", "h"):
-            back = rescale(rescale(seq, target), "f")
-            np.testing.assert_allclose(back.values, seq.values, rtol=1e-14)
-        gh = rescale(rescale(rescale(seq, "g"), "h"), "f")
-        np.testing.assert_allclose(gh.values, seq.values, rtol=1e-13)
-
     def test_rep_a_frozen_rescale(self):
-        # nu = 1: f_1 = g_1 sqrt(Gamma(2)/Gamma(3)) = (10/3)/sqrt(2)
+        # nu = 1: f_1 = R_1 s_1 = sqrt(1/2) (10/3)
         _, basis, der = _case_with_derived("a_rho2")
-        g = solve_forward(build_recursion(basis.rep, der, basis.nu), 2)
-        f = rescale(g, "f")
-        assert f.values[1] == pytest.approx((10.0 / 3.0) / math.sqrt(2.0), rel=1e-13)
-
-    def test_factor_at_zero(self):
-        seq = CoefficientSequence(values=np.array([1.0]), scaling="f", nu=2.2)
-        g = rescale(seq, "g")
-        assert g.values[0] == pytest.approx(sqrt_gamma_ratio(1.0 + 2.2, 1.0), rel=1e-14)
-
-    def test_rejects_bad_nu(self):
-        seq = CoefficientSequence(values=np.array([1.0, 2.0]), scaling="f", nu=-1.5)
-        with pytest.raises(ValueError):
-            rescale(seq, "g")
+        f = solve_forward(build_recursion(basis.rep, der, basis.nu), 2) * rescale(der, 2)
+        assert f[0] == 1.0
+        assert f[1] == pytest.approx((10.0 / 3.0) / math.sqrt(2.0), rel=1e-13)
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_scaling_equivalence_chain_coefficients(self, label):
-        # the reduced relation is the raw one conjugated by the Gamma-ratio
-        # rescaling: term by term, raw coefficients transported through the
-        # scaling factors reproduce the reduced ones up to a common factor
+        # the natural relation is the raw one conjugated by the running product
+        # R_n: term by term, raw coefficients transported through its steps
+        # reproduce the natural ones up to a common factor
         _, basis, der = _case_with_derived(label)
         nu = basis.nu
         raw = build_recursion(basis.rep, der, nu, scaling="f")
         red = build_recursion(basis.rep, der, nu)
         for n in range(1, 21):
-            # scaled-sequence ratios R_n/R_{n-1} and R_n/R_{n+1} with
-            # R_n = sqrt(Gamma(n+1+nu)/Gamma(n+1)); inverted for the h scaling
+            # R_{n-1}/R_n and R_{n+1}/R_n of the running product f_n = R_n s_n,
+            # steps sqrt(n/(n+nu)) in a/b, inverted in c
             ratio_dn = math.sqrt((n + nu) / n)
             ratio_up = math.sqrt((n + 1.0) / (n + 1.0 + nu))
-            if red.scaling == "h":
+            if basis.rep is Rep.C:
                 ratio_dn, ratio_up = 1.0 / ratio_dn, 1.0 / ratio_up
             common = raw.a(n) / red.a(n)
             assert raw.b(n) * ratio_dn == pytest.approx(common * red.b(n), rel=1e-12)
@@ -325,31 +304,30 @@ class TestScalings:
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_scaling_equivalence_chain_sequences(self, label):
-        # raw and rescaled recursions give the same coefficients up to the
-        # overall factor fixed later by normalization.  When the pinned
+        # the natural solve times the running product is the raw solve: both
+        # start at f_0 = s_0 = 1, so no factor is left.  When the pinned
         # solution is the decaying (minimal) one, any forward solve loses it
         # to dominant-solution contamination, so the sequence-level comparison
         # is restricted to the range where both solves still carry it.
         _, basis, der = _case_with_derived(label)
-        cf = closed_form_sequence(der, 20).values
+        cf = closed_form_sequence(der, 20)
         growing = abs(cf[-1]) >= abs(cf[0])
         horizon = 20 if growing else 10
         raw = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), horizon)
         reduced = solve_forward(build_recursion(basis.rep, der, basis.nu), horizon)
-        red_f = rescale(reduced, "f").values
-        red_f = red_f / red_f[0]
-        np.testing.assert_allclose(red_f, raw.values, rtol=1e-12 if growing else 1e-9)
+        np.testing.assert_allclose(reduced * rescale(der, horizon), raw,
+                                   rtol=1e-12 if growing else 1e-9)
 
     @pytest.mark.parametrize("N", [20, 60])
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_raw_relation_sector_stable_over_full_horizon(self, label, N):
-        # verify's scaling-equivalence leg: the production sequence, rescaled
-        # to f, satisfies the raw relation read off the operator's bands over
-        # the whole horizon, decaying (minimal) cases included, each row
-        # against its own term magnitudes
+        # verify's scaling-equivalence leg: the production sequence times the
+        # running product satisfies the raw relation read off the operator's
+        # bands over the whole horizon, decaying (minimal) cases included, each
+        # row against its own term magnitudes
         _, basis, der = _case_with_derived(label)
         raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
-        f = rescale(coefficient_sequence(der, N), "f").values
+        f = coefficient_sequence(der, N) * rescale(der, N)
         assert np.max(raw.relative_residual(f, np.arange(N))) <= 1e-12
 
     @pytest.mark.parametrize("label", CASE_IDS)
@@ -357,7 +335,7 @@ class TestScalings:
         # D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0 ties the recursion to
         # the tridiagonal matrix elements
         _, basis, der = _case_with_derived(label)
-        f = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), 15).values
+        f = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), 15)
         op = build_operator(der, 15)
         for n in range(14):
             res = op[n, n] * f[n] + op[n + 1, n] * f[n + 1] \
@@ -373,7 +351,7 @@ def _oracle(label):
     # closed-form values do not depend on the horizon, so one N = ORACLE_N
     # evaluation per case serves every shorter horizon
     _, basis, der = _case_with_derived(label)
-    return closed_form_sequence(der, ORACLE_N).values
+    return closed_form_sequence(der, ORACLE_N)
 
 
 def _rep_b_case(A, rho, mu=-1.5, kappa=-3):
@@ -397,8 +375,7 @@ class TestCoefficientSequence:
     def test_matches_oracle_over_full_horizon(self, label, N):
         _, basis, der = _case_with_derived(label)
         seq = coefficient_sequence(der, N)
-        assert seq.scaling == ("h" if basis.rep is Rep.C else "g")
-        np.testing.assert_allclose(seq.values, _oracle(label)[:N + 1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(seq, _oracle(label)[:N + 1], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("A,rho", [(1.0, 1.4), (1.0, 2.0), (1.0, 4.0), (1.0, 16.0),
                                        (1.0, 0.3), (1.0, 0.7),
@@ -408,8 +385,8 @@ class TestCoefficientSequence:
         # rho = 16 (theta = 0.125); rho < 0: it grows
         basis, der = _rep_b_case(A, rho)
         N = 80
-        seq = coefficient_sequence(der, N).values
-        ref = closed_form_sequence(der, N).values
+        seq = coefficient_sequence(der, N)
+        ref = closed_form_sequence(der, N)
         np.testing.assert_allclose(seq, ref, rtol=1e-12, atol=0.0)
         assert (abs(ref[N]) < abs(ref[0])) == (rho > 0.0)
 
@@ -424,18 +401,18 @@ class TestCoefficientSequence:
         n = np.arange(N + 1.0)
         exact = (-1.0) ** n * np.exp(gammaln(n + two_lam) - gammaln(two_lam)
                                      - gammaln(n + 1.0) + n * der.theta)
-        seq = coefficient_sequence(der, N).values
+        seq = coefficient_sequence(der, N)
         np.testing.assert_allclose(seq, exact, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(closed_form_sequence(der, N).values, exact,
+        np.testing.assert_allclose(closed_form_sequence(der, N), exact,
                                    rtol=1e-12, atol=0.0)
 
     def test_production_sequence_satisfies_raw_relation(self):
-        # the decaying rep-b product, rescaled to f, against the operator's bands
+        # the decaying rep-b product times R_n against the operator's bands
         _, basis, der = _case_with_derived("b_pos_beta")
         rec = build_recursion(basis.rep, der, basis.nu, scaling="f")
         seq = coefficient_sequence(der, 40)
-        assert seq.values[0] == 1.0
-        f = rescale(seq, "f").values
+        assert seq[0] == 1.0
+        f = seq * rescale(der, 40)
         for n in range(40):
             assert rec.relative_residual(f, n) < 1e-12
 
@@ -444,16 +421,18 @@ class TestCoefficientSequence:
         # coefficients once limited agreement to 4.6e-9
         basis, der = _rep_b_case(0.7, 40.0, mu=0.5, kappa=-2)
         assert basis.nu == 6.0
-        np.testing.assert_allclose(coefficient_sequence(der, 160).values,
-                                   closed_form_sequence(der, 160).values, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(coefficient_sequence(der, 160),
+                                   closed_form_sequence(der, 160), rtol=1e-12, atol=0.0)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(powers=st.sampled_from(REP_B_POWERS), log_rho=st.floats(-3.0, 3.0),
            sign=st.sampled_from([-1.0, 1.0]), N=st.integers(0, 60))
     def test_rep_b_product_property(self, powers, log_rho, sign, N):
-        # the running product against the oracle, and, rescaled to f, against
+        # the running product against the oracle, and, times R_n, against
         # the raw relation of the operator's bands; entries below the normal
-        # range (only within ~1e-5 of |rho| = 1) are held to an absolute bound
+        # range (only within ~1e-5 of |rho| = 1) are held to an absolute bound.
+        # Near rho = -1 the sequence grows like (2/|rho + 1|)^n: where the
+        # oracle's values leave double range, the product must refuse
         mu, kappa = powers
         beta = 1.0 - mu
         basis, der = _rep_b_case(math.copysign(1.0, sign * beta), sign * 10.0 ** log_rho,
@@ -462,11 +441,15 @@ class TestCoefficientSequence:
             with pytest.raises(ValueError, match="representation c"):
                 coefficient_sequence(der, N)
             return
+        ref = closed_form_sequence(der, N)
+        if not np.all(np.isfinite(ref)):
+            with pytest.raises(ValueError, match="double range"):
+                coefficient_sequence(der, N)
+            return
         seq = coefficient_sequence(der, N)
-        np.testing.assert_allclose(seq.values, closed_form_sequence(der, N).values,
-                                   rtol=1e-12, atol=np.finfo(float).tiny)
+        np.testing.assert_allclose(seq, ref, rtol=1e-12, atol=np.finfo(float).tiny)
         raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
-        f = rescale(seq, "f").values
+        f = seq * rescale(der, N)
         assert np.all(raw.relative_residual(f, np.arange(N)) <= 1e-12)
 
     def test_off_rest_mass_assignments_raise(self):
@@ -481,7 +464,7 @@ class TestCoefficientSequence:
     def test_rep_b_product_out_of_double_range_raises(self):
         # rho = -1.001: theta = -7.6, so g_n grows like e^{7.6 n} past 1e308 near n = 90
         _, der = _rep_b_case(-1.0, -1.001)
-        assert np.all(np.isfinite(coefficient_sequence(der, 80).values))
+        assert np.all(np.isfinite(coefficient_sequence(der, 80)))
         with pytest.raises(ValueError, match="double range"):
             coefficient_sequence(der, 200)
 
@@ -491,7 +474,7 @@ class TestCoefficientSequence:
         basis = select_representation(phys, omega=1.5 ** (1.0 / 3.0))
         der = derived_params(basis, phys)
         assert basis.rho == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert np.all(np.isfinite(coefficient_sequence(der, 300).values))
+        assert np.all(np.isfinite(coefficient_sequence(der, 300)))
         with pytest.raises(ValueError, match="double range"):
             coefficient_sequence(der, 400)
         with pytest.raises(ValueError, match="double range"):
@@ -500,19 +483,38 @@ class TestCoefficientSequence:
 
 class TestRescaleContract:
     def test_vectorised_factors_match_scalar_loop(self):
-        seq = CoefficientSequence(values=np.linspace(1.0, 2.0, 50), scaling="f", nu=2.7)
-        g = rescale(seq, "g").values
-        loop = np.array([v * sqrt_gamma_ratio(n + 1.0 + 2.7, n + 1.0)
-                         for n, v in enumerate(seq.values)])
-        np.testing.assert_allclose(g, loop, rtol=1e-13)
+        # R_n^2 = n!/(nu+1)_n in a/b (inverted in c), against Gamma ratios
+        # taken to n = 0 one index at a time
+        loop = np.array([sqrt_gamma_ratio(n + 1.0, n + 3.7) / sqrt_gamma_ratio(1.0, 3.7)
+                         for n in range(50)])
+        np.testing.assert_allclose(rescale(SimpleNamespace(rep=Rep.A, nu=2.7), 49), loop,
+                                   rtol=1e-13)
+        np.testing.assert_allclose(rescale(SimpleNamespace(rep=Rep.C, nu=2.7), 49), 1.0 / loop,
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("nu", [1.0, 30.5, 400.0, 957.0])
+    def test_matches_extended_precision(self, nu):
+        # sqrt((nu+1)_n/n!) to 30 digits, n <= 400; where the Gamma factors
+        # themselves leave double range (nu = 400, 957) the running product
+        # stays accurate to a few rounding errors
+        N = 400
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.sqrt(mpmath.rf(nu + 1, n) / mpmath.factorial(n)))
+                              for n in range(N + 1)])
+        np.testing.assert_allclose(rescale(SimpleNamespace(rep=Rep.C, nu=nu), N), exact,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(rescale(SimpleNamespace(rep=Rep.B, nu=nu), N), 1.0 / exact,
+                                   rtol=1e-14, atol=0.0)
 
     def test_factor_overflow_raises(self):
-        # nu = 300 (beta = 0.01): sqrt(Gamma(n+301)/Gamma(n+1)) leaves double range at n = 1
-        seq = CoefficientSequence(values=np.ones(5), scaling="g", nu=300.0)
+        # representation c at nu = 1e10: R_n ~ nu^{n/2}/sqrt(n!) passes 1e308 before n = 80
+        der = SimpleNamespace(rep=Rep.C, nu=1e10)
+        assert np.all(np.isfinite(rescale(der, 60)))
         with pytest.raises(ValueError, match="double range"):
-            rescale(seq, "f")
+            rescale(der, 80)
 
     def test_non_finite_coefficient_raises(self):
-        seq = CoefficientSequence(values=np.array([1.0, np.inf, 2.0]), scaling="g", nu=1.0)
-        with pytest.raises(ValueError, match="double range at n = 1"):
-            rescale(seq, "f")
+        # a non-finite nu gives no finite factor past R_0, and is refused at n = 1
+        for rep in (Rep.A, Rep.C):
+            with pytest.raises(ValueError, match="double range at n = 1"):
+                rescale(SimpleNamespace(rep=rep, nu=math.nan), 3)

@@ -284,8 +284,8 @@ class TestGram:
 
 
 def _scalar_element(derived, n, m):
-    """The per-index closed forms as written before the bands were vectorised,
-    kept as the reference for `band_elements`."""
+    """The per-index closed forms, one scalar index at a time, kept as the
+    reference for `band_elements` (reps a/b in the product form of `ab_diagonal`)."""
     if abs(n - m) > 1:
         return 0.0
     lam, omega, beta, tau = derived.lam, derived.omega, derived.beta, derived.tau
@@ -296,9 +296,11 @@ def _scalar_element(derived, n, m):
     if derived.rep is not Rep.C:
         nut = (2.0 * derived.kappa + 1.0) / beta
         if n == m:
-            return common * ((2.0 * n + 1.0 + nu) * (p * (rho * rho + 1.0) + 2.0 * q * rho)
-                             + 2.0 * (nut - 1.0) * (p * rho + q))
-        return -common * (p * (rho * rho - 1.0) + 2.0 * q * rho) * math.sqrt(k * (k + nu))
+            c = q / p
+            return common * p * ((2.0 * n + 1.0 + nu) * (rho - 1.0) ** 2
+                                 + 2.0 * rho * (2.0 * n + nu + nut)
+                                 + 2.0 * c * ((2.0 * n + 1.0 + nu) * rho + nut - 1.0))
+        return -common * p * derived.sigma_minus * math.sqrt(k * (k + nu))
 
     alpha, gamma, u = derived.alpha, derived.gamma, derived.u
     if n == m:

@@ -15,8 +15,10 @@
 # --alpha 1.2 a user alpha, which representation c bounds; the theta = 5.5
 # verify a recursion angle where cosh^2(theta) ~ 1.5e4; the rho = 553 and
 # rho = 0.0146 verifies rep-b coefficients that change by only e^{-|theta|},
-# |theta| <= 0.03, per step; the --config verify reads a file written with the
-# alias keys lambda and epsilon.  Every one of these exits 0.  The last seven
+# |theta| <= 0.03, per step; the mu = 1.0125 verify a basis with nu = 400, whose
+# Gamma(n+1+nu) leaves double range while the running product R_n of the
+# coefficient scaling does not; the --config verify reads a file written with
+# the alias keys lambda and epsilon.  Every one of these exits 0.  The last seven
 # commands must be refused with exit 2 and one stderr line: near mu = 1
 # (beta = -0.008, nu = 250) the series norm underflows to 0 in solve, verify
 # and convergence; with a user omega = 1e-300 (rep a, beta = 0.1) the radial
@@ -42,6 +44,7 @@ diracpl verify --A 1 --mu 2 --kappa -1 --alpha 1.2 --out "$out/verify-rep-c-alph
 diracpl verify --A -1.7164122766073617 --mu -3.8641876132271795 --kappa -5 --omega 0.9324215474167732 --out "$out/verify-large-theta"
 diracpl verify --A 14.202967632234262 --mu -0.0003961086828168446 --kappa -6 --omega 0.05136804371362816 --out "$out/verify-rho-553"
 diracpl verify --A 0.682400674505875 --mu -1.8283871637591878 --kappa -2 --N 80 --omega 3.447820115026237 --out "$out/verify-rho-0.0146"
+diracpl verify --A=-0.02824516806695166 --mu=1.012511070587796 --kappa=-3 --N=5 --out "$out/verify-nu-400"
 diracpl convergence --A 1 --mu -1.5 --kappa -3 --omega 0.5253 --out "$out/readme-convergence"
 diracpl special-case --A 2 --mu 0.5 --kappa -1 --out "$out/readme-special-case"
 diracpl --help
