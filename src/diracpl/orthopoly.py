@@ -35,7 +35,6 @@ _UNDERFLOW_DIGITS = 325
 
 __all__ = [
     "gamma_ratio",
-    "sqrt_gamma_ratio",
     "forward_recurrence",
     "terminating_series",
     "laguerre_eval",
@@ -60,26 +59,16 @@ __all__ = [
 ]
 
 
-def _exp_in_range(log_value: float, what: str) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise ValueError(f"{what} leaves double range (log = {log_value:.4g})") from None
-
-
 def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) for positive a, b, computed as exp(lnG(a) - lnG(b))."""
     if a <= 0 or b <= 0:
         raise ValueError(f"gamma_ratio requires positive arguments, got ({a}, {b})")
-    return _exp_in_range(math.lgamma(a) - math.lgamma(b), f"Gamma({a})/Gamma({b})")
-
-
-def sqrt_gamma_ratio(a: float, b: float) -> float:
-    """sqrt(Gamma(a)/Gamma(b)) for positive a, b, in log space."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"sqrt_gamma_ratio requires positive arguments, got ({a}, {b})")
-    return _exp_in_range(0.5 * (math.lgamma(a) - math.lgamma(b)),
-                         f"sqrt(Gamma({a})/Gamma({b}))")
+    log_value = math.lgamma(a) - math.lgamma(b)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"Gamma({a})/Gamma({b}) leaves double range "
+                         f"(log = {log_value:.4g})") from None
 
 
 def forward_recurrence(a, b, c) -> np.ndarray:
@@ -194,9 +183,11 @@ def laguerre_functions(n: int, nu: float, x):
     """The dx-orthonormal Laguerre functions psi_k^nu(x) = sqrt(k!/Gamma(k+nu+1))
     x^(nu/2) e^(-x/2) L_k^nu(x), k = 0..n, shape (n+1,) + shape(x), from
     b_{k+1} psi_{k+1} = (2k+nu+1-x) psi_k - b_k psi_{k-1} (`laguerre_offdiag`),
-    started at h = sqrt(psi_0) and multiplied by h at the end.  Each step divides
-    by b_{k+1} before it multiplies, so no intermediate leaves double range while
-    h is a normal double (Shen, Tang & Wang, Spectral Methods, 2011, ch. 7)."""
+    started at h = sqrt(psi_0) and multiplied by h at the end.  Rows 2..n first
+    hold their step factors (2k+nu+1-x)/b_{k+1}, filled by two whole-block
+    operations, and each step then multiplies in place: dividing by b_{k+1}
+    before multiplying keeps every intermediate in double range while h is a
+    normal double (Shen, Tang & Wang, Spectral Methods, 2011, ch. 7)."""
     _check_laguerre_params(n, nu, x)
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).reshape(-1)  # rows are then views, also for a scalar x
@@ -205,10 +196,10 @@ def laguerre_functions(n: int, nu: float, x):
     out[0] = h
     if n >= 1:
         out[1] = (nu + 1.0 - x) / b[1] * h
-    for k in range(1, n):  # in place: (2k+nu+1-x)/b_{k+1} psi_k - (b_k/b_{k+1}) psi_{k-1}
+    np.subtract((2 * np.arange(1, n) + nu + 1.0)[:, None], x, out=out[2:])
+    out[2:] /= np.array(b[2:])[:, None]
+    for k in range(1, n):  # in place: step factor * psi_k - (b_k/b_{k+1}) psi_{k-1}
         row = out[k + 1]
-        np.subtract(2 * k + nu + 1.0, x, out=row)
-        row /= b[k + 1]
         row *= out[k]
         row -= b[k] / b[k + 1] * out[k - 1]
     out *= h

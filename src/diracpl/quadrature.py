@@ -65,8 +65,9 @@ class RadialMeasure:
 
 # Largest rule gauss_laguerre builds, checked before anything is allocated.  The
 # nodes come from a dense order x order Jacobi matrix and an O(order^3) eigvalsh:
-# 8 MB and ~0.07 s at 1000 (2-vCPU host), room for the orders to ~800 a dense
-# solve serves well; an order of 10^5 would ask for 75 GiB.
+# 8 MB and ~0.13 s at 1000 on one BLAS thread (0.08 s on two; 2-vCPU x86-64
+# host), against 0.012 s for the one psi pass; room for the orders to ~800 a
+# dense solve serves well; an order of 10^5 would ask for 75 GiB.
 MAX_ORDER = 1000
 
 
@@ -74,12 +75,15 @@ def gauss_laguerre(order: int, nu: float) -> QuadratureRule:
     """Generalized Gauss-Laguerre rule for the envelope x^nu e^{-x}.
 
     Nodes come from the eigenvalues of the symmetric Jacobi matrix of the
-    Laguerre recurrence (diagonal 2k+nu+1, off-diagonal b_k = sqrt(k(k+nu))),
-    then are polished by two vectorised Newton steps on psi_order^nu, using
-    x psi_n' = (n + (nu-x)/2) psi_n - b_n psi_{n-1}.  Weights use the derivative
-    form w_i = 1/(x_i psi_order'(x_i)^2) at the polished nodes (QuadratureRule).
-    A ValueError when sqrt(psi_0) underflows at the largest node, where the
-    functions leave double range.
+    Laguerre recurrence (diagonal 2k+nu+1, off-diagonal b_k = sqrt(k(k+nu))).
+    One pass of psi_order^nu at those nodes gives
+    g = x psi_n' = (n + (nu-x)/2) psi_n - b_n psi_{n-1}, which serves both one
+    vectorised Newton step, x <- x - x psi_n/g, and the weights
+    w_i = 1/(x_i psi_order'(x_i)^2) = x_i/g_i^2 at the stepped nodes
+    (QuadratureRule).  g' = -(n + (nu+1)/2 - x/4 - nu^2/(4x)) psi_n vanishes at
+    a root, so g read off a node that is delta from the root errs by
+    O(delta^2), as does the stepped node.  A ValueError when sqrt(psi_0)
+    underflows at the largest node, where the functions leave double range.
     """
     if not 1 <= order <= MAX_ORDER or order != int(order):
         raise ValueError(f"quadrature order must be an integer from 1 to {MAX_ORDER}, "
@@ -95,13 +99,11 @@ def gauss_laguerre(order: int, nu: float) -> QuadratureRule:
         raise ValueError(f"Gauss-Laguerre rule of order {order}, nu={nu} leaves double "
                          f"range: sqrt(psi_0) underflows at its largest node, {nodes[-1]:.6g}")
 
-    # the checks below turn any inf/nan left by the polish into a ValueError
+    # the checks below turn any inf/nan left by the Newton step into a ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(3):  # two Newton steps, then x psi_order' at the polished nodes
-            psi = laguerre_functions(order, nu, nodes)
-            x_dpsi = (order + (nu - nodes) / 2.0) * psi[order] - b[order] * psi[order - 1]
-            if step < 2:
-                nodes = nodes - nodes * psi[order] / x_dpsi
+        psi = laguerre_functions(order, nu, nodes)
+        x_dpsi = (order + (nu - nodes) / 2.0) * psi[order] - b[order] * psi[order - 1]
+        nodes = nodes - nodes * psi[order] / x_dpsi
 
         # written as `not all(...)` so that nan nodes are rejected too
         if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):

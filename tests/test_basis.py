@@ -11,13 +11,13 @@ from diracpl.basis import (PhysicalParams, Rep, kinetic_balance_apply,
                            kinetic_balance_form, phi_minus, phi_minus_form,
                            phi_plus, phi_plus_form, select_representation, spinor_forms)
 from diracpl.forms import integrate_product
-from diracpl.orthopoly import sqrt_gamma_ratio
 from diracpl.solution import assemble
 
 
 def _a_n(basis, n):
     """The paper's normalization a_n = sqrt(omega |beta| Gamma(n+1) / Gamma(n+nu+1))."""
-    return math.sqrt(basis.omega * abs(basis.beta)) * sqrt_gamma_ratio(n + 1.0, n + basis.nu + 1.0)
+    log_ratio = math.lgamma(n + 1.0) - math.lgamma(n + basis.nu + 1.0)
+    return math.sqrt(basis.omega * abs(basis.beta)) * math.exp(0.5 * log_ratio)
 
 
 class TestPhysicalParams:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from diracpl.orthopoly import (cdh_eval, cdh_series, forward_recurrence, gamma_ratio,
                                hyp_mp_eval, hyp_mp_series, laguerre_all, laguerre_deriv,
-                               laguerre_eval, laguerre_functions, laguerre_series, mod_cdh_eval,
-                               mod_cdh_series, mp_eval, mp_series, terminating_series)
+                               laguerre_eval, laguerre_functions, laguerre_offdiag,
+                               laguerre_series, mod_cdh_eval, mod_cdh_series, mp_eval, mp_series,
+                               sqrt_psi0, terminating_series)
 
 NU_GRID = [-0.5, 0.0, 1.0, 2.5]
 RNG = np.random.default_rng(20250809)
@@ -153,6 +154,38 @@ class TestLaguerreFunctions:
         x = X_GRID[::5]
         np.testing.assert_array_equal(laguerre_functions(40, 1.5, x)[:8],
                                       laguerre_functions(7, 1.5, x))
+
+    @staticmethod
+    def _row_by_row(n, nu, x):
+        """The recurrence one row at a time: the step factor of row k+1 is formed
+        in that row (subtract, divide), then multiplied and the b_k term taken off."""
+        shape = np.shape(x)
+        x = np.asarray(x, dtype=float).reshape(-1)
+        h, b = sqrt_psi0(nu, x), laguerre_offdiag(n, nu)
+        out = np.empty((n + 1, x.size))
+        out[0] = h
+        if n >= 1:
+            out[1] = (nu + 1.0 - x) / b[1] * h
+        for k in range(1, n):
+            row = out[k + 1]
+            np.subtract(2 * k + nu + 1.0, x, out=row)
+            row /= b[k + 1]
+            row *= out[k]
+            row -= b[k] / b[k + 1] * out[k - 1]
+        out *= h
+        return out.reshape((n + 1,) + shape)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 49, 80, 400, 900])
+    @pytest.mark.parametrize("nu", [-0.5, 0.3, 7.7, 250.0])
+    def test_block_step_factors_are_bit_identical_to_row_by_row(self, n, nu):
+        # the step factors filled for all rows at once round exactly as the
+        # row-by-row recurrence does; inf/nan far out must agree too
+        rng = np.random.default_rng(n)
+        for x in (3.7, rng.uniform(0.0, 80.0, 37), rng.uniform(0.0, 400.0, (5, 7))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = laguerre_functions(n, nu, x), self._row_by_row(n, nu, x)
+            assert got.shape == (n + 1,) + np.shape(x)
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestMeixnerPollaczek:

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
+from diracpl import quadrature
 from diracpl.forms import LaguerreForm, integrate_product
 from diracpl.orthopoly import gamma_ratio
 from diracpl.quadrature import MAX_ORDER, RadialMeasure, gauss_laguerre
@@ -55,6 +57,34 @@ class TestRuleConstruction:
         rule = gauss_laguerre(order, nu)
         np.testing.assert_allclose(rule.nodes, nodes, rtol=1e-12)
         np.testing.assert_allclose(christoffel(rule), weights, rtol=1e-10)
+
+    @pytest.mark.parametrize("order,nu", [(20, 0.3), (49, 3.7), (49, -0.5), (120, 12.5)])
+    def test_nodes_against_extended_precision_roots(self, order, nu):
+        # the roots of L_order^nu by Newton at 40 digits (L' = -L_{order-1}^{nu+1}),
+        # started from scipy's nodes, against the rule's one-step nodes
+        rule = gauss_laguerre(order, nu)
+        with mpmath.workdps(40):
+            roots = []
+            for x in roots_genlaguerre(order, nu)[0]:
+                x = mpmath.mpf(float(x))
+                for _ in range(8):
+                    x += mpmath.laguerre(order, nu, x) / mpmath.laguerre(order - 1, nu + 1, x)
+                roots.append(x)
+            assert all(a < b for a, b in zip(roots, roots[1:]))
+            err = max(abs(float((node - root) / root)) for node, root in zip(rule.nodes, roots))
+        assert err <= 3e-14
+
+    def test_one_psi_pass_per_rule(self, monkeypatch):
+        # the Newton step and the weights read the same table
+        calls, table = [], quadrature.laguerre_functions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "laguerre_functions", counted)
+        gauss_laguerre(30, 1.3)
+        assert len(calls) == 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

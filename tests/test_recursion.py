@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 from conftest import CASE_IDS, build_case
 from diracpl.basis import PhysicalParams, Rep, select_representation
-from diracpl.orthopoly import hyp_mp_series, mod_cdh_series, sqrt_gamma_ratio
+from diracpl.orthopoly import hyp_mp_series, mod_cdh_series
 from diracpl.recursion import (build_recursion, cdh_parameters, closed_form_sequence,
                                coefficient_sequence, mp_lambda, rescale, solve_forward)
 from diracpl.solution import assemble, solve
@@ -479,6 +479,11 @@ class TestCoefficientSequence:
             coefficient_sequence(der, 400)
         with pytest.raises(ValueError, match="double range"):
             assemble(phys, basis, 400)
+
+
+def sqrt_gamma_ratio(a, b):
+    """sqrt(Gamma(a)/Gamma(b)) for positive a, b, in log space."""
+    return math.exp(0.5 * (math.lgamma(a) - math.lgamma(b)))
 
 
 class TestRescaleContract:
