@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .basis import PhysicalParams, kinetic_balance_apply, phi_minus
+from .orthopoly import hyp_mp_diagonal
 from .recursion import (build_recursion, closed_form_sequence, coefficient_sequence,
                         mp_lambda, rescale)
 from .solution import (DiracGrid, SeriesSolution, default_r_grid, diagonal_conditions_scan,
@@ -178,9 +179,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     psi = basis_spinor(basis, k)
     num = bilinear_form(basis, base.phys, psi, psi)
     far = np.abs(k[:, None] - k) > 1
-    add("operator-tridiagonality", np.max(np.abs(num[far])) / max(np.max(np.abs(ana)), 1.0),
+    add("operator-tridiagonality", np.max(np.abs(num[far])) / np.max(np.abs(ana)),
         1e-8, "projections vanish beyond the three central bands")
-    band = np.abs(num - ana)[~far] / np.maximum(np.abs(ana[~far]), 1e-30)
+    band = np.abs(num - ana)[~far] / np.abs(ana[~far])
     add("operator-band-agreement", np.max(band), 1e-8,
         "quadrature matrix elements match the closed forms on the bands")
 
@@ -199,18 +200,22 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("recursion-residual", res, 1e-10,
         "closed-form coefficients satisfy the three-term relation")
 
-    raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
+    # Rows 0..N of the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0,
+    # each over the sum of its three terms' magnitudes.
     f = np.r_[base.coeffs, base.f_next]
-    chain = np.max(raw.relative_residual(f, np.arange(base.N + 1)))
+    op = build_operator(der, base.N + 1)
+    band = np.diag(op, 1)
+    terms = (np.diag(op)[:-1] * f[:-1], np.r_[0.0, band[:-1] * f[:-2]], band * f[1:])
+    chain = np.max(np.abs(sum(terms)) / (sum(map(np.abs, terms)) + 1e-300))
     add("scaling-equivalence", chain, 1e-12,
         "the solution's coefficients satisfy the operator's raw relation at every row")
 
-    if der.theta is not None:  # y enters with sign - for rho^2 < 1 (see recursion)
-        lam, ch, sh = mp_lambda(der), np.cosh(der.theta), np.sinh(der.theta)
-        y = der.y if der.rho ** 2 > 1.0 else -der.y
+    if der.theta is not None:  # y enters with the sign of sigma_- (see recursion)
+        y = der.y if der.sigma_minus > 0.0 else -der.y
         n = np.arange(21)
         a = rec.a(n)
-        hyper = np.max(np.abs(a - 2.0 * ((n + lam) * ch + y * sh)) / (np.abs(a) + 1e-300))
+        diag = hyp_mp_diagonal(n, mp_lambda(der), y, der.theta)
+        hyper = np.max(np.abs(a - diag) / (np.abs(a) + 1e-300))
         add("hyperbolic-identity", hyper, 1e-14,
             "recursion diagonal equals 2[(n+lam) cosh theta +- y sinh theta]")
 

@@ -47,6 +47,7 @@ __all__ = [
     "mp_eval",
     "mp_series",
     "mp_weight",
+    "hyp_mp_diagonal",
     "hyp_mp_eval",
     "hyp_mp_series",
     "hyp_mp_series_all",
@@ -310,21 +311,26 @@ def mp_weight(y: float, lam: float, theta: float) -> float:
     return math.exp(log_w)
 
 
+def hyp_mp_diagonal(k, lam: float, y: float, theta: float):
+    """Diagonal 2[(k+lam) cosh(theta) + y sinh(theta)] of the hyperbolic
+    Meixner-Pollaczek recurrence over an index array k (or one index), written
+    as (k+lam+y) e^theta + (k+lam-y) e^{-theta}: cosh and sinh would cancel
+    in floats at large |theta|."""
+    up, down = math.exp(theta), math.exp(-theta)
+    return (k + lam + y) * up + (k + lam - y) * down
+
+
 def hyp_mp_eval(n: int, lam: float, y: float, theta: float) -> float:
     """Hyperbolic Meixner-Pollaczek polynomial by recurrence.
 
     The hyperbolic family replaces (cos, sin) with (cosh, sinh) and takes a
     real second argument; theta may be any real number.  Recurrence from
-    P_{-1} = 0, P_0 = 1:
+    P_{-1} = 0, P_0 = 1, with the diagonal of `hyp_mp_diagonal`:
 
-    (n+1) P_{n+1} = 2[(n+lam) cosh(theta) + y sinh(theta)] P_n - (n+2lam-1) P_{n-1},
-
-    with the diagonal written as (n+lam+y) e^theta + (n+lam-y) e^{-theta}:
-    cosh and sinh would cancel exactly in floats at large |theta|.
+    (n+1) P_{n+1} = 2[(n+lam) cosh(theta) + y sinh(theta)] P_n - (n+2lam-1) P_{n-1}.
     """
     _check_mp_params(n, lam)
-    up, down = math.exp(theta), math.exp(-theta)
-    return _mp_recurrence(n, lam, lambda k: (k + lam + y) * up + (k + lam - y) * down)
+    return _mp_recurrence(n, lam, lambda k: hyp_mp_diagonal(k, lam, y, theta))
 
 
 def hyp_mp_series(n: int, lam: float, y: float, theta: float) -> float:

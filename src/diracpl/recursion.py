@@ -1,11 +1,10 @@
 """Three-term recursions for the expansion coefficients and their closed forms.
 
 The wave equation projected on the basis gives the raw relation D_n f_n
-+ B_{n-1} f_{n-1} + B_n f_{n+1} = 0 on the basis coefficients f_n, read off
-the rows of the tridiagonal operator: `build_recursion(..., scaling="f")`
-takes them from `wave_operator.band_elements` and writes no formula of its
-own.  Coefficients map an index array to an array, so a solve evaluates them
-once per pass; the forward pass is the kernel `orthopoly.forward_recurrence`.
++ B_{n-1} f_{n-1} + B_n f_{n+1} = 0 on the basis coefficients f_n: the rows of
+the matrix `wave_operator.build_operator`.  `build_recursion` gives the natural
+relation below; its coefficients map an index array to an array, so a solve
+evaluates them once per pass (kernel `orthopoly.forward_recurrence`).
 
 There is one convention: f_0 = 1, the overall factor is fixed later by
 wavefunction normalization, and f_n = R_n s_n, with R_n the running product
@@ -32,13 +31,14 @@ The extended-precision closed forms (`closed_form_sequence`) cost O(N)
 extended-precision operations plus O(N^2) exact integer additions, and serve
 only as the oracle; each route is the oracle for the other.
 
-Branch handling for a/b: with sigma_- > 0 (rho^2 > 1) the normalized
-coefficients read  2[(n+lam_mp) cosh(theta) + y sinh(theta)] s_n
-- (n+2 lam_mp-1) s_{n-1} - (n+1) s_{n+1} = 0, while sigma_- < 0 (rho^2 < 1)
-flips the sign of the s_{n-1}, s_{n+1} terms and of the y term; both are the
-single sigma-form divided by |sigma_-|, with theta = asinh(2 rho/(rho^2-1))
-throughout (for rho^2 < 1 that arcsinh argument is itself negative, which is
-exactly what makes the flipped relation hold).
+Branch handling for a/b: the sign of sigma_- picks the sector in every route.
+With sigma_- > 0 (rho^2 > 1) the normalized coefficients read d_n(y) s_n
+- (n+2 lam_mp-1) s_{n-1} - (n+1) s_{n+1} = 0, d_n(y) = 2[(n+lam_mp) cosh(theta)
++ y sinh(theta)] (`orthopoly.hyp_mp_diagonal`), while sigma_- < 0 (rho^2 < 1)
+flips the sign of the s_{n-1}, s_{n+1} terms and of y; both are the single
+sigma-form divided by |sigma_-|, with theta = asinh(2 rho/(rho^2-1)) throughout
+(for rho^2 < 1 that arcsinh argument is itself negative, which is exactly what
+makes the flipped relation hold).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .basis import Rep
 from .orthopoly import forward_recurrence, hyp_mp_series_all, mod_cdh_series_all
-from .wave_operator import DerivedParams, ab_diagonal, band_elements
+from .wave_operator import DerivedParams, ab_diagonal
 
 __all__ = [
     "ThreeTermRecursion",
@@ -74,19 +74,10 @@ class ThreeTermRecursion:
     b: Callable
     c: Callable
 
-    def _terms(self, seq: np.ndarray, n) -> tuple:
-        """The relation's three terms a(n) s_n, b(n) s_{n-1}, c(n) s_{n+1} at index n."""
-        prev = np.where(np.asarray(n) >= 1, seq[n - 1], 0.0)
-        return self.a(n) * seq[n], self.b(n) * prev, self.c(n) * seq[n + 1]
-
     def residual(self, seq: np.ndarray, n):
         """The relation's left side at index n (an array or one index)."""
-        return sum(self._terms(seq, n))
-
-    def relative_residual(self, seq: np.ndarray, n):
-        """|residual| at index n over the sum of its three terms' magnitudes."""
-        terms = self._terms(seq, n)
-        return np.abs(sum(terms)) / (sum(np.abs(t) for t in terms) + 1e-300)
+        prev = np.where(np.asarray(n) >= 1, seq[n - 1], 0.0)
+        return self.a(n) * seq[n] + self.b(n) * prev + self.c(n) * seq[n + 1]
 
 
 def mp_lambda(derived: DerivedParams) -> float:
@@ -109,30 +100,17 @@ def cdh_parameters(derived: DerivedParams) -> tuple[float, float, float, float]:
     return lam, math.sqrt(ysq), lam, derived.d + (1.0 - derived.nu) / 2.0
 
 
-def build_recursion(rep: Rep, derived: DerivedParams, nu: float,
-                    scaling: str | None = None) -> ThreeTermRecursion:
-    """The natural relation of the s_n, or with scaling='f' the raw one of the f_n.
-
-    scaling='f' returns the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1}
-    = 0, read off the rows of the tridiagonal operator (the analytic matrix
-    elements of `derived`).  The default is the natural relation: for
-    representations a/b normalized by |sigma_-|, so the coefficients carry the
-    branch's sign pattern.  Any other scaling raises ValueError, and so do a
-    `rep` or `nu` not those of `derived`, and |rho| = 1 in a/b.
-    """
+def build_recursion(rep: Rep, derived: DerivedParams, nu: float) -> ThreeTermRecursion:
+    """The natural relation of the s_n (module docstring); for representations
+    a/b normalized by |sigma_-|, so the coefficients carry the sign pattern of
+    sigma_-'s sector.  A `rep` or `nu` not those of `derived` raises
+    ValueError, and so does |rho| = 1 in a/b."""
     if rep is not derived.rep or nu != derived.nu:
         raise ValueError(f"representation {rep.value} with nu = {nu} does not match the "
                          f"derived parameters ({derived.rep.value}, nu = {derived.nu})")
     if rep is not Rep.C and (derived.rho * derived.rho == 1.0 or derived.sigma_minus == 0.0):
         raise ValueError("|rho| = 1 degenerates the three-term recursion in representations "
                          "a/b; use representation c (rep='c') or a different omega")
-    if scaling == "f":
-        return ThreeTermRecursion(
-            a=lambda n: band_elements(derived, n),
-            b=lambda n: band_elements(derived, n, offdiag=True),
-            c=lambda n: band_elements(derived, n + 1, offdiag=True))
-    if scaling is not None:
-        raise ValueError(f"unsupported scaling {scaling!r}: 'f' or None")
 
     if rep is Rep.C:
         z, rho, u, p, d = derived.z, derived.rho, derived.u, derived.p, derived.d
@@ -174,7 +152,8 @@ def coefficient_sequence(derived: DerivedParams, N: int) -> np.ndarray:
 
     In representation b (lam + y = 0) the pinned sequence is a single term,
     s_n = (2 lam)_n / n! (s e^{-theta'})^n with (s, theta') = (1, theta) for
-    rho^2 > 1 and (-1, -theta) for rho^2 < 1, computed as one running product.
+    sigma_- > 0 (rho^2 > 1) and (-1, -theta) for sigma_- < 0, computed as one
+    running product.
     Everywhere else the pinned sequence is dominant and forward recurrence
     follows it.  Raises ValueError at |rho| = 1 in a/b, for representation b
     off the rest-mass-energy assignments, and if the sequence leaves double
@@ -187,7 +166,7 @@ def coefficient_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     if derived.theta is None:
         raise ValueError("representation b's coefficient product exists under the "
                          "rest-mass-energy assignments only")
-    s, theta = (1.0, derived.theta) if derived.rho ** 2 > 1.0 else (-1.0, -derived.theta)
+    s, theta = (1.0, derived.theta) if derived.sigma_minus > 0.0 else (-1.0, -derived.theta)
     k = np.arange(1.0, N + 1.0)
     steps = (2.0 * mp_lambda(derived) + k - 1.0) / k * (s * math.exp(-theta))
     with np.errstate(over="ignore"):
@@ -198,9 +177,10 @@ def coefficient_sequence(derived: DerivedParams, N: int) -> np.ndarray:
 def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     """The natural sequence s_0..s_N from the orthogonal-polynomial closed forms.
 
-    a/b:  s_n = P_n(y, theta) for rho^2 > 1 and s_n = (-1)^n P_n(-y, theta)
-          for rho^2 < 1, with the hyperbolic Meixner-Pollaczek family of
-          order (nu+1)/2 and y = (kappa+1/2)/beta - 1/2.
+    a/b:  s_n = P_n(y, theta) for sigma_- > 0 (rho^2 > 1) and
+          s_n = (-1)^n P_n(-y, theta) for sigma_- < 0, with the hyperbolic
+          Meixner-Pollaczek family of order (nu+1)/2 and
+          y = (kappa+1/2)/beta - 1/2.
 
     c:    s_n = modified continuous dual Hahn of order (nu+1)/2 with
           arguments from `cdh_parameters`.
@@ -222,7 +202,7 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
             "closed forms for representations a/b exist under the rest-mass-energy "
             "assignments with |rho| != 1"
         )
-    sign, y = (1.0, derived.y) if derived.rho ** 2 > 1.0 else (-1.0, -derived.y)
+    sign, y = (1.0, derived.y) if derived.sigma_minus > 0.0 else (-1.0, -derived.y)
     return sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived), y, derived.theta)
 
 

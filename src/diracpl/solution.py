@@ -30,12 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from .basis import (_EXCLUDED_MU, BasisParams, PhysicalParams, Rep, _check_r,
-                    select_representation, spinor_forms)
+                    _scale_power, select_representation, spinor_forms)
 from .forms import LaguerreForm, integrate_product, quadrature_order
 from .quadrature import MAX_ORDER
 from .recursion import _check_finite, coefficient_sequence, rescale
-from .wave_operator import (DerivedParams, basis_spinor, bilinear_form, build_operator,
-                            derived_params, matrix_element_analytic)
+from .wave_operator import (DerivedParams, ab_diagonal, basis_spinor, bilinear_form,
+                            build_operator, derived_params, matrix_element_analytic)
 
 __all__ = [
     "SpinorSample",
@@ -385,18 +385,18 @@ def diagonal_special_case(phys: PhysicalParams) -> SeriesSolution:
         raise ValueError("diagonal case requires beta*kappa < 0 (representation b)")
     if beta * phys.A <= 0.0:
         raise ValueError("diagonal case requires beta*A > 0 so that rho = +1 is reachable")
-    omega = (2.0 * phys.A / beta) ** (1.0 / beta)
+    omega = _scale_power(2.0 * phys.A / beta, 1.0 / beta, "omega",
+                         f"A = {phys.A!r}, mu = {phys.mu!r}")
     basis = select_representation(phys, omega=omega)
     if abs(basis.rho - 1.0) > 1e-10:
         raise ValueError(f"omega tuning failed to reach rho = +1 (rho = {basis.rho})")
     basis = replace(basis, rho=1.0)  # snap roundoff so the degeneracy is exact
 
     der = derived_params(basis, phys)
-    d0 = matrix_element_analytic(der, 0, 0)
-    b_scale = abs(matrix_element_analytic(der, 1, 1)) + 1.0
-    if der.sigma_minus != 0.0 or abs(d0) > 1e-12 * b_scale:
+    x0, x1 = ab_diagonal(der, np.arange(2))  # D_k = common p X_k, no band formed
+    if der.sigma_minus != 0.0 or abs(x0) > 1e-12 * abs(x1):
         raise ValueError("diagonal reduction conditions failed: "
-                         f"sigma_-={der.sigma_minus}, D_0={d0}")
+                         f"sigma_-={der.sigma_minus}, X_0={x0}")
 
     return _normalized(phys, der, np.array([1.0]), 0.0)
 

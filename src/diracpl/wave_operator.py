@@ -93,6 +93,8 @@ def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
     # rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1
     sigma_plus = rho * rho + 1.0 + 2.0 * rho * c
     sigma_minus = (rho - 1.0) * (rho + 1.0) + 2.0 * rho * c
+    if not (math.isfinite(sigma_plus) and math.isfinite(sigma_minus)):
+        raise ValueError(f"rho^2 leaves double range (rho = {rho:.3g}, omega = {omega:.3g})")
     nut = (2.0 * phys.kappa + 1.0) / beta
     zeta = (nut - 1.0) * (rho + c)
 
@@ -197,12 +199,15 @@ def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: 
 def build_operator(derived: DerivedParams, N: int) -> np.ndarray:
     """The (N+1) x (N+1) symmetric tridiagonal matrix of H-1 from the closed
     forms: D_0..D_N on the diagonal, B_0..B_{N-1} beside it.  A ValueError for
-    N < 1 or an element that is not finite."""
+    N < 1, a non-finite element, or a largest element below the normal range."""
     if N < 1:
         raise ValueError("operator size N must be >= 1")
     k = np.arange(N + 1)
     mat = np.diag(band_elements(derived, k))
     mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = band_elements(derived, k[1:], offdiag=True)
-    if not np.all(np.isfinite(mat)):
+    largest = np.max(np.abs(mat))  # nan or inf if an element is not finite
+    if not largest < np.inf:
         raise ValueError("matrix elements must be finite")
+    if largest < np.finfo(float).tiny:  # no scale left to measure the matrix in
+        raise ValueError(f"operator matrix underflows: largest element {largest:.3g}")
     return mat

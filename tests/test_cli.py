@@ -113,6 +113,24 @@ class TestExitCodes:
                        tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["--A", "1e10", "--mu", "0.999", "--kappa", "-1"],
+         "omega = 19999999999999.98**999.9999999999991 is out of floating-point range "
+         "at A = 10000000000.0, mu = 0.999"),
+        (["--A", "5.077370409328162", "--mu", "0.9892762055436853", "--kappa", "-1"],
+         "lower-component scale leaves double range (omega = 3.496e+277, beta = 0.01072)"),
+    ], ids=["omega-overflow", "omega-squared-overflow"])
+    def test_special_case_out_of_range_omega_is_config_error(self, tmp_path, capsys,
+                                                             args, message):
+        # the tuned omega = (2A/beta)^(1/beta) overflows, or is finite while
+        # the band factor lam^2 omega^2 beta tau is not: the diagonal condition
+        # is tested on ab_diagonal's X_0, X_1, so inf never meets the zero D_0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            code = run_cli(["special-case", *args], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+
     @pytest.mark.parametrize("mu,kappa", [("-1.5", "-3"), ("1e-9", "-2"),
                                           ("-0.999999999", "-2")])
     def test_verify_decaying_sector_passes(self, tmp_path, capsys, mu, kappa):
@@ -151,6 +169,20 @@ class TestExitCodes:
         # measured on the recursion's a(n), not as cosh^2 - sinh^2 - 1, whose
         # float roundoff alone exceeds 1e-14 there
         code = run_cli(["verify", *args], tmp_path)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS hyperbolic-identity" in out
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_verify_near_unit_rho_passes(self, tmp_path, capsys, k, side):
+        # representation b (A = 1, beta = 5/2) at rho = 1 +- 10^-k, where
+        # |theta| grows like log(4/|rho - 1|): the hyperbolic identity is
+        # measured on the e^{+-theta} form of the diagonal, which has no
+        # cosh/sinh cancellation to lose digits to
+        omega = (0.8 / (1.0 + side * 10.0 ** -k)) ** 0.4
+        code = run_cli(["verify", "--A", "1", "--mu", "-1.5", "--kappa", "-3",
+                        "--omega", repr(omega)], tmp_path)
         out = capsys.readouterr().out
         assert code == 0, out
         assert "PASS hyperbolic-identity" in out
@@ -539,6 +571,21 @@ class TestEntryPoint:
         assert "radial grid leaves double range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["solve", "verify"])
+    @pytest.mark.parametrize("args,rho", [
+        (["--A", "1", "--mu", "-1.5", "--kappa", "-3", "--omega", "1e-75"], "2.53e+187"),
+        (["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1e-60"], "2e+180"),
+    ], ids=["rep-b", "rep-a"])
+    def test_rho_squared_overflow_is_config_error(self, tmp_path, capsys, mode, args, rho):
+        # rho = 2A/(beta omega^beta) is a double, but rho^2 in sigma_+- is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            code = main([mode, *args, "--N", "20", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: rho^2 leaves double range (rho = {rho}, omega = {args[-1]})"]
+        assert not (tmp_path / "out").exists()
+
     def test_residual_scale_underflow_is_config_error(self, tmp_path):
         # representation c with omega = 5e-301: the grid radii reach ~1e299
         # and every residual term underflows, so the relative residuals have
@@ -668,7 +715,9 @@ class TestBatchedChecksBite:
         monkeypatch.setattr(wave_operator, "band_elements", perturbed)
         code, passed = _verdicts(tmp_path, args)
         assert code == 1
-        assert [name for name, ok in passed.items() if not ok] == ["operator-band-agreement"]
+        # both checks read the one operator matrix: its rows are the raw relation
+        assert [name for name, ok in passed.items() if not ok] == ["operator-band-agreement",
+                                                                   "scaling-equivalence"]
 
     @pytest.mark.parametrize("n", [0, 5, 10])
     @pytest.mark.parametrize("args", VERIFY_CONFIGS, ids=["a", "b", "c", "eps-minus"])
@@ -694,7 +743,6 @@ class TestBatchedChecksBite:
                                                               monkeypatch, args):
         # D_10 scaled by 1 + 1e-9, below the band-agreement tolerance: only
         # the raw relation's residual on the production sequence sees it
-        import diracpl.recursion as recursion
         import diracpl.wave_operator as wave_operator
         original = wave_operator.band_elements
 
@@ -703,7 +751,6 @@ class TestBatchedChecksBite:
             return bands if offdiag else bands * np.where(np.asarray(k) == 10, 1.0 + 1e-9, 1.0)
 
         monkeypatch.setattr(wave_operator, "band_elements", perturbed)
-        monkeypatch.setattr(recursion, "band_elements", perturbed)
         code, passed = _verdicts(tmp_path, args)
         assert code == 1
         assert [name for name, ok in passed.items() if not ok] == ["scaling-equivalence"]
@@ -714,7 +761,6 @@ class TestBatchedChecksBite:
         # D_n and B_n scaled by 1 + 1e-3 for 25 < n < 35, past every fixed-range
         # check: the raw relation, read on the solution's own f_0..f_{N+1} at
         # every row n <= N, sees it (5.5e-5 .. 4.5e-4)
-        import diracpl.recursion as recursion
         import diracpl.wave_operator as wave_operator
         original = wave_operator.band_elements
 
@@ -723,7 +769,6 @@ class TestBatchedChecksBite:
             return original(derived, k, offdiag) * np.where(far, 1.0 + 1e-3, 1.0)
 
         monkeypatch.setattr(wave_operator, "band_elements", perturbed)
-        monkeypatch.setattr(recursion, "band_elements", perturbed)
         code, passed = _verdicts(tmp_path, [*args, "--N", "40"])
         assert code == 1
         assert [name for name, ok in passed.items() if not ok] == ["scaling-equivalence"]
@@ -830,9 +875,12 @@ class TestNoCeilingBelow400:
         assert code == 0, [name for name, ok in passed.items() if not ok]
 
     def test_tiny_user_omega_verifies(self, tmp_path, capsys):
-        # representation a with omega = 1e-200: the orthonormal psi_n carry
-        # their own Gamma normalization, so the lower component's prefactor
-        # lam omega tau beta sqrt(omega |beta|) stays a normal double
-        code, passed = _verdicts(tmp_path, ["--A", "1", "--mu", "0.9", "--kappa", "1",
-                                            "--omega", "1e-200", "--N", "20"])
-        assert code == 0, [name for name, ok in passed.items() if not ok]
+        # representation a with omega = 1e-200: the solve runs, but every
+        # operator element lam^2 omega^2 beta tau ... underflows, so the
+        # operator checks have no scale to measure in and verify refuses
+        code = main(["verify", "--A", "1", "--mu", "0.9", "--kappa", "1",
+                     "--omega", "1e-200", "--N", "20", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["configuration error: operator matrix underflows: "
+                                    "largest element 0"]

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracpl.orthopoly import (cdh_eval, cdh_series, forward_recurrence, gamma_ratio,
-                               hyp_mp_eval, hyp_mp_series, laguerre_all, laguerre_deriv,
-                               laguerre_eval, laguerre_functions, laguerre_offdiag,
-                               laguerre_series, mod_cdh_eval, mod_cdh_series, mp_eval, mp_series,
-                               sqrt_psi0, terminating_series)
+                               hyp_mp_diagonal, hyp_mp_eval, hyp_mp_series, laguerre_all,
+                               laguerre_deriv, laguerre_eval, laguerre_functions,
+                               laguerre_offdiag, laguerre_series, mod_cdh_eval, mod_cdh_series,
+                               mp_eval, mp_series, sqrt_psi0, terminating_series)
 
 NU_GRID = [-0.5, 0.0, 1.0, 2.5]
 RNG = np.random.default_rng(20250809)
@@ -226,6 +226,17 @@ class TestHyperbolicMeixnerPollaczek:
         for lam, y, th in [(0.7, -1.2, 0.5), (2.0, 3.0, -1.1)]:
             expected = 2.0 * (lam * math.cosh(th) + y * math.sinh(th))
             assert hyp_mp_eval(1, lam, y, th) == pytest.approx(expected, rel=1e-13)
+
+    def test_diagonal_is_the_recurrence_diagonal(self):
+        # d_k = 2[(k+lam) cosh(theta) + y sinh(theta)] where nothing cancels,
+        # one index or an index array, and P_1 = d_0 exactly
+        k = np.arange(6)
+        for lam, y, th in [(0.7, -1.2, 0.5), (2.0, 3.0, -1.1)]:
+            diag = hyp_mp_diagonal(k, lam, y, th)
+            np.testing.assert_allclose(
+                diag, 2.0 * ((k + lam) * math.cosh(th) + y * math.sinh(th)), rtol=1e-13)
+            assert [hyp_mp_diagonal(j, lam, y, th) for j in range(6)] == diag.tolist()
+            assert hyp_mp_eval(1, lam, y, th) == diag[0]
 
     def test_large_theta_keeps_the_decaying_exponential(self):
         # at theta = -114, P_1 = (lam+y) e^theta + (lam-y) e^{-theta} = 3 e^{-114}:

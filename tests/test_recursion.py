@@ -15,8 +15,9 @@ from scipy.special import gammaln
 from conftest import CASE_IDS, build_case
 from diracpl.basis import PhysicalParams, Rep, select_representation
 from diracpl.orthopoly import hyp_mp_series, mod_cdh_series
-from diracpl.recursion import (build_recursion, cdh_parameters, closed_form_sequence,
-                               coefficient_sequence, mp_lambda, rescale, solve_forward)
+from diracpl.recursion import (ThreeTermRecursion, build_recursion, cdh_parameters,
+                               closed_form_sequence, coefficient_sequence, mp_lambda,
+                               rescale, solve_forward)
 from diracpl.solution import assemble, solve
 from diracpl.wave_operator import build_operator, derived_params
 
@@ -24,6 +25,22 @@ from diracpl.wave_operator import build_operator, derived_params
 def _case_with_derived(label):
     phys, basis = build_case(label)
     return phys, basis, derived_params(basis, phys)
+
+
+def _raw_relation(der, N):
+    """Rows 0..N-1 of the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0,
+    read off the operator matrix build_operator(der, N) (so N >= 1)."""
+    op = build_operator(der, N)
+    diag, band = np.diag(op), np.r_[0.0, np.diag(op, 1)]  # band[n] = B_{n-1}
+    return ThreeTermRecursion(a=lambda n: diag[n], b=lambda n: band[n],
+                              c=lambda n: band[n + 1])
+
+
+def _relative_residual(rec, seq, n):
+    """|rec.residual| at index n over the sum of its three terms' magnitudes."""
+    prev = np.where(np.asarray(n) >= 1, seq[n - 1], 0.0)
+    terms = (rec.a(n) * seq[n], rec.b(n) * prev, rec.c(n) * seq[n + 1])
+    return np.abs(sum(terms)) / (sum(np.abs(t) for t in terms) + 1e-300)
 
 
 # (physics, omega) with |rho| = 1: rep a at rho = +1 (exact), rep b at rho = +-1
@@ -74,12 +91,11 @@ class TestBuildRecursion:
             assert rec.c(n) == pytest.approx(-(n + 3.0) * (n + 2.0), rel=1e-13)
 
     def test_unit_rho_refused(self):
-        # rep a (rho = +1 exactly) and rep b (rho = +-1): every scaling degenerates
+        # rep a (rho = +1 exactly) and rep b (rho = +-1): the relation degenerates
         for phys, omega in UNIT_RHO_CASES:
             basis, der = _unit_rho_case(phys, omega)
-            for scaling in (None, "f"):
-                with pytest.raises(ValueError, match="representation c"):
-                    build_recursion(basis.rep, der, basis.nu, scaling)
+            with pytest.raises(ValueError, match="representation c"):
+                build_recursion(basis.rep, der, basis.nu)
 
     def test_unit_rho_rejected_and_redirected(self):
         # the basis and the derived constants exist at rho = 1; the solve is
@@ -105,19 +121,15 @@ class TestBuildRecursion:
         for label in CASE_IDS:
             _, basis, der = _case_with_derived(label)
             seq, n = closed_form_sequence(der, 12), np.arange(12)
-            for scaling in (None, "f"):
-                rec = build_recursion(basis.rep, der, basis.nu, scaling)
-                for f in (rec.a, rec.b, rec.c):
-                    np.testing.assert_array_equal(f(n), [f(k) for k in range(12)])
-                np.testing.assert_array_equal(rec.residual(seq, n),
-                                              [rec.residual(seq, k) for k in range(12)])
-            # the raw relation's b(0) = B_{-1} is 0, so s_{-1} drops out
-            assert build_recursion(basis.rep, der, basis.nu, "f").b(0) == 0.0
-
+            rec = build_recursion(basis.rep, der, basis.nu)
+            for f in (rec.a, rec.b, rec.c):
+                np.testing.assert_array_equal(f(n), [f(k) for k in range(12)])
+            np.testing.assert_array_equal(rec.residual(seq, n),
+                                          [rec.residual(seq, k) for k in range(12)])
 
     def test_parameters_must_match_derived(self):
-        # the "f" relation follows derived; a rep or nu of another case would
-        # silently build the natural relation from mixed constants
+        # a rep or nu of another case would silently build the natural
+        # relation from mixed constants
         _, basis, der = _case_with_derived("a_rho2")
         with pytest.raises(ValueError, match="does not match"):
             build_recursion(Rep.C, der, basis.nu)
@@ -173,8 +185,8 @@ class TestCoefficientEvaluationCount:
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_forward_evaluates_each_coefficient_once(self, label):
         _, basis, der = _case_with_derived(label)
-        for scaling in (None, "f"):
-            rec, calls = _counting(build_recursion(basis.rep, der, basis.nu, scaling))
+        for rec in (build_recursion(basis.rep, der, basis.nu), _raw_relation(der, 40)):
+            rec, calls = _counting(rec)
             solve_forward(rec, 40)
             assert calls == {"a": 1, "b": 1, "c": 1}
 
@@ -196,8 +208,7 @@ class TestLoopReference:
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_passes_equal_per_index_loops_bit_for_bit(self, label):
         _, basis, der = _case_with_derived(label)
-        for scaling in (None, "f"):
-            rec = build_recursion(basis.rep, der, basis.nu, scaling)
+        for rec in (build_recursion(basis.rep, der, basis.nu), _raw_relation(der, 40)):
             np.testing.assert_array_equal(_bits(solve_forward(rec, 40)),
                                           _bits(_forward_loop(rec, 40)))
 
@@ -289,7 +300,7 @@ class TestScalings:
         # reproduce the natural ones up to a common factor
         _, basis, der = _case_with_derived(label)
         nu = basis.nu
-        raw = build_recursion(basis.rep, der, nu, scaling="f")
+        raw = _raw_relation(der, 21)
         red = build_recursion(basis.rep, der, nu)
         for n in range(1, 21):
             # R_{n-1}/R_n and R_{n+1}/R_n of the running product f_n = R_n s_n,
@@ -313,7 +324,7 @@ class TestScalings:
         cf = closed_form_sequence(der, 20)
         growing = abs(cf[-1]) >= abs(cf[0])
         horizon = 20 if growing else 10
-        raw = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), horizon)
+        raw = solve_forward(_raw_relation(der, horizon), horizon)
         reduced = solve_forward(build_recursion(basis.rep, der, basis.nu), horizon)
         np.testing.assert_allclose(reduced * rescale(der, horizon), raw,
                                    rtol=1e-12 if growing else 1e-9)
@@ -326,16 +337,15 @@ class TestScalings:
         # bands over the whole horizon, decaying (minimal) cases included, each
         # row against its own term magnitudes
         _, basis, der = _case_with_derived(label)
-        raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
         f = coefficient_sequence(der, N) * rescale(der, N)
-        assert np.max(raw.relative_residual(f, np.arange(N))) <= 1e-12
+        assert np.max(_relative_residual(_raw_relation(der, N), f, np.arange(N))) <= 1e-12
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_raw_recursion_matches_operator(self, label):
-        # D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0 ties the recursion to
-        # the tridiagonal matrix elements
+        # D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0 ties the natural
+        # relation's closed form, times R_n, to the tridiagonal matrix elements
         _, basis, der = _case_with_derived(label)
-        f = solve_forward(build_recursion(basis.rep, der, basis.nu, scaling="f"), 15)
+        f = closed_form_sequence(der, 15) * rescale(der, 15)
         op = build_operator(der, 15)
         for n in range(14):
             res = op[n, n] * f[n] + op[n + 1, n] * f[n + 1] \
@@ -409,12 +419,12 @@ class TestCoefficientSequence:
     def test_production_sequence_satisfies_raw_relation(self):
         # the decaying rep-b product times R_n against the operator's bands
         _, basis, der = _case_with_derived("b_pos_beta")
-        rec = build_recursion(basis.rep, der, basis.nu, scaling="f")
+        rec = _raw_relation(der, 40)
         seq = coefficient_sequence(der, 40)
         assert seq[0] == 1.0
         f = seq * rescale(der, 40)
         for n in range(40):
-            assert rec.relative_residual(f, n) < 1e-12
+            assert _relative_residual(rec, f, n) < 1e-12
 
     def test_rho_40_matches_oracle_at_n160(self):
         # rho >> 1 (theta = 0.05) with nu = 6, where the recursion's rounded
@@ -448,9 +458,9 @@ class TestCoefficientSequence:
             return
         seq = coefficient_sequence(der, N)
         np.testing.assert_allclose(seq, ref, rtol=1e-12, atol=np.finfo(float).tiny)
-        raw = build_recursion(basis.rep, der, basis.nu, scaling="f")
-        f = seq * rescale(der, N)
-        assert np.all(raw.relative_residual(f, np.arange(N)) <= 1e-12)
+        if N >= 1:  # the operator matrix has N + 1 >= 2 rows
+            f = seq * rescale(der, N)
+            assert np.all(_relative_residual(_raw_relation(der, N), f, np.arange(N)) <= 1e-12)
 
     def test_off_rest_mass_assignments_raise(self):
         # theta exists only where q = A/omega^beta - beta rho/2 vanishes; an

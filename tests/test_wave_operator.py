@@ -122,6 +122,8 @@ class TestAnalyticElements:
             build_operator(der, 0)
         with pytest.raises(ValueError, match="finite"):
             build_operator(replace(der, omega=1e200), 4)  # omega^2 overflows the bands
+        with pytest.raises(ValueError, match="underflows: largest element 0"):
+            build_operator(replace(der, omega=1e-200), 4)  # omega^2 underflows the bands
 
 
 class TestNumericAgreement:

@@ -18,13 +18,17 @@
 # |theta| <= 0.03, per step; the mu = 1.0125 verify a basis with nu = 400, whose
 # Gamma(n+1+nu) leaves double range while the running product R_n of the
 # coefficient scaling does not; the --config verify reads a file written with
-# the alias keys lambda and epsilon.  Every one of these exits 0.  The last seven
-# commands must be refused with exit 2 and one stderr line: near mu = 1
+# the alias keys lambda and epsilon.  Every one of these exits 0.  The last
+# thirteen commands must be refused with exit 2 and one stderr line: near mu = 1
 # (beta = -0.008, nu = 250) the series norm underflows to 0 in solve, verify
 # and convergence; with a user omega = 1e-300 (rep a, beta = 0.1) the radial
 # grid leaves double range in solve and verify; one past the rep-a ceiling,
-# N = 639, the coefficients leave double range at f_640; and one past the
-# rep-c ceiling, N = 715, the order-723 rule leaves double range.
+# N = 639, the coefficients leave double range at f_640; one past the rep-c
+# ceiling, N = 715, the order-723 rule leaves double range; with a user
+# omega = 1e-75 (rep b) or 1e-60 (rep a) rho^2 leaves double range in solve
+# and verify; at omega = 1e-200 (rep a, beta = 0.1) every operator element
+# underflows in verify; and at A = 1e10, mu = 0.999 the special case's tuned
+# omega leaves double range.
 set -euo pipefail
 out=${1:?usage: tools/readme_examples.sh OUT_DIR}
 export PYTHONWARNINGS=error
@@ -71,3 +75,9 @@ for mode in solve verify; do
 done
 refused solve-rep-a-639 solve --A 3 --mu -2 --kappa 1 --omega 1 --N 639
 refused solve-rep-c-715 solve --A 1 --mu 2 --kappa -1 --N 715
+for mode in solve verify; do
+    refused "$mode-rho-sq-rep-b" "$mode" --A 1 --mu -1.5 --kappa -3 --omega 1e-75 --N 20
+    refused "$mode-rho-sq-rep-a" "$mode" --A 3 --mu -2 --kappa 1 --omega 1e-60 --N 20
+done
+refused verify-operator-underflow verify --A 1 --mu 0.9 --kappa 1 --omega 1e-200 --N 20
+refused special-case-omega-overflow special-case --A 1e10 --mu 0.999 --kappa -1
