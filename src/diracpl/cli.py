@@ -177,7 +177,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     k = np.arange(min(12, max(config.N, 2)) + 1)
     ana = build_operator(der, k[-1])
     psi = basis_spinor(basis, k)
-    num = bilinear_form(basis, base.phys, psi, psi)
+    num = bilinear_form(der, psi, psi)
     far = np.abs(k[:, None] - k) > 1
     add("operator-tridiagonality", np.max(np.abs(num[far])) / np.max(np.abs(ana)),
         1e-8, "projections vanish beyond the three central bands")

@@ -134,16 +134,15 @@ class LaguerreForm:
 
 
 def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure,
-                      order: int | None = None, extra_power: float = 0.0):
+                      *, extra_power: float = 0.0):
     """Exact radial integral of fa(r) * fb(r) * x^extra_power dr on (0, inf).
 
     In x it is x^rest Psi_a Psi_b dx, rest = p_a + p_b + extra_power - 1 + 1/beta;
     its envelope exponent rest + (nu_a + nu_b)/2 fixes the Gauss-Laguerre rule,
-    and the polynomial remainder is integrated exactly whenever
-    2*order - 1 >= deg(fa) + deg(fb); without an order, the smallest such order
-    plus a margin.  A too-low order or a non-finite integrand raises ValueError.
-    Two single forms give a float; batches give the Gram array (F_a w) F_b^T of
-    every pair, of shape fa.batch_shape + fb.batch_shape.
+    and `quadrature_order` of deg(fa) + deg(fb) integrates the polynomial
+    remainder exactly.  A non-finite integrand raises ValueError.  Two single
+    forms give a float; batches give the Gram array (F_a w) F_b^T of every
+    pair, of shape fa.batch_shape + fb.batch_shape.
     """
     shape = fa.batch_shape + fb.batch_shape
     if fa.is_zero or fb.is_zero:
@@ -155,13 +154,7 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
             f"product envelope x^{nu_rule} e^-x is not integrable against the radial "
             "measure (weight exponent <= -1)"
         )
-    degree = fa.poly_degree + fb.poly_degree
-    if order is None:
-        order = quadrature_order(degree)
-    elif 2 * order - 1 < degree:
-        raise ValueError(
-            f"quadrature order {order} cannot integrate a degree-{degree} remainder exactly"
-        )
+    order = quadrature_order(fa.poly_degree + fb.poly_degree)
     rule = _cached_rule(order, nu_rule)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = rule.weights * rule.nodes ** rest
@@ -175,7 +168,7 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
 
 
 def quadrature_order(degree: int) -> int:
-    """The order integrate_product picks for a degree-`degree` remainder."""
+    """The order integrate_product takes for a degree-`degree` remainder."""
     return max(8, degree // 2 + 8)
 
 

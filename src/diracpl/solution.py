@@ -140,11 +140,11 @@ class SeriesSolution:
         return {k: form.d_dr(self.basis.measure) for k, form in self.d_dr_forms.items()}
 
 
-def default_r_grid(basis: BasisParams, num: int = 60) -> np.ndarray:
-    """Log-spaced radial grid covering x = (omega r)^beta in [0.01, 30]; a
+def default_r_grid(basis: BasisParams) -> np.ndarray:
+    """60 log-spaced radii covering x = (omega r)^beta in [0.01, 30]; a
     ValueError when a radius is not a positive finite double."""
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        r = np.sort(basis.measure.r_of_x(np.geomspace(0.01, 30.0, num)))
+        r = np.sort(basis.measure.r_of_x(np.geomspace(0.01, 30.0, 60)))
     if not 0.0 < r[0] <= r[-1] < np.inf:
         raise ValueError(f"radial grid leaves double range (omega = {basis.omega:.4g}, "
                          f"beta = {basis.beta:.4g})")
@@ -306,7 +306,8 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     """(<psi_n|(H-eps)|chi_N>, cancellation scale), by quadrature.
 
     The projection is one bilinear form of psi_n against the assembled series
-    chi_N = C (form_plus, form_minus): at most five integrals, whatever N.
+    chi_N = C (form_plus, form_minus): the integrals of one matrix element
+    (one at the rest-mass-energy assignments), whatever N.
     An index array n gives its projections from one batched bilinear form.
     The tridiagonal structure telescopes it: interior projections vanish up
     to quadrature error and the n = N projection equals -B_N f_{N+1}.
@@ -319,7 +320,7 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     if sol.eps != 1:
         raise ValueError("weak-form projections are computed on the eps = +1 problem")
     c, forms = sol.exact_scale
-    value = bilinear_form(sol.basis, sol.phys, basis_spinor(sol.basis, n), tuple(forms.values()))
+    value = bilinear_form(sol.derived, basis_spinor(sol.basis, n), tuple(forms.values()))
     return c * value, sol.weak_form_scale
 
 

@@ -162,38 +162,38 @@ def basis_spinor(basis: BasisParams, n) -> Spinor:
     return spinor_forms(basis, _unit(n))
 
 
-def bilinear_form(basis: BasisParams, phys: PhysicalParams, left: Spinor, right: Spinor,
-                  order: int | None = None):
-    """<left|H-eps|right> by quadrature of the literal operator expansion.
+def bilinear_form(derived: DerivedParams, left: Spinor, right: Spinor):
+    """<left|H-1|right> by quadrature of the literal operator expansion.
 
     Linear in each argument, so a projection on a series costs the same
-    one to five integrals as a single matrix element.  Batched spinors give
-    the array of every pair, of shape left batch + right batch."""
+    integrals as a single matrix element: one at the rest-mass-energy
+    assignments, where the cross weights kappa - beta gamma and q are exactly
+    0, and up to five off them.  Batched spinors give the array of every
+    pair, of shape left batch + right batch."""
+    beta, measure = derived.beta, derived.measure
+    (up_l, low_l), (up_r, low_r) = left, right
+
+    # at eps = +1 the upper-upper term (1 - eps) <u+|v+> vanishes
+    total = -(2.0 - 1.0 / derived.tau) * integrate_product(low_l, low_r, measure)
+
+    c0 = beta * (derived.kappa / beta - derived.gamma)  # exactly 0 at gamma = kappa/beta
+    cross = 0.0
+    for weight, extra in ((c0, -1.0 / beta), (derived.q, 1.0 - 1.0 / beta)):
+        if weight != 0.0:
+            cross += weight * (integrate_product(up_l, low_r, measure, extra_power=extra)
+                               + integrate_product(low_l, up_r, measure, extra_power=extra))
+    return total + derived.lam * derived.omega * cross
+
+
+def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: int) -> float:
+    """<psi_n|H-eps|psi_m> by quadrature of the literal operator expansion."""
     if phys.eps != 1:
         raise ValueError(
             "matrix elements are computed at eps = +1; eps = -1 solutions come "
             "from the energy-reflection mapping in the solution module"
         )
-    beta, omega, lam, tau = basis.beta, basis.omega, basis.lam, basis.tau
-    measure = basis.measure
-    (up_l, low_l), (up_r, low_r) = left, right
-
-    # at eps = +1 the upper-upper term (1 - eps) <u+|v+> vanishes
-    total = -(2.0 - 1.0 / tau) * integrate_product(low_l, low_r, measure, order=order)
-
-    c0 = phys.kappa - beta * basis.gamma
-    q = phys.A / omega ** beta - beta * basis.rho / 2.0
-    cross = 0.0
-    for weight, extra in ((c0, -1.0 / beta), (q, 1.0 - 1.0 / beta)):
-        if weight != 0.0:
-            cross += weight * (integrate_product(up_l, low_r, measure, order, extra)
-                               + integrate_product(low_l, up_r, measure, order, extra))
-    return total + lam * omega * cross
-
-
-def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: int) -> float:
-    """<psi_n|H-eps|psi_m> by quadrature of the literal operator expansion."""
-    return bilinear_form(basis, phys, basis_spinor(basis, n), basis_spinor(basis, m))
+    return bilinear_form(derived_params(basis, phys), basis_spinor(basis, n),
+                         basis_spinor(basis, m))
 
 
 def build_operator(derived: DerivedParams, N: int) -> np.ndarray:

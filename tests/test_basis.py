@@ -263,8 +263,7 @@ class TestSpinorComponents:
         # admissible beta, the constant a_n only fixes the weighted-norm scale
         phys, basis = build_case(label)
         n = 2
-        val = integrate_product(phi_plus_form(basis, n), phi_plus_form(basis, n),
-                                basis.measure, order=30)
+        val = integrate_product(phi_plus_form(basis, n), phi_plus_form(basis, n), basis.measure)
         c = 2.0 * basis.alpha - 1.0 + 1.0 / basis.beta
         from diracpl.orthopoly import laguerre_all
         from diracpl.quadrature import gauss_laguerre

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import CASE_IDS, add_forms, build_case
+import diracpl.forms as forms
 import diracpl.wave_operator as wave_operator
 from diracpl.basis import PhysicalParams, spinor_forms
 from diracpl.forms import integrate_product
@@ -28,16 +29,21 @@ def _solve_case(label, N=10):
     return phys, assemble(phys, basis, N)
 
 
+def _richer_rules(monkeypatch, margin=40):
+    """Make every later integral take `margin` orders above its exact one."""
+    exact = forms.quadrature_order
+    monkeypatch.setattr(forms, "quadrature_order", lambda degree: exact(degree) + margin)
+
+
 class TestAssembly:
     @pytest.mark.parametrize("label", CASE_IDS)
-    def test_unit_norm(self, label):
+    def test_unit_norm(self, label, monkeypatch):
         # re-integrate the normalized solution with a richer rule
         phys, sol = _solve_case(label)
         m = sol.basis.measure
-        order = 2 * sol.N + 32
-        norm = sol.norm_const ** 2 * (
-            integrate_product(sol.form_plus, sol.form_plus, m, order=order)
-            + integrate_product(sol.form_minus, sol.form_minus, m, order=order))
+        _richer_rules(monkeypatch)
+        norm = sol.norm_const ** 2 * (integrate_product(sol.form_plus, sol.form_plus, m)
+                                      + integrate_product(sol.form_minus, sol.form_minus, m))
         assert norm == pytest.approx(1.0, rel=1e-10)
 
     def test_solution_stores_one_record(self):
@@ -62,7 +68,7 @@ class TestAssembly:
         m = sol.basis.measure
         norm = math.sqrt(integrate_product(scaled_plus, scaled_plus, m)
                          + integrate_product(scaled_minus, scaled_minus, m))
-        r = default_r_grid(sol.basis, num=15)
+        r = default_r_grid(sol.basis)
         ref_p, ref_m = evaluate_grid(sol, r)
         x = sol.basis.measure.x_of_r(r)
         got_p = scaled_plus.eval(x) / norm
@@ -76,17 +82,17 @@ class TestAssembly:
         (PhysicalParams(A=1.0, mu=-1.5, kappa=-3), None),
         (PhysicalParams(A=1.0, mu=2.0, kappa=-1), None),
     ], ids=["a", "b", "c"])
-    def test_over_integration_matches_default_order(self, phys, omega):
-        # the default orders are exact: an order-100 rule changes neither the
-        # norm nor the boundary projection beyond roundoff
+    def test_over_integration_matches_default_order(self, phys, omega, monkeypatch):
+        # the default orders are exact: rules 40 orders richer change neither
+        # the norm nor the boundary projection beyond roundoff
         sol = solve(phys, 40, omega=omega)
-        forms = (sol.form_plus, sol.form_minus)
-        norm = sol.norm_const ** 2 * sum(integrate_product(f, f, sol.basis.measure, order=100)
-                                         for f in forms)
-        assert abs(norm - 1.0) <= 1e-12
         value, scale = weak_form_residual(sol, sol.N)
-        rich = sol.norm_const * bilinear_form(sol.basis, sol.phys,
-                                              basis_spinor(sol.basis, sol.N), forms, order=100)
+        _richer_rules(monkeypatch)
+        series = (sol.form_plus, sol.form_minus)
+        norm = sol.norm_const ** 2 * sum(integrate_product(f, f, sol.basis.measure)
+                                         for f in series)
+        assert abs(norm - 1.0) <= 1e-12
+        rich = sol.norm_const * bilinear_form(sol.derived, basis_spinor(sol.basis, sol.N), series)
         assert abs(rich - value) <= 1e-12 * scale
 
     def test_single_term_linearity(self):
@@ -113,7 +119,7 @@ class TestAssembly:
         phys, basis = build_case("b_pos_beta")
         small = assemble(phys, basis, 8)
         large = assemble(phys, basis, 13)
-        r = default_r_grid(basis, num=30)
+        r = default_r_grid(basis)
         x = basis.measure.x_of_r(r)
         diff_p = np.abs(large.form_plus.eval(x) - small.form_plus.eval(x))
         diff_m = np.abs(large.form_minus.eval(x) - small.form_minus.eval(x))
@@ -165,7 +171,7 @@ class TestDiracResidual:
         dminus_row2 = add_forms(row2_form.shifted(-1.0 / m.beta).scaled(kap_w),
                                 row2_form.shifted(1.0 - 1.0 / m.beta).scaled(pot_w),
                                 row2_form.d_dr(m).scaled(-1.0))
-        r = default_r_grid(sol.basis, num=30)
+        r = default_r_grid(sol.basis)
         x = m.x_of_r(r)
         row1, _ = dirac_residual(sol, r)
         lhs = lam ** 2 * second_order_residual(sol, r, "+")
@@ -407,7 +413,7 @@ class TestEnergyReflection:
         from diracpl.basis import phi_minus_form, phi_plus_form
         basis = sol.basis
         m = basis.measure
-        r = default_r_grid(basis, num=40)
+        r = default_r_grid(basis)
         x = m.x_of_r(r)
         for n in range(11):
             upper = phi_minus_form(basis, n)   # swapped roles at eps = -1

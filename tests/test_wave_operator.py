@@ -6,7 +6,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import CASE_IDS, build_case
+from conftest import CASE_IDS, PARAM_SETS, build_case
+import diracpl.wave_operator as wave_operator
 from diracpl.basis import (BasisParams, PhysicalParams, Rep, phi_minus_form, phi_plus_form,
                           select_representation, spinor_forms)
 from diracpl.forms import integrate_product
@@ -199,8 +200,8 @@ def _literal_element(basis, phys, n, m):
     fm_n, fm_m = phi_minus_form(basis, n), phi_minus_form(basis, m)
     total = (1.0 - eps) * integrate_product(fp_n, fp_m, measure)
     total -= (1.0 + eps - 1.0 / basis.tau) * integrate_product(fm_n, fm_m, measure)
-    c0 = phys.kappa - beta * basis.gamma
-    q = phys.A / basis.omega ** beta - beta * basis.rho / 2.0
+    c0 = beta * (phys.kappa / beta - basis.gamma)
+    q = derived_params(basis, phys).q
     cross = 0.0
     if c0 != 0.0:
         cross += c0 * (integrate_product(fp_n, fm_m, measure, extra_power=-1.0 / beta)
@@ -239,11 +240,34 @@ class TestBilinearForm:
         u = [basis_spinor(basis, m) for m in range(6)]
         weights = [0.7, -1.3, 2.1, 0.4, -0.9, 1.6]
         mix = spinor_forms(basis, weights)
-        order = 30
-        parts = [bilinear_form(basis, phys, left, s, order=order) for s in u]
+        der = derived_params(basis, phys)
+        parts = [bilinear_form(der, left, s) for s in u]
         expected = sum(w * v for w, v in zip(weights, parts))
         scale = sum(abs(w * v) for w, v in zip(weights, parts))
-        assert abs(bilinear_form(basis, phys, left, mix, order=order) - expected) < 1e-13 * scale
+        assert abs(bilinear_form(der, left, mix) - expected) < 1e-13 * scale
+
+
+# A contract-sweep draw where kappa - beta (kappa/beta) is not 0 in doubles.
+C0_ROUNDOFF = (dict(A=-0.07871724553852956, mu=1.4334522641709198, kappa=-7),
+               dict(omega=15.358355579731617))
+
+
+@pytest.mark.parametrize("phys_kw,sel_kw", [
+    *[(p, s) for _, p, s in PARAM_SETS], C0_ROUNDOFF], ids=[*CASE_IDS, "c0_roundoff"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_one_integral_per_bilinear_form_at_the_balanced_parameters(phys_kw, sel_kw, batched,
+                                                                  monkeypatch):
+    # the cross weights kappa - beta gamma and q are exactly 0, so only the
+    # lower-lower integral is taken
+    phys = PhysicalParams(**phys_kw)
+    basis = select_representation(phys, **sel_kw)
+    calls = []
+    original = wave_operator.integrate_product
+    monkeypatch.setattr(wave_operator, "integrate_product",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    n = np.arange(6) if batched else 3
+    bilinear_form(derived_params(basis, phys), basis_spinor(basis, n), basis_spinor(basis, n))
+    assert len(calls) == 1
 
 
 class TestGram:
@@ -252,10 +276,11 @@ class TestGram:
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_gram_matches_pairwise_bilinear_form(self, label):
         phys, basis = build_case(label)
-        op = build_operator(derived_params(basis, phys), 12)
+        der = derived_params(basis, phys)
+        op = build_operator(der, 12)
         scale = max(float(np.max(np.abs(op))), 1.0)
         psi = basis_spinor(basis, np.arange(13))
-        gram = bilinear_form(basis, phys, psi, psi)
+        gram = bilinear_form(der, psi, psi)
         assert gram.shape == (13, 13)
         pairwise = np.array([[matrix_element_numeric(basis, phys, n, m) for m in range(13)]
                              for n in range(13)])
@@ -267,22 +292,23 @@ class TestGram:
         # against a single spinor gives one row of the Gram
         phys, basis = build_case(label)
         basis = _general_basis(basis)
+        der = derived_params(basis, phys)
         left, right = basis_spinor(basis, np.arange(8)), basis_spinor(basis, np.array([2, 5]))
-        gram = bilinear_form(basis, phys, left, right, order=30)
-        row = bilinear_form(basis, phys, left, basis_spinor(basis, 5), order=30)
+        gram = bilinear_form(der, left, right)
+        row = bilinear_form(der, left, basis_spinor(basis, 5))
         scale = np.max(np.abs(gram))
         for n in range(8):
             for j, m in enumerate((2, 5)):
-                ref = bilinear_form(basis, phys, basis_spinor(basis, n), basis_spinor(basis, m),
-                                    order=30)
+                ref = bilinear_form(der, basis_spinor(basis, n), basis_spinor(basis, m))
                 assert abs(gram[n, j] - ref) <= 1e-14 * scale
             assert abs(row[n] - gram[n, 1]) <= 1e-14 * scale
 
     def test_zero_batch_gives_zero_gram(self):
         phys, basis = build_case("b_rho2")
         zero = spinor_forms(basis, np.zeros((3, 4)))
-        assert np.array_equal(bilinear_form(basis, phys, zero, basis_spinor(basis, np.arange(2))),
-                              np.zeros((3, 2)))
+        assert np.array_equal(
+            bilinear_form(derived_params(basis, phys), zero, basis_spinor(basis, np.arange(2))),
+            np.zeros((3, 2)))
 
 
 def _scalar_element(derived, n, m):

@@ -25,7 +25,11 @@ from pathlib import Path
 # and with a user rep-c alpha, long-horizon solves, a rep-a verify at N = 150,
 # solves of reps a, b and c and a rep-a verify at N = 400, and three refused
 # inputs (exit 2): solves past the rep-a and rep-c ceilings (f_640 and the
-# order-723 rule leave double range) and a rep-c alpha at its bound.
+# order-723 rule leave double range) and a rep-c alpha at its bound.  Two inputs
+# reach the quadrature route's cross weights where a careless formula leaves
+# roundoff: the README library example (q = -4.4e-16 before the snap to 0) and
+# verify-c0-roundoff, a contract-sweep draw where kappa - beta (kappa/beta) is
+# not 0 in doubles.
 COMMANDS = (
     ("readme-solve", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
                       "--N", "20"]),
@@ -70,6 +74,8 @@ COMMANDS = (
     ("solve-rep-a-639", ["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1",
                          "--N", "639"]),
     ("solve-rep-c-715", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1", "--N", "715"]),
+    ("verify-c0-roundoff", ["verify", "--A=-0.07871724553852956", "--mu=1.4334522641709198",
+                            "--kappa=-7", "--N=80", "--omega=15.358355579731617"]),
     ("solve-rep-c-alpha-bound", ["solve", "--A", "1", "--mu", "2", "--kappa", "-1",
                                  "--alpha=0.5"]),
 )
