@@ -8,7 +8,8 @@ x = (omega r)^beta the upper basis component is
 with psi_n^nu the orthonormal Laguerre function of `orthopoly.laguerre_functions`,
 which carries the normalization of the paper's a_n x^alpha e^{-x/2} L_n^nu(x),
 and the lower component follows from the first-order (kinetic-balance)
-operator.  Three parameter families exist:
+operator.  Three parameter families exist, each with its rules in one `Family`
+record, `rep.family`:
 
   rep a:  beta*kappa > 0, kappa != -1:   gamma = kappa/beta,
           alpha = (kappa+1)/beta, nu = (2 kappa + 1)/beta
@@ -32,15 +33,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .forms import LaguerreForm
-from .orthopoly import laguerre_offdiag
+from .orthopoly import hyp_mp_series_all, laguerre_offdiag, mod_cdh_series_all
 from .quadrature import RadialMeasure
+
+if TYPE_CHECKING:
+    from .wave_operator import DerivedParams
 
 __all__ = [
     "Rep",
+    "Family",
     "PhysicalParams",
     "BasisParams",
     "select_representation",
@@ -51,6 +57,7 @@ __all__ = [
     "phi_plus_form",
     "phi_minus_form",
     "kinetic_balance_form",
+    "sector_sign",
 ]
 
 _EXCLUDED_MU = {
@@ -67,6 +74,8 @@ class Rep(str, Enum):
     A = "a"
     B = "b"
     C = "c"
+
+    family = property(lambda self: _FAMILIES[self], doc="The representation's `Family`.")
 
 
 def _require_finite(**values) -> None:
@@ -138,6 +147,171 @@ def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
     return value
 
 
+@dataclass(frozen=True)
+class Family:
+    """The rules that differ between the representations, one record each in
+    `_FAMILIES`: hyperbolic Meixner-Pollaczek (reps a, b) or modified continuous
+    dual Hahn (rep c) closed forms (Koekoek, Lesky & Swarttouw, "Hypergeometric
+    Orthogonal Polynomials", 2010, secs. 9.7 and 9.3)."""
+
+    exponents: Callable | None  # (kappa, beta) -> the fixed (alpha, nu); None: alpha free
+    stencil: Callable  # (basis, n) -> `spinor_forms`' stencil, nu of the lower form
+    band: Callable  # (derived, k, offdiag, common) -> D_k, or B_{k-1} if offdiag
+    relation: Callable  # derived -> (a, b, c) of the natural relation (`recursion`)
+    product: Callable | None  # (derived, N) -> s_0..s_N as one product; None: recurrence
+    closed_form: Callable  # (derived, N) -> s_0..s_N from the closed form
+    r_step: Callable  # (n, nu) -> R_n/R_{n-1} of `recursion.rescale`
+
+
+def sector_sign(derived: DerivedParams) -> float:
+    """+1 for sigma_- > 0 (rho^2 > 1), else -1: the sector of every a/b route.
+
+    With sigma_- > 0 the normalized coefficients of the natural relation read
+    d_n(y) s_n - (n+2 lam_mp-1) s_{n-1} - (n+1) s_{n+1} = 0, d_n(y) =
+    2[(n+lam_mp) cosh(theta) + y sinh(theta)] (`orthopoly.hyp_mp_diagonal`),
+    while sigma_- < 0 flips the sign of the s_{n-1}, s_{n+1} terms and of y;
+    both are the single sigma-form divided by |sigma_-|, with theta =
+    asinh(2 rho/(rho^2-1)) throughout (for rho^2 < 1 that arcsinh argument is
+    itself negative, which is exactly what makes the flipped relation hold)."""
+    return 1.0 if derived.sigma_minus > 0.0 else -1.0
+
+
+def _stencil_on_nu(basis: BasisParams, n):
+    """-(1+rho) b_n psi_{n-1} + [2(g+a-(nu+1)/2) + 2 rho (n+(nu+1)/2)] psi_n
+    + (1-rho) b_{n+1} psi_{n+1}, on psi^nu."""
+    a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
+    b = np.array(laguerre_offdiag(len(n), nu))
+    return np.array([[-(1.0 + rho) * b[:-1],
+                      2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
+                      (1.0 - rho) * b[1:]]]), nu
+
+
+def _stencil_on_nu_plus_1(basis: BasisParams, n):
+    """2(g+a) x^p L_n^nu - x^{p+1} [(1-rho) L_n^{nu+1} + (1+rho) L_{n-1}^{nu+1}],
+    written on psi^{nu+1}: the nu term is mapped there by x^{1/2} psi_m^nu =
+    sqrt(m+nu+1) psi_m^{nu+1} - sqrt(m) psi_{m-1}^{nu+1}, since the form's
+    integrability needs its factor x."""
+    a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
+    down, up = np.sqrt(n), np.sqrt(n + nu + 1.0)
+    return np.array([[-2.0 * (g + a) * down, 2.0 * (g + a) * up],
+                     [-(1.0 + rho) * down, -(1.0 - rho) * up]]), nu + 1.0
+
+
+def ab_diagonal(derived: DerivedParams, k):
+    """X_k = (2k+1+nu) sigma_+ + 2 zeta of representations a/b, over an index
+    array k: D_k = common p X_k, and the natural relation's diagonal is
+    X_k/|sigma_-|.  Written with rho^2 + 1 = (rho-1)^2 + 2 rho, so the part
+    that vanishes as rho -> 1 (X_0 of representation b, where nu + nut = 0) is a
+    product, not a difference of rounded O(1) terms."""
+    k = np.asarray(k)
+    rho, nu, c = derived.rho, derived.nu, derived.q / derived.p
+    nut = (2.0 * derived.kappa + 1.0) / derived.beta
+    return ((2.0 * k + 1.0 + nu) * (rho - 1.0) ** 2 + 2.0 * rho * (2.0 * k + nu + nut)
+            + 2.0 * c * ((2.0 * k + 1.0 + nu) * rho + nut - 1.0))
+
+
+def _mp_band(derived: DerivedParams, k, offdiag: bool, common: float):
+    """D_k = common p X_k (`ab_diagonal`); B_{k-1} = -common p sigma_- sqrt(k (k+nu))."""
+    if not offdiag:
+        return common * derived.p * ab_diagonal(derived, k)
+    return -common * derived.p * derived.sigma_minus * np.sqrt(k * (k + derived.nu))
+
+
+def _cdh_band(derived: DerivedParams, k, offdiag: bool, common: float):
+    """The band of the free-alpha basis, with the cross weight u kept."""
+    alpha, beta, gamma, nu = derived.alpha, derived.beta, derived.gamma, derived.nu
+    p, rho, u = derived.p, derived.rho, derived.u
+    if not offdiag:
+        s = k + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
+        t = k + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
+        return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
+    s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
+    return -4.0 * common * (p * s + u / 2.0) * np.sqrt(k * (k + nu))
+
+
+def _mp_relation(derived: DerivedParams):
+    """The natural relation normalized by |sigma_-|, so the coefficients carry
+    the sign pattern of sigma_-'s sector; |rho| = 1 raises ValueError."""
+    if derived.rho * derived.rho == 1.0 or derived.sigma_minus == 0.0:
+        raise ValueError("|rho| = 1 degenerates the three-term recursion in representations "
+                         "a/b; use representation c (rep='c') or a different omega")
+    nu, sm, sgn = derived.nu, derived.sigma_minus, sector_sign(derived)
+    return (lambda n: ab_diagonal(derived, n) / abs(sm),
+            lambda n: -sgn * (n + nu),
+            lambda n: -sgn * (n + 1.0))
+
+
+def _cdh_relation(derived: DerivedParams):
+    """The modified continuous dual Hahn relation of order (nu+1)/2."""
+    z, rho, u, p, d, nu = derived.z, derived.rho, derived.u, derived.p, derived.d, derived.nu
+    bracket_const = z * (z + rho * u / p) - ((nu + 1.0) / 2.0) ** 2
+    return (lambda n: (n + nu + 1.0) * (n + d + 1.0) + n * (n + d) + bracket_const,
+            lambda n: -n * (n + d),
+            lambda n: -(n + nu + 1.0) * (n + d + 1.0))
+
+
+def mp_lambda(derived: DerivedParams) -> float:
+    """Order parameter of the Meixner-Pollaczek-type closed forms: (nu+1)/2."""
+    return (derived.nu + 1.0) / 2.0
+
+
+def cdh_parameters(derived: DerivedParams) -> tuple[float, float, float, float]:
+    """(lam, y, a, b) of the modified continuous dual Hahn closed form.
+
+    lam = a = (nu+1)/2, b = d + (1-nu)/2, y^2 = z (z + rho u / p).
+    """
+    lam = (derived.nu + 1.0) / 2.0
+    ysq = derived.z * (derived.z + derived.rho * derived.u / derived.p)
+    if ysq < 0.0:
+        raise ValueError("closed form needs z(z + rho u/p) >= 0; outside the rest-mass-energy "
+                         "assignments the argument may leave the real family")
+    return lam, math.sqrt(ysq), lam, derived.d + (1.0 - derived.nu) / 2.0
+
+
+def _mp_product(derived: DerivedParams, N: int) -> np.ndarray:
+    """Where lam + y = 0 the hyperbolic Meixner-Pollaczek 2F1(-n, lam + y;
+    2 lam; .) is a single term, so s_n = (2 lam)_n / n! (s e^{-s theta})^n,
+    s = `sector_sign`, is one running product (unchecked for range)."""
+    if derived.theta is None:
+        raise ValueError("representation b's coefficient product exists under the "
+                         "rest-mass-energy assignments only")
+    s = sector_sign(derived)
+    k = np.arange(1.0, N + 1.0)
+    steps = (2.0 * mp_lambda(derived) + k - 1.0) / k * (s * math.exp(-(s * derived.theta)))
+    with np.errstate(over="ignore"):
+        return np.cumprod(np.r_[1.0, steps])
+
+
+def _mp_closed_form(derived: DerivedParams, N: int) -> np.ndarray:
+    """s_n = s^n P_n(s y, theta), s = `sector_sign`, with P_n the hyperbolic
+    Meixner-Pollaczek polynomial of order (nu+1)/2 and y = (kappa+1/2)/beta - 1/2."""
+    if derived.theta is None or derived.y is None:
+        raise ValueError("closed forms for representations a/b exist under the "
+                         "rest-mass-energy assignments with |rho| != 1")
+    sign = sector_sign(derived)
+    return sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived),
+                                                        sign * derived.y, derived.theta)
+
+
+def _r_step_down(n, nu):  # R_n^2 = n!/(nu+1)_n; rep c steps up by its reciprocal
+    return np.sqrt(n / (n + nu))
+
+
+_FAMILIES = {
+    Rep.A: Family(exponents=lambda kappa, beta: ((kappa + 1.0) / beta,
+                                                 (2.0 * kappa + 1.0) / beta),
+                  stencil=_stencil_on_nu, band=_mp_band, relation=_mp_relation,
+                  product=None, closed_form=_mp_closed_form, r_step=_r_step_down),
+    Rep.B: Family(exponents=lambda kappa, beta: (-kappa / beta, -(2.0 * kappa + 1.0) / beta),
+                  stencil=_stencil_on_nu_plus_1, band=_mp_band, relation=_mp_relation,
+                  product=_mp_product, closed_form=_mp_closed_form, r_step=_r_step_down),
+    Rep.C: Family(exponents=None,
+                  stencil=_stencil_on_nu, band=_cdh_band, relation=_cdh_relation,
+                  product=None, r_step=lambda n, nu: 1.0 / _r_step_down(n, nu),
+                  closed_form=lambda derived, N: mod_cdh_series_all(N, *cdh_parameters(derived))),
+}
+
+
 def select_representation(phys: PhysicalParams, omega: float | None = None,
                           alpha: float | None = None, rep: Rep | str | None = None) -> BasisParams:
     """Choose the basis family from the physics and fix all its constants.
@@ -159,7 +333,8 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             f"representation {rep.value} does not apply at beta*kappa = {beta * kappa!r}, "
             f"kappa = {kappa}: use {default.value} (the default) or c")
 
-    if rep is Rep.C:
+    exponents = rep.family.exponents
+    if exponents is None:
         if omega is not None:
             raise ValueError(
                 "omega is fixed to |2A/beta|^(1/beta) in representation c"
@@ -184,12 +359,7 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             raise ValueError("omega must be positive")
         rho = 2.0 * phys.A / (beta * _scale_power(omega, beta, "omega^beta",
                                                   f"omega = {omega!r}"))
-        if rep is Rep.A:
-            alpha = (kappa + 1.0) / beta
-            nu = (2.0 * kappa + 1.0) / beta
-        else:
-            alpha = -kappa / beta
-            nu = -(2.0 * kappa + 1.0) / beta
+        alpha, nu = exponents(kappa, beta)
 
     return BasisParams(rep=rep, beta=beta, omega=omega, alpha=alpha, nu=nu,
                        gamma=kappa / beta, rho=rho, tau=0.25, lam=phys.lam)
@@ -207,45 +377,28 @@ def spinor_forms(basis: BasisParams, c) -> tuple[LaguerreForm, LaguerreForm]:
 
     A matrix c, one row per spinor, gives batched forms.  The upper form is the
     row sqrt(omega |beta|) c_n on psi^nu.  The lower form is the kinetic-balance
-    operator applied to it: per n a 2- or 3-term stencil, written with the
-    Laguerre parameter that makes the representation's matrix elements
-    band-limited.  Reps a and c share one stencil on psi^nu; rep b's nu term is
-    mapped onto psi^{nu+1} by x^{1/2} psi_m^nu = sqrt(m+nu+1) psi_m^{nu+1}
-    - sqrt(m) psi_{m-1}^{nu+1}, since the form's integrability needs its factor x.
-    The stencils are added as shifted vectors, highest shift first: each order
-    sums elements n-1, n, n+1.
+    operator applied to it: per n a 2- or 3-term stencil (`Family.stencil`),
+    written with the Laguerre parameter that makes the representation's matrix
+    elements band-limited.  The stencils are added as shifted vectors, highest
+    shift first: each order sums elements n-1, n, n+1.
     """
     c = np.asarray(c, dtype=float)
     upper = _upper(basis, c)
     n = np.arange(c.shape[-1], dtype=float)
-    a, nu, g, rho = basis.alpha, basis.nu, basis.gamma, basis.rho
     pre = (basis.lam * basis.omega * basis.tau * basis.beta
            * math.sqrt(basis.omega * abs(basis.beta)))  # the upper form's scale
     if not math.isfinite(pre):  # inf times a zero stencil entry would be nan
         raise ValueError(f"lower-component scale leaves double range (omega = "
                          f"{basis.omega:.4g}, beta = {basis.beta:.4g})")
     # stencil[k, j] holds power offset k and order n - 1 + j
-    if basis.rep is Rep.B:
-        # 2(g+a) x^p L_n^nu - x^{p+1} [(1-rho) L_n^{nu+1} + (1+rho) L_{n-1}^{nu+1}],
-        # written on psi^{nu+1}
-        down, up = np.sqrt(n), np.sqrt(n + nu + 1.0)
-        stencil = np.array([[-2.0 * (g + a) * down, 2.0 * (g + a) * up],
-                            [-(1.0 + rho) * down, -(1.0 - rho) * up]])
-        nu += 1.0
-    else:
-        # -(1+rho) b_n psi_{n-1} + [2(g+a-(nu+1)/2) + 2 rho (n+(nu+1)/2)] psi_n
-        # + (1-rho) b_{n+1} psi_{n+1}
-        b = np.array(laguerre_offdiag(len(n), nu))
-        stencil = np.array([[-(1.0 + rho) * b[:-1],
-                             2.0 * (g + a - (nu + 1.0) / 2.0) + 2.0 * rho * (n + (nu + 1.0) / 2.0),
-                             (1.0 - rho) * b[1:]]])
+    stencil, nu = basis.rep.family.stencil(basis, n)
     terms = c[..., None, None, :] * (pre * stencil)
     rows, width = stencil.shape[:2]
     coef = np.zeros(c.shape[:-1] + (rows, len(n) + width - 1))  # column i holds order i - 1
     for j in reversed(range(width)):
         coef[..., j:j + len(n)] += terms[..., j, :]
     # order -1 is dropped
-    return upper, LaguerreForm(a - 1.0 / basis.beta - nu / 2.0, nu, coef[..., 1:])
+    return upper, LaguerreForm(basis.alpha - 1.0 / basis.beta - nu / 2.0, nu, coef[..., 1:])
 
 
 def _unit(n) -> np.ndarray:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import PhysicalParams, kinetic_balance_apply, phi_minus
+from .basis import PhysicalParams, kinetic_balance_apply, phi_minus, sector_sign
 from .orthopoly import hyp_mp_diagonal
 from .recursion import (build_recursion, closed_form_sequence, coefficient_sequence,
                         mp_lambda, rescale)
@@ -211,10 +211,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         "the solution's coefficients satisfy the operator's raw relation at every row")
 
     if der.theta is not None:  # y enters with the sign of sigma_- (see recursion)
-        y = der.y if der.sigma_minus > 0.0 else -der.y
         n = np.arange(21)
         a = rec.a(n)
-        diag = hyp_mp_diagonal(n, mp_lambda(der), y, der.theta)
+        diag = hyp_mp_diagonal(n, mp_lambda(der), sector_sign(der) * der.y, der.theta)
         hyper = np.max(np.abs(a - diag) / (np.abs(a) + 1e-300))
         add("hyperbolic-identity", hyper, 1e-14,
             "recursion diagonal equals 2[(n+lam) cosh theta +- y sinh theta]")

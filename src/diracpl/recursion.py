@@ -10,48 +10,34 @@ There is one convention: f_0 = 1, the overall factor is fixed later by
 wavefunction normalization, and f_n = R_n s_n, with R_n the running product
 (`rescale`)
 
-    R_0 = 1,   R_n = R_{n-1} sqrt(n/(n+nu))   (representations a, b)
-               R_n = R_{n-1} sqrt((n+nu)/n)   (representation c).
+    R_0 = 1,   R_n = R_{n-1} sqrt(n/(n+nu))  or its reciprocal,
 
-The natural sequence s_n (s_0 = 1) satisfies the natural relation written out
-here: a hyperbolic Meixner-Pollaczek recurrence (a, b) or a modified
-continuous dual Hahn recurrence (c), so it has closed forms evaluated by
+the direction being the representation's (`basis.Family.r_step`).  The natural
+sequence s_n (s_0 = 1) satisfies the representation's natural relation
+(`basis.Family.relation`): a hyperbolic Meixner-Pollaczek or a modified
+continuous dual Hahn recurrence, so it has closed forms evaluated by
 `orthopoly`.  R_n^2 = n!/(nu+1)_n (or its inverse) is a ratio of Gamma
 functions taken one step at a time; no Gamma function is formed, so R_n stays
 in double range long after Gamma(n+1+nu) has left it.
 
-The production route (`coefficient_sequence`) is float arithmetic.  In
-representation b, lam + y = 0, so the hyperbolic Meixner-Pollaczek
-2F1(-n, lam + y; 2 lam; .) is a single term and the pinned sequence is the
-running product s_n = s_{n-1} (2 lam + n - 1)/n s e^{-theta'}, s = +-1 by
-branch (Koekoek, Lesky & Swarttouw, "Hypergeometric Orthogonal Polynomials",
-2010, sec. 9.7).  In representations a and c the pinned sequence is the
-dominant solution, and forward recurrence on the natural relation follows it.
-The extended-precision closed forms (`closed_form_sequence`) cost O(N)
-extended-precision operations plus O(N^2) exact integer additions, and serve
-only as the oracle; each route is the oracle for the other.
-
-Branch handling for a/b: the sign of sigma_- picks the sector in every route.
-With sigma_- > 0 (rho^2 > 1) the normalized coefficients read d_n(y) s_n
-- (n+2 lam_mp-1) s_{n-1} - (n+1) s_{n+1} = 0, d_n(y) = 2[(n+lam_mp) cosh(theta)
-+ y sinh(theta)] (`orthopoly.hyp_mp_diagonal`), while sigma_- < 0 (rho^2 < 1)
-flips the sign of the s_{n-1}, s_{n+1} terms and of y; both are the single
-sigma-form divided by |sigma_-|, with theta = asinh(2 rho/(rho^2-1)) throughout
-(for rho^2 < 1 that arcsinh argument is itself negative, which is exactly what
-makes the flipped relation hold).
+The production route (`coefficient_sequence`) is float arithmetic: a single
+running product where the closed form is a single term (`Family.product`),
+else forward recurrence on the natural relation, where the pinned sequence is
+the dominant solution.  The closed forms (`closed_form_sequence`) are its
+oracle, and it is theirs.  In the Meixner-Pollaczek family `basis.sector_sign`
+picks the sector of every route.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import Rep
-from .orthopoly import forward_recurrence, hyp_mp_series_all, mod_cdh_series_all
-from .wave_operator import DerivedParams, ab_diagonal
+from .basis import Rep, cdh_parameters, mp_lambda
+from .orthopoly import forward_recurrence
+from .wave_operator import DerivedParams
 
 __all__ = [
     "ThreeTermRecursion",
@@ -80,52 +66,14 @@ class ThreeTermRecursion:
         return self.a(n) * seq[n] + self.b(n) * prev + self.c(n) * seq[n + 1]
 
 
-def mp_lambda(derived: DerivedParams) -> float:
-    """Order parameter of the Meixner-Pollaczek-type closed forms: (nu+1)/2."""
-    return (derived.nu + 1.0) / 2.0
-
-
-def cdh_parameters(derived: DerivedParams) -> tuple[float, float, float, float]:
-    """(lam, y, a, b) of the modified continuous dual Hahn closed form.
-
-    lam = a = (nu+1)/2, b = d + (1-nu)/2, y^2 = z (z + rho u / p).
-    """
-    lam = (derived.nu + 1.0) / 2.0
-    ysq = derived.z * (derived.z + derived.rho * derived.u / derived.p)
-    if ysq < 0.0:
-        raise ValueError(
-            "closed form needs z(z + rho u/p) >= 0; outside the rest-mass-energy "
-            "assignments the argument may leave the real family"
-        )
-    return lam, math.sqrt(ysq), lam, derived.d + (1.0 - derived.nu) / 2.0
-
-
 def build_recursion(rep: Rep, derived: DerivedParams, nu: float) -> ThreeTermRecursion:
-    """The natural relation of the s_n (module docstring); for representations
-    a/b normalized by |sigma_-|, so the coefficients carry the sign pattern of
-    sigma_-'s sector.  A `rep` or `nu` not those of `derived` raises
-    ValueError, and so does |rho| = 1 in a/b."""
+    """The natural relation of the s_n, the representation's `Family.relation`.
+    A `rep` or `nu` not those of `derived` raises ValueError, and so does
+    |rho| = 1 in a/b."""
     if rep is not derived.rep or nu != derived.nu:
         raise ValueError(f"representation {rep.value} with nu = {nu} does not match the "
                          f"derived parameters ({derived.rep.value}, nu = {derived.nu})")
-    if rep is not Rep.C and (derived.rho * derived.rho == 1.0 or derived.sigma_minus == 0.0):
-        raise ValueError("|rho| = 1 degenerates the three-term recursion in representations "
-                         "a/b; use representation c (rep='c') or a different omega")
-
-    if rep is Rep.C:
-        z, rho, u, p, d = derived.z, derived.rho, derived.u, derived.p, derived.d
-        bracket_const = z * (z + rho * u / p) - ((nu + 1.0) / 2.0) ** 2
-        return ThreeTermRecursion(
-            a=lambda n: (n + nu + 1.0) * (n + d + 1.0) + n * (n + d) + bracket_const,
-            b=lambda n: -n * (n + d),
-            c=lambda n: -(n + nu + 1.0) * (n + d + 1.0))
-
-    sm = derived.sigma_minus
-    sgn = math.copysign(1.0, sm)
-    return ThreeTermRecursion(
-        a=lambda n: ab_diagonal(derived, n) / abs(sm),
-        b=lambda n: -sgn * (n + nu),
-        c=lambda n: -sgn * (n + 1.0))
+    return ThreeTermRecursion(*rep.family.relation(derived))
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -150,40 +98,23 @@ def solve_forward(rec: ThreeTermRecursion, N: int) -> np.ndarray:
 def coefficient_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     """s_0..s_N of the natural relation, in float arithmetic with O(N) work.
 
-    In representation b (lam + y = 0) the pinned sequence is a single term,
-    s_n = (2 lam)_n / n! (s e^{-theta'})^n with (s, theta') = (1, theta) for
-    sigma_- > 0 (rho^2 > 1) and (-1, -theta) for sigma_- < 0, computed as one
-    running product.
-    Everywhere else the pinned sequence is dominant and forward recurrence
-    follows it.  Raises ValueError at |rho| = 1 in a/b, for representation b
-    off the rest-mass-energy assignments, and if the sequence leaves double
-    range."""
+    Where the representation's `Family.product` exists (lam + y = 0) the
+    pinned sequence is that single running product; everywhere else it is
+    dominant and forward recurrence follows it.  Raises ValueError at |rho| = 1
+    in a/b, for representation b off the rest-mass-energy assignments, and if
+    the sequence leaves double range."""
     rec = build_recursion(derived.rep, derived, derived.nu)  # refuses |rho| = 1 in a/b
-    if derived.rep is not Rep.B:
-        return solve_forward(rec, N)
     if N < 0:
         raise ValueError("N must be non-negative")
-    if derived.theta is None:
-        raise ValueError("representation b's coefficient product exists under the "
-                         "rest-mass-energy assignments only")
-    s, theta = (1.0, derived.theta) if derived.sigma_minus > 0.0 else (-1.0, -derived.theta)
-    k = np.arange(1.0, N + 1.0)
-    steps = (2.0 * mp_lambda(derived) + k - 1.0) / k * (s * math.exp(-theta))
-    with np.errstate(over="ignore"):
-        values = np.cumprod(np.r_[1.0, steps])
-    return _check_finite(values, "coefficient product")
+    product = derived.rep.family.product
+    if product is None:
+        return solve_forward(rec, N)
+    return _check_finite(product(derived, N), "coefficient product")
 
 
 def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
-    """The natural sequence s_0..s_N from the orthogonal-polynomial closed forms.
-
-    a/b:  s_n = P_n(y, theta) for sigma_- > 0 (rho^2 > 1) and
-          s_n = (-1)^n P_n(-y, theta) for sigma_- < 0, with the hyperbolic
-          Meixner-Pollaczek family of order (nu+1)/2 and
-          y = (kappa+1/2)/beta - 1/2.
-
-    c:    s_n = modified continuous dual Hahn of order (nu+1)/2 with
-          arguments from `cdh_parameters`.
+    """The natural sequence s_0..s_N from the orthogonal-polynomial closed form
+    of the representation (`Family.closed_form`).
 
     Values come from one terminating-series family per sequence, at a
     precision its worst cancellation leaves intact; they are exact even where
@@ -194,27 +125,16 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    if derived.rep is Rep.C:
-        return mod_cdh_series_all(N, *cdh_parameters(derived))
-
-    if derived.theta is None or derived.y is None:
-        raise ValueError(
-            "closed forms for representations a/b exist under the rest-mass-energy "
-            "assignments with |rho| != 1"
-        )
-    sign, y = (1.0, derived.y) if derived.sigma_minus > 0.0 else (-1.0, -derived.y)
-    return sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived), y, derived.theta)
+    return derived.rep.family.closed_form(derived, N)
 
 
 def rescale(derived: DerivedParams, N: int) -> np.ndarray:
     """R_0..R_N, the running product with f_n = R_n s_n (module docstring).
 
-    R_0 = 1 and each step is sqrt(n/(n+nu)), or its reciprocal in
-    representation c.  Raises ValueError when a factor leaves double range."""
+    R_0 = 1 and each step is the representation's `Family.r_step`.  Raises
+    ValueError when a factor leaves double range."""
     n = np.arange(1.0, N + 1.0)
-    steps = np.sqrt(n / (n + derived.nu))
-    if derived.rep is Rep.C:
-        steps = 1.0 / steps
+    steps = derived.rep.family.r_step(n, derived.nu)
     with np.errstate(over="ignore"):
         factors = np.cumprod(np.r_[1.0, steps])
     return _check_finite(factors, f"scaling factor R_n at nu = {derived.nu:.6g}")

@@ -2,10 +2,10 @@
 
 A solution is chi_N = C * sum_{n=0}^N f_n psi_n with C fixed by
 <chi_N|chi_N> = 1 and f_n = R_n s_n, f_0 = 1: the natural sequence s_n from
-float arithmetic (representation b's running product, forward recurrence for a
-and c: `recursion.coefficient_sequence`) times one running product
-(`recursion.rescale`); the extended-precision closed forms are the oracle of
-the s_n, not the production route.
+float arithmetic (a running product or forward recurrence, by the
+representation's `basis.Family`: `recursion.coefficient_sequence`) times one
+running product (`recursion.rescale`); the extended-precision closed forms are
+the oracle of the s_n, not the production route.
 The two component forms are built from the coefficient vector in one pass
 (`basis.spinor_forms`).
 Because the basis satisfies the first-order (kinetic-balance) relation

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .basis import BasisParams, PhysicalParams, Rep, _unit, spinor_forms
+from .basis import BasisParams, PhysicalParams, _unit, ab_diagonal, spinor_forms
 from .forms import LaguerreForm, integrate_product
 
 __all__ = [
@@ -117,37 +117,11 @@ def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
 def band_elements(derived: DerivedParams, k, offdiag: bool = False):
     """Closed-form band of H-1 over an index array k (or one index): D_k =
     <psi_k|H-1|psi_k>, or with offdiag B_{k-1} = <psi_k|H-1|psi_{k-1}>, which
-    sqrt(k (k+nu)) makes 0 at k = 0.  Reps a and b share one formula in nu."""
-    k = np.asarray(k)
+    sqrt(k (k+nu)) makes 0 at k = 0.  The formula is the representation's
+    `Family.band`."""
     lam, omega, beta, tau = derived.lam, derived.omega, derived.beta, derived.tau
-    p, rho, nu = derived.p, derived.rho, derived.nu
     common = lam * lam * omega * omega * beta * tau
-
-    if derived.rep is not Rep.C:
-        if not offdiag:
-            return common * p * ab_diagonal(derived, k)
-        return -common * p * derived.sigma_minus * np.sqrt(k * (k + nu))
-
-    alpha, gamma, u = derived.alpha, derived.gamma, derived.u
-    if not offdiag:
-        s = k + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
-        t = k + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
-        return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
-    s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
-    return -4.0 * common * (p * s + u / 2.0) * np.sqrt(k * (k + nu))
-
-
-def ab_diagonal(derived: DerivedParams, k):
-    """X_k = (2k+1+nu) sigma_+ + 2 zeta of representations a/b, over an index
-    array k: D_k = common p X_k, and the natural relation's diagonal is
-    X_k/|sigma_-|.  Written with rho^2 + 1 = (rho-1)^2 + 2 rho, so the part
-    that vanishes as rho -> 1 (X_0 of representation b, where nu + nut = 0) is a
-    product, not a difference of rounded O(1) terms."""
-    k = np.asarray(k)
-    rho, nu, c = derived.rho, derived.nu, derived.q / derived.p
-    nut = (2.0 * derived.kappa + 1.0) / derived.beta
-    return ((2.0 * k + 1.0 + nu) * (rho - 1.0) ** 2 + 2.0 * rho * (2.0 * k + nu + nut)
-            + 2.0 * c * ((2.0 * k + 1.0 + nu) * rho + nut - 1.0))
+    return derived.rep.family.band(derived, np.asarray(k), offdiag, common)
 
 
 def matrix_element_analytic(derived: DerivedParams, n: int, m: int) -> float:

@@ -5,8 +5,9 @@ representation) is implemented exactly as stated and is expected to fail for
 representations a and c: their coefficient recursions pin the dominant
 (growing) solution, so the truncated series is a weak/formal expansion whose
 pointwise residual does not shrink on a fixed window.  Representation b has a
-genuinely normalizable sector (beta*kappa < 0, beta*A > 0, rho > 1, where the
-closed form truncates to a decaying exponential) and passes.  The projected
+genuinely normalizable sector (beta*kappa < 0, beta*A > 0, any rho > 0 other
+than the diagonal case rho = 1, where the closed form truncates to a decaying
+exponential) and passes.  The projected
 (weak-form) identities, which carry the actual mathematical content of the
 tridiagonal construction, pass everywhere at 1e-8..1e-14.
 """

@@ -1,12 +1,15 @@
 """Representation selection, constraint table, and the spinor components."""
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import CASE_IDS, add_forms, build_case, r_window
+from diracpl import basis as basis_module
 from diracpl.basis import (PhysicalParams, Rep, kinetic_balance_apply,
                            kinetic_balance_form, phi_minus, phi_minus_form,
                            phi_plus, phi_plus_form, select_representation, spinor_forms)
@@ -379,3 +382,26 @@ class TestSpinorBatch:
         assert form.coef.shape[0] == 11
         with pytest.raises(AssertionError):
             phi_minus_form(basis, 0)
+
+
+class TestFamilyRecord:
+    """Each representation's rules live in one `Family` record in basis.py."""
+
+    @pytest.mark.parametrize("module", ["wave_operator", "recursion", "solution", "cli"])
+    def test_downstream_modules_name_no_representation(self, module):
+        text = (Path(basis_module.__file__).parent / f"{module}.py").read_text()
+        assert re.findall(r"\bRep\.[ABC]\b", text) == []
+
+    def test_reps_a_and_b_share_the_meixner_pollaczek_rules(self):
+        a, b, c = Rep.A.family, Rep.B.family, Rep.C.family
+        for rule in ("band", "relation", "closed_form", "r_step"):
+            assert getattr(a, rule) is getattr(b, rule)
+            assert getattr(c, rule) is not getattr(a, rule)
+        assert a.stencil is c.stencil is not b.stencil
+        assert c.exponents is None and a.product is None and b.product is not None
+
+    def test_moved_rules_stay_importable_from_their_modules(self):
+        from diracpl import recursion, wave_operator
+        assert wave_operator.ab_diagonal is basis_module.ab_diagonal
+        assert recursion.mp_lambda is basis_module.mp_lambda
+        assert recursion.cdh_parameters is basis_module.cdh_parameters

@@ -411,10 +411,14 @@ class TestSettings:
 
 
 class TestConvergenceMode:
-    def test_writes_sweep_and_reports_honest_checks(self, tmp_path, capsys):
+    # omega 0.5253 gives rho ~ 4, omega 1.2068... gives rho = 0.5: representation
+    # b converges on both sides of the diagonal case rho = 1
+    @pytest.mark.parametrize("omega", ["0.5253", "1.2068352673090326"],
+                             ids=["rho-4", "rho-0.5"])
+    def test_writes_sweep_and_reports_honest_checks(self, tmp_path, capsys, omega):
         # decaying-coefficient sector: the interior residual genuinely falls
         code = main(["convergence", "--A", "1", "--mu", "-1.5", "--kappa", "-3",
-                     "--omega", "0.5253", "--out", str(tmp_path)])
+                     "--omega", omega, "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS interior-residual-decrease" in out
