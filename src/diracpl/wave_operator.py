@@ -106,7 +106,7 @@ def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
         y = (phys.kappa + 0.5) / beta - 0.5
 
     z = gamma + 1.0 / (2.0 * beta)
-    u = rho * (phys.kappa - beta * gamma)
+    u = rho * beta * (phys.kappa / beta - gamma)  # exactly 0 at gamma = kappa/beta
     d = basis.alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta) + u / (2.0 * p)
 
     return DerivedParams(**{f.name: getattr(basis, f.name) for f in fields(BasisParams)},

@@ -35,6 +35,15 @@ class TestDerivedParams:
             assert abs(der.u) < 1e-12
             assert der.p == pytest.approx(basis.beta / 2.0, rel=1e-14)
 
+    def test_u_is_exactly_zero_at_gamma_kappa_over_beta(self):
+        # u = rho beta (kappa/beta - gamma), written like c0 in bilinear_form;
+        # on the C0_ROUNDOFF input kappa - beta (kappa/beta) is not 0 in doubles
+        cases = [build_case(label) for label in CASE_IDS]
+        phys = PhysicalParams(**C0_ROUNDOFF[0])
+        cases.append((phys, select_representation(phys, **C0_ROUNDOFF[1])))
+        for phys, basis in cases:
+            assert derived_params(basis, phys).u == 0.0
+
     def test_rep_c_frozen_example(self):
         phys = PhysicalParams(A=1.0, mu=2.0, kappa=-1)
         basis = select_representation(phys, alpha=1.0)
