@@ -210,7 +210,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     add("scaling-equivalence", chain, 1e-12,
         "the solution's coefficients satisfy the operator's raw relation at every row")
 
-    if der.theta is not None:  # y enters with the sign of sigma_- (see recursion)
+    if der.theta is not None:  # y enters with the sign of sigma_- (`sector_sign`)
         n = np.arange(21)
         a = rec.a(n)
         diag = hyp_mp_diagonal(n, mp_lambda(der), sector_sign(der) * der.y, der.theta)
