@@ -3,8 +3,8 @@ at rest-mass energy, built on tridiagonal basis representations."""
 
 __version__ = "0.1.0"
 
-from .basis import (BasisParams, PhysicalParams, Rep, kinetic_balance_apply,
-                    phi_minus, phi_plus, select_representation)
+from .basis import (BasisParams, DerivedParams, PhysicalParams, Rep, derived_params,
+                    kinetic_balance_apply, phi_minus, phi_plus, select_representation)
 from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
 from .recursion import (ThreeTermRecursion, build_recursion, closed_form_sequence,
                         coefficient_sequence, rescale, solve_forward)
@@ -12,8 +12,7 @@ from .solution import (SeriesSolution, SpinorSample, assemble, default_r_grid,
                        diagonal_special_case, dirac_grid, dirac_residual, evaluate,
                        map_params, negative_energy_solution, second_order_residual,
                        solve, swap_energy, weak_form_boundary_check, weak_form_residual)
-from .wave_operator import (DerivedParams, build_operator, derived_params,
-                            matrix_element_analytic, matrix_element_numeric)
+from .wave_operator import build_operator, matrix_element_analytic, matrix_element_numeric
 
 __all__ = [
     "__version__",

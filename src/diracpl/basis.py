@@ -25,15 +25,17 @@ nu > -1.  Reps a and b always meet their bounds (rep a has nu > 0, rep b
 nu >= 1/|beta|).
 
 Matching the first-order operator to the Dirac equation at rest-mass energy
-fixes tau = 1/4, gamma = kappa/beta and rho = 2A/(beta omega^beta).
+fixes tau = 1/4, gamma = kappa/beta and rho = 2A/(beta omega^beta).  A basis
+under one physics has the recursion-level constants of `DerivedParams`
+(`derived_params`), which the `Family` rules read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -41,14 +43,13 @@ from .forms import LaguerreForm
 from .orthopoly import hyp_mp_series_all, laguerre_offdiag, mod_cdh_series_all
 from .quadrature import RadialMeasure
 
-if TYPE_CHECKING:
-    from .wave_operator import DerivedParams
-
 __all__ = [
     "Rep",
     "Family",
     "PhysicalParams",
     "BasisParams",
+    "DerivedParams",
+    "derived_params",
     "select_representation",
     "phi_plus",
     "phi_minus",
@@ -132,6 +133,71 @@ class BasisParams:
     @property
     def measure(self) -> RadialMeasure:
         return RadialMeasure(beta=self.beta, omega=self.omega)
+
+
+_KB_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class DerivedParams(BasisParams):
+    """One basis with the recursion-level constants it has under one physics.
+
+    theta and y are the hyperbolic angle and shift entering the a/b-family
+    recursions; they are only defined under the rest-mass-energy assignments
+    (q = 0) away from the |rho| = 1 boundary, and are None otherwise.
+    """
+
+    kappa: int
+    p: float
+    q: float
+    sigma_plus: float
+    sigma_minus: float
+    zeta: float
+    theta: float | None
+    y: float | None
+    z: float
+    d: float
+    u: float
+
+
+def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
+    """The basis (or a DerivedParams' basis) with p, q, sigma_+-, zeta, theta, y, z, d, u."""
+    beta, omega, tau, gamma, rho = basis.beta, basis.omega, basis.tau, basis.gamma, basis.rho
+    if tau == 0.5:
+        raise ValueError("tau = 1/2 makes p vanish; the recursion reduction needs p != 0")
+    p = beta * (1.0 - 2.0 * tau)
+    q = phys.A / omega ** beta - beta * rho / 2.0
+    q_zero = abs(q) <= _KB_TOL * (abs(rho * beta) / 2.0 + 1.0)
+    if q_zero:
+        # The rest-mass-energy assignments make q vanish identically; its
+        # roundoff would otherwise swamp the terms of order rho - 1 near |rho| = 1.
+        q = 0.0
+        if tau == 0.25:  # p = beta/2 is forced once tau takes its balanced value
+            assert abs(p - beta / 2.0) <= 1e-13 * abs(beta)
+    c = q / p
+    # rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1
+    sigma_plus = rho * rho + 1.0 + 2.0 * rho * c
+    sigma_minus = (rho - 1.0) * (rho + 1.0) + 2.0 * rho * c
+    if not (math.isfinite(sigma_plus) and math.isfinite(sigma_minus)):
+        raise ValueError(f"rho^2 leaves double range (rho = {rho:.3g}, omega = {omega:.3g})")
+    nut = (2.0 * phys.kappa + 1.0) / beta
+    zeta = (nut - 1.0) * (rho + c)
+
+    # The hyperbolic reduction of the a/b recursions exists whenever q = 0
+    # away from the |rho| = 1 boundary.
+    theta = y = None
+    if q_zero and sigma_minus != 0.0:
+        theta = math.asinh(2.0 * rho / sigma_minus)
+        y = (phys.kappa + 0.5) / beta - 0.5
+
+    z = gamma + 1.0 / (2.0 * beta)
+    u = rho * beta * (phys.kappa / beta - gamma)  # exactly 0 at gamma = kappa/beta
+    d = basis.alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta) + u / (2.0 * p)
+
+    return DerivedParams(**{f.name: getattr(basis, f.name) for f in fields(BasisParams)},
+                         kappa=phys.kappa, p=p, q=q, sigma_plus=sigma_plus,
+                         sigma_minus=sigma_minus, zeta=zeta, theta=theta, y=y, z=z, d=d, u=u)
+
 
 def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
     """base**exponent for the basis scale, or a ValueError naming the inputs

@@ -22,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import PhysicalParams, kinetic_balance_apply, phi_minus, sector_sign
+from .basis import PhysicalParams, kinetic_balance_apply, mp_lambda, phi_minus, sector_sign
 from .orthopoly import hyp_mp_diagonal
-from .recursion import (build_recursion, closed_form_sequence, coefficient_sequence,
-                        mp_lambda, rescale)
+from .recursion import build_recursion, closed_form_sequence, coefficient_sequence, rescale
 from .solution import (DiracGrid, SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_grid,
                        dirac_residual, evaluate_grid, second_order_grid, solve,

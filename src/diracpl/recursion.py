@@ -35,9 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import Rep, cdh_parameters, mp_lambda
+from .basis import DerivedParams, Rep
 from .orthopoly import forward_recurrence
-from .wave_operator import DerivedParams
 
 __all__ = [
     "ThreeTermRecursion",
@@ -46,8 +45,6 @@ __all__ = [
     "coefficient_sequence",
     "closed_form_sequence",
     "rescale",
-    "mp_lambda",
-    "cdh_parameters",
 ]
 
 

@@ -29,13 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (_EXCLUDED_MU, BasisParams, PhysicalParams, Rep, _check_r,
-                    _scale_power, select_representation, spinor_forms)
+from .basis import (_EXCLUDED_MU, BasisParams, DerivedParams, PhysicalParams, Rep, _check_r,
+                    _scale_power, ab_diagonal, derived_params, select_representation, spinor_forms)
 from .forms import LaguerreForm, integrate_product, quadrature_order
 from .quadrature import MAX_ORDER
 from .recursion import _check_finite, coefficient_sequence, rescale
-from .wave_operator import (DerivedParams, ab_diagonal, basis_spinor, bilinear_form,
-                            build_operator, derived_params, matrix_element_analytic)
+from .wave_operator import basis_spinor, bilinear_form, build_operator, matrix_element_analytic
 
 __all__ = [
     "SpinorSample",
@@ -325,7 +324,7 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
 
 
 def weak_form_boundary_check(sol: SeriesSolution) -> dict:
-    """Compare the n = N weak-form residual with the analytic B_N f_{N+1}.
+    """Compare the n = N weak-form residual with the analytic -B_N f_{N+1}, sign included.
 
     The identity is only testable while the boundary term stands above the
     double-precision quadrature noise of the full coefficient mass; for
@@ -336,7 +335,7 @@ def weak_form_boundary_check(sol: SeriesSolution) -> dict:
     value, scale = weak_form_residual(sol, sol.N)
     b_n = matrix_element_analytic(sol.derived, sol.N + 1, sol.N)
     expected = -b_n * sol.norm_const * sol.f_next
-    rel = abs(abs(value) - abs(expected)) / max(abs(expected), 1e-300)
+    rel = abs(value - expected) / max(abs(expected), 1e-300)
     return {"projection": float(value), "expected": float(expected),
             "relative_error": float(rel), "scale": float(scale),
             "resolvable": bool(abs(expected) >= 1e-9 * scale)}
@@ -365,9 +364,7 @@ def negative_energy_solution(phys: PhysicalParams, N: int, omega: float | None =
     problem (its lower component leads)."""
     if phys.eps != -1:
         raise ValueError("negative_energy_solution expects eps = -1 parameters")
-    reflected = map_params(phys)
-    basis = select_representation(reflected, omega=omega, alpha=alpha, rep=rep)
-    return swap_energy(assemble(reflected, basis, N))
+    return swap_energy(solve(map_params(phys), N, omega=omega, alpha=alpha, rep=rep))
 
 
 def diagonal_special_case(phys: PhysicalParams) -> SeriesSolution:

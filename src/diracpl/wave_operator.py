@@ -3,7 +3,8 @@
 In the spinor basis psi_n = (phi_n^+, phi_n^-) the operator H - 1 is
 symmetric tridiagonal.  Elements are produced two independent ways:
 
-* analytic closed forms per representation, written with
+* analytic closed forms per representation (`basis.Family.band`), written
+  with the constants of `basis.DerivedParams`
 
       p = beta (1 - 2 tau),   q = A / omega^beta - beta rho / 2,
 
@@ -27,19 +28,13 @@ eps = -1 is reached through the energy-reflection mapping in `solution`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from .basis import BasisParams, PhysicalParams, _unit, ab_diagonal, spinor_forms
+from .basis import BasisParams, DerivedParams, PhysicalParams, _unit, derived_params, spinor_forms
 from .forms import LaguerreForm, integrate_product
 
 __all__ = [
-    "DerivedParams",
-    "derived_params",
     "band_elements",
-    "ab_diagonal",
     "matrix_element_analytic",
     "matrix_element_numeric",
     "Spinor",
@@ -48,70 +43,7 @@ __all__ = [
     "build_operator",
 ]
 
-_KB_TOL = 1e-12
-
 Spinor = tuple[LaguerreForm, LaguerreForm]  # (upper, lower) components
-
-
-@dataclass(frozen=True)
-class DerivedParams(BasisParams):
-    """One basis with the recursion-level constants it has under one physics.
-
-    theta and y are the hyperbolic angle and shift entering the a/b-family
-    recursions; they are only defined under the rest-mass-energy assignments
-    (q = 0) away from the |rho| = 1 boundary, and are None otherwise.
-    """
-
-    kappa: int
-    p: float
-    q: float
-    sigma_plus: float
-    sigma_minus: float
-    zeta: float
-    theta: float | None
-    y: float | None
-    z: float
-    d: float
-    u: float
-
-
-def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
-    """The basis (or a DerivedParams' basis) with p, q, sigma_+-, zeta, theta, y, z, d, u."""
-    beta, omega, tau, gamma, rho = basis.beta, basis.omega, basis.tau, basis.gamma, basis.rho
-    if tau == 0.5:
-        raise ValueError("tau = 1/2 makes p vanish; the recursion reduction needs p != 0")
-    p = beta * (1.0 - 2.0 * tau)
-    q = phys.A / omega ** beta - beta * rho / 2.0
-    q_zero = abs(q) <= _KB_TOL * (abs(rho * beta) / 2.0 + 1.0)
-    if q_zero:
-        # The rest-mass-energy assignments make q vanish identically; its
-        # roundoff would otherwise swamp the terms of order rho - 1 near |rho| = 1.
-        q = 0.0
-        if tau == 0.25:  # p = beta/2 is forced once tau takes its balanced value
-            assert abs(p - beta / 2.0) <= 1e-13 * abs(beta)
-    c = q / p
-    # rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1
-    sigma_plus = rho * rho + 1.0 + 2.0 * rho * c
-    sigma_minus = (rho - 1.0) * (rho + 1.0) + 2.0 * rho * c
-    if not (math.isfinite(sigma_plus) and math.isfinite(sigma_minus)):
-        raise ValueError(f"rho^2 leaves double range (rho = {rho:.3g}, omega = {omega:.3g})")
-    nut = (2.0 * phys.kappa + 1.0) / beta
-    zeta = (nut - 1.0) * (rho + c)
-
-    # The hyperbolic reduction of the a/b recursions exists whenever q = 0
-    # away from the |rho| = 1 boundary.
-    theta = y = None
-    if q_zero and sigma_minus != 0.0:
-        theta = math.asinh(2.0 * rho / sigma_minus)
-        y = (phys.kappa + 0.5) / beta - 0.5
-
-    z = gamma + 1.0 / (2.0 * beta)
-    u = rho * beta * (phys.kappa / beta - gamma)  # exactly 0 at gamma = kappa/beta
-    d = basis.alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta) + u / (2.0 * p)
-
-    return DerivedParams(**{f.name: getattr(basis, f.name) for f in fields(BasisParams)},
-                         kappa=phys.kappa, p=p, q=q, sigma_plus=sigma_plus,
-                         sigma_minus=sigma_minus, zeta=zeta, theta=theta, y=y, z=z, d=d, u=u)
 
 
 def band_elements(derived: DerivedParams, k, offdiag: bool = False):

@@ -6,9 +6,8 @@ both |rho| branches of the a/b recursions."""
 import numpy as np
 import pytest
 
-from diracpl.basis import PhysicalParams, select_representation
+from diracpl.basis import PhysicalParams, derived_params, select_representation
 from diracpl.forms import LaguerreForm
-from diracpl.wave_operator import derived_params
 
 # (label, physical kwargs, select_representation kwargs)
 PARAM_SETS = [

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from conftest import PARAM_SETS, build_case
-from diracpl.basis import (PhysicalParams, kinetic_balance_apply, phi_minus,
+from diracpl.basis import (PhysicalParams, derived_params, kinetic_balance_apply, phi_minus,
                            phi_minus_form, phi_plus_form, select_representation)
 from diracpl.orthopoly import (cdh_eval, cdh_series, cdh_weight, gamma_ratio,
                                hyp_mp_eval, hyp_mp_series, laguerre_all,
@@ -31,8 +31,7 @@ from diracpl.solution import (assemble, default_r_grid, diagonal_conditions_scan
                               map_params, negative_energy_solution, residual_scale,
                               second_order_grid, second_order_residual, solve,
                               swap_energy, weak_form_boundary_check)
-from diracpl.wave_operator import (build_operator, derived_params,
-                                   matrix_element_numeric)
+from diracpl.wave_operator import build_operator, matrix_element_numeric
 
 NU_GRID = [-0.5, 0.0, 1.0, 2.5]
 X_GRID = np.sort(np.random.default_rng(20250809).uniform(1e-3, 50.0, size=40))

@@ -1,5 +1,6 @@
 """Representation selection, constraint table, and the spinor components."""
 
+import ast
 import math
 import re
 from dataclasses import replace
@@ -15,6 +16,8 @@ from diracpl.basis import (PhysicalParams, Rep, kinetic_balance_apply,
                            phi_plus, phi_plus_form, select_representation, spinor_forms)
 from diracpl.forms import integrate_product
 from diracpl.solution import assemble
+
+SRC = Path(basis_module.__file__).parent  # the package's source files
 
 
 def _a_n(basis, n):
@@ -389,7 +392,7 @@ class TestFamilyRecord:
 
     @pytest.mark.parametrize("module", ["wave_operator", "recursion", "solution", "cli"])
     def test_downstream_modules_name_no_representation(self, module):
-        text = (Path(basis_module.__file__).parent / f"{module}.py").read_text()
+        text = (SRC / f"{module}.py").read_text()
         assert re.findall(r"\bRep\.[ABC]\b", text) == []
 
     def test_reps_a_and_b_share_the_meixner_pollaczek_rules(self):
@@ -400,8 +403,29 @@ class TestFamilyRecord:
         assert a.stencil is c.stencil is not b.stencil
         assert c.exponents is None and a.product is None and b.product is not None
 
-    def test_moved_rules_stay_importable_from_their_modules(self):
-        from diracpl import recursion, wave_operator
-        assert wave_operator.ab_diagonal is basis_module.ab_diagonal
-        assert recursion.mp_lambda is basis_module.mp_lambda
-        assert recursion.cdh_parameters is basis_module.cdh_parameters
+
+# The package's modules in import order: each imports only from those before it.
+LAYERS = ["orthopoly", "quadrature", "forms", "basis", "wave_operator", "recursion",
+          "solution", "cli"]
+
+
+def _relative_imports(module):
+    """The modules named by module's relative imports, those under `if
+    TYPE_CHECKING:` included.  `from . import __version__` names the package,
+    whose `__init__` sets it before importing any module, and is left out."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [node.module or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if node.module or alias.name != "__version__"]
+
+
+class TestLayering:
+    @pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")
+                                              if path.stem != "__init__"))
+    def test_relative_imports_name_earlier_modules(self, module):
+        assert module in LAYERS
+        earlier = LAYERS[:LAYERS.index(module)]
+        assert [name for name in _relative_imports(module) if name not in earlier] == []
+
+    def test_recursion_does_not_import_the_operator_module(self):
+        assert "wave_operator" not in _relative_imports("recursion")

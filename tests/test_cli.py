@@ -704,6 +704,14 @@ def _verdicts(tmp_path, args):
     return code, {c["name"]: c["passed"] for c in report["checks"]}
 
 
+def _negate_boundary_term(monkeypatch):
+    # B_N f_{N+1} with the wrong sign, in the weak-form boundary identity only
+    import diracpl.solution as solution
+    original = solution.matrix_element_analytic
+    monkeypatch.setattr(solution, "matrix_element_analytic",
+                        lambda derived, n, m: -original(derived, n, m))
+
+
 class TestBatchedChecksBite:
     """A fault planted in one route of a batched check fails that check alone."""
 
@@ -776,6 +784,26 @@ class TestBatchedChecksBite:
         code, passed = _verdicts(tmp_path, [*args, "--N", "40"])
         assert code == 1
         assert [name for name, ok in passed.items() if not ok] == ["scaling-equivalence"]
+
+    @pytest.mark.parametrize("args", [VERIFY_CONFIGS[i] for i in (0, 2, 3)],
+                             ids=["a", "c", "eps-minus"])
+    def test_negated_boundary_term_fails_weak_form_boundary(self, tmp_path, capsys,
+                                                           monkeypatch, args):
+        # the boundary identity is compared with its sign (representation b's
+        # boundary term is below quadrature noise at N = 40)
+        _negate_boundary_term(monkeypatch)
+        code, passed = _verdicts(tmp_path, args)
+        assert code == 1
+        assert [name for name, ok in passed.items() if not ok] == ["weak-form-boundary"]
+
+    def test_negated_boundary_term_fails_convergence_boundary_identity(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        _negate_boundary_term(monkeypatch)
+        code = main(["convergence", "--A", "1", "--mu", "-1.5", "--kappa", "-3",
+                     "--omega", "0.5253", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "PASS interior-residual-decrease" in out and "FAIL boundary-identity" in out
 
 
 # Representation b with |theta| <= 0.03 (rho = 553, 2.0e-3, 95 and 0.0146),

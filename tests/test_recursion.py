@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from conftest import CASE_IDS, build_case
-from diracpl.basis import PhysicalParams, Rep, select_representation
+from diracpl.basis import (PhysicalParams, Rep, cdh_parameters, derived_params, mp_lambda,
+                           select_representation)
 from diracpl.orthopoly import hyp_mp_series, mod_cdh_series
-from diracpl.recursion import (ThreeTermRecursion, build_recursion, cdh_parameters,
-                               closed_form_sequence, coefficient_sequence, mp_lambda,
-                               rescale, solve_forward)
+from diracpl.recursion import (ThreeTermRecursion, build_recursion, closed_form_sequence,
+                               coefficient_sequence, rescale, solve_forward)
 from diracpl.solution import assemble, solve
-from diracpl.wave_operator import build_operator, derived_params
+from diracpl.wave_operator import build_operator
 
 
 def _case_with_derived(label):

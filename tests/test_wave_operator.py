@@ -8,11 +8,10 @@ import pytest
 
 from conftest import CASE_IDS, PARAM_SETS, build_case
 import diracpl.wave_operator as wave_operator
-from diracpl.basis import (BasisParams, PhysicalParams, Rep, phi_minus_form, phi_plus_form,
-                          select_representation, spinor_forms)
+from diracpl.basis import (BasisParams, PhysicalParams, Rep, derived_params, phi_minus_form,
+                          phi_plus_form, select_representation, spinor_forms)
 from diracpl.forms import integrate_product
-from diracpl.wave_operator import (band_elements, basis_spinor, bilinear_form,
-                                   build_operator, derived_params,
+from diracpl.wave_operator import (band_elements, basis_spinor, bilinear_form, build_operator,
                                    matrix_element_analytic, matrix_element_numeric)
 
 
