@@ -414,6 +414,8 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
             raise ValueError(
                 f"square integrability requires alpha > {bound} for representation c "
                 f"with beta={beta}, got alpha={alpha}")
+        if not math.isfinite(nu * nu):  # the recursion constants hold nu^2
+            raise ValueError(f"nu^2 leaves double range for representation c (alpha = {alpha!r})")
     else:
         if alpha is not None:
             raise ValueError(

@@ -641,6 +641,22 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         assert "requires alpha > 0.5 for representation c" in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["solve", "verify", "convergence"])
+    @pytest.mark.parametrize("alpha", ["1.5e154", "1e200", "1e308"])
+    def test_rep_c_alpha_nu_squared_overflow_is_config_error(self, tmp_path, capsys, mode,
+                                                             alpha):
+        # nu = 2 alpha - 1 - 1/beta is a double (inf at alpha = 1e308), but nu^2
+        # in the continuous dual Hahn relation is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            code = main([mode, "--A", "1", "--mu", "2", "--kappa", "-1", "--alpha", alpha,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: nu^2 leaves double range for representation c "
+            f"(alpha = {float(alpha)!r})"]
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is a test-only dependency: a solve must not import it
         code = ("import sys\n"
