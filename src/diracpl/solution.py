@@ -74,12 +74,13 @@ class SeriesSolution:
     """Normalized truncated series solution.
 
     coeffs holds f_0..f_N (pre-normalization, f_0 = 1); f_next = f_{N+1}
-    feeds the weak-form boundary identity.  derived is the one record of the
-    basis and its recursion constants; for eps = -1 it belongs to the reflected
-    (+1) problem and the component forms are already swapped.  Each integral
-    of the forms takes the exact Gauss-Laguerre order for its degree, in
-    exact scale (`exact_scale`).  eps, N, basis and mapped_phys are read off
-    the fields, so they cannot disagree.
+    feeds the weak-form boundary identity; norm_const is C.  The series is held
+    once, in exact scale (`_normalized`): series_scale = C 2^k times form_plus
+    or form_minus is the normalized component.  derived is the one record of
+    the basis and its recursion constants; for eps = -1 it belongs to the
+    reflected (+1) problem and the component forms are already swapped.  Each
+    integral of the forms takes the exact Gauss-Laguerre order for its degree.
+    eps, N, basis and mapped_phys are read off the fields, so they cannot disagree.
     """
 
     phys: PhysicalParams
@@ -87,6 +88,7 @@ class SeriesSolution:
     coeffs: np.ndarray
     f_next: float
     norm_const: float
+    series_scale: float
     form_plus: LaguerreForm
     form_minus: LaguerreForm
 
@@ -121,17 +123,10 @@ class SeriesSolution:
         return max(float(np.sum(mass * (diag + off + below))), 1e-300)
 
     @cached_property
-    def exact_scale(self) -> tuple[float, dict[str, LaguerreForm]]:
-        """(C 2^k, the component forms times 2^-k keyed "+" and "-") (`_exact_scale`):
-        values and integrals of the scaled forms stay in double range, and the
-        first entry times one of them is the normalized value, bit for bit."""
-        k, (plus, minus) = _exact_scale(self.coeffs, (self.form_plus, self.form_minus))
-        return math.ldexp(self.norm_const, k), {"+": plus, "-": minus}
-
-    @cached_property
     def d_dr_forms(self) -> dict[str, LaguerreForm]:
-        """d/dr of each scaled component form (`exact_scale`), keyed "+" and "-"."""
-        return {k: form.d_dr(self.basis.measure) for k, form in self.exact_scale[1].items()}
+        """d/dr of each component form (in exact scale), keyed "+" and "-"."""
+        return {k: form.d_dr(self.basis.measure)
+                for k, form in zip("+-", (self.form_plus, self.form_minus))}
 
     @cached_property
     def d2_dr2_forms(self) -> dict[str, LaguerreForm]:
@@ -150,29 +145,23 @@ def default_r_grid(basis: BasisParams) -> np.ndarray:
     return r
 
 
-def _exact_scale(coeffs: np.ndarray, forms) -> tuple:
-    """(k, the forms times 2^-k), k the frexp exponent of max |f_n|.
-
-    Growing coefficients would overflow the forms' values and integrals; a
-    power of two keeps each of the scaled forms an exact rescaling of the original."""
-    k = math.frexp(float(np.max(np.abs(coeffs))))[1]
-    return k, tuple(form.scaled(math.ldexp(1.0, -k)) for form in forms)
-
-
 def _normalized(phys: PhysicalParams, der: DerivedParams, coeffs: np.ndarray,
                 f_next: float) -> SeriesSolution:
     """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
 
-    The norm is integrated in exact scale (`_exact_scale`).  Raises ValueError
-    when it is not a positive finite number."""
-    form_plus, form_minus = spinor_forms(der, coeffs)
-    k, scaled = _exact_scale(coeffs, (form_plus, form_minus))
-    norm_sq = sum(integrate_product(f, f, der.measure) for f in scaled)
+    The component forms are built once, from coeffs times 2^-k, k the frexp
+    exponent of max |f_n|: growing coefficients would overflow the forms'
+    values and integrals, and a power of two rescales them exactly.  The norm
+    is integrated on them; a ValueError when it is not a positive finite number."""
+    k = math.frexp(float(np.max(np.abs(coeffs))))[1]
+    form_plus, form_minus = spinor_forms(der, coeffs * math.ldexp(1.0, -k))
+    norm_sq = sum(integrate_product(f, f, der.measure) for f in (form_plus, form_minus))
     if not 0.0 < norm_sq < math.inf:
         raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
                          "cannot normalize")
+    series_scale = 1.0 / math.sqrt(norm_sq)
     return SeriesSolution(phys=phys, derived=der, coeffs=coeffs, f_next=f_next,
-                          norm_const=math.ldexp(1.0 / math.sqrt(norm_sq), -k),
+                          norm_const=math.ldexp(series_scale, -k), series_scale=series_scale,
                           form_plus=form_plus, form_minus=form_minus)
 
 
@@ -214,8 +203,8 @@ def evaluate(sol: SeriesSolution, r) -> SpinorSample:
 def evaluate_grid(sol: SeriesSolution, r) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (phi_plus, phi_minus) over a radial grid."""
     x = sol.basis.measure.x_of_r(_check_r(r))
-    c, forms = sol.exact_scale
-    return c * forms["+"].eval(x), c * forms["-"].eval(x)
+    c = sol.series_scale
+    return c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
 
 
 # chi+, chi-, the two first-order Dirac rows and their cancellation scale at r.
@@ -231,8 +220,8 @@ def dirac_grid(sol: SeriesSolution, r) -> DiracGrid:
     """
     r = _check_r(r)
     x = sol.basis.measure.x_of_r(r)
-    (c, forms), lam, eps = sol.exact_scale, sol.phys.lam, float(sol.eps)
-    plus, minus = c * forms["+"].eval(x), c * forms["-"].eval(x)
+    c, lam, eps = sol.series_scale, sol.phys.lam, float(sol.eps)
+    plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
     dplus, dminus = (c * sol.d_dr_forms[k].eval(x) for k in "+-")
     spin_orbit = lam * sol.phys.kappa / r
     potential = lam * sol.phys.A * np.power(r, -sol.phys.mu)
@@ -262,11 +251,11 @@ def second_order_grid(sol: SeriesSolution, r, component: str = "+") -> SecondOrd
     kappa, A, mu, lam, eps = (sol.phys.kappa, sol.phys.A, sol.phys.mu, sol.phys.lam,
                               float(sol.eps))
     sgn = 1.0 if component == "+" else -1.0
-    c, forms = sol.exact_scale
+    c, form = sol.series_scale, sol.form_plus if component == "+" else sol.form_minus
     x = sol.basis.measure.x_of_r(r)
-    val = c * forms[component].eval(x)
+    val = c * form.eval(x)
     d2 = c * sol.d2_dr2_forms[component].eval(x)
-    terms = [-d2, kappa * (kappa + sgn) / r ** 2 * val,
+    terms = [-d2, kappa * (kappa + sgn) * (val / r) / r,
              A * A * np.power(r, -2.0 * mu) * val,
              A * (2.0 * kappa + sgn * mu) * np.power(r, -(mu + 1.0)) * val,
              -(eps * eps - 1.0) / lam / lam * val]
@@ -314,30 +303,33 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|), the magnitude flowing through
     the quadrature; roundoff from large high-order coefficients is measured
     against it, not against the (near-zero) projection itself.  It does not
-    depend on n and is computed once per solution.  The series is projected
-    in exact scale (`SeriesSolution.exact_scale`)."""
+    depend on n and is computed once per solution.  The stored forms are
+    projected in exact scale, and the result multiplied by series_scale."""
     if sol.eps != 1:
         raise ValueError("weak-form projections are computed on the eps = +1 problem")
-    c, forms = sol.exact_scale
-    value = bilinear_form(sol.derived, basis_spinor(sol.basis, n), tuple(forms.values()))
-    return c * value, sol.weak_form_scale
+    value = bilinear_form(sol.derived, basis_spinor(sol.basis, n),
+                          (sol.form_plus, sol.form_minus))
+    return sol.series_scale * value, sol.weak_form_scale
 
 
 def weak_form_boundary_check(sol: SeriesSolution) -> dict:
-    """Compare the n = N weak-form residual with the analytic -B_N f_{N+1}, sign included.
+    """The weak-form rows 0..N from one projection (`weak_form_residual`).
 
-    The identity is only testable while the boundary term stands above the
-    double-precision quadrature noise of the full coefficient mass; for
-    strongly decaying sequences at large N it drops below that floor, and
-    `resolvable` turns False (the identity then holds trivially at quadrature
-    precision).  Callers should treat an unresolvable comparison as vacuous
-    rather than failed."""
-    value, scale = weak_form_residual(sol, sol.N)
+    `interior` is the largest interior row, max |row n| / scale over n < N
+    (0.0 at N = 0); each vanishes up to quadrature error.  Row N is compared
+    with the analytic -B_N f_{N+1}, sign included.  That identity is only
+    testable while the boundary term stands above the double-precision
+    quadrature noise of the full coefficient mass; for strongly decaying
+    sequences at large N it drops below that floor, and `resolvable` turns
+    False.  Callers should treat an unresolvable comparison as vacuous."""
+    rows, scale = weak_form_residual(sol, np.arange(sol.N + 1))
+    interior, value = rows[:-1], rows[-1]
     b_n = matrix_element_analytic(sol.derived, sol.N + 1, sol.N)
     expected = -b_n * sol.norm_const * sol.f_next
     rel = abs(value - expected) / max(abs(expected), 1e-300)
     return {"projection": float(value), "expected": float(expected),
             "relative_error": float(rel), "scale": float(scale),
+            "interior": float(np.max(np.abs(interior), initial=0.0) / scale),
             "resolvable": bool(abs(expected) >= 1e-9 * scale)}
 
 

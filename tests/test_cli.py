@@ -108,6 +108,15 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "N = 992" in err and "order 1001" in err
 
+    def test_special_case_extreme_radii_raise_no_warning(self, tmp_path, capsys):
+        # A ~ -1.3e5, mu ~ 1.05: r^2 leaves double range at the grid's extreme
+        # radii, so the second-order term kappa (kappa + 1) chi / r^2 is formed
+        # without it; the check's verdict is not asserted here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            main(["special-case", "--A=-127770.28624524306", "--mu=1.0498607757958818",
+                  "--kappa=3", "--out", str(tmp_path)])
+
     def test_special_case_wrong_sector_is_config_error(self, tmp_path, capsys):
         code = run_cli(["special-case", "--A", "3", "--mu", "-2", "--kappa", "1"],
                        tmp_path)
@@ -211,6 +220,16 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 0
         assert "energy-reflection-involution" in out
+
+    def test_verify_solves_and_projects_once(self, tmp_path, capsys, monkeypatch):
+        # at eps = -1 the involution reflects the one solution twice instead of
+        # solving again, and the weak-form rows 0..N come from one projection
+        import diracpl.cli as cli
+        import diracpl.solution as solution
+        calls = _count_calls(monkeypatch, (cli, "solve"), (solution, "weak_form_residual"))
+        assert run_cli(["verify", "--A", "2", "--mu", "0.5", "--kappa", "-1",
+                        "--epsilon", "-1"], tmp_path) == 0
+        assert calls == {"solve": 1, "weak_form_residual": 1}
 
 
 class TestSolveOutputs:
@@ -811,6 +830,32 @@ class TestBatchedChecksBite:
         code, passed = _verdicts(tmp_path, args)
         assert code == 1
         assert [name for name, ok in passed.items() if not ok] == ["weak-form-boundary"]
+
+    @pytest.mark.parametrize("args,failed", [
+        (VERIFY_CONFIGS[0], ["weak-form-interior"]),
+        (VERIFY_CONFIGS[1], ["scaling-equivalence"]),
+        (VERIFY_CONFIGS[2], []),
+        (VERIFY_CONFIGS[3], ["weak-form-interior"]),
+    ], ids=["a", "b", "c", "eps-minus"])
+    def test_perturbed_shared_diagonal_fails_verify(self, tmp_path, capsys, monkeypatch,
+                                                    args, failed):
+        # the reps a/b diagonal scaled by 1 + 1e-3 at rows 33 and 34 reaches both
+        # the operator band and the natural relation, so for rep a the raw
+        # relation compares the coefficients with the fact that made them; the
+        # weak-form rows, read at every n < N by quadrature, see it (5e-7, 7e-7
+        # at row 34).  Rep b's coefficients come from its product, and rep c's
+        # band does not read the shared diagonal.
+        import diracpl.basis as basis_module
+        original = basis_module.ab_diagonal
+
+        def perturbed(derived, k):
+            rows = np.isin(np.asarray(k), (33, 34))
+            return original(derived, k) * np.where(rows, 1.0 + 1e-3, 1.0)
+
+        monkeypatch.setattr(basis_module, "ab_diagonal", perturbed)
+        code, passed = _verdicts(tmp_path, [*args, "--N", "40"])
+        assert code == (1 if failed else 0)
+        assert [name for name, ok in passed.items() if not ok] == failed
 
     def test_negated_boundary_term_fails_convergence_boundary_identity(self, tmp_path, capsys,
                                                                       monkeypatch):

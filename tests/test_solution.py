@@ -13,7 +13,7 @@ from diracpl.basis import PhysicalParams, spinor_forms
 from diracpl.forms import integrate_product
 from diracpl.solution import (SpinorSample, assemble, default_r_grid,
                               diagonal_conditions_scan, diagonal_correspondence,
-                              diagonal_special_case, dirac_residual, evaluate,
+                              diagonal_special_case, dirac_grid, dirac_residual, evaluate,
                               evaluate_grid, map_params, negative_energy_solution,
                               residual_scale, second_order_grid, second_order_residual,
                               solve, swap_energy,
@@ -42,9 +42,39 @@ class TestAssembly:
         phys, sol = _solve_case(label)
         m = sol.basis.measure
         _richer_rules(monkeypatch)
-        norm = sol.norm_const ** 2 * (integrate_product(sol.form_plus, sol.form_plus, m)
-                                      + integrate_product(sol.form_minus, sol.form_minus, m))
+        norm = sol.series_scale ** 2 * (integrate_product(sol.form_plus, sol.form_plus, m)
+                                        + integrate_product(sol.form_minus, sol.form_minus, m))
         assert norm == pytest.approx(1.0, rel=1e-10)
+
+    def test_stored_forms_are_the_normalized_series(self):
+        # rep a at N = 400: max |f_n| ~ 4e189, so the unscaled forms' integrals
+        # would overflow; the stored forms are in exact scale
+        sol = solve(PhysicalParams(A=3.0, mu=-2.0, kappa=1), 400, omega=1.0)
+        m = sol.basis.measure
+        r = default_r_grid(sol.basis)
+        x = m.x_of_r(r)
+        series = (sol.form_plus, sol.form_minus)
+        values = [form.eval(x) for form in series]
+        norms = [integrate_product(form, form, m) for form in series]
+        assert all(np.all(np.isfinite(v)) for v in values)
+        assert all(math.isfinite(norm) for norm in norms)
+        assert abs(sol.series_scale ** 2 * sum(norms) - 1.0) <= 1e-12
+        grid = dirac_grid(sol, r)
+        assert np.array_equal(sol.series_scale * values[0], grid.phi_plus)
+        assert np.array_equal(sol.series_scale * values[1], grid.phi_minus)
+
+    def test_forms_built_once(self, monkeypatch):
+        # one spinor_forms call on the pre-scaled coefficients; no form is
+        # rescaled afterwards, for the norm or for a later read
+        import diracpl.solution as solution
+        built, scaled, calls = solution.spinor_forms, forms.LaguerreForm.scaled, []
+        monkeypatch.setattr(solution, "spinor_forms",
+                            lambda *a: calls.append("spinor_forms") or built(*a))
+        monkeypatch.setattr(forms.LaguerreForm, "scaled",
+                            lambda form, c: calls.append("scaled") or scaled(form, c))
+        phys, sol = _solve_case("a_rho2")
+        evaluate_grid(sol, default_r_grid(sol.basis))
+        assert calls == ["spinor_forms"]
 
     def test_solution_stores_one_record(self):
         phys, sol = _solve_case("b_pos_beta")
@@ -89,10 +119,11 @@ class TestAssembly:
         value, scale = weak_form_residual(sol, sol.N)
         _richer_rules(monkeypatch)
         series = (sol.form_plus, sol.form_minus)
-        norm = sol.norm_const ** 2 * sum(integrate_product(f, f, sol.basis.measure)
-                                         for f in series)
+        norm = sol.series_scale ** 2 * sum(integrate_product(f, f, sol.basis.measure)
+                                           for f in series)
         assert abs(norm - 1.0) <= 1e-12
-        rich = sol.norm_const * bilinear_form(sol.derived, basis_spinor(sol.basis, sol.N), series)
+        rich = sol.series_scale * bilinear_form(sol.derived, basis_spinor(sol.basis, sol.N),
+                                                series)
         assert abs(rich - value) <= 1e-12 * scale
 
     def test_single_term_linearity(self):
@@ -121,8 +152,10 @@ class TestAssembly:
         large = assemble(phys, basis, 13)
         r = default_r_grid(basis)
         x = basis.measure.x_of_r(r)
-        diff_p = np.abs(large.form_plus.eval(x) - small.form_plus.eval(x))
-        diff_m = np.abs(large.form_minus.eval(x) - small.form_minus.eval(x))
+        (large_p, large_m), (small_p, small_m) = (spinor_forms(basis, s.coeffs)
+                                                  for s in (large, small))
+        diff_p = np.abs(large_p.eval(x) - small_p.eval(x))
+        diff_m = np.abs(large_m.eval(x) - small_m.eval(x))
         from diracpl.basis import phi_minus_form, phi_plus_form
         bound = 0.0
         for n in range(9, 14):
@@ -162,8 +195,8 @@ class TestDiracResidual:
         m = sol.basis.measure
         kap_w = phys.kappa * m.omega
         pot_w = phys.A * m.omega ** (1.0 - m.beta)
-        chi_p = sol.form_plus.scaled(sol.norm_const)
-        chi_m = sol.form_minus.scaled(sol.norm_const)
+        chi_p = sol.form_plus.scaled(sol.series_scale)
+        chi_m = sol.form_minus.scaled(sol.series_scale)
         row2_form = add_forms(chi_p.shifted(-1.0 / m.beta).scaled(lam * kap_w),
                               chi_p.shifted(1.0 - 1.0 / m.beta).scaled(lam * pot_w),
                               chi_p.d_dr(m).scaled(lam),
@@ -191,6 +224,15 @@ class TestWeakForm:
         for n in (0, 4, 9, 11):
             value, scale = weak_form_residual(sol, n)
             assert abs(value) < 1e-8 * scale
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_boundary_check_reads_every_interior_row(self, label):
+        phys, sol = _solve_case(label, N=12)
+        rows = [weak_form_residual(sol, n)[0] for n in range(sol.N)]
+        check = weak_form_boundary_check(sol)
+        assert abs(check["interior"] - max(map(abs, rows)) / check["scale"]) <= 1e-14
+        assert check["interior"] < 1e-8
+        assert weak_form_boundary_check(_solve_case(label, N=0)[1])["interior"] == 0.0
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_boundary_projection(self, label):
@@ -265,7 +307,7 @@ class TestWeakForm:
 def _reference_residual_scale(sol, r):
     # the hand-written magnitude formula of the first-order rows
     x = sol.basis.measure.x_of_r(r)
-    c, lam, eps = sol.norm_const, sol.phys.lam, float(sol.eps)
+    c, lam, eps = sol.series_scale, sol.phys.lam, float(sol.eps)
     plus, minus = c * sol.form_plus.eval(x), c * sol.form_minus.eval(x)
     dplus = c * sol.form_plus.d_dr(sol.basis.measure).eval(x)
     dminus = c * sol.form_minus.d_dr(sol.basis.measure).eval(x)
@@ -283,8 +325,8 @@ def _reference_second_order_scale(sol, r, component):
     form = sol.form_plus if component == "+" else sol.form_minus
     m = sol.basis.measure
     x = m.x_of_r(r)
-    val = np.abs(sol.norm_const * form.eval(x))
-    d2 = np.abs(sol.norm_const * form.d_dr(m).d_dr(m).eval(x))
+    val = np.abs(sol.series_scale * form.eval(x))
+    d2 = np.abs(sol.series_scale * form.d_dr(m).d_dr(m).eval(x))
     pot_mag = (abs(kappa * (kappa + sgn)) / r ** 2
                + A * A * np.power(r, -2.0 * mu)
                + abs(A * (2.0 * kappa + sgn * mu)) * np.power(r, -(mu + 1.0))

@@ -46,6 +46,9 @@ COMMANDS = (
     ("verify-rep-c", "verify --A 1 --mu 2 --kappa -1 --N 40", 0),
     ("verify-eps-minus", "verify --A 2 --mu 0.5 --kappa -1 --epsilon -1 --N 40", 0),
     ("verify-rep-c-alpha", "verify --A 1 --mu 2 --kappa -1 --alpha 1.2", 0),
+    # The weak-form projection's edges: N = 0 has no interior row, N = 1 one.
+    ("verify-n0", "verify --A 1 --mu -1.5 --kappa -3 --N 0", 0),
+    ("verify-n1", "verify --A 1 --mu -1.5 --kappa -3 --N 1", 0),
     # A recursion angle where cosh^2(theta) ~ 1.5e4; rep-b coefficients that
     # change by only e^-|theta|, |theta| <= 0.03, per step (rho = 553 and
     # 0.0146); nu = 400, whose Gamma(n+1+nu) leaves double range while the
