@@ -157,8 +157,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     """Invariant suite for one configuration; returns results and context."""
     rng = np.random.default_rng(config.seed)
     sol = config.solve()
-    base = sol if sol.eps == 1 else swap_energy(sol)  # the eps = +1 problem
-    basis, der = base.basis, base.derived
+    basis, der = sol.basis, sol.derived  # the eps = +1 problem's, at either sign
     checks: list[CheckResult] = []
 
     def add(name, measured, tol, description):
@@ -201,8 +200,8 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
 
     # Rows 0..N of the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0,
     # each over the sum of its three terms' magnitudes.
-    f = np.r_[base.coeffs, base.f_next]
-    op = build_operator(der, base.N + 1)
+    f = np.r_[sol.coeffs, sol.f_next]
+    op = build_operator(der, sol.N + 1)
     band = np.diag(op, 1)
     terms = (np.diag(op)[:-1] * f[:-1], np.r_[0.0, band[:-1] * f[:-2]], band * f[1:])
     chain = np.max(np.abs(sum(terms)) / (sum(map(np.abs, terms)) + 1e-300))
@@ -217,7 +216,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         add("hyperbolic-identity", hyper, 1e-14,
             "recursion diagonal equals 2[(n+lam) cosh theta +- y sinh theta]")
 
-    boundary = weak_form_boundary_check(base)  # rows 0..N from one projection
+    boundary = weak_form_boundary_check(sol)  # rows 0..N from one projection
     if config.N > 0:  # n = N is the boundary projection, so N = 0 has no interior
         add("weak-form-interior", boundary["interior"], 1e-8,
             "interior projections of the operator on the series vanish")
@@ -229,8 +228,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
             "boundary term below quadrature noise; projection vanishes with it")
 
     if sol.eps == -1:
+        partner = swap_energy(sol)  # the eps = +1 solution
         r_probe = np.sort(rng.uniform(0.2, 5.0, size=10)) / basis.omega
-        a1, a2 = evaluate_grid(swap_energy(base), r_probe)  # base = swap_energy(sol)
+        a1, a2 = evaluate_grid(swap_energy(partner), r_probe)
         b1, b2 = evaluate_grid(sol, r_probe)
         ref = max(np.max(np.abs(b1)), np.max(np.abs(b2)), 1e-300)
         invol = float(max(np.max(np.abs(a1 - b1)), np.max(np.abs(a2 - b2))) / ref)
@@ -239,7 +239,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
         # Each row carries its own (1 -+ eps) factor, so a wrong sign in the
         # reflected parameters leaves the rows unmatched.
         s1, s2 = dirac_residual(sol, r_grid)
-        grid = dirac_grid(base, r_grid)
+        grid = dirac_grid(partner, r_grid)
         swapped = max(np.max(np.abs(s1 + grid.row2)), np.max(np.abs(s2 + grid.row1)))
         add("energy-reflection-rows", swapped / np.max(grid.scale), 1e-12,
             "the eps = -1 Dirac rows are minus the swapped rows of the eps = +1 solution")
@@ -353,8 +353,7 @@ def _cmd_convergence(config: RunConfig) -> int:
     for N in CONVERGENCE_NS:
         sol = config.solve(N)
         stats = _residual_stats(sol, *_grid(sol))
-        base = sol if sol.eps == 1 else swap_energy(sol)
-        boundary = weak_form_boundary_check(base)
+        boundary = weak_form_boundary_check(sol)
         rows.append({"N": N,
                      "interior_residual": stats["max_interior_leading_row_relative"],
                      "boundary_relative_error": boundary["relative_error"],

@@ -78,9 +78,10 @@ class SeriesSolution:
     once, in exact scale (`_normalized`): series_scale = C 2^k times form_plus
     or form_minus is the normalized component.  derived is the one record of
     the basis and its recursion constants; for eps = -1 it belongs to the
-    reflected (+1) problem and the component forms are already swapped.  Each
-    integral of the forms takes the exact Gauss-Laguerre order for its degree.
-    eps, N, basis and mapped_phys are read off the fields, so they cannot disagree.
+    reflected (+1) problem and the component forms are already swapped, so
+    `swap_energy` gives the eps = +1 partner.  Each integral of the forms takes
+    the exact Gauss-Laguerre order for its degree.  eps, N and basis are read
+    off the fields, so they cannot disagree.
     """
 
     phys: PhysicalParams
@@ -103,11 +104,6 @@ class SeriesSolution:
     @property
     def N(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def mapped_phys(self) -> PhysicalParams | None:
-        """The reflected (eps = +1) parameters the basis was built for, at eps = -1."""
-        return map_params(self.phys) if self.eps == -1 else None
 
     def coefficient(self, n: int) -> float:
         """Normalized expansion coefficient C * f_n."""
@@ -304,11 +300,12 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     the quadrature; roundoff from large high-order coefficients is measured
     against it, not against the (near-zero) projection itself.  It does not
     depend on n and is computed once per solution.  The stored forms are
-    projected in exact scale, and the result multiplied by series_scale."""
-    if sol.eps != 1:
-        raise ValueError("weak-form projections are computed on the eps = +1 problem")
+    projected in exact scale, and the result multiplied by series_scale.
+    derived and basis belong to the eps = +1 problem at either sign, so an
+    eps = -1 solution is projected as its partner swap_energy(sol)."""
+    plus = sol if sol.eps == 1 else swap_energy(sol)
     value = bilinear_form(sol.derived, basis_spinor(sol.basis, n),
-                          (sol.form_plus, sol.form_minus))
+                          (plus.form_plus, plus.form_minus))
     return sol.series_scale * value, sol.weak_form_scale
 
 

@@ -431,7 +431,8 @@ class TestEnergyReflection:
     def test_swap_energy_involution_parameters(self, eps):
         sol = solve(PhysicalParams(A=3.0, mu=-2.0, kappa=1, eps=eps), N=4, omega=1.0)
         back = swap_energy(swap_energy(sol))
-        assert (back.eps, back.phys, back.mapped_phys) == (sol.eps, sol.phys, sol.mapped_phys)
+        assert (back.eps, back.phys) == (sol.eps, sol.phys)
+        assert swap_energy(back).phys == swap_energy(sol).phys == map_params(sol.phys)
         assert back.N == sol.N == 4
 
     def test_negative_energy_solves_original_equations(self):
@@ -474,4 +475,14 @@ class TestEnergyReflection:
         phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1, eps=-1)
         sol = solve(phys, N=5, omega=1.0)
         assert sol.eps == -1
-        assert sol.mapped_phys == map_params(phys)
+        assert swap_energy(sol).phys == map_params(phys)
+
+    @pytest.mark.parametrize("N", [0, 6, 20])
+    def test_weak_form_takes_either_energy_sign(self, N):
+        # an eps = -1 solution is projected as its eps = +1 partner
+        sol = solve(PhysicalParams(A=2.0, mu=0.5, kappa=-1, eps=-1), N=N)
+        partner = swap_energy(sol)
+        assert weak_form_boundary_check(sol) == weak_form_boundary_check(partner)
+        n = np.arange(N + 1)
+        for got, want in zip(weak_form_residual(sol, n), weak_form_residual(partner, n)):
+            np.testing.assert_array_equal(got, want)
