@@ -174,10 +174,27 @@ def laguerre_offdiag(n: int, nu: float) -> list:
     return [math.sqrt(k * (k + nu)) for k in range(n + 1)]
 
 
+# From this nu on, sqrt_psi0 centers its exponent at x = nu.  Truncating the
+# Stirling remainder after four terms errs in h by ~1/(4752 nu^9): 2e-13 at
+# nu = 10, against ~1e-15 for the exponent as written; 4e-16 at nu = 20.
+_CENTERED_NU = 20.0
+
+
 def sqrt_psi0(nu: float, x):
-    """h = sqrt(psi_0^nu(x)) = exp((nu log x - x - lgamma(nu+1))/4)."""
+    """h = sqrt(psi_0^nu(x)) = exp((nu log x - x - lgamma(nu+1))/4).
+
+    From nu = _CENTERED_NU on, those three terms (~nu log nu each) would cancel
+    to O(1), so with x = nu (1 + t) the exponent is written
+    nu (log1p(t) - t) - log(2 pi nu)/2 - S(nu), S the Stirling remainder of
+    lgamma(nu+1) to four terms (DLMF 5.11.1)."""
     with np.errstate(divide="ignore"):
-        return np.exp(0.25 * ((nu * np.log(x) if nu else 0.0) - x - math.lgamma(nu + 1.0)))
+        if nu < _CENTERED_NU:
+            return np.exp(0.25 * ((nu * np.log(x) if nu else 0.0) - x - math.lgamma(nu + 1.0)))
+        t = (np.asarray(x, dtype=float) - nu) / nu
+        w = 1.0 / (nu * nu)
+        stirling = (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w / 1680))) / nu
+        half_log = 0.5 * math.log(2.0 * math.pi * nu)
+        return np.exp(0.25 * (nu * (np.log1p(t) - t) - half_log - stirling))
 
 
 def laguerre_functions(n: int, nu: float, x):

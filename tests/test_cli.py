@@ -128,12 +128,15 @@ class TestExitCodes:
          "at A = 10000000000.0, mu = 0.999"),
         (["--A", "5.077370409328162", "--mu", "0.9892762055436853", "--kappa", "-1"],
          "lower-component scale leaves double range (omega = 3.496e+277, beta = 0.01072)"),
-    ], ids=["omega-overflow", "omega-squared-overflow"])
+        (["--A", "2", "--mu", "0.5", "--kappa", "-1", "--omega", "1"],
+         "the diagonal case tunes omega itself; do not pass --omega"),
+    ], ids=["omega-overflow", "omega-squared-overflow", "omega-given"])
     def test_special_case_out_of_range_omega_is_config_error(self, tmp_path, capsys,
                                                              args, message):
         # the tuned omega = (2A/beta)^(1/beta) overflows, or is finite while
         # the band factor lam^2 omega^2 beta tau is not: the diagonal condition
-        # is tested on ab_diagonal's X_0, X_1, so inf never meets the zero D_0
+        # is tested on ab_diagonal's X_0, X_1, so inf never meets the zero D_0;
+        # a user omega is refused, since the case tunes its own
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a leaked NumPy warning raises
             code = run_cli(["special-case", *args], tmp_path)
@@ -213,6 +216,23 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "Warning" not in err
         assert "must be a finite number" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "0"],
+         "omega must be positive"),
+        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega=-1"],
+         "omega must be positive"),
+        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--lambda", "0"],
+         "Compton length lam must be positive"),
+        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--N", "-1"],
+         "truncation N must be non-negative"),
+    ], ids=["omega-zero", "omega-negative", "lambda-zero", "N-negative"])
+    def test_out_of_domain_input_is_config_error(self, tmp_path, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked NumPy warning raises
+            code = run_cli(argv, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
 
     def test_verify_negative_energy(self, tmp_path, capsys):
         code = run_cli(["verify", "--A", "3", "--mu", "-2", "--kappa", "1",
@@ -348,7 +368,8 @@ class TestCheckedReports:
 class TestConfigFile:
     def test_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("A = 3.0\nmu = -2.0\nkappa = 1\nomega = 1.0  # scale\nN = 6\n")
+        cfg.write_text("A = 3.0\n\n# a full-line comment\nmu = -2.0\nkappa = 1\n"
+                       "omega = 1.0  # scale\nN = 6\n")
         code = main(["verify", "--config", str(cfg), "--N", "8",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -362,6 +383,10 @@ class TestConfigFile:
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert "whatever" in capsys.readouterr().err
+        cfg.write_text("A = 1\nmu -1.5\n")  # a line without '=' is named by path:line
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {cfg}:2: expected key=value, got 'mu -1.5'"]
 
 
 BASE_B = {"A": 1.0, "mu": -1.5, "kappa": -3, "N": 2}  # representation b: omega is free

@@ -150,6 +150,26 @@ class TestLaguerreFunctions:
         gram = (table * rule.weights) @ table.T
         assert np.max(np.abs(gram - np.eye(31))) < 1e-12
 
+    @pytest.mark.parametrize("nu", [6.0, 800.0, 8e4, 8e5])
+    def test_orthonormal_at_large_nu(self, nu):
+        # |kappa| = 1e6 reaches nu ~ 8e5: psi_0's exponent is then a sum of
+        # terms ~1e7 whose rounding, written out, erred by 4.8e-10 here
+        from diracpl.quadrature import gauss_laguerre
+        rule = gauss_laguerre(20, nu)
+        table = laguerre_functions(12, nu, rule.nodes)
+        gram = (table * rule.weights) @ table.T
+        assert np.max(np.abs(gram - np.eye(13))) <= 1e-12
+
+    def test_sqrt_psi0_forms_meet_at_the_switch(self):
+        # at nu = 20 the centered form agrees with the exponent as written
+        nu = 20.0
+        x = np.linspace(0.2 * nu, 3.0 * nu, 97)
+        written = np.exp(0.25 * (nu * np.log(x) - x - math.lgamma(nu + 1.0)))
+        assert np.max(np.abs(sqrt_psi0(nu, x) / written - 1.0)) <= 1e-14
+        below = np.nextafter(nu, 0.0)
+        np.testing.assert_array_equal(
+            sqrt_psi0(below, x), np.exp(0.25 * (below * np.log(x) - x - math.lgamma(below + 1.0))))
+
     def test_rows_do_not_depend_on_the_degree(self):
         x = X_GRID[::5]
         np.testing.assert_array_equal(laguerre_functions(40, 1.5, x)[:8],

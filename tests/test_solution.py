@@ -1,7 +1,9 @@
 """Assembled series solutions, residuals, special cases, energy reflection."""
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +177,20 @@ class TestDiracResidual:
         _, row2 = dirac_residual(sol, r)
         scale = np.max(residual_scale(sol, r))
         assert np.max(np.abs(row2)) < 1e-12 * scale
+
+    def test_readme_library_example_as_written(self, capsys):
+        # the README's Python block, run verbatim: dirac_residual at a scalar
+        # radius returns floats, and row2 vanishes up to roundoff
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+        names = {}
+        exec(block, names)
+        row1, row2, sol = names["row1"], names["row2"], names["sol"]
+        assert type(row1) is float and type(row2) is float
+        grid = dirac_grid(sol, np.array([2.0]))
+        assert (row1, row2) == (grid.row1[0], grid.row2[0])
+        assert abs(row2) < 1e-12 * grid.scale[0]
+        assert float(capsys.readouterr().out) < 1e-6
 
     def test_convergent_case_residual_falls(self):
         # decaying-coefficient sector: truncation error shrinks with N

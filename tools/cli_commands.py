@@ -64,6 +64,13 @@ COMMANDS = (
      0),
     ("verify-c0-roundoff", "verify --A=-0.07871724553852956 --mu=1.4334522641709198 "
                            "--kappa=-7 --N=80 --omega=15.358355579731617", 0),
+    # Large |kappa|, nu up to ~8e5: psi_0's exponent is a sum of terms ~nu log nu
+    # that cancel to O(1), so it is formed about x = nu (`orthopoly.sqrt_psi0`).
+    ("verify-kappa-1e5", "verify --A 1 --mu -1.5 --kappa 100000 --N 10", 0),
+    ("verify-kappa-1e6", "verify --A 1 --mu -1.5 --kappa 1000000 --N 10", 0),
+    ("verify-kappa-1e6-n40", "verify --A 1 --mu -1.5 --kappa 1000000 --N 40", 0),
+    ("verify-kappa-minus-1e6", "verify --A 1 --mu -1.5 --kappa -1000000 --N 10", 0),
+    ("verify-mu-2-kappa-1e6-n40", "verify --A 1 --mu 2 --kappa 1000000 --N 40", 0),
     # Long horizons: rep b's coefficient product at N = 160, the ceilings of
     # the raw-polynomial forms the Laguerre-function kernel replaced (rep a at
     # 113 and 176, |g| up to 1.1e84; rep b at 177; rep c at 176), and N = 400
