@@ -172,8 +172,6 @@ def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
         # The rest-mass-energy assignments make q vanish identically; its
         # roundoff would otherwise swamp the terms of order rho - 1 near |rho| = 1.
         q = 0.0
-        if tau == 0.25:  # p = beta/2 is forced once tau takes its balanced value
-            assert abs(p - beta / 2.0) <= 1e-13 * abs(beta)
     c = q / p
     # rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1
     sigma_plus = rho * rho + 1.0 + 2.0 * rho * c

@@ -391,6 +391,9 @@ def _cmd_convergence(config: RunConfig) -> int:
 def _cmd_special_case(config: RunConfig) -> int:
     if config.omega is not None:
         raise ValueError("the diagonal case tunes omega itself; do not pass --omega")
+    if config.alpha is not None:
+        raise ValueError("the diagonal case is representation b, whose alpha is fixed by "
+                         "kappa and beta; do not pass --alpha")
     sol = diagonal_special_case(config.physical_params())
     r, grid = _grid(sol)
     stats = _residual_stats(sol, r, grid)

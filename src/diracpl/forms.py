@@ -169,6 +169,9 @@ def integrate_product(fa: LaguerreForm, fb: LaguerreForm, measure: RadialMeasure
 
 def quadrature_order(degree: int) -> int:
     """The order integrate_product takes for a degree-`degree` remainder."""
+    # degree // 2 + 1 nodes are exact for the remainder, but seven more cut the
+    # sums' rounding about threefold, which the checks near rho = 1 need: at the
+    # bare order operator-band-agreement reads 3.4e-8 > 1e-8 at rho = 1 + 1e-7.
     return max(8, degree // 2 + 8)
 
 

@@ -196,6 +196,8 @@ class TestSpinorComponents:
             phi_plus(basis, 0, 0.0)
         with pytest.raises(ValueError):
             phi_minus(basis, 1, -1.0)
+        with pytest.raises(ValueError, match="basis index must be non-negative"):
+            phi_plus_form(basis, [0, -1])
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_lower_component_matches_operator(self, label):

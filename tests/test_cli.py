@@ -4,7 +4,6 @@ import collections
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,10 @@ import pytest
 from diracpl.cli import build_config, main, make_parser
 from diracpl.forms import LaguerreForm
 from diracpl.recursion import rescale
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import cli_commands  # noqa: E402
+import contract_sweep  # noqa: E402
 
 SOLVE_ARGS = ["--A", "1", "--mu", "2", "--kappa", "-1", "--N", "8"]
 
@@ -37,6 +40,19 @@ def _count_calls(monkeypatch, *targets):
     return calls
 
 
+@pytest.mark.parametrize("command", cli_commands.COMMANDS,
+                         ids=[command.name for command in cli_commands.COMMANDS])
+def test_command(tmp_path, monkeypatch, command):
+    # each row of the reproducer table, in-process through the contract sweep's
+    # runner: exit as declared with no warning, and stderr empty, or on exit 2
+    # one line holding the row's fragment, with no output directory made
+    monkeypatch.chdir(tmp_path)
+    Path("aliases.cfg").write_text(cli_commands.ALIASES)
+    code, err, n_warnings = contract_sweep.run(command.argv.split(), command.name)
+    assert n_warnings == 0
+    assert cli_commands.as_declared(command, code, err, tmp_path / command.name), (code, err)
+
+
 class TestExitCodes:
     def test_verify_passes(self, tmp_path, capsys):
         code = run_cli(["verify", "--A", "3", "--mu", "-2", "--kappa", "1",
@@ -45,17 +61,6 @@ class TestExitCodes:
         assert code == 0
         assert "PASS kinetic-balance" in out
         assert "FAIL" not in out
-
-    def test_excluded_power_is_config_error(self, tmp_path, capsys):
-        code = run_cli(["solve", "--A", "1", "--mu", "1", "--kappa", "1"], tmp_path)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "free-particle" in err
-
-    def test_missing_required_is_config_error(self, tmp_path, capsys):
-        code = run_cli(["solve", "--mu", "2", "--kappa", "1"], tmp_path)
-        assert code == 2
-        assert "required" in capsys.readouterr().err
 
     def test_special_case_passes(self, tmp_path, capsys):
         code = run_cli(["special-case", "--A", "2", "--mu", "0.5", "--kappa", "-1"],
@@ -108,41 +113,6 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "N = 992" in err and "order 1001" in err
 
-    def test_special_case_extreme_radii_raise_no_warning(self, tmp_path, capsys):
-        # A ~ -1.3e5, mu ~ 1.05: r^2 leaves double range at the grid's extreme
-        # radii, so the second-order term kappa (kappa + 1) chi / r^2 is formed
-        # without it; the check's verdict is not asserted here
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            main(["special-case", "--A=-127770.28624524306", "--mu=1.0498607757958818",
-                  "--kappa=3", "--out", str(tmp_path)])
-
-    def test_special_case_wrong_sector_is_config_error(self, tmp_path, capsys):
-        code = run_cli(["special-case", "--A", "3", "--mu", "-2", "--kappa", "1"],
-                       tmp_path)
-        assert code == 2
-
-    @pytest.mark.parametrize("args,message", [
-        (["--A", "1e10", "--mu", "0.999", "--kappa", "-1"],
-         "omega = 19999999999999.98**999.9999999999991 is out of floating-point range "
-         "at A = 10000000000.0, mu = 0.999"),
-        (["--A", "5.077370409328162", "--mu", "0.9892762055436853", "--kappa", "-1"],
-         "lower-component scale leaves double range (omega = 3.496e+277, beta = 0.01072)"),
-        (["--A", "2", "--mu", "0.5", "--kappa", "-1", "--omega", "1"],
-         "the diagonal case tunes omega itself; do not pass --omega"),
-    ], ids=["omega-overflow", "omega-squared-overflow", "omega-given"])
-    def test_special_case_out_of_range_omega_is_config_error(self, tmp_path, capsys,
-                                                             args, message):
-        # the tuned omega = (2A/beta)^(1/beta) overflows, or is finite while
-        # the band factor lam^2 omega^2 beta tau is not: the diagonal condition
-        # is tested on ab_diagonal's X_0, X_1, so inf never meets the zero D_0;
-        # a user omega is refused, since the case tunes its own
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            code = run_cli(["special-case", *args], tmp_path)
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
-
     @pytest.mark.parametrize("mu,kappa", [("-1.5", "-3"), ("1e-9", "-2"),
                                           ("-0.999999999", "-2")])
     def test_verify_decaying_sector_passes(self, tmp_path, capsys, mu, kappa):
@@ -185,54 +155,24 @@ class TestExitCodes:
         assert code == 0, out
         assert "PASS hyperbolic-identity" in out
 
-    @pytest.mark.parametrize("k", range(1, 7))
-    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    @pytest.mark.parametrize("side,k", [pytest.param(side, k, id=f"{name}-{k}")
+                                        for name, side, last in (("above", 1.0, 7),
+                                                                 ("below", -1.0, 6))
+                                        for k in range(1, last + 1)])
     def test_verify_near_unit_rho_passes(self, tmp_path, capsys, k, side):
         # representation b (A = 1, beta = 5/2) at rho = 1 +- 10^-k, where
         # |theta| grows like log(4/|rho - 1|): the hyperbolic identity is
         # measured on the e^{+-theta} form of the diagonal, which has no
-        # cosh/sinh cancellation to lose digits to
+        # cosh/sinh cancellation to lose digits to.  At 1 + 1e-7
+        # operator-band-agreement reads 9.7e-9 against its 1e-8 tolerance, and
+        # 3.4e-8 at the bare exact quadrature order; at 1 - 1e-7 it reads
+        # 1.06e-8 and fails (ROADMAP item 6)
         omega = (0.8 / (1.0 + side * 10.0 ** -k)) ** 0.4
         code = run_cli(["verify", "--A", "1", "--mu", "-1.5", "--kappa", "-3",
                         "--omega", repr(omega)], tmp_path)
         out = capsys.readouterr().out
         assert code == 0, out
         assert "PASS hyperbolic-identity" in out
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("flag,args", [
-        ("A", ["--mu", "-2", "--kappa", "1"]),
-        ("mu", ["--A", "3", "--kappa", "1"]),
-        ("lambda", ["--A", "3", "--mu", "-2", "--kappa", "1"]),
-        ("omega", ["--A", "3", "--mu", "-2", "--kappa", "1"]),
-        ("alpha", ["--A", "1", "--mu", "2", "--kappa", "-1"]),
-    ])
-    def test_non_finite_input_is_config_error(self, tmp_path, capsys, flag, args, value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            code = run_cli(["solve", *args, f"--{flag}={value}"], tmp_path)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert len(err.splitlines()) == 1
-        assert "Warning" not in err
-        assert "must be a finite number" in err
-
-    @pytest.mark.parametrize("argv,message", [
-        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "0"],
-         "omega must be positive"),
-        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--omega=-1"],
-         "omega must be positive"),
-        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--lambda", "0"],
-         "Compton length lam must be positive"),
-        (["solve", "--A", "3", "--mu", "-2", "--kappa", "1", "--N", "-1"],
-         "truncation N must be non-negative"),
-    ], ids=["omega-zero", "omega-negative", "lambda-zero", "N-negative"])
-    def test_out_of_domain_input_is_config_error(self, tmp_path, capsys, argv, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            code = run_cli(argv, tmp_path)
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
 
     def test_verify_negative_energy(self, tmp_path, capsys):
         code = run_cli(["verify", "--A", "3", "--mu", "-2", "--kappa", "1",
@@ -440,14 +380,6 @@ class TestSettings:
         assert main(["solve", "--config", "run.cfg", f"--{flag}={other}"]) == 0
         assert _report_config(name, other) == {**DEFAULTS, **base, name: other}
 
-    @pytest.mark.parametrize("argv", [["solve", "--epsilon", "2"], ["bogus"]],
-                             ids=["epsilon-choice", "unknown-mode"])
-    def test_parser_error_exits_2(self, tmp_path, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert not any(tmp_path.iterdir())
-
     def test_options_before_mode(self, tmp_path, capsys):
         assert main(["--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "2",
                      "--out", str(tmp_path), "solve"]) == 0
@@ -490,163 +422,12 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("argv", [["solve", "--epsilon", "2"], ["bogus"],
-                                      ["solve", "--N", "3.5"], ["solve", "--quad-order", "60"]],
-                             ids=["epsilon-choice", "unknown-mode", "non-integer-N",
-                                  "removed-quad-order"])
-    def test_parse_error_is_one_line(self, tmp_path, argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", *argv, *SOLVE_ARGS[:6],
-             "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("diracpl: error: ")
-        assert "usage:" not in proc.stderr
-        assert not any(tmp_path.iterdir())
-
     def test_help_keeps_full_text(self):
         proc = subprocess.run([sys.executable, "-m", "diracpl.cli", "--help"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: diracpl")
         assert "--epsilon" in proc.stdout and "--config" in proc.stdout
-
-    @pytest.mark.parametrize("mu", ["0.999999999", "1.000000001"])
-    def test_near_excluded_power_is_config_error(self, tmp_path, mu):
-        # omega = |A/beta|^(1/beta) leaves double range as beta = 1 - mu -> 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", mu,
-             "--kappa", "-2", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert f"mu = {mu}" in proc.stderr
-
-    def test_user_omega_power_names_omega(self, tmp_path):
-        # omega^beta = (1e-300)^3 underflows at mu = -2, far from the excluded
-        # mu = 1: the message blames the user's omega
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "verify", "--A", "3", "--mu", "-2",
-             "--kappa", "1", "--omega", "1e-300", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "omega = 1e-300" in proc.stderr
-        assert "excluded" not in proc.stderr
-
-    @pytest.mark.parametrize("A,kappa", [(1, -2), (-5, 2), (1, -1)])
-    def test_out_of_double_range_is_config_error(self, tmp_path, A, kappa):
-        # mu = 0.99 passes the omega range check, but beta = 0.01 makes nu
-        # 100..500 and omega up to 8e269: the product integrands of the series
-        # norm (kappa = -2, -1) or the lower component's scale
-        # lam omega tau beta sqrt(omega |beta|) (kappa = 2) leave double range
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", str(A), "--mu", "0.99",
-             "--kappa", str(kappa), "--N", "10", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "double range" in proc.stderr
-
-    def test_lower_component_scale_overflow_exits_without_warnings(self, tmp_path):
-        # omega = 3.6e251 (beta = 0.0033): lam omega tau beta sqrt(omega |beta|)
-        # overflows, and is refused before inf meets a zero stencil entry
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "diracpl.cli", "verify",
-             "--A=0.023143966390086784", "--mu=0.99665865448885", "--kappa=6", "--N=20",
-             "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            "configuration error: lower-component scale leaves double range "
-            "(omega = 3.55e+251, beta = 0.003341)"]
-
-    def test_quadrature_overflow_exits_without_warnings(self, tmp_path):
-        # representation c at N = 715 asks for an order-723 Gauss-Laguerre
-        # rule, at whose largest node sqrt(psi_0) underflows, so its Laguerre
-        # functions leave double range: the run must end in the one-line
-        # configuration error, with no NumPy RuntimeWarning printed before it
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", "2",
-             "--kappa", "-1", "--N", "715", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "Warning" not in proc.stderr
-        assert "double range" in proc.stderr
-
-    def test_integrand_overflow_exits_without_warnings(self, tmp_path):
-        # representation a at N = 639: the growing coefficients leave double
-        # range at f_640, which the weak-form boundary identity needs
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "3", "--mu", "-2",
-             "--kappa", "1", "--N", "639", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "double range" in proc.stderr
-
-    @pytest.mark.parametrize("mode", ["solve", "verify", "convergence"])
-    def test_grid_radius_overflow_is_config_error(self, tmp_path, capsys, mode):
-        # representation c near mu = 1 (beta = -0.008, omega = 4.9e-146, nu = 250):
-        # the norm's weight x^rest, rest = 2/beta = -250, leaves double range
-        # and the norm is refused before the grid radii x^(1/beta)/omega would
-        # overflow
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            code = main([mode, "--A", "0.05903017090438638", "--mu", "1.0080326275811557",
-                         "--kappa", "-1", "--N", "20", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert len(err.splitlines()) == 1
-        assert "series norm^2 = 0.0" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mode", ["solve", "verify"])
-    def test_user_omega_grid_overflow_is_config_error(self, tmp_path, capsys, mode):
-        # representation a with omega = 1e-300 and beta = 0.1: the norm is
-        # finite, but the grid radii x^10/omega leave double range
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            code = main([mode, "--A", "1", "--mu", "0.9", "--kappa", "1", "--omega", "1e-300",
-                         "--N", "20", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert len(err.splitlines()) == 1
-        assert "radial grid leaves double range" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mode", ["solve", "verify"])
-    @pytest.mark.parametrize("args,rho", [
-        (["--A", "1", "--mu", "-1.5", "--kappa", "-3", "--omega", "1e-75"], "2.53e+187"),
-        (["--A", "3", "--mu", "-2", "--kappa", "1", "--omega", "1e-60"], "2e+180"),
-    ], ids=["rep-b", "rep-a"])
-    def test_rho_squared_overflow_is_config_error(self, tmp_path, capsys, mode, args, rho):
-        # rho = 2A/(beta omega^beta) is a double, but rho^2 in sigma_+- is not
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            code = main([mode, *args, "--N", "20", "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"configuration error: rho^2 leaves double range (rho = {rho}, omega = {args[-1]})"]
-        assert not (tmp_path / "out").exists()
-
-    def test_residual_scale_underflow_is_config_error(self, tmp_path):
-        # representation c with omega = 5e-301: the grid radii reach ~1e299
-        # and every residual term underflows, so the relative residuals have
-        # no scale; the run ends in one line before any output is written
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1e300", "--mu", "2",
-             "--kappa", "-1", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "Warning" not in proc.stderr
-        assert "residual scale" in proc.stderr
-        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["out-is-file", "out-under-file"])
     def test_out_not_a_directory_is_config_error(self, tmp_path, sub):
@@ -661,45 +442,6 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == ""
-
-    def test_unit_rho_is_config_error(self, tmp_path):
-        # rep a with omega = 1 gives rho = 2A/(beta omega^beta) = 1 exactly,
-        # where the a/b recursion degenerates
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1.5", "--mu", "-2",
-             "--kappa", "1", "--omega", "1", "--N", "5", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-        assert "|rho| = 1" in proc.stderr and "representation c" in proc.stderr
-
-    def test_rep_c_alpha_at_bound_is_config_error(self, tmp_path):
-        # representation c's free alpha must exceed max(1/beta, -1/(2 beta)) = 0.5
-        proc = subprocess.run(
-            [sys.executable, "-m", "diracpl.cli", "solve", "--A", "1", "--mu", "2",
-             "--kappa", "-1", "--alpha=0.5", "--out", str(tmp_path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert "Traceback" not in proc.stderr
-        assert "requires alpha > 0.5 for representation c" in proc.stderr
-
-    @pytest.mark.parametrize("mode", ["solve", "verify", "convergence"])
-    @pytest.mark.parametrize("alpha", ["1.5e154", "1e200", "1e308"])
-    def test_rep_c_alpha_nu_squared_overflow_is_config_error(self, tmp_path, capsys, mode,
-                                                             alpha):
-        # nu = 2 alpha - 1 - 1/beta is a double (inf at alpha = 1e308), but nu^2
-        # in the continuous dual Hahn relation is not
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a leaked NumPy warning raises
-            code = main([mode, "--A", "1", "--mu", "2", "--kappa", "-1", "--alpha", alpha,
-                         "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"configuration error: nu^2 leaves double range for representation c "
-            f"(alpha = {float(alpha)!r})"]
-        assert not (tmp_path / "out").exists()
 
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is a test-only dependency: a solve must not import it
@@ -892,27 +634,6 @@ class TestBatchedChecksBite:
         assert "PASS interior-residual-decrease" in out and "FAIL boundary-identity" in out
 
 
-# Representation b with |theta| <= 0.03 (rho = 553, 2.0e-3, 95 and 0.0146),
-# where the pinned sequence decays or grows by only e^{-n |theta|} per step.
-SMALL_THETA_REP_B = [
-    ["--A", "14.202967632234262", "--mu", "-0.0003961086828168446", "--kappa", "-6",
-     "--omega", "0.05136804371362816"],
-    ["--A", "-0.3372028221213064", "--mu", "2.8386956774008363", "--kappa", "7",
-     "--omega", "0.05923706474750621"],
-    ["--A", "4.497592454869093", "--mu", "-0.7132539993309948", "--kappa", "-7", "--N", "20",
-     "--omega", "0.18394612601671675"],
-    ["--A", "0.682400674505875", "--mu", "-1.8283871637591878", "--kappa", "-2", "--N", "80",
-     "--omega", "3.447820115026237"],
-]
-
-
-@pytest.mark.parametrize("args", SMALL_THETA_REP_B,
-                         ids=["rho-553", "rho-2e-3", "rho-95", "rho-0.0146"])
-def test_small_theta_rep_b_verifies(tmp_path, capsys, args):
-    code, passed = _verdicts(tmp_path, args)
-    assert code == 0, [name for name, ok in passed.items() if not ok]
-
-
 # Contract-sweep draws near mu = 1 (nu = 400, 626 and 957), whose
 # Gamma(n+1+nu) leaves double range while the running product R_n does not.
 LARGE_NU = [
@@ -932,7 +653,7 @@ def test_large_nu_verifies(tmp_path, capsys, args):
 
 
 class TestQuadratureOrder:
-    """Each integral takes the exact Gauss-Laguerre order for its degree; no
+    """Each integral's Gauss-Laguerre order is set by its degree alone; no
     flag or config key sets another."""
 
     def test_quad_order_config_key_is_refused(self, tmp_path, capsys):
@@ -943,14 +664,6 @@ class TestQuadratureOrder:
         assert len(err.splitlines()) == 1
         assert "unknown config key 'quad_order'" in err
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("args", [["--A", "1", "--mu", "-1.5", "--kappa", "-3"],
-                                      ["--A", "1", "--mu", "2", "--kappa", "-1"]],
-                             ids=["b", "c"])
-    def test_solve_at_n160(self, tmp_path, capsys, args):
-        # exact orders stay below the order where Laguerre values overflow
-        assert main(["solve", *args, "--N", "160", "--out", str(tmp_path)]) == 0
-
 
 class TestRepACeiling:
     """Representation a's growing coefficients are normalized in exact scale,
@@ -971,12 +684,6 @@ class TestRepACeiling:
         assert code == 0
         assert passed == dict.fromkeys(VERIFY_CHECKS, True)
 
-    def test_rep_a_solve_at_n120(self, tmp_path, capsys):
-        # --A 2.1 --mu 1.7 --kappa -2 is rep a (beta kappa > 0) with growing f_n
-        assert main(["solve", "--A", "2.1", "--mu", "1.7", "--kappa", "-2", "--N", "120",
-                     "--out", str(tmp_path)]) == 0
-
-
 class TestNoCeilingBelow400:
     """The forms are written on orthonormal Laguerre functions, which stay O(1),
     so every representation solves and verifies at N = 400."""
@@ -991,14 +698,3 @@ class TestNoCeilingBelow400:
     def test_verify_at_n400_passes(self, tmp_path, capsys, args):
         code, passed = _verdicts(tmp_path, [*args, "--N", "400"])
         assert code == 0, [name for name, ok in passed.items() if not ok]
-
-    def test_tiny_user_omega_verifies(self, tmp_path, capsys):
-        # representation a with omega = 1e-200: the solve runs, but every
-        # operator element lam^2 omega^2 beta tau ... underflows, so the
-        # operator checks have no scale to measure in and verify refuses
-        code = main(["verify", "--A", "1", "--mu", "0.9", "--kappa", "1",
-                     "--omega", "1e-200", "--N", "20", "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.splitlines() == ["configuration error: operator matrix underflows: "
-                                    "largest element 0"]

@@ -126,10 +126,13 @@ def test_table_bytes_stay_within_the_bound_over_fresh_rules(tables):
 
 def test_order_is_not_an_argument():
     # the order follows from the degree; a fourth positional argument is refused
-    # rather than read as extra_power
+    # rather than read as extra_power, and an extra_power that leaves the
+    # envelope without an integrable weight is refused by name
     fa = _form(1.0, 5)
     with pytest.raises(TypeError):
         integrate_product(fa, fa, MEASURE, 40)
+    with pytest.raises(ValueError, match="is not integrable"):
+        integrate_product(fa, fa, MEASURE, extra_power=-5.0)
 
 
 def test_repeated_verify_computes_no_laguerre_values_in_integrals(tmp_path, monkeypatch,

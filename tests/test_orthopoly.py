@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracpl.orthopoly import (cdh_eval, cdh_series, forward_recurrence, gamma_ratio,
-                               hyp_mp_diagonal, hyp_mp_eval, hyp_mp_series, laguerre_all,
-                               laguerre_deriv, laguerre_eval, laguerre_functions,
+from diracpl.orthopoly import (cdh_eval, cdh_series, cdh_weight, forward_recurrence,
+                               gamma_ratio, hyp_mp_diagonal, hyp_mp_eval, hyp_mp_series,
+                               laguerre_all, laguerre_deriv, laguerre_eval, laguerre_functions,
                                laguerre_offdiag, laguerre_series, mod_cdh_eval, mod_cdh_series,
                                mp_eval, mp_series, sqrt_psi0, terminating_series)
 
@@ -239,6 +239,11 @@ class TestHyperbolicMeixnerPollaczek:
             expected = gamma_ratio(n + 2 * lam, 2 * lam) / gamma_ratio(n + 1.0, 1.0)
             assert hyp_mp_eval(n, lam, 0.37, 0.0) == pytest.approx(expected, rel=1e-12)
         assert hyp_mp_eval(2, 1.0, 5.0, 0.0) == pytest.approx(3.0, rel=1e-14)
+        # gamma_ratio takes positive arguments and a ratio inside double range
+        with pytest.raises(ValueError, match="requires positive arguments"):
+            gamma_ratio(0.0, 1.0)
+        with pytest.raises(ValueError, match="leaves double range"):
+            gamma_ratio(200.0, 1.0)
 
     def test_first_order_frozen(self):
         theta = math.asinh(4.0 / 3.0)
@@ -301,8 +306,13 @@ class TestContinuousDualHahn:
             assert u == pytest.approx(v, rel=1e-10, abs=1e-10 * (abs(v) + 1.0))
 
     def test_rejects_negative_ysq(self):
+        # and non-positive lam, a or b, and a weight at y <= 0
         with pytest.raises(ValueError):
             cdh_eval(2, 1.0, -0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="requires lam, a, b > 0"):
+            cdh_eval(2, 1.0, 0.5, -1.0, 1.0)
+        with pytest.raises(ValueError, match="weight defined for y > 0"):
+            cdh_weight(0.0, 1.0, 1.0, 1.0)
 
 
 class TestModifiedContinuousDualHahn:

@@ -239,8 +239,13 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("label", CASE_IDS)
     def test_normalized_start(self, label):
+        # N = 0 is s_0 = 1 alone; each sequence function refuses N < 0
         _, basis, der = _case_with_derived(label)
         assert closed_form_sequence(der, 0)[0] == pytest.approx(1.0)
+        for sequence in (closed_form_sequence, coefficient_sequence,
+                         lambda der, N: solve_forward(build_recursion(der.rep, der, der.nu), N)):
+            with pytest.raises(ValueError, match="N must be non-negative"):
+                sequence(der, -1)
 
     def test_rep_a_first_value_is_hyperbolic_cosine(self):
         _, basis, der = _case_with_derived("a_rho2")
@@ -268,6 +273,9 @@ class TestClosedForm:
             assert n + lam + a == pytest.approx(n + basis.nu + 1.0, rel=1e-12)
             assert n + lam + b == pytest.approx(n + der.d + 1.0, rel=1e-12)
             assert n + a + b - 1.0 == pytest.approx(n + der.d, rel=1e-12)
+        # off the rest-mass-energy assignments y^2 = z (z + rho u/p) may be negative
+        with pytest.raises(ValueError, match="closed form needs z"):
+            cdh_parameters(replace(der, u=-2.0 * der.z * der.p / der.rho))
 
     @pytest.mark.parametrize("label,expected_sign", [("c_rho_plus", 1.0), ("c_requested", -1.0)])
     def test_cdh_b_slot_closed_form(self, label, expected_sign):
@@ -470,6 +478,8 @@ class TestCoefficientSequence:
         assert der.theta is None and der.rho ** 2 != 1.0
         with pytest.raises(ValueError, match="rest-mass-energy"):
             coefficient_sequence(der, 5)
+        with pytest.raises(ValueError, match="rest-mass-energy"):
+            closed_form_sequence(der, 5)
 
     def test_rep_b_product_out_of_double_range_raises(self):
         # rho = -1.001: theta = -7.6, so g_n grows like e^{7.6 n} past 1e308 near n = 90

@@ -11,7 +11,7 @@ import pytest
 from conftest import CASE_IDS, add_forms, build_case
 import diracpl.forms as forms
 import diracpl.wave_operator as wave_operator
-from diracpl.basis import PhysicalParams, spinor_forms
+from diracpl.basis import PhysicalParams, select_representation, spinor_forms
 from diracpl.forms import integrate_product
 from diracpl.solution import (SpinorSample, assemble, default_r_grid,
                               diagonal_conditions_scan, diagonal_correspondence,
@@ -407,6 +407,8 @@ class TestDiagonalSpecialCase:
             diagonal_special_case(PhysicalParams(A=3.0, mu=-2.0, kappa=1))
         with pytest.raises(ValueError, match="beta\\*A"):
             diagonal_special_case(PhysicalParams(A=-2.0, mu=0.5, kappa=-1))
+        with pytest.raises(ValueError, match="constructed at eps = \\+1"):
+            diagonal_special_case(PhysicalParams(A=2.0, mu=0.5, kappa=-1, eps=-1))
 
     def test_conditions_scan_unique(self):
         kappas = [k for k in range(-4, 5) if k != 0]
@@ -484,8 +486,12 @@ class TestEnergyReflection:
             assert np.max(np.abs(lhs - rhs)) < 1e-8 * scale
 
     def test_requires_negative_eps(self):
+        # and assemble, its eps = +1 counterpart, refuses eps = -1
+        phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1)
         with pytest.raises(ValueError):
-            negative_energy_solution(PhysicalParams(A=3.0, mu=-2.0, kappa=1), N=4)
+            negative_energy_solution(phys, N=4)
+        with pytest.raises(ValueError, match="assemble works at eps = \\+1"):
+            assemble(replace(phys, eps=-1), select_representation(phys, omega=1.0), 4)
 
     def test_solve_dispatches_on_eps(self):
         phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1, eps=-1)

@@ -133,6 +133,8 @@ class TestAnalyticElements:
             build_operator(replace(der, omega=1e200), 4)  # omega^2 overflows the bands
         with pytest.raises(ValueError, match="underflows: largest element 0"):
             build_operator(replace(der, omega=1e-200), 4)  # omega^2 underflows the bands
+        with pytest.raises(ValueError, match="matrix indices must be non-negative"):
+            matrix_element_analytic(der, -1, 0)
 
 
 class TestNumericAgreement:

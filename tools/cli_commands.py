@@ -1,17 +1,20 @@
-"""The command-line reproducers: one table, read by two gates.
+"""The command-line reproducers: one table, read by two gates and by Tier-1.
 
     python3 tools/cli_commands.py check OUT_DIR
     python3 tools/cli_commands.py compare --base DIR --change DIR
 
-Each COMMANDS entry (name, argv, exit code) runs in a fresh process with
---out NAME appended, from a directory that holds aliases.cfg.  check runs the
-installed diracpl in OUT_DIR under PYTHONWARNINGS=error: each command must exit
-as declared, with one stderr line on exit 2, and each diracpl line of README.md's
-sh blocks, less its --out, must be an entry.  compare runs each command as
-``python -m diracpl.cli`` in two checkouts of this repository, with DIR/src on
-PYTHONPATH: exit code, stdout, stderr and every output file must agree byte for
-byte (report.json without config.out).  Both print one line per command and
-exit 1 on any failure.
+Each COMMANDS row is a name, an argv, the exit code it must give and, for a
+refusal, a fragment of its one stderr line.  A command keeps its row when its
+stderr is empty, or on exit 2 is one line holding the fragment, with no output
+directory made.  Each command runs with --out NAME appended, from a directory
+that holds aliases.cfg.  check runs the installed diracpl in a fresh process
+per row in OUT_DIR under PYTHONWARNINGS=error: each command must keep its row,
+and each diracpl line of README.md's sh blocks, less its --out, must be a row.
+compare runs each command as ``python -m diracpl.cli`` in two checkouts of this
+repository, with DIR/src on PYTHONPATH: exit code, stdout, stderr and every
+output file must agree byte for byte (report.json without config.out).  Both
+print one line per command and exit 1 on any failure.  tests/test_cli.py runs
+every row in-process through tools/contract_sweep.run, with no warning raised.
 """
 
 from __future__ import annotations
@@ -23,10 +26,19 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ALIASES = "A = 1\nmu = -1.5\nkappa = -3\nlambda = 1\nepsilon = 1\n"
 
-COMMANDS = (
+
+class Command(NamedTuple):
+    name: str
+    argv: str
+    exit: int
+    stderr: str = ""  # on exit 2, a fragment of the one stderr line
+
+
+COMMANDS = tuple(Command(*row) for row in (
     # The README commands, --help, and verify-config, whose file ALIASES uses alias keys.
     ("readme-solve", "solve --A 3 --mu -2 --kappa 1 --omega 1 --N 20", 0),
     ("readme-verify", "verify --A 3 --mu -2 --kappa 1 --omega 1", 0),
@@ -50,14 +62,18 @@ COMMANDS = (
     ("verify-n0", "verify --A 1 --mu -1.5 --kappa -3 --N 0", 0),
     ("verify-n1", "verify --A 1 --mu -1.5 --kappa -3 --N 1", 0),
     # A recursion angle where cosh^2(theta) ~ 1.5e4; rep-b coefficients that
-    # change by only e^-|theta|, |theta| <= 0.03, per step (rho = 553 and
-    # 0.0146); nu = 400, whose Gamma(n+1+nu) leaves double range while the
-    # running product R_n of the coefficient scaling does not; and a
+    # change by only e^-|theta|, |theta| <= 0.03, per step (rho = 553, 2.0e-3,
+    # 95 and 0.0146); nu = 400, whose Gamma(n+1+nu) leaves double range while
+    # the running product R_n of the coefficient scaling does not; and a
     # contract-sweep draw where kappa - beta (kappa/beta) is not 0 in doubles.
     ("verify-large-theta", "verify --A -1.7164122766073617 --mu -3.8641876132271795 "
                            "--kappa -5 --omega 0.9324215474167732", 0),
     ("verify-rho-553", "verify --A 14.202967632234262 --mu -0.0003961086828168446 "
                        "--kappa -6 --omega 0.05136804371362816", 0),
+    ("verify-rho-2e-3", "verify --A -0.3372028221213064 --mu 2.8386956774008363 "
+                        "--kappa 7 --omega 0.05923706474750621", 0),
+    ("verify-rho-95", "verify --A 4.497592454869093 --mu -0.7132539993309948 --kappa -7 "
+                      "--N 20 --omega 0.18394612601671675", 0),
     ("verify-rho-0.0146", "verify --A 0.682400674505875 --mu -1.8283871637591878 "
                           "--kappa -2 --N 80 --omega 3.447820115026237", 0),
     ("verify-nu-400", "verify --A=-0.02824516806695166 --mu=1.012511070587796 --kappa=-3 --N=5",
@@ -71,11 +87,14 @@ COMMANDS = (
     ("verify-kappa-1e6-n40", "verify --A 1 --mu -1.5 --kappa 1000000 --N 40", 0),
     ("verify-kappa-minus-1e6", "verify --A 1 --mu -1.5 --kappa -1000000 --N 10", 0),
     ("verify-mu-2-kappa-1e6-n40", "verify --A 1 --mu 2 --kappa 1000000 --N 40", 0),
-    # Long horizons: rep b's coefficient product at N = 160, the ceilings of
-    # the raw-polynomial forms the Laguerre-function kernel replaced (rep a at
-    # 113 and 176, |g| up to 1.1e84; rep b at 177; rep c at 176), and N = 400
-    # in every representation, where those forms stopped.
+    # Long horizons: rep a with growing f_n at N = 120, rep b's coefficient
+    # product at N = 160, the ceilings of the raw-polynomial forms the
+    # Laguerre-function kernel replaced (rep a at 113 and 176, |g| up to 1.1e84;
+    # rep b at 177; rep c at 160 and 176), and N = 400 in every representation,
+    # where those forms stopped.
+    ("solve-rep-a-120", "solve --A 2.1 --mu 1.7 --kappa -2 --N 120", 0),
     ("solve-rep-b-160", "solve --A 1 --mu -1.5 --kappa -3 --N 160", 0),
+    ("solve-rep-c-160", "solve --A 1 --mu 2 --kappa -1 --N 160", 0),
     ("solve-rep-a-113", "solve --A 3 --mu -2 --kappa 1 --omega 1 --N 113", 0),
     ("solve-rep-a-176", "solve --A 3 --mu -2 --kappa 1 --omega 1 --N 176", 0),
     ("verify-rep-a-150", "verify --A 3 --mu -2 --kappa 1 --omega 1 --N 150", 0),
@@ -85,36 +104,122 @@ COMMANDS = (
     ("solve-rep-b-400", "solve --A 1 --mu -1.5 --kappa -3 --N 400", 0),
     ("solve-rep-c-400", "solve --A 1 --mu 2 --kappa -1 --N 400", 0),
     ("verify-rep-a-400", "verify --A 3 --mu -2 --kappa 1 --omega 1 --N 400", 0),
-    # Refusals.  One past the rep-a ceiling f_640 leaves double range; one past
-    # the rep-c ceiling the order-723 rule does.
-    ("solve-rep-a-639", "solve --A 3 --mu -2 --kappa 1 --omega 1 --N 639", 2),
-    ("solve-rep-c-715", "solve --A 1 --mu 2 --kappa -1 --N 715", 2),
+    # r^2 leaves double range at the grid's extreme radii (A ~ -1.3e5, mu ~
+    # 1.05), where the special case's second-order check fails (ROADMAP item 4)
+    # but raises no warning.
+    ("special-case-extreme-radii", "special-case --A=-127770.28624524306 "
+                                   "--mu=1.0498607757958818 --kappa=3", 1),
+    # Refusals.  Parse errors print one line without the usage block.
+    ("parse-epsilon-choice", "solve --epsilon 2 --A 1 --mu 2 --kappa -1", 2,
+     "diracpl: error: argument --epsilon: invalid choice: "),
+    ("parse-unknown-mode", "bogus --A 1 --mu 2 --kappa -1", 2,
+     "diracpl: error: argument mode: invalid choice: 'bogus'"),
+    ("parse-non-integer-N", "solve --N 3.5 --A 1 --mu 2 --kappa -1", 2,
+     "diracpl: error: argument --N: invalid int value: '3.5'"),
+    ("parse-removed-quad-order", "solve --quad-order 60 --A 1 --mu 2 --kappa -1", 2,
+     "diracpl: error: unrecognized arguments: --quad-order 60"),
+    # Inputs outside the domain: a missing A, a non-finite or non-positive
+    # value, the excluded power mu = 1, and unit rho (rep a with omega = 1).
+    ("solve-missing-A", "solve --mu 2 --kappa 1", 2, "required"),
+    *((f"solve-{flag}-{value}", f"solve {args} --{flag}={value}", 2, "must be a finite number")
+      for flag, args in (("A", "--mu -2 --kappa 1"), ("mu", "--A 3 --kappa 1"),
+                         ("lambda", "--A 3 --mu -2 --kappa 1"),
+                         ("omega", "--A 3 --mu -2 --kappa 1"), ("alpha", "--A 1 --mu 2 --kappa -1"))
+      for value in ("nan", "inf", "-inf")),
+    *((f"solve-{name}", f"solve --A 3 --mu -2 --kappa 1 {flag}", 2,
+       f"configuration error: {message}")
+      for name, flag, message in (
+          ("omega-zero", "--omega 0", "omega must be positive"),
+          ("omega-negative", "--omega=-1", "omega must be positive"),
+          ("lambda-zero", "--lambda 0", "Compton length lam must be positive"),
+          ("N-negative", "--N -1", "truncation N must be non-negative"))),
+    ("solve-free-particle", "solve --A 1 --mu 1 --kappa 1", 2, "free-particle"),
+    ("solve-unit-rho", "solve --A 1.5 --mu -2 --kappa 1 --omega 1 --N 5", 2,
+     "configuration error: |rho| = 1 degenerates the three-term recursion in "
+     "representations a/b; use representation c (rep='c') or a different omega"),
+    # Near the excluded mu = 1, omega = |A/beta|^(1/beta) leaves double range;
+    # at mu = 0.99 it does not, but nu = 100..500 and omega up to 8e269 make
+    # the series norm's product integrands (kappa = -2, -1) or the lower
+    # component's scale lam omega tau beta sqrt(omega |beta|) (kappa = 2, and
+    # omega = 3.6e251 at beta = 0.0033) leave double range.
+    ("solve-mu-1-minus-1e-9", "solve --A 1 --mu 0.999999999 --kappa -2", 2,
+     "mu = 0.999999999"),
+    ("solve-mu-1-plus-1e-9", "solve --A 1 --mu 1.000000001 --kappa -2", 2,
+     "mu = 1.000000001"),
+    *((f"solve-mu-0.99-A{A}-kappa{kappa}", f"solve --A {A} --mu 0.99 --kappa {kappa} --N 10", 2,
+       "double range") for A, kappa in ((1, -2), (-5, 2), (1, -1))),
+    ("verify-lower-scale-overflow",
+     "verify --A=0.023143966390086784 --mu=0.99665865448885 --kappa=6 --N=20", 2,
+     "configuration error: lower-component scale leaves double range "
+     "(omega = 3.55e+251, beta = 0.003341)"),
+    # One past the rep-a ceiling f_640 leaves double range; one past the rep-c
+    # ceiling the order-723 rule does.
+    ("solve-rep-a-639", "solve --A 3 --mu -2 --kappa 1 --omega 1 --N 639", 2, "double range"),
+    ("solve-rep-c-715", "solve --A 1 --mu 2 --kappa -1 --N 715", 2, "double range"),
     # A rep-c alpha at its bound, and alphas whose nu^2 leaves double range.
-    ("solve-rep-c-alpha-bound", "solve --A 1 --mu 2 --kappa -1 --alpha=0.5", 2),
-    ("solve-rep-c-alpha-1e200", "solve --A 1 --mu 2 --kappa -1 --alpha 1e200", 2),
-    ("verify-rep-c-alpha-1e200", "verify --A 1 --mu 2 --kappa -1 --alpha 1e200", 2),
-    ("solve-rep-c-alpha-1e308", "solve --A 1 --mu 2 --kappa -1 --alpha 1e308", 2),
-    ("verify-rep-c-alpha-1e308", "verify --A 1 --mu 2 --kappa -1 --alpha 1e308", 2),
+    ("solve-rep-c-alpha-bound", "solve --A 1 --mu 2 --kappa -1 --alpha=0.5", 2,
+     "requires alpha > 0.5 for representation c"),
+    *((f"{mode}-rep-c-alpha-{alpha}", f"{mode} --A 1 --mu 2 --kappa -1 --alpha {alpha}", 2,
+       "configuration error: nu^2 leaves double range for representation c "
+       f"(alpha = {float(alpha)!r})")
+      for alpha in ("1.5e154", "1e200", "1e308") for mode in ("solve", "verify", "convergence")),
     # Near mu = 1 (beta = -0.008, nu = 250) the series norm underflows to 0.
-    ("solve-norm-underflow",
-     "solve --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20", 2),
-    ("verify-norm-underflow",
-     "verify --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20", 2),
-    ("convergence-norm-underflow",
-     "convergence --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20", 2),
-    # A user omega = 1e-300 (rep a, beta = 0.1): the radial grid leaves double range.
-    ("solve-grid-overflow", "solve --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20", 2),
-    ("verify-grid-overflow", "verify --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20", 2),
+    *((f"{mode}-norm-underflow",
+       f"{mode} --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20", 2,
+       "series norm^2 = 0.0") for mode in ("solve", "verify", "convergence")),
+    # A user omega = 1e-300 (rep a, beta = 0.1): the radial grid leaves double
+    # range; at mu = -2 omega^beta itself does.
+    ("solve-grid-overflow", "solve --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20", 2,
+     "radial grid leaves double range"),
+    ("verify-grid-overflow", "verify --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20", 2,
+     "radial grid leaves double range"),
+    ("verify-omega-power-overflow", "verify --A 3 --mu -2 --kappa 1 --omega 1e-300", 2,
+     "configuration error: omega^beta = 1e-300**3.0 is out of floating-point range "
+     "at omega = 1e-300"),
     # A user omega = 1e-75 (rep b) or 1e-60 (rep a): rho^2 leaves double range.
-    ("solve-rho-sq-rep-b", "solve --A 1 --mu -1.5 --kappa -3 --omega 1e-75 --N 20", 2),
-    ("solve-rho-sq-rep-a", "solve --A 3 --mu -2 --kappa 1 --omega 1e-60 --N 20", 2),
-    ("verify-rho-sq-rep-b", "verify --A 1 --mu -1.5 --kappa -3 --omega 1e-75 --N 20", 2),
-    ("verify-rho-sq-rep-a", "verify --A 3 --mu -2 --kappa 1 --omega 1e-60 --N 20", 2),
-    # At omega = 1e-200 (rep a, beta = 0.1) every operator element underflows.
-    ("verify-operator-underflow", "verify --A 1 --mu 0.9 --kappa 1 --omega 1e-200 --N 20", 2),
-    # At A = 1e10, mu = 0.999 the special case's tuned omega leaves double range.
-    ("special-case-omega-overflow", "special-case --A 1e10 --mu 0.999 --kappa -1", 2),
-)
+    *((f"{mode}-rho-sq-{rep}", f"{mode} {args} --omega {omega} --N 20", 2,
+       f"configuration error: rho^2 leaves double range (rho = {rho}, omega = {omega})")
+      for mode in ("solve", "verify")
+      for rep, args, omega, rho in (("rep-b", "--A 1 --mu -1.5 --kappa -3", "1e-75", "2.53e+187"),
+                                    ("rep-a", "--A 3 --mu -2 --kappa 1", "1e-60", "2e+180"))),
+    # At omega = 1e-200 (rep a, beta = 0.1) every operator element underflows;
+    # at A = 1e300 (rep c, omega = 5e-301) every residual term does.
+    ("verify-operator-underflow", "verify --A 1 --mu 0.9 --kappa 1 --omega 1e-200 --N 20", 2,
+     "configuration error: operator matrix underflows: largest element 0"),
+    ("solve-residual-scale-underflow", "solve --A 1e300 --mu 2 --kappa -1", 2, "residual scale"),
+    # The special case: outside rep b; a tuned omega that leaves double range
+    # (A = 1e10, mu = 0.999) or whose band factor lam^2 omega^2 beta tau does;
+    # a user omega or alpha, which the case fixes itself; and at mu = 1e6, 1e8
+    # an omega^beta recomputed from the rounded omega (ROADMAP item 13).
+    ("special-case-rep-a", "special-case --A 3 --mu -2 --kappa 1", 2,
+     "configuration error: diagonal case requires beta*kappa < 0 (representation b)"),
+    ("special-case-omega-overflow", "special-case --A 1e10 --mu 0.999 --kappa -1", 2,
+     "configuration error: omega = 19999999999999.98**999.9999999999991 is out of "
+     "floating-point range at A = 10000000000.0, mu = 0.999"),
+    ("special-case-omega-squared-overflow",
+     "special-case --A 5.077370409328162 --mu 0.9892762055436853 --kappa -1", 2,
+     "configuration error: lower-component scale leaves double range "
+     "(omega = 3.496e+277, beta = 0.01072)"),
+    ("special-case-omega-given", "special-case --A 2 --mu 0.5 --kappa -1 --omega 1", 2,
+     "configuration error: the diagonal case tunes omega itself; do not pass --omega"),
+    ("special-case-alpha-given", "special-case --A 2 --mu 0.5 --kappa -1 --alpha 5", 2,
+     "configuration error: the diagonal case is representation b, whose alpha is fixed "
+     "by kappa and beta; do not pass --alpha"),
+    ("special-case-mu-1e6", "special-case --A=-1 --mu 1e6 --kappa 1", 2,
+     "configuration error: diagonal reduction conditions failed: "
+     "sigma_-=-1.3422187801417347e-10, X_0=0.0"),
+    ("special-case-mu-1e8", "special-case --A=-1 --mu 1e8 --kappa 1", 2,
+     "configuration error: omega tuning failed to reach rho = +1 (rho = 1.0000000043826056)"),
+))
+
+
+def as_declared(command: Command, code: int, err: str, out: Path) -> bool:
+    """Whether a run exited as declared with stderr empty, or on exit 2 with
+    one line holding the row's fragment and no output directory `out`."""
+    if code != 2:
+        return code == command.exit and not err
+    return (command.exit == 2 and len(err.splitlines()) == 1 and command.stderr in err
+            and not out.exists())
 
 
 def run(launcher: list[str], env: dict, work: Path, name: str, argv: str) -> dict:
@@ -143,15 +248,16 @@ def readme_commands() -> list[list[str]]:
 def check(out_dir: Path) -> int:
     env = {**os.environ, "PYTHONWARNINGS": "error"}
     failed = 0
-    for name, argv, expected in COMMANDS:
-        result = run(["diracpl"], env, out_dir, name, argv)
+    for command in COMMANDS:
+        result = run(["diracpl"], env, out_dir, command.name, command.argv)
         code, err = result["exit code"], result["stderr"].decode()
-        ok = code == expected and (code != 2 or len(err.splitlines()) == 1)
+        ok = as_declared(command, code, err, out_dir / command.name)
         failed += not ok
-        print(f"{name}: exit {code}" + ("" if ok else f", expected {expected}:\n{err}"))
-    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands exit as declared")
+        print(f"{command.name}: exit {code}"
+              + ("" if ok else f", expected {command.exit} {command.stderr!r}:\n{err}"))
+    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands run as declared")
     readme = readme_commands()
-    missing = [words for words in readme if words not in [a.split() for _, a, _ in COMMANDS]]
+    missing = [words for words in readme if words not in [c.argv.split() for c in COMMANDS]]
     print(f"{len(readme) - len(missing)} of {len(readme)} README commands are entries"
           + "".join(f"\nnot an entry: diracpl {' '.join(words)}" for words in missing))
     return 1 if failed or missing or not readme else 0
@@ -160,7 +266,7 @@ def check(out_dir: Path) -> int:
 def compare(base: Path, change: Path) -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, _ in COMMANDS:
+        for name, argv, *_ in COMMANDS:
             results = [run([sys.executable, "-m", "diracpl.cli"],
                            {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"),
                             "PYTHONHASHSEED": "0"}, Path(tmp) / side, name, argv)
