@@ -23,12 +23,13 @@ import numpy as np
 
 from . import __version__
 from .basis import PhysicalParams, kinetic_balance_apply, mp_lambda, phi_minus, sector_sign
+from .forms import integrate_product
 from .orthopoly import hyp_mp_diagonal
 from .recursion import build_recursion, closed_form_sequence, coefficient_sequence, rescale
 from .solution import (DiracGrid, SeriesSolution, default_r_grid, diagonal_conditions_scan,
                        diagonal_correspondence, diagonal_special_case, dirac_grid,
-                       dirac_residual, evaluate_grid, second_order_grid, solve,
-                       swap_energy, weak_form_boundary_check)
+                       dirac_residual, evaluate_grid, lower_norm_sq, second_order_grid,
+                       solve, swap_energy, weak_form_boundary_check)
 from .wave_operator import basis_spinor, bilinear_form, build_operator
 
 CONVERGENCE_NS = (5, 10, 20, 40)
@@ -226,6 +227,19 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     else:
         add("weak-form-boundary", abs(boundary["projection"]) / boundary["scale"], 1e-9,
             "boundary term below quadrature noise; projection vanishes with it")
+
+    # The lower norm two ways: the boundary term the series is normalized with,
+    # and its quadrature on the eps = +1 lower form.  They are compared in the
+    # magnitude of the Gram terms that sum to it, |C f|^T |T| |C f| / 2 over
+    # n, m <= N, since a decaying series' boundary term sits below the
+    # quadrature's roundoff.
+    mass = np.abs(sol.norm_const * sol.coeffs)
+    lower = (sol if sol.eps == 1 else swap_energy(sol)).form_minus
+    quadrature = sol.series_scale ** 2 * integrate_product(lower, lower, der.measure)
+    identity = lower_norm_sq(der, sol.norm_const * sol.coeffs, sol.norm_const * sol.f_next)
+    gram = 0.5 * mass @ np.abs(op[:-1, :-1]) @ mass
+    add("lower-norm-identity", abs(quadrature - identity) / max(gram, 1e-300), 1e-8,
+        "the lower component's norm equals its boundary term -C f_N B_N C f_{N+1} / 2")
 
     if sol.eps == -1:
         partner = swap_energy(sol)  # the eps = +1 solution

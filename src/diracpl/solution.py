@@ -34,12 +34,14 @@ from .basis import (_EXCLUDED_MU, BasisParams, DerivedParams, PhysicalParams, Re
 from .forms import LaguerreForm, integrate_product, quadrature_order
 from .quadrature import MAX_ORDER
 from .recursion import _check_finite, coefficient_sequence, rescale
-from .wave_operator import basis_spinor, bilinear_form, build_operator, matrix_element_analytic
+from .wave_operator import (band_elements, basis_spinor, bilinear_form, build_operator,
+                            matrix_element_analytic)
 
 __all__ = [
     "SpinorSample",
     "SeriesSolution",
     "assemble",
+    "lower_norm_sq",
     "solve",
     "evaluate",
     "default_r_grid",
@@ -74,8 +76,9 @@ class SeriesSolution:
     """Normalized truncated series solution.
 
     coeffs holds f_0..f_N (pre-normalization, f_0 = 1); f_next = f_{N+1}
-    feeds the weak-form boundary identity; norm_const is C.  The series is held
-    once, in exact scale (`_normalized`): series_scale = C 2^k times form_plus
+    gives the lower norm (`lower_norm_sq`) and the weak-form boundary identity;
+    norm_const is C.  The series is held once, in exact scale
+    (`_normalized`): series_scale = C 2^k times form_plus
     or form_minus is the normalized component.  derived is the one record of
     the basis and its recursion constants; for eps = -1 it belongs to the
     reflected (+1) problem and the component forms are already swapped, so
@@ -145,13 +148,17 @@ def _normalized(phys: PhysicalParams, der: DerivedParams, coeffs: np.ndarray,
                 f_next: float) -> SeriesSolution:
     """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
 
-    The component forms are built once, from coeffs times 2^-k, k the frexp
+    The component forms are built once, from c = coeffs times 2^-k, k the frexp
     exponent of max |f_n|: growing coefficients would overflow the forms'
-    values and integrals, and a power of two rescales them exactly.  The norm
-    is integrated on them; a ValueError when it is not a positive finite number."""
+    values and integrals, and a power of two rescales them exactly.  The upper
+    norm is integrated on them and the lower one is the boundary term
+    `lower_norm_sq` of c and c_{N+1} = f_next 2^-k; a ValueError when their sum
+    is not a positive finite number."""
     k = math.frexp(float(np.max(np.abs(coeffs))))[1]
-    form_plus, form_minus = spinor_forms(der, coeffs * math.ldexp(1.0, -k))
-    norm_sq = sum(integrate_product(f, f, der.measure) for f in (form_plus, form_minus))
+    c = coeffs * math.ldexp(1.0, -k)
+    form_plus, form_minus = spinor_forms(der, c)
+    norm_sq = (integrate_product(form_plus, form_plus, der.measure)
+               + lower_norm_sq(der, c, math.ldexp(f_next, -k)))
     if not 0.0 < norm_sq < math.inf:
         raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
                          "cannot normalize")
@@ -159,6 +166,17 @@ def _normalized(phys: PhysicalParams, der: DerivedParams, coeffs: np.ndarray,
     return SeriesSolution(phys=phys, derived=der, coeffs=coeffs, f_next=f_next,
                           norm_const=math.ldexp(series_scale, -k), series_scale=series_scale,
                           form_plus=form_plus, form_minus=form_minus)
+
+
+def lower_norm_sq(der: DerivedParams, c: np.ndarray, c_next: float) -> float:
+    """<chi-|chi-> of the series sum_n c_n psi_n, n <= N, from its boundary term.
+
+    At the rest-mass-energy assignments <u|H-1|v> = 2 <u-|v-> (`bilinear_form`),
+    so <chi-|chi-> = c^T T c / 2 over n, m <= N.  c_0..c_{N+1} solve rows 0..N
+    of T c = 0, so every row of T c but the last vanishes and the last lacks
+    only B_N c_{N+1}: <chi-|chi-> = -c_N B_N c_{N+1} / 2, with no integral."""
+    b_n = float(band_elements(der, len(c), offdiag=True))
+    return -0.5 * float(c[-1]) * b_n * c_next
 
 
 def assemble(phys: PhysicalParams, basis: BasisParams, N: int) -> SeriesSolution:
@@ -170,7 +188,7 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int) -> SeriesSolution
         raise ValueError("assemble works at eps = +1; use negative_energy_solution")
     if N < 0:
         raise ValueError("truncation N must be non-negative")
-    if (order := quadrature_order(2 * N + 2)) > MAX_ORDER:  # <phi-|phi->
+    if (order := quadrature_order(2 * N)) > MAX_ORDER:  # <phi+|phi+>
         raise ValueError(f"N = {N} is too large: the series norm needs quadrature order "
                          f"{order}, above the largest, {MAX_ORDER}")
     der = derived_params(basis, phys)

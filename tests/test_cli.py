@@ -81,7 +81,7 @@ class TestExitCodes:
                                               ("verify", "1")])
     def test_norm_order_above_max_is_refused_before_the_recursion(
             self, tmp_path, capsys, monkeypatch, mode, epsilon):
-        # N = 20000 needs an order-20009 rule for the norm integral, above
+        # N = 20000 needs an order-20008 rule for the norm integral, above
         # quadrature.MAX_ORDER: one line naming N, and no coefficient recursion
         import diracpl.solution
 
@@ -94,24 +94,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert "N = 20000" in err and "20009" in err
+        assert "N = 20000" in err and "20008" in err
 
-    def test_lower_component_norm_order_is_checked_before_the_recursion(
+    def test_upper_component_norm_order_is_checked_before_the_recursion(
             self, tmp_path, capsys, monkeypatch):
-        # <phi-|phi-> has degree 2N + 2: at N = 992 it needs order 1001, so the
-        # run is refused before the recursion, not after it
+        # <phi+|phi+>, the one norm integral, has degree 2N: at N = 993 it needs
+        # order 1001, so the run is refused before the recursion, not after it
         import diracpl.solution
 
         def no_recursion(*args, **kwargs):
             raise AssertionError("the coefficient recursion ran")
 
         monkeypatch.setattr(diracpl.solution, "coefficient_sequence", no_recursion)
-        code = run_cli(["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "992"],
+        code = run_cli(["solve", "--A", "1", "--mu", "-1.5", "--kappa", "-3", "--N", "993"],
                        tmp_path)
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert "N = 992" in err and "order 1001" in err
+        assert "N = 993" in err and "order 1001" in err
 
     @pytest.mark.parametrize("mu,kappa", [("-1.5", "-3"), ("1e-9", "-2"),
                                           ("-0.999999999", "-2")])
@@ -271,7 +271,8 @@ class TestSolveOutputs:
 
 VERIFY_CHECKS = ["kinetic-balance", "operator-tridiagonality", "operator-band-agreement",
                  "coefficient-dual-path", "recursion-residual", "scaling-equivalence",
-                 "hyperbolic-identity", "weak-form-interior", "weak-form-boundary"]
+                 "hyperbolic-identity", "weak-form-interior", "weak-form-boundary",
+                 "lower-norm-identity"]
 SOLUTION_KEYS = {"basis", "derived", "normalization_constant"}
 
 
@@ -507,7 +508,8 @@ def _verdicts(tmp_path, args):
 
 
 def _negate_boundary_term(monkeypatch):
-    # B_N f_{N+1} with the wrong sign, in the weak-form boundary identity only
+    # B_N f_{N+1} with the wrong sign, in the weak-form boundary identity only:
+    # the normalization and lower-norm-identity read B_N through `lower_norm_sq`
     import diracpl.solution as solution
     original = solution.matrix_element_analytic
     monkeypatch.setattr(solution, "matrix_element_analytic",
@@ -611,7 +613,10 @@ class TestBatchedChecksBite:
         # relation compares the coefficients with the fact that made them; the
         # weak-form rows, read at every n < N by quadrature, see it (5e-7, 7e-7
         # at row 34).  Rep b's coefficients come from its product, and rep c's
-        # band does not read the shared diagonal.
+        # band does not read the shared diagonal.  lower-norm-identity misses it
+        # everywhere: it reads 1.5e-9 (a) and 3.2e-9 (eps-minus), below its 1e-8,
+        # as the perturbed rows weigh f_33, f_34 against the whole Gram, and
+        # 2.7e-33 (b) and 3.2e-17 (c), where the relation f solves is intact.
         import diracpl.basis as basis_module
         original = basis_module.ab_diagonal
 
@@ -621,6 +626,28 @@ class TestBatchedChecksBite:
 
         monkeypatch.setattr(basis_module, "ab_diagonal", perturbed)
         code, passed = _verdicts(tmp_path, [*args, "--N", "40"])
+        assert code == (1 if failed else 0)
+        assert [name for name, ok in passed.items() if not ok] == failed
+
+    @pytest.mark.parametrize("args,failed", [
+        (VERIFY_CONFIGS[0], ["lower-norm-identity"]),
+        (VERIFY_CONFIGS[1], []),
+        (VERIFY_CONFIGS[2], ["lower-norm-identity"]),
+        (VERIFY_CONFIGS[3], ["lower-norm-identity"]),
+    ], ids=["a", "b", "c", "eps-minus"])
+    def test_perturbed_normalization_band_fails_lower_norm_identity(
+            self, tmp_path, capsys, monkeypatch, args, failed):
+        # B_N scaled by 1 + 1e-3 where the normalization reads it
+        # (`lower_norm_sq`): the series is scaled by a wrong lower norm, which
+        # only that norm's quadrature sees (6.7e-4, 1.8e-5 and 6.4e-4 on a, c
+        # and eps-minus).  Representation b's boundary term is 1e-35 of its
+        # norm at N = 40, so there the fault changes nothing.
+        import diracpl.solution as solution
+        original = solution.band_elements
+        monkeypatch.setattr(solution, "band_elements",
+                            lambda derived, k, offdiag=False:
+                            original(derived, k, offdiag) * (1.0 + 1e-3))
+        code, passed = _verdicts(tmp_path, args)
         assert code == (1 if failed else 0)
         assert [name for name, ok in passed.items() if not ok] == failed
 
@@ -649,7 +676,7 @@ LARGE_NU = [
 def test_large_nu_verifies(tmp_path, capsys, args):
     code, passed = _verdicts(tmp_path, args)
     assert code == 0, [name for name, ok in passed.items() if not ok]
-    assert len(passed) == 9
+    assert len(passed) == 10
 
 
 class TestQuadratureOrder:

@@ -13,6 +13,8 @@ import diracpl.forms as forms
 import diracpl.wave_operator as wave_operator
 from diracpl.basis import PhysicalParams, select_representation, spinor_forms
 from diracpl.forms import integrate_product
+from diracpl.orthopoly import laguerre_functions
+from diracpl.quadrature import gauss_laguerre
 from diracpl.solution import (SpinorSample, assemble, default_r_grid,
                               diagonal_conditions_scan, diagonal_correspondence,
                               diagonal_special_case, dirac_grid, dirac_residual, evaluate,
@@ -78,6 +80,17 @@ class TestAssembly:
         evaluate_grid(sol, default_r_grid(sol.basis))
         assert calls == ["spinor_forms"]
 
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_cold_solve_builds_one_rule(self, label, monkeypatch):
+        # the norm integrates only the upper form; the lower norm is the
+        # boundary term, so no second rule is built for it
+        built, orders = forms.gauss_laguerre, []
+        monkeypatch.setattr(forms, "gauss_laguerre",
+                            lambda order, nu: orders.append(order) or built(order, nu))
+        forms._cached_rule.cache_clear()
+        _solve_case(label)
+        assert orders == [forms.quadrature_order(2 * 10)]
+
     def test_solution_stores_one_record(self):
         phys, sol = _solve_case("b_pos_beta")
         minus = negative_energy_solution(replace(phys, eps=-1), 5)
@@ -85,12 +98,43 @@ class TestAssembly:
             assert s.basis is s.derived
 
     def test_underflowing_normalization_is_refused(self):
-        # representation c near mu = 1 (beta = -0.008, nu = 250): the norm's
-        # weight x^rest, rest = 2/beta = -250, leaves double range at the nodes,
-        # so the norm comes out 0.0 and the series would be garbage
-        phys = PhysicalParams(A=0.05903017090438638, mu=1.0080326275811557, kappa=-1)
-        with pytest.raises(ValueError, match="series norm"):
+        # representation c nearer mu = 1 (beta = -0.006, nu = 333): the upper
+        # norm's weight x^rest, rest = 2/beta, leaves double range at the nodes
+        # and the boundary term underflows too, so the norm comes out 0.0 and
+        # the series would be garbage
+        phys = PhysicalParams(A=0.05903017090438638, mu=1.006, kappa=-1)
+        with pytest.raises(ValueError, match="series norm\\^2 = 0.0"):
             solve(phys, 20)
+
+    @pytest.mark.parametrize("phys,N,omega,bound", [
+        (PhysicalParams(A=0.05903017090438638, mu=1.0080326275811557, kappa=-1), 20, None,
+         1e-160),
+        (PhysicalParams(A=-0.02824516806695166, mu=1.012511070587796, kappa=-3), 5, None,
+         1e-300),
+        (PhysicalParams(A=-2.699971794706568, mu=1.0156696416427031, kappa=7), 5,
+         16.443493406253143, 1e-300),
+    ], ids=["nu-250", "nu-400", "nu-957"])
+    def test_dropped_upper_norm_is_negligible(self, phys, N, omega, bound):
+        # where the upper norm's quadrature underflows to 0.0, the same sum
+        # taken in log space, log w + rest log x + 2 log|F| (F the upper form
+        # without its power), is a vanishing share of the norm the series is
+        # normalized by (measured: e^-394 = 1e-171, e^-776 = 1e-337 and
+        # e^-876 = 1e-381 of it), far below half an ulp, so dropping it
+        # changes no bit of the normalization
+        sol = solve(phys, N, omega=omega)
+        plus = sol if sol.eps == 1 else swap_energy(sol)
+        upper, m = plus.form_plus, sol.basis.measure
+        assert integrate_product(upper, upper, m) == 0.0
+        rest = 2.0 * upper.power - 1.0 + 1.0 / m.beta
+        rule = gauss_laguerre(forms.quadrature_order(2 * upper.poly_degree), rest + upper.nu)
+        table = laguerre_functions(upper.coef.shape[-1] - 1, upper.nu, rule.nodes)
+        values = upper._stripped_on(table, rule.nodes)
+        with np.errstate(divide="ignore"):
+            terms = np.log(rule.weights) + rest * np.log(rule.nodes) + 2.0 * np.log(np.abs(values))
+        top = np.max(terms)
+        log_upper = math.log(m.jacobian_prefactor) + top + math.log(np.sum(np.exp(terms - top)))
+        log_total = -2.0 * math.log(sol.series_scale)  # series_scale^2 norm^2 = 1
+        assert log_upper - log_total < math.log(bound)
 
     def test_normalization_invariance(self):
         # scaling the raw coefficient sequence by any positive constant leaves

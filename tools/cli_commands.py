@@ -152,8 +152,14 @@ COMMANDS = tuple(Command(*row) for row in (
      "verify --A=0.023143966390086784 --mu=0.99665865448885 --kappa=6 --N=20", 2,
      "configuration error: lower-component scale leaves double range "
      "(omega = 3.55e+251, beta = 0.003341)"),
-    # One past the rep-a ceiling f_640 leaves double range; one past the rep-c
-    # ceiling the order-723 rule does.
+    # The rep-b ceiling: the upper norm <phi+|phi+> (degree 2N) takes the
+    # largest rule, order 1000, at N = 992, and one past it is refused before
+    # the recursion.  One past the rep-a ceiling f_640 leaves double range; one
+    # past the rep-c ceiling the order-723 rule does.
+    ("solve-rep-b-992", "solve --A 1 --mu -1.5 --kappa -3 --N 992", 0),
+    ("solve-rep-b-993", "solve --A 1 --mu -1.5 --kappa -3 --N 993", 2,
+     "configuration error: N = 993 is too large: the series norm needs quadrature order 1001, "
+     "above the largest, 1000"),
     ("solve-rep-a-639", "solve --A 3 --mu -2 --kappa 1 --omega 1 --N 639", 2, "double range"),
     ("solve-rep-c-715", "solve --A 1 --mu 2 --kappa -1 --N 715", 2, "double range"),
     # A rep-c alpha at its bound, and alphas whose nu^2 leaves double range.
@@ -163,10 +169,17 @@ COMMANDS = tuple(Command(*row) for row in (
        "configuration error: nu^2 leaves double range for representation c "
        f"(alpha = {float(alpha)!r})")
       for alpha in ("1.5e154", "1e200", "1e308") for mode in ("solve", "verify", "convergence")),
-    # Near mu = 1 (beta = -0.008, nu = 250) the series norm underflows to 0.
+    # Near mu = 1 (beta = -0.008, nu = 250) the upper norm's quadrature
+    # underflows to 0, but the lower norm, the boundary term 1.2e-292, does not,
+    # so the series normalizes; then the radial grid (omega = 4.9e-146) leaves
+    # double range.
     *((f"{mode}-norm-underflow",
        f"{mode} --A 0.05903017090438638 --mu 1.0080326275811557 --kappa -1 --N 20", 2,
-       "series norm^2 = 0.0") for mode in ("solve", "verify", "convergence")),
+       "radial grid leaves double range") for mode in ("solve", "verify", "convergence")),
+    # Nearer mu = 1 (beta = -0.006, nu = 333) the boundary term underflows too,
+    # so the series norm is 0.
+    ("solve-norm-underflow-nu-333",
+     "solve --A 0.05903017090438638 --mu 1.006 --kappa -1 --N 20", 2, "series norm^2 = 0.0"),
     # A user omega = 1e-300 (rep a, beta = 0.1): the radial grid leaves double
     # range; at mu = -2 omega^beta itself does.
     ("solve-grid-overflow", "solve --A 1 --mu 0.9 --kappa 1 --omega 1e-300 --N 20", 2,
