@@ -26,8 +26,11 @@ nu >= 1/|beta|).
 
 Matching the first-order operator to the Dirac equation at rest-mass energy
 fixes tau = 1/4, gamma = kappa/beta and rho = 2A/(beta omega^beta).  A basis
-under one physics has the recursion-level constants of `DerivedParams`
-(`derived_params`), which the `Family` rules read.
+carries its own physics: it is read under A = beta rho omega^beta / 2 and,
+in rep c, kappa = beta gamma, so the operator's cross weights A/omega^beta -
+beta rho/2 and rho beta (kappa/beta - gamma) are 0 by construction and no code
+forms them (tau stays general).  `derived_params` gives its recursion-level
+constants, `DerivedParams`, which the `Family` rules read.
 """
 
 from __future__ import annotations
@@ -135,21 +138,17 @@ class BasisParams:
         return RadialMeasure(beta=self.beta, omega=self.omega)
 
 
-_KB_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class DerivedParams(BasisParams):
     """One basis with the recursion-level constants it has under one physics.
 
     theta and y are the hyperbolic angle and shift entering the a/b-family
-    recursions; they are only defined under the rest-mass-energy assignments
-    (q = 0) away from the |rho| = 1 boundary, and are None otherwise.
+    recursions; they are defined away from the |rho| = 1 boundary and are
+    None on it.
     """
 
     kappa: int
     p: float
-    q: float
     sigma_plus: float
     sigma_minus: float
     zeta: float
@@ -157,44 +156,36 @@ class DerivedParams(BasisParams):
     y: float | None
     z: float
     d: float
-    u: float
 
 
 def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
-    """The basis (or a DerivedParams' basis) with p, q, sigma_+-, zeta, theta, y, z, d, u."""
+    """The basis (or a DerivedParams' basis) with p, sigma_+-, zeta, theta, y,
+    z and d, read under the physics the basis was built for (module
+    docstring); of phys only kappa enters."""
     beta, omega, tau, gamma, rho = basis.beta, basis.omega, basis.tau, basis.gamma, basis.rho
     if tau == 0.5:
-        raise ValueError("tau = 1/2 makes p vanish; the recursion reduction needs p != 0")
+        raise ValueError("tau = 1/2 makes p and every band element vanish")
     p = beta * (1.0 - 2.0 * tau)
-    q = phys.A / omega ** beta - beta * rho / 2.0
-    q_zero = abs(q) <= _KB_TOL * (abs(rho * beta) / 2.0 + 1.0)
-    if q_zero:
-        # The rest-mass-energy assignments make q vanish identically; its
-        # roundoff would otherwise swamp the terms of order rho - 1 near |rho| = 1.
-        q = 0.0
-    c = q / p
     # rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1
-    sigma_plus = rho * rho + 1.0 + 2.0 * rho * c
-    sigma_minus = (rho - 1.0) * (rho + 1.0) + 2.0 * rho * c
+    sigma_plus = rho * rho + 1.0
+    sigma_minus = (rho - 1.0) * (rho + 1.0)
     if not (math.isfinite(sigma_plus) and math.isfinite(sigma_minus)):
         raise ValueError(f"rho^2 leaves double range (rho = {rho:.3g}, omega = {omega:.3g})")
     nut = (2.0 * phys.kappa + 1.0) / beta
-    zeta = (nut - 1.0) * (rho + c)
+    zeta = (nut - 1.0) * rho
 
-    # The hyperbolic reduction of the a/b recursions exists whenever q = 0
-    # away from the |rho| = 1 boundary.
+    # The hyperbolic reduction of the a/b recursions exists away from |rho| = 1.
     theta = y = None
-    if q_zero and sigma_minus != 0.0:
+    if sigma_minus != 0.0:
         theta = math.asinh(2.0 * rho / sigma_minus)
         y = (phys.kappa + 0.5) / beta - 0.5
 
     z = gamma + 1.0 / (2.0 * beta)
-    u = rho * beta * (phys.kappa / beta - gamma)  # exactly 0 at gamma = kappa/beta
-    d = basis.alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta) + u / (2.0 * p)
+    d = basis.alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
 
     return DerivedParams(**{f.name: getattr(basis, f.name) for f in fields(BasisParams)},
-                         kappa=phys.kappa, p=p, q=q, sigma_plus=sigma_plus,
-                         sigma_minus=sigma_minus, zeta=zeta, theta=theta, y=y, z=z, d=d, u=u)
+                         kappa=phys.kappa, p=p, sigma_plus=sigma_plus,
+                         sigma_minus=sigma_minus, zeta=zeta, theta=theta, y=y, z=z, d=d)
 
 
 def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
@@ -268,10 +259,9 @@ def ab_diagonal(derived: DerivedParams, k):
     that vanishes as rho -> 1 (X_0 of representation b, where nu + nut = 0) is a
     product, not a difference of rounded O(1) terms."""
     k = np.asarray(k)
-    rho, nu, c = derived.rho, derived.nu, derived.q / derived.p
+    rho, nu = derived.rho, derived.nu
     nut = (2.0 * derived.kappa + 1.0) / derived.beta
-    return ((2.0 * k + 1.0 + nu) * (rho - 1.0) ** 2 + 2.0 * rho * (2.0 * k + nu + nut)
-            + 2.0 * c * ((2.0 * k + 1.0 + nu) * rho + nut - 1.0))
+    return (2.0 * k + 1.0 + nu) * (rho - 1.0) ** 2 + 2.0 * rho * (2.0 * k + nu + nut)
 
 
 def _mp_band(derived: DerivedParams, k, offdiag: bool, common: float):
@@ -282,15 +272,15 @@ def _mp_band(derived: DerivedParams, k, offdiag: bool, common: float):
 
 
 def _cdh_band(derived: DerivedParams, k, offdiag: bool, common: float):
-    """The band of the free-alpha basis, with the cross weight u kept."""
+    """The band of the free-alpha basis."""
     alpha, beta, gamma, nu = derived.alpha, derived.beta, derived.gamma, derived.nu
-    p, rho, u = derived.p, derived.rho, derived.u
+    p, rho = derived.p, derived.rho
     if not offdiag:
         s = k + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
         t = k + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
-        return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
+        return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0))
     s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
-    return -4.0 * common * (p * s + u / 2.0) * np.sqrt(k * (k + nu))
+    return -4.0 * common * (p * s) * np.sqrt(k * (k + nu))
 
 
 def _mp_relation(derived: DerivedParams):
@@ -307,8 +297,8 @@ def _mp_relation(derived: DerivedParams):
 
 def _cdh_relation(derived: DerivedParams):
     """The modified continuous dual Hahn relation of order (nu+1)/2."""
-    z, rho, u, p, d, nu = derived.z, derived.rho, derived.u, derived.p, derived.d, derived.nu
-    bracket_const = z * (z + rho * u / p) - ((nu + 1.0) / 2.0) ** 2
+    z, d, nu = derived.z, derived.d, derived.nu
+    bracket_const = z * z - ((nu + 1.0) / 2.0) ** 2
     return (lambda n: (n + nu + 1.0) * (n + d + 1.0) + n * (n + d) + bracket_const,
             lambda n: -n * (n + d),
             lambda n: -(n + nu + 1.0) * (n + d + 1.0))
@@ -322,23 +312,17 @@ def mp_lambda(derived: DerivedParams) -> float:
 def cdh_parameters(derived: DerivedParams) -> tuple[float, float, float, float]:
     """(lam, y, a, b) of the modified continuous dual Hahn closed form.
 
-    lam = a = (nu+1)/2, b = d + (1-nu)/2, y^2 = z (z + rho u / p).
+    lam = a = (nu+1)/2, b = d + (1-nu)/2, y^2 = z^2.
     """
     lam = (derived.nu + 1.0) / 2.0
-    ysq = derived.z * (derived.z + derived.rho * derived.u / derived.p)
-    if ysq < 0.0:
-        raise ValueError("closed form needs z(z + rho u/p) >= 0; outside the rest-mass-energy "
-                         "assignments the argument may leave the real family")
-    return lam, math.sqrt(ysq), lam, derived.d + (1.0 - derived.nu) / 2.0
+    return lam, abs(derived.z), lam, derived.d + (1.0 - derived.nu) / 2.0
 
 
 def _mp_product(derived: DerivedParams, N: int) -> np.ndarray:
     """Where lam + y = 0 the hyperbolic Meixner-Pollaczek 2F1(-n, lam + y;
     2 lam; .) is a single term, so s_n = (2 lam)_n / n! (s e^{-s theta})^n,
-    s = `sector_sign`, is one running product (unchecked for range)."""
-    if derived.theta is None:
-        raise ValueError("representation b's coefficient product exists under the "
-                         "rest-mass-energy assignments only")
+    s = `sector_sign`, is one running product (unchecked for range); |rho| = 1
+    is refused before it, by `recursion.build_recursion`."""
     s = sector_sign(derived)
     k = np.arange(1.0, N + 1.0)
     steps = (2.0 * mp_lambda(derived) + k - 1.0) / k * (s * math.exp(-(s * derived.theta)))
@@ -349,9 +333,9 @@ def _mp_product(derived: DerivedParams, N: int) -> np.ndarray:
 def _mp_closed_form(derived: DerivedParams, N: int) -> np.ndarray:
     """s_n = s^n P_n(s y, theta), s = `sector_sign`, with P_n the hyperbolic
     Meixner-Pollaczek polynomial of order (nu+1)/2 and y = (kappa+1/2)/beta - 1/2."""
-    if derived.theta is None or derived.y is None:
-        raise ValueError("closed forms for representations a/b exist under the "
-                         "rest-mass-energy assignments with |rho| != 1")
+    if derived.theta is None:
+        raise ValueError("closed forms for representations a/b need |rho| != 1, "
+                         "where theta is defined")
     sign = sector_sign(derived)
     return sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived),
                                                         sign * derived.y, derived.theta)

@@ -272,9 +272,10 @@ def _solution_dict(sol: SeriesSolution) -> dict:
         "basis": {"representation": b.rep.value, "beta": b.beta, "omega": b.omega,
                   "alpha": b.alpha, "nu": b.nu, "gamma": b.gamma, "rho": b.rho,
                   "tau": b.tau, "lam": b.lam},
-        "derived": {"p": d.p, "q": d.q, "sigma_plus": d.sigma_plus,
+        # q and u, the operator's cross weights, are 0 for every basis (`basis`)
+        "derived": {"p": d.p, "q": 0.0, "sigma_plus": d.sigma_plus,
                     "sigma_minus": d.sigma_minus, "zeta": d.zeta, "theta": d.theta,
-                    "y": d.y, "z": d.z, "d": d.d, "u": d.u},
+                    "y": d.y, "z": d.z, "d": d.d, "u": 0.0},
         "normalization_constant": sol.norm_const,
     }
 

@@ -98,8 +98,7 @@ def coefficient_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     Where the representation's `Family.product` exists (lam + y = 0) the
     pinned sequence is that single running product; everywhere else it is
     dominant and forward recurrence follows it.  Raises ValueError at |rho| = 1
-    in a/b, for representation b off the rest-mass-energy assignments, and if
-    the sequence leaves double range."""
+    in a/b and if the sequence leaves double range."""
     rec = build_recursion(derived.rep, derived, derived.nu)  # refuses |rho| = 1 in a/b
     if N < 0:
         raise ValueError("N must be non-negative")

@@ -308,8 +308,8 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     """(<psi_n|(H-eps)|chi_N>, cancellation scale), by quadrature.
 
     The projection is one bilinear form of psi_n against the assembled series
-    chi_N = C (form_plus, form_minus): the integrals of one matrix element
-    (one at the rest-mass-energy assignments), whatever N.
+    chi_N = C (form_plus, form_minus): the one integral of a matrix element,
+    whatever N.
     An index array n gives its projections from one batched bilinear form.
     The tridiagonal structure telescopes it: interior projections vanish up
     to quadrature error and the n = N projection equals -B_N f_{N+1}.

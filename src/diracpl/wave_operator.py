@@ -4,23 +4,21 @@ In the spinor basis psi_n = (phi_n^+, phi_n^-) the operator H - 1 is
 symmetric tridiagonal.  Elements are produced two independent ways:
 
 * analytic closed forms per representation (`basis.Family.band`), written
-  with the constants of `basis.DerivedParams`
-
-      p = beta (1 - 2 tau),   q = A / omega^beta - beta rho / 2,
-
-  which reduce to p = beta/2, q = 0 under the rest-mass-energy parameter
-  assignments (tau = 1/4, gamma = kappa/beta, rho = 2A/(beta omega^beta));
+  with the constants of `basis.DerivedParams`, among them p = beta (1 - 2 tau),
+  which is beta/2 at the rest-mass-energy value tau = 1/4;
 
 * direct quadrature of the bilinear form
 
       <u|H-eps|v> = (1-eps) <u^+|v^+> - (1+eps-1/tau) <u^-|v^->
-          + lam omega { <u^+| x^{-1/beta} [kappa - beta gamma + q x] |v^-> + (u<->v) }
 
   for any two spinors u = (u^+, u^-), v = (v^+, v^-) written as Laguerre
-  forms (`bilinear_form`).  A matrix element takes u = psi_n, v = psi_m; a
-  weak-form projection takes v = chi_N, the assembled series, so it costs
-  the same handful of integrals whatever the truncation.  Batched spinors
-  give the whole matrix from the same handful of Gram integrals.
+  forms (`bilinear_form`).  The operator's cross terms, weighted by
+  kappa - beta gamma and A/omega^beta - beta rho/2, are absent: each basis
+  is read under the physics it was built for (`basis`), where both are 0.
+  A matrix element takes u = psi_n, v = psi_m; a weak-form projection takes
+  v = chi_N, the assembled series, so it costs the same one integral
+  whatever the truncation.  Batched spinors give the whole matrix from one
+  Gram integral.
 
 Each path is the oracle for the other.  This module works at eps = +1 only;
 eps = -1 is reached through the energy-reflection mapping in `solution`.
@@ -71,24 +69,13 @@ def basis_spinor(basis: BasisParams, n) -> Spinor:
 def bilinear_form(derived: DerivedParams, left: Spinor, right: Spinor):
     """<left|H-1|right> by quadrature of the literal operator expansion.
 
-    Linear in each argument, so a projection on a series costs the same
-    integrals as a single matrix element: one at the rest-mass-energy
-    assignments, where the cross weights kappa - beta gamma and q are exactly
-    0, and up to five off them.  Batched spinors give the array of every
-    pair, of shape left batch + right batch."""
-    beta, measure = derived.beta, derived.measure
-    (up_l, low_l), (up_r, low_r) = left, right
-
-    # at eps = +1 the upper-upper term (1 - eps) <u+|v+> vanishes
-    total = -(2.0 - 1.0 / derived.tau) * integrate_product(low_l, low_r, measure)
-
-    c0 = beta * (derived.kappa / beta - derived.gamma)  # exactly 0 at gamma = kappa/beta
-    cross = 0.0
-    for weight, extra in ((c0, -1.0 / beta), (derived.q, 1.0 - 1.0 / beta)):
-        if weight != 0.0:
-            cross += weight * (integrate_product(up_l, low_r, measure, extra_power=extra)
-                               + integrate_product(low_l, up_r, measure, extra_power=extra))
-    return total + derived.lam * derived.omega * cross
+    Linear in each argument, so a projection on a series costs the same one
+    integral as a single matrix element: at eps = +1 the upper-upper term
+    (1 - eps) <u+|v+> vanishes, and so do the cross terms (module docstring).
+    Batched spinors give the array of every pair, of shape left batch + right
+    batch."""
+    low_l, low_r = left[1], right[1]
+    return -(2.0 - 1.0 / derived.tau) * integrate_product(low_l, low_r, derived.measure)
 
 
 def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: int) -> float:

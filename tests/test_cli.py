@@ -53,6 +53,16 @@ def test_command(tmp_path, monkeypatch, command):
     assert cli_commands.as_declared(command, code, err, tmp_path / command.name), (code, err)
 
 
+def test_compare_names_the_differing_report_leaf():
+    # two report bodies that differ only in the sign of one zero
+    base = json.dumps({"derived": {"p": 0.5, "u": -0.0}, "checks": [{"passed": True}]})
+    change = base.replace("-0.0", "0.0")
+    assert cli_commands.differences("file report.json", base.encode(), change.encode()) \
+        == ["derived.u: -0.0 -> 0.0"]
+    assert cli_commands.differences("file samples.csv", b"r,f\n1,2\n3,4\n", b"r,f\n1,2\n3,5\n") \
+        == ["1 lines differ"]
+
+
 class TestExitCodes:
     def test_verify_passes(self, tmp_path, capsys):
         code = run_cli(["verify", "--A", "3", "--mu", "-2", "--kappa", "1",

@@ -114,6 +114,8 @@ class TestBuildRecursion:
             assert der.sigma_minus == 0.0 and der.theta is None
             with pytest.raises(ValueError, match=r"\|rho\| = 1"):
                 coefficient_sequence(der, 5)
+            with pytest.raises(ValueError, match=r"\|rho\| != 1"):
+                closed_form_sequence(der, 5)
 
     def test_index_arrays_match_single_indices(self):
         # a, b, c and residual take one index (as callers with ints do) or an
@@ -273,9 +275,6 @@ class TestClosedForm:
             assert n + lam + a == pytest.approx(n + basis.nu + 1.0, rel=1e-12)
             assert n + lam + b == pytest.approx(n + der.d + 1.0, rel=1e-12)
             assert n + a + b - 1.0 == pytest.approx(n + der.d, rel=1e-12)
-        # off the rest-mass-energy assignments y^2 = z (z + rho u/p) may be negative
-        with pytest.raises(ValueError, match="closed form needs z"):
-            cdh_parameters(replace(der, u=-2.0 * der.z * der.p / der.rho))
 
     @pytest.mark.parametrize("label,expected_sign", [("c_rho_plus", 1.0), ("c_requested", -1.0)])
     def test_cdh_b_slot_closed_form(self, label, expected_sign):
@@ -470,16 +469,14 @@ class TestCoefficientSequence:
             f = seq * rescale(der, N)
             assert np.all(_relative_residual(_raw_relation(der, N), f, np.arange(N)) <= 1e-12)
 
-    def test_off_rest_mass_assignments_raise(self):
-        # theta exists only where q = A/omega^beta - beta rho/2 vanishes; an
-        # omega not tied to rho leaves the product undefined
+    def test_detuned_omega_product_matches_closed_form(self):
+        # a basis carries its own physics, so an omega not tied to rho by the
+        # inputs' A still has theta, and its product is the closed form's
         phys, basis, _ = _case_with_derived("b_pos_beta")
         der = derived_params(replace(basis, omega=1.1 * basis.omega), phys)
-        assert der.theta is None and der.rho ** 2 != 1.0
-        with pytest.raises(ValueError, match="rest-mass-energy"):
-            coefficient_sequence(der, 5)
-        with pytest.raises(ValueError, match="rest-mass-energy"):
-            closed_form_sequence(der, 5)
+        assert der.theta is not None and der.rho ** 2 != 1.0
+        np.testing.assert_allclose(coefficient_sequence(der, 40), closed_form_sequence(der, 40),
+                                   rtol=1e-12, atol=0.0)
 
     def test_rep_b_product_out_of_double_range_raises(self):
         # rho = -1.001: theta = -7.6, so g_n grows like e^{7.6 n} past 1e308 near n = 90

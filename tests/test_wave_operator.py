@@ -27,28 +27,34 @@ class TestDerivedParams:
         assert der.y == pytest.approx(0.0)
 
     def test_kinetic_balance_forces_q_and_u_zero(self):
+        # select_representation ties rho to the inputs' A, so the cross weight
+        # q = A/omega^beta - beta rho/2 the operator route leaves out is 0 up
+        # to roundoff in omega^beta
         for label in CASE_IDS:
             phys, basis = build_case(label)
-            der = derived_params(basis, phys)
-            assert abs(der.q) < 1e-12
-            assert abs(der.u) < 1e-12
-            assert der.p == pytest.approx(basis.beta / 2.0, rel=1e-14)
+            beta, rho = basis.beta, basis.rho
+            q = phys.A / basis.omega ** beta - beta * rho / 2.0
+            assert abs(q) < 1e-12 * (abs(rho * beta) / 2.0 + 1.0)
+            assert rho * beta * (phys.kappa / beta - basis.gamma) == 0.0
+            assert derived_params(basis, phys).p == pytest.approx(beta / 2.0, rel=1e-14)
 
     def test_u_is_exactly_zero_at_gamma_kappa_over_beta(self):
-        # u = rho beta (kappa/beta - gamma), written like c0 in bilinear_form;
-        # on the C0_ROUNDOFF input kappa - beta (kappa/beta) is not 0 in doubles
+        # the cross weight u = rho beta (kappa/beta - gamma) the operator route
+        # leaves out is 0 in doubles for every basis select_representation
+        # builds; on the C0_ROUNDOFF input kappa - beta (kappa/beta) is not
         cases = [build_case(label) for label in CASE_IDS]
         phys = PhysicalParams(**C0_ROUNDOFF[0])
         cases.append((phys, select_representation(phys, **C0_ROUNDOFF[1])))
         for phys, basis in cases:
-            assert derived_params(basis, phys).u == 0.0
+            assert basis.gamma == phys.kappa / basis.beta
+            assert basis.rho * basis.beta * (phys.kappa / basis.beta - basis.gamma) == 0.0
 
     def test_rep_c_frozen_example(self):
         phys = PhysicalParams(A=1.0, mu=2.0, kappa=-1)
         basis = select_representation(phys, alpha=1.0)
         der = derived_params(basis, phys)
         assert der.z == pytest.approx(0.5)
-        assert der.z * (der.z + der.rho * der.u / der.p) == pytest.approx(0.25)
+        assert der.z * der.z == pytest.approx(0.25)
         assert basis.nu == pytest.approx(2.0)
 
     def test_hyperbolic_identity(self):
@@ -95,7 +101,7 @@ class TestAnalyticElements:
         assert matrix_element_analytic(der, 0, 1) == pytest.approx(expected_off, rel=1e-14)
 
     def test_rep_b_frozen_values(self):
-        # rho = 2, nu = alpha = 1/4, p = 2, q = 0, common = 1:
+        # rho = 2, nu = alpha = 1/4, p = 2, common = 1:
         # D_0 = (1 + nu) p (rho^2 + 1) + 2 (-nu - 1) p rho = 5/2,
         # B_0 = -p (rho^2 - 1) sqrt(1 + nu) = -3 sqrt(5)
         phys = PhysicalParams(A=4.0, mu=-3.0, kappa=-1)
@@ -161,12 +167,12 @@ class TestNumericAgreement:
 
     @pytest.mark.parametrize("label", ["a_rho2", "a_neg_beta", "b_rho2", "b_pos_beta"])
     def test_general_parameter_path(self, label):
-        # away from the balanced parameters (q != 0, p != beta/2) the closed
-        # forms still match quadrature; gamma stays at kappa/beta
+        # away from the balanced parameters (rho off the inputs' A, p != beta/2)
+        # the closed forms still match quadrature, both reading the basis
+        # under its own A; gamma stays at kappa/beta
         phys, basis = build_case(label)
         general = replace(basis, rho=0.55 * basis.rho, tau=0.35)
         der = derived_params(general, phys)
-        assert abs(der.q) > 1e-3
         for n in range(0, 8, 2):
             for m in (n, n + 1):
                 ana = matrix_element_analytic(der, n, m)
@@ -177,11 +183,11 @@ class TestNumericAgreement:
 
     @pytest.mark.parametrize("label", ["c_rho_minus", "c_rho_plus"])
     def test_rep_c_detached_gamma_path(self, label):
-        # gamma off kappa/beta turns on the u-terms of the c-representation forms
+        # gamma off kappa/beta: both routes read the basis under its own
+        # kappa = beta gamma
         phys, basis = build_case(label)
         general = replace(basis, gamma=basis.gamma + 0.3, tau=0.35)
         der = derived_params(general, phys)
-        assert abs(der.u) > 1e-3
         for n in range(0, 8, 2):
             for m in (n, n + 1):
                 ana = matrix_element_analytic(der, n, m)
@@ -204,26 +210,23 @@ class TestNumericAgreement:
 
 
 def _literal_element(basis, phys, n, m):
-    """<psi_n|H-1|psi_m> written out term by term from the four basis forms."""
-    measure, beta, eps = basis.measure, basis.beta, float(phys.eps)
+    """<psi_n|H-1|psi_m> written out term by term from the four basis forms.
+
+    The cross terms lam omega <phi^+| x^{-1/beta} [kappa - beta gamma + q x]
+    |phi^-> + (n<->m), q = A/omega^beta - beta rho/2, are taken with the
+    basis's own A = beta rho omega^beta / 2 and, in rep c, its own kappa =
+    beta gamma: both weights are 0."""
+    measure, eps = basis.measure, float(phys.eps)
     fp_n, fp_m = phi_plus_form(basis, n), phi_plus_form(basis, m)
     fm_n, fm_m = phi_minus_form(basis, n), phi_minus_form(basis, m)
     total = (1.0 - eps) * integrate_product(fp_n, fp_m, measure)
     total -= (1.0 + eps - 1.0 / basis.tau) * integrate_product(fm_n, fm_m, measure)
-    c0 = beta * (phys.kappa / beta - basis.gamma)
-    q = derived_params(basis, phys).q
-    cross = 0.0
-    if c0 != 0.0:
-        cross += c0 * (integrate_product(fp_n, fm_m, measure, extra_power=-1.0 / beta)
-                       + integrate_product(fp_m, fm_n, measure, extra_power=-1.0 / beta))
-    if q != 0.0:
-        cross += q * (integrate_product(fp_n, fm_m, measure, extra_power=1.0 - 1.0 / beta)
-                      + integrate_product(fp_m, fm_n, measure, extra_power=1.0 - 1.0 / beta))
-    return total + basis.lam * basis.omega * cross
+    return total
 
 
 def _general_basis(basis):
-    """Parameters off the balanced assignment, so both cross terms are live."""
+    """Parameters off the balanced assignment: rho detuned from the inputs'
+    A (reps a, b) or gamma from their kappa (rep c), and tau off 1/4."""
     if basis.rep is Rep.C:
         return replace(basis, gamma=basis.gamma + 0.3, tau=0.35)
     return replace(basis, rho=0.55 * basis.rho, tau=0.35)
@@ -267,8 +270,7 @@ C0_ROUNDOFF = (dict(A=-0.07871724553852956, mu=1.4334522641709198, kappa=-7),
 @pytest.mark.parametrize("batched", [False, True])
 def test_one_integral_per_bilinear_form_at_the_balanced_parameters(phys_kw, sel_kw, batched,
                                                                   monkeypatch):
-    # the cross weights kappa - beta gamma and q are exactly 0, so only the
-    # lower-lower integral is taken
+    # the cross terms are left out, so only the lower-lower integral is taken
     phys = PhysicalParams(**phys_kw)
     basis = select_representation(phys, **sel_kw)
     calls = []
@@ -298,8 +300,8 @@ class TestGram:
 
     @pytest.mark.parametrize("label", ["a_rho2", "b_pos_beta", "c_rho_plus"])
     def test_general_parameters_and_mixed_batches(self, label):
-        # off the balanced assignment every cross term is live; a batch
-        # against a single spinor gives one row of the Gram
+        # off the balanced assignment; a batch against a single spinor gives
+        # one row of the Gram
         phys, basis = build_case(label)
         basis = _general_basis(basis)
         der = derived_params(basis, phys)
@@ -327,26 +329,24 @@ def _scalar_element(derived, n, m):
     if abs(n - m) > 1:
         return 0.0
     lam, omega, beta, tau = derived.lam, derived.omega, derived.beta, derived.tau
-    p, q, rho, nu = derived.p, derived.q, derived.rho, derived.nu
+    p, rho, nu = derived.p, derived.rho, derived.nu
     common = lam * lam * omega * omega * beta * tau
     k = max(n, m)
 
     if derived.rep is not Rep.C:
         nut = (2.0 * derived.kappa + 1.0) / beta
         if n == m:
-            c = q / p
             return common * p * ((2.0 * n + 1.0 + nu) * (rho - 1.0) ** 2
-                                 + 2.0 * rho * (2.0 * n + nu + nut)
-                                 + 2.0 * c * ((2.0 * n + 1.0 + nu) * rho + nut - 1.0))
+                                 + 2.0 * rho * (2.0 * n + nu + nut))
         return -common * p * derived.sigma_minus * math.sqrt(k * (k + nu))
 
-    alpha, gamma, u = derived.alpha, derived.gamma, derived.u
+    alpha, gamma = derived.alpha, derived.gamma
     if n == m:
         s = n + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
         t = n + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
-        return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0) + u * s)
+        return 4.0 * common * (p * (s * s + t * t - nu * nu / 4.0))
     s = k + alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
-    return -4.0 * common * (p * s + u / 2.0) * math.sqrt(k * (k + nu))
+    return -4.0 * common * (p * s) * math.sqrt(k * (k + nu))
 
 
 def _bits(values):

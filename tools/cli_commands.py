@@ -12,14 +12,19 @@ per row in OUT_DIR under PYTHONWARNINGS=error: each command must keep its row,
 and each diracpl line of README.md's sh blocks, less its --out, must be a row.
 compare runs each command as ``python -m diracpl.cli`` in two checkouts of this
 repository, with DIR/src on PYTHONPATH: exit code, stdout, stderr and every
-output file must agree byte for byte (report.json without config.out).  Both
-print one line per command and exit 1 on any failure.  tests/test_cli.py runs
-every row in-process through tools/contract_sweep.run, with no warning raised.
+output file must agree byte for byte (report.json without config.out); under
+a command that differs it names each differing report.json leaf as
+``path: base -> change`` and, for any other output, the count of differing
+lines.  Both print one line per command and exit 1 on any failure.
+tests/test_cli.py runs every row in-process through tools/contract_sweep.run,
+with no warning raised.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import os
 import re
 import subprocess
@@ -50,10 +55,12 @@ COMMANDS = tuple(Command(*row) for row in (
     ("golden-rep-b-n40", "solve --A 1 --mu -1.5 --kappa -3 --N 40", 0),
     ("golden-rep-c-n40", "solve --A 1 --mu 2 --kappa -1 --N 40", 0),
     ("golden-eps-minus-n40", "solve --A 2 --mu 0.5 --kappa -1 --epsilon -1 --N 40", 0),
-    # The README library example (rep b, whose quadrature cross weight q is
-    # -4.4e-16 before the snap to 0) and the other verify-warm configurations;
-    # eps = -1 runs the energy reflection, kappa = -1 the rep-c branch of the
-    # batched stencil, and --alpha 1.2 a user alpha, which rep c bounds.
+    # The README library example (rep b, where A/omega^beta - beta rho/2
+    # recomputed from the inputs reads -4.4e-16, not 0; the basis is read
+    # under its own A, so nothing forms it) and the other verify-warm
+    # configurations; eps = -1 runs the energy reflection, kappa = -1 the rep-c
+    # branch of the batched stencil, and --alpha 1.2 a user alpha, which rep c
+    # bounds.
     ("verify-readme-library", "verify --A 1 --mu -1.5 --kappa -3 --N 40", 0),
     ("verify-rep-c", "verify --A 1 --mu 2 --kappa -1 --N 40", 0),
     ("verify-eps-minus", "verify --A 2 --mu 0.5 --kappa -1 --epsilon -1 --N 40", 0),
@@ -65,7 +72,8 @@ COMMANDS = tuple(Command(*row) for row in (
     # change by only e^-|theta|, |theta| <= 0.03, per step (rho = 553, 2.0e-3,
     # 95 and 0.0146); nu = 400, whose Gamma(n+1+nu) leaves double range while
     # the running product R_n of the coefficient scaling does not; and a
-    # contract-sweep draw where kappa - beta (kappa/beta) is not 0 in doubles.
+    # contract-sweep draw where kappa - beta (kappa/beta) is not 0 in doubles,
+    # a cross weight the operator route leaves out (gamma = kappa/beta).
     ("verify-large-theta", "verify --A -1.7164122766073617 --mu -3.8641876132271795 "
                            "--kappa -5 --omega 0.9324215474167732", 0),
     ("verify-rho-553", "verify --A 14.202967632234262 --mu -0.0003961086828168446 "
@@ -87,6 +95,12 @@ COMMANDS = tuple(Command(*row) for row in (
     ("verify-kappa-1e6-n40", "verify --A 1 --mu -1.5 --kappa 1000000 --N 40", 0),
     ("verify-kappa-minus-1e6", "verify --A 1 --mu -1.5 --kappa -1000000 --N 10", 0),
     ("verify-mu-2-kappa-1e6-n40", "verify --A 1 --mu 2 --kappa 1000000 --N 40", 0),
+    # Rep c at beta ~ -mu: omega^beta recomputed from the rounded omega is off
+    # by up to 8e-7 relative, so a quadrature that formed the cross weight
+    # A/omega^beta - beta rho/2 from it would miss the closed-form band (by
+    # 4.1e-8, 1.6e-6 and 1.7e-4); the basis is read under its own A.
+    *((f"verify-rep-c-mu-{mu}", f"verify --A 1 --mu {mu} --kappa -1 --N 40", 0)
+      for mu in ("1e9", "1e10", "1e12")),
     # Long horizons: rep a with growing f_n at N = 120, rep b's coefficient
     # product at N = 160, the ceilings of the raw-polynomial forms the
     # Laguerre-function kernel replaced (rep a at 113 and 176, |g| up to 1.1e84;
@@ -109,6 +123,9 @@ COMMANDS = tuple(Command(*row) for row in (
     # but raises no warning.
     ("special-case-extreme-radii", "special-case --A=-127770.28624524306 "
                                    "--mu=1.0498607757958818 --kappa=3", 1),
+    # At mu = 1e6 omega^beta is off by 6.7e-11 relative (ROADMAP item 13):
+    # diagonal-dirac-residual reads 5.4e-11 against its tolerance 1e-10.
+    ("special-case-mu-1e6", "special-case --A=-1 --mu 1e6 --kappa 1", 0),
     # Refusals.  Parse errors print one line without the usage block.
     ("parse-epsilon-choice", "solve --epsilon 2 --A 1 --mu 2 --kappa -1", 2,
      "diracpl: error: argument --epsilon: invalid choice: "),
@@ -202,8 +219,9 @@ COMMANDS = tuple(Command(*row) for row in (
     ("solve-residual-scale-underflow", "solve --A 1e300 --mu 2 --kappa -1", 2, "residual scale"),
     # The special case: outside rep b; a tuned omega that leaves double range
     # (A = 1e10, mu = 0.999) or whose band factor lam^2 omega^2 beta tau does;
-    # a user omega or alpha, which the case fixes itself; and at mu = 1e6, 1e8
-    # an omega^beta recomputed from the rounded omega (ROADMAP item 13).
+    # a user omega or alpha, which the case fixes itself; and at mu = 1e8 an
+    # omega^beta recomputed from the rounded omega, off by 4.4e-9 relative, so
+    # rho misses 1 (ROADMAP item 13).
     ("special-case-rep-a", "special-case --A 3 --mu -2 --kappa 1", 2,
      "configuration error: diagonal case requires beta*kappa < 0 (representation b)"),
     ("special-case-omega-overflow", "special-case --A 1e10 --mu 0.999 --kappa -1", 2,
@@ -218,9 +236,6 @@ COMMANDS = tuple(Command(*row) for row in (
     ("special-case-alpha-given", "special-case --A 2 --mu 0.5 --kappa -1 --alpha 5", 2,
      "configuration error: the diagonal case is representation b, whose alpha is fixed "
      "by kappa and beta; do not pass --alpha"),
-    ("special-case-mu-1e6", "special-case --A=-1 --mu 1e6 --kappa 1", 2,
-     "configuration error: diagonal reduction conditions failed: "
-     "sigma_-=-1.3422187801417347e-10, X_0=0.0"),
     ("special-case-mu-1e8", "special-case --A=-1 --mu 1e8 --kappa 1", 2,
      "configuration error: omega tuning failed to reach rho = +1 (rho = 1.0000000043826056)"),
 ))
@@ -258,6 +273,34 @@ def readme_commands() -> list[list[str]]:
             for line in block.splitlines() if line.startswith("diracpl ")]
 
 
+def _leaves(value, path: str = "") -> dict:
+    """Each leaf of a parsed JSON value by its dotted path, lists indexed [i]."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return {path: value}
+    return {leaf: v for key, item in items for leaf, v in _leaves(item, key).items()}
+
+
+def differences(key: str, base, change) -> list[str]:
+    """What differs in one output of two runs: `path: base -> change` per
+    report.json leaf, with repr so -0.0 shows; the count of differing lines
+    of any other output; the two exit codes."""
+    if base is None or change is None:
+        return [f"only in {'base' if change is None else 'change'}"]
+    if key == "exit code":
+        return [f"{base} -> {change}"]
+    if key == "file report.json":
+        old, new = _leaves(json.loads(base)), _leaves(json.loads(change))
+        pairs = ((path, repr(old.get(path, "(absent)")), repr(new.get(path, "(absent)")))
+                 for path in sorted(old.keys() | new.keys()))
+        return [f"{path}: {a} -> {b}" for path, a, b in pairs if a != b]
+    lines = itertools.zip_longest(base.splitlines(), change.splitlines())
+    return [f"{sum(a != b for a, b in lines)} lines differ"]
+
+
 def check(out_dir: Path) -> int:
     env = {**os.environ, "PYTHONWARNINGS": "error"}
     failed = 0
@@ -290,6 +333,9 @@ def compare(base: Path, change: Path) -> int:
             status = f"DIFFER ({', '.join(diff)})" if diff else "same"
             print(f"{name}: exit {results[1]['exit code']}, "
                   f"{sum(k.startswith('file') for k in results[1])} files: {status}")
+            for key in diff:
+                for line in differences(key, *(result.get(key) for result in results)):
+                    print(f"  {key}: {line}")
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands identical")
     return 1 if failed else 0
 
