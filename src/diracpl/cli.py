@@ -12,7 +12,6 @@ an unusable output path.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -30,7 +29,7 @@ from .solution import (DiracGrid, SeriesSolution, default_r_grid, diagonal_condi
                        diagonal_correspondence, diagonal_special_case, dirac_grid,
                        dirac_residual, evaluate_grid, lower_norm_sq, second_order_grid,
                        solve, swap_energy, weak_form_boundary_check)
-from .wave_operator import basis_spinor, bilinear_form, build_operator
+from .wave_operator import basis_spinor, bilinear_form, build_operator, operator_band
 
 CONVERGENCE_NS = (5, 10, 20, 40)
 
@@ -202,9 +201,8 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     # Rows 0..N of the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0,
     # each over the sum of its three terms' magnitudes.
     f = np.r_[sol.coeffs, sol.f_next]
-    op = build_operator(der, sol.N + 1)
-    band = np.diag(op, 1)
-    terms = (np.diag(op)[:-1] * f[:-1], np.r_[0.0, band[:-1] * f[:-2]], band * f[1:])
+    d_n, b_n = operator_band(der, sol.N + 1)  # D_0..D_{N+1}, B_0..B_N
+    terms = (d_n[:-1] * f[:-1], np.r_[0.0, b_n[:-1] * f[:-2]], b_n * f[1:])
     chain = np.max(np.abs(sum(terms)) / (sum(map(np.abs, terms)) + 1e-300))
     add("scaling-equivalence", chain, 1e-12,
         "the solution's coefficients satisfy the operator's raw relation at every row")
@@ -237,7 +235,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     lower = (sol if sol.eps == 1 else swap_energy(sol)).form_minus
     quadrature = sol.series_scale ** 2 * integrate_product(lower, lower, der.measure)
     identity = lower_norm_sq(der, sol.norm_const * sol.coeffs, sol.norm_const * sol.f_next)
-    gram = 0.5 * mass @ np.abs(op[:-1, :-1]) @ mass
+    gram = 0.5 * (mass * mass) @ np.abs(d_n[:-1]) + (mass[:-1] * mass[1:]) @ np.abs(b_n[:-1])
     add("lower-norm-identity", abs(quadrature - identity) / max(gram, 1e-300), 1e-8,
         "the lower component's norm equals its boundary term -C f_N B_N C f_{N+1} / 2")
 
@@ -280,9 +278,15 @@ def _solution_dict(sol: SeriesSolution) -> dict:
     }
 
 
+def _record(obj) -> dict:
+    """A dataclass's fields by name, read shallowly: they are all scalars, so no
+    deep copy is needed, and the cached out_dir is no field."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _write_report(config: RunConfig, payload: dict) -> Path:
     path = config.out_dir / "report.json"
-    payload = {"version": __version__, "config": dataclasses.asdict(config), **payload}
+    payload = {"version": __version__, "config": _record(config), **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -293,7 +297,7 @@ def _finish(config: RunConfig, mode: str, checks: list[CheckResult], payload: di
         print(check.line())
     passed = all(c.passed for c in checks)
     _write_report(config, {"mode": mode, **payload,
-                           "checks": [dataclasses.asdict(c) for c in checks],
+                           "checks": [_record(c) for c in checks],
                            "all_passed": passed})
     return 0 if passed else 1
 

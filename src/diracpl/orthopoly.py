@@ -9,22 +9,25 @@ path).  The solver uses the Laguerre family as the orthonormal functions of
 `laguerre_functions`; `laguerre_all` is the raw reference table.  The other
 recurrences share one kernel, `forward_recurrence`; the sums share
 `terminating_series`, which gives orders 0..N of a family at once, at one
-precision per sequence, in O(N) extended-precision and O(N^2) exact integer
-operations.  Gamma-function ratios are always computed in log space.  Only the
-sums and the weights import mpmath.
+precision per sequence, in integer arithmetic.  Each family writes its term
+ratios as exact integer ratios of its double parameters (`float.as_integer_ratio`)
+times at most one constant per list, such as e^{-theta}; those constants are
+the only values mpmath rounds, once per precision, and the rest is O(N)
+integer products with P-bit mantissas and O(N^2) exact integer additions, whose
+rounding bound `terminating_series` states.  Gamma-function ratios are always
+computed in log space.  Only the sums and the weights import mpmath.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
 
 import numpy as np
 
 # Working precision for the terminating-series oracle paths.  The sums
 # alternate and can cancel severely (the value exponentially smaller than the
-# individual terms), so each family n = 0..N is built in extended precision,
+# individual terms), so each family n = 0..N is built at a precision of dps digits,
 # starting at _ORACLE_DPS digits and raised until _GUARD_DIGITS digits survive
 # its worst measured cancellation (for an exact zero: until its rounding bound is
 # _UNDERFLOW_DIGITS decades down, below 2^-1075); needing more than _MAX_DPS is refused.
@@ -95,39 +98,131 @@ def _binomial_table(row: list, op) -> list:
     return out
 
 
+def _dyadic(*values) -> tuple[list, int]:
+    """Integers n_i and one power of two D with float(values[i]) = n_i / D exactly."""
+    pairs = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in pairs)
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _steps(start: int, step: int, count: int) -> range:
+    """The count integers start, start + step, ... (step > 0)."""
+    return range(start, start + count * step, step)
+
+
+def _exact(c) -> tuple:
+    """An mpmath constant c, real or complex (None for 1), as ((re, im), e) with
+    c = (re + i im) 2^e exactly."""
+    if c is None:
+        return (1, 0), 0
+    (mr, er), (mi, ei) = c.real.man_exp, c.imag.man_exp
+    mr, mi = (-mr if c.real < 0 else mr), (-mi if c.imag < 0 else mi)
+    er, ei = (er if mr else ei), (ei if mi else er)  # a zero part takes the other's
+    e = min(er, ei)
+    return (mr << (er - e), mi << (ei - e)), e
+
+
+def _products(nums, dens, const: tuple, width: int) -> tuple[list, list]:
+    """x_0..x_K of x_0 = 1, x_{k+1} = x_k nums[k] c / dens[k], for const = (m, e)
+    of c from `_exact`, as ([re m_k, im m_k], [e_k]) with x_k = m_k 2^e_k up
+    to rounding, or ([m_k], [e_k]) where every im m_k is 0.  Each step is exact
+    up to one division and one rounding to width significant bits, so x_k errs
+    by at most k 2^(2-width), relative."""
+    (cr, ci), ce = const
+    re, im, e = 1 << width, 0, -width
+    res, ims, es = [re], [im], [e]
+    for num, den in zip(nums, dens):
+        nr, ni = (num, 0) if isinstance(num, int) else num
+        re, im = re * nr - im * ni, re * ni + im * nr
+        shift = den.bit_length()
+        re, im = ((re * cr - im * ci) << shift) // den, ((re * ci + im * cr) << shift) // den
+        drop = max(re.bit_length(), im.bit_length()) - width
+        if drop > 0:
+            half = 1 << (drop - 1)
+            re, im = (re + half) >> drop, (im + half) >> drop
+            e += drop
+        e += ce - shift
+        res.append(re)
+        ims.append(im)
+        es.append(e)
+    return ([res, ims] if any(ims) else [res]), es
+
+
+def _magnitudes(parts: list) -> list:
+    """|x| rounded down, of each x given as [re] or [re, im] lists."""
+    if len(parts) == 1:
+        return list(map(abs, parts[0]))
+    return [math.isqrt(a * a + b * b) for a, b in zip(*parts)]
+
+
+def _real_products(a: list, b: list) -> list:
+    """Re(a_n b_n), a and b each given as [re] or [re, im] lists."""
+    out = [x * y for x, y in zip(a[0], b[0])]
+    if len(a) > 1 and len(b) > 1:
+        out = [o - x * y for o, x, y in zip(out, a[1], b[1])]
+    return out
+
+
+def _on_grid(m: int, shift: int) -> int:
+    """round(m 2^shift)."""
+    return m << shift if shift >= 0 else (m + (1 << (-shift - 1))) >> -shift
+
+
+def _log10(x: int, e: int) -> float:
+    """log10(x 2^e) for an integer x >= 0; -inf at x = 0."""
+    return math.log10(x) + e * math.log10(2) if x else -math.inf
+
+
+def _to_double(x: int, e: int) -> float:
+    """x 2^e rounded to the nearest double; +-inf past the double range."""
+    try:
+        return x / (1 << -e) if e < 0 else float(x << e)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def terminating_series(N: int, terms) -> np.ndarray:
     """v_0..v_N of v_n = Re(p_n sum_{k<=n} (-n)_k/k! u_k), summed as one family.
 
-    terms() runs at the current mpmath precision and returns the N ratios
-    u_{k+1}/u_k and p_{n+1}/p_n (real or complex; u_0 = p_0 = 1).  Only
-    (-n)_k/k! = (-1)^k C(n, k) depends on n, so the u_k, rounded to integers U_k
-    at P = ceil(dps log2 10) + N + 16 bits, give every S_n = sum_k (-1)^k C(n, k) U_k
-    and M_n = sum_k C(n, k) |U_k| exactly; u_0 = 1 makes M_n >= 2^P, so that
-    rounding (at most 2^(n-1)) stays below the rounding of the u_k.  Summation
-    loses about log10(M_n/|S_n|) digits, so the precision is raised until
-    _GUARD_DIGITS digits remain at the worst n.  A sum S_n that is exactly zero
-    may be a rounded argument (1 - e^{2 theta} -> 1), so it is accepted only at
-    a precision whose rounding bound (N+1) |p_n| M_n 10^-dps is below the
-    smallest double.  Needing more than _MAX_DPS digits raises ValueError.
+    terms() runs at the current mpmath precision (dps digits) and returns two
+    triples (nums, dens, c), of the N ratios u_{k+1}/u_k and p_{n+1}/p_n
+    (u_0 = p_0 = 1): the k-th ratio is nums[k] c / dens[k], with nums[k] an
+    integer or a Gaussian integer (re, im), dens[k] a positive integer, and c
+    one mpmath constant (real or complex) or None for 1.  The constants are
+    the only rounded inputs; the rest is integer arithmetic.  The u_k and p_n
+    are running products with P = ceil(dps log2 10) + N + 16 bit mantissas
+    (`_products`), so with the rounding of c each errs by at most k 10^-dps,
+    relative, and the u_k are rounded to integers U_k on the grid 2^-P.  Only
+    (-n)_k/k! = (-1)^k C(n, k) depends on n, so the U_k give every S_n =
+    sum_k (-1)^k C(n, k) U_k and M_n = sum_k C(n, k) |U_k| exactly; u_0 = 1
+    makes M_n >= 2^P, so the grid's rounding (at most 2^(n-1) in S_n) stays
+    below that of the u_k, and S_n errs by at most (N+1) M_n 10^-dps.
+    Summation loses about log10(M_n/|S_n|) digits, so the precision is raised
+    until _GUARD_DIGITS digits remain at the worst n.  A sum S_n that is
+    exactly zero may be a rounded argument (1 - e^{2 theta} -> 1), so it is
+    accepted only at a precision whose rounding bound (N+1) |p_n| M_n 10^-dps
+    is below the smallest double.  Needing more than _MAX_DPS digits raises
+    ValueError.  Each v_n = Re(p_n S_n) 2^-P is formed exactly and rounded
+    once, to the nearest double.
     """
     import mpmath as mp
     dps = _ORACLE_DPS
     while True:
         bits = math.ceil(dps * math.log2(10)) + N + 16
         with mp.workdps(dps):
-            ratios, scales = terms()
-            u = list(accumulate(ratios, operator.mul, initial=mp.ldexp(1, bits)))  # u_k 2^P
-            p = list(accumulate(scales, operator.mul, initial=mp.ldexp(1, -bits)))  # p_n 2^-P
-            parts = (mp.re, mp.im) if any(isinstance(r, mp.mpc) for r in ratios) else (mp.re,)
-            sums = [_binomial_table([int(mp.nint(part(x))) for x in u], operator.sub)
-                    for part in parts]
-            magnitudes = _binomial_table([int(mp.nint(abs(x))) for x in u], operator.add)
-            norms = [sum(v * v for v in s) for s in zip(*sums)]  # |S_n|^2
-            need = max(math.log10(m) - math.log10(q) / 2 + _GUARD_DIGITS if q
-                       else float(mp.log10((N + 1) * abs(pn) * m)) + _UNDERFLOW_DIGITS
-                       for m, q, pn in zip(magnitudes, norms, p))
-            if dps >= need:
-                return np.array([float(mp.re(pn * mp.mpc(*s))) for pn, *s in zip(p, *sums)])
+            (u_nums, u_dens, u_c), (p_nums, p_dens, p_c) = terms()
+            u_c, p_c = _exact(u_c), _exact(p_c)
+        parts, es = _products(u_nums, u_dens, u_c, bits)
+        grid = [[_on_grid(m, e + bits) for m, e in zip(part, es)] for part in parts]  # U_k
+        sums = [_binomial_table(part, operator.sub) for part in grid]  # S_n
+        magnitudes = _binomial_table(_magnitudes(grid), operator.add)  # M_n
+        scales, es = _products(p_nums, p_dens, p_c, bits)  # p_n = m_n 2^e_n
+        need = max(math.log10(m) - math.log10(s) + _GUARD_DIGITS if s
+                   else _log10((N + 1) * m * p, e - bits) + _UNDERFLOW_DIGITS
+                   for m, s, p, e in zip(magnitudes, _magnitudes(sums), _magnitudes(scales), es))
+        if dps >= need:
+            return np.array([_to_double(x, e - bits)
+                             for x, e in zip(_real_products(scales, sums), es)])
         if dps >= _MAX_DPS:
             raise ValueError(f"oracle series needs {need:.0f} digits; "
                              f"more than {_MAX_DPS} would be needed")
@@ -239,11 +334,11 @@ def laguerre_series(n: int, nu: float, x) -> float:
     """
     _check_laguerre_params(n, nu, x)
     x = float(x)
-    import mpmath as mp
 
     def terms():
-        nu1 = mp.mpf(nu) + 1
-        return [x / (nu1 + k) for k in range(n)], [(nu1 + k) / (k + 1) for k in range(n)]
+        (x_, nu_), den = _dyadic(x, nu)
+        lower = _steps(nu_ + den, den, n)  # (nu + 1 + k) den
+        return ([x_] * n, lower, None), (lower, _steps(den, den, n), None)
 
     return float(terminating_series(n, terms)[-1])
 
@@ -302,10 +397,13 @@ def mp_series(n: int, lam: float, y: float, theta: float) -> float:
     import mpmath as mp
 
     def terms():
-        th, two_lam, b = mp.mpf(theta), 2 * mp.mpf(lam), mp.mpc(lam, y)
-        z, turn = 1 - mp.expj(-2 * th), mp.expj(th)
-        return ([(b + k) * z / (two_lam + k) for k in range(n)],
-                [(two_lam + k) / (k + 1) * turn for k in range(n)])
+        (lam_, y_), den = _dyadic(lam, y)
+        th = mp.mpf(theta)
+        sin = mp.sin(th)
+        z = 2 * sin * mp.mpc(sin, mp.cos(th))  # 1 - e^{-2i theta}, with its digits near 0, pi
+        lower = _steps(2 * lam_, den, n)  # (2 lam + k) den
+        return (([(lam_ + k * den, y_) for k in range(n)], lower, z),
+                (lower, _steps(den, den, n), mp.expj(th)))
 
     return float(terminating_series(n, terms)[-1])
 
@@ -365,10 +463,12 @@ def hyp_mp_series_all(N: int, lam: float, y: float, theta: float) -> np.ndarray:
     import mpmath as mp
 
     def terms():
-        th, lam_y, two_lam = mp.mpf(theta), mp.mpf(lam) + y, 2 * mp.mpf(lam)
-        z, decay = 1 - mp.exp(2 * th), mp.exp(-th)
-        return ([(lam_y + k) * z / (two_lam + k) for k in range(N)],
-                [(two_lam + k) / (k + 1) * decay for k in range(N)])
+        (lam_, y_), den = _dyadic(lam, y)
+        th = mp.mpf(theta)
+        decay = mp.exp(-th)
+        z = -2 * mp.sinh(th) / decay  # 1 - e^{2 theta}, with its digits at small theta
+        lower = _steps(2 * lam_, den, N)  # (2 lam + k) den
+        return ((_steps(lam_ + y_, den, N), lower, z), (lower, _steps(den, den, N), decay))
 
     return terminating_series(N, terms)
 
@@ -396,12 +496,12 @@ def _cdh_3f2(N: int, lam: float, ysq: float, a: float, b: float) -> np.ndarray:
     # 3F2(-n, lam+iy, lam-iy; lam+a, lam+b; 1) for n = 0..N, with (lam+iy)_k (lam-iy)_k
     # accumulated as the real product prod_j ((lam+j)^2 + y^2); ysq may be
     # negative, which realizes the y -> -iy substitution.
-    import mpmath as mp
-
     def terms():
-        lam_ = mp.mpf(lam)
-        return ([((lam_ + k) ** 2 + ysq) / ((lam_ + a + k) * (lam_ + b + k)) for k in range(N)],
-                [1] * N)
+        (lam_, a_, b_), den = _dyadic(lam, a, b)
+        q, dq = float(ysq).as_integer_ratio()
+        up = [(lam_ + k * den) ** 2 * dq + q * den * den for k in range(N)]
+        down = [(lam_ + a_ + k * den) * (lam_ + b_ + k * den) * dq for k in range(N)]
+        return (up, down, None), ([1] * N, [1] * N, None)
 
     return terminating_series(N, terms)
 

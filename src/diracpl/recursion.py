@@ -115,9 +115,13 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     Values come from one terminating-series family per sequence, at a
     precision its worst cancellation leaves intact; they are exact even where
     the coefficient sequence is the decaying (minimal) solution of the
-    recursion.  The cost is O(N) extended-precision and O(N^2) exact integer
-    operations, so this is the oracle the float routes of
-    `coefficient_sequence` are judged against, not the production path.
+    recursion.  The sum is integer arithmetic: mpmath rounds at most two
+    constants per precision (e^{-theta} and 1 - e^{2 theta} in reps a/b, none in
+    rep c), and the rest is O(N) integer products and O(N^2) exact integer
+    additions, with each sum's rounding bound (N+1) M_n 10^-dps, M_n the sum of
+    its terms' magnitudes (`orthopoly.terminating_series`).  This is the
+    oracle the float routes of `coefficient_sequence` are judged against, not
+    the production path.
     """
     if N < 0:
         raise ValueError("N must be non-negative")

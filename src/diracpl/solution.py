@@ -4,8 +4,8 @@ A solution is chi_N = C * sum_{n=0}^N f_n psi_n with C fixed by
 <chi_N|chi_N> = 1 and f_n = R_n s_n, f_0 = 1: the natural sequence s_n from
 float arithmetic (a running product or forward recurrence, by the
 representation's `basis.Family`: `recursion.coefficient_sequence`) times one
-running product (`recursion.rescale`); the extended-precision closed forms are
-the oracle of the s_n, not the production route.
+running product (`recursion.rescale`); the closed forms, summed in exact
+integer arithmetic, are the oracle of the s_n, not the production route.
 The two component forms are built from the coefficient vector in one pass
 (`basis.spinor_forms`).
 Because the basis satisfies the first-order (kinetic-balance) relation
@@ -34,8 +34,8 @@ from .basis import (_EXCLUDED_MU, BasisParams, DerivedParams, PhysicalParams, Re
 from .forms import LaguerreForm, integrate_product, quadrature_order
 from .quadrature import MAX_ORDER
 from .recursion import _check_finite, coefficient_sequence, rescale
-from .wave_operator import (band_elements, basis_spinor, bilinear_form, build_operator,
-                            matrix_element_analytic)
+from .wave_operator import (band_elements, basis_spinor, bilinear_form,
+                            matrix_element_analytic, operator_band)
 
 __all__ = [
     "SpinorSample",
@@ -115,11 +115,10 @@ class SeriesSolution:
     @cached_property
     def weak_form_scale(self) -> float:
         """Operator-weighted coefficient mass sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|)."""
-        op = build_operator(self.derived, self.N + 1)
-        diag, off = np.abs(np.diag(op)[:-1]), np.abs(np.diag(op, 1))
+        diag, off = map(np.abs, operator_band(self.derived, self.N + 1))
         below = np.concatenate(([0.0], off[:-1]))
         mass = np.abs(self.norm_const * self.coeffs)
-        return max(float(np.sum(mass * (diag + off + below))), 1e-300)
+        return max(float(np.sum(mass * (diag[:-1] + off + below))), 1e-300)
 
     @cached_property
     def d_dr_forms(self) -> dict[str, LaguerreForm]:

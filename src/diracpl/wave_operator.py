@@ -38,6 +38,7 @@ __all__ = [
     "Spinor",
     "basis_spinor",
     "bilinear_form",
+    "operator_band",
     "build_operator",
 ]
 
@@ -89,18 +90,27 @@ def matrix_element_numeric(basis: BasisParams, phys: PhysicalParams, n: int, m: 
                          basis_spinor(basis, m))
 
 
-def build_operator(derived: DerivedParams, N: int) -> np.ndarray:
-    """The (N+1) x (N+1) symmetric tridiagonal matrix of H-1 from the closed
-    forms: D_0..D_N on the diagonal, B_0..B_{N-1} beside it.  A ValueError for
-    N < 1, a non-finite element, or a largest element below the normal range."""
+def operator_band(derived: DerivedParams, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """D_0..D_N and B_0..B_{N-1}, the band of the (N+1) x (N+1) symmetric
+    tridiagonal matrix of H-1 from the closed forms.  A ValueError for N < 1, a
+    non-finite element, or a largest element below the normal range."""
     if N < 1:
         raise ValueError("operator size N must be >= 1")
     k = np.arange(N + 1)
-    mat = np.diag(band_elements(derived, k))
-    mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = band_elements(derived, k[1:], offdiag=True)
-    largest = np.max(np.abs(mat))  # nan or inf if an element is not finite
+    diag, off = band_elements(derived, k), band_elements(derived, k[1:], offdiag=True)
+    largest = np.max(np.abs(np.r_[diag, off]))  # nan or inf if an element is not finite
     if not largest < np.inf:
         raise ValueError("matrix elements must be finite")
     if largest < np.finfo(float).tiny:  # no scale left to measure the matrix in
         raise ValueError(f"operator matrix underflows: largest element {largest:.3g}")
+    return diag, off
+
+
+def build_operator(derived: DerivedParams, N: int) -> np.ndarray:
+    """The (N+1) x (N+1) matrix of `operator_band`: D_0..D_N on the diagonal,
+    B_0..B_{N-1} beside it, with its refusals."""
+    diag, off = operator_band(derived, N)
+    mat = np.diag(diag)
+    k = np.arange(N)
+    mat[k, k + 1] = mat[k + 1, k] = off
     return mat

@@ -430,12 +430,12 @@ class TestForwardRecurrence:
 FAMILIES = ("laguerre", "mp", "hyp_mp", "cdh", "mod_cdh")
 
 
-def _series_and_reference(family, n, lam, y, theta, a, b, x):
+def _series_and_reference(family, n, lam, y, theta, a, b, x, dps=50):
     """The family's terminating-series value, and the same value from mpmath's
-    own hypergeometric function at 50 digits.  The reference takes the inputs
+    own hypergeometric function at dps digits.  The reference takes the inputs
     the series sees: Laguerre parameter nu = a - 1 and y^2 rounded to a float."""
     nu, ysq = a - 1.0, y * y
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         lam_, y_, theta_, a_, b_, x_ = (mpmath.mpf(v) for v in (lam, y, theta, a, b, x))
         nu1, y_sq = mpmath.mpf(nu) + 1, mpmath.sqrt(ysq)
 
@@ -479,13 +479,28 @@ class TestTerminatingSeries:
         value, reference = _series_and_reference(family, n, lam, y, theta, a, b, x)
         assert value == pytest.approx(float(reference), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("family, lam, y, theta, a, b", [
+        # verify's closed forms: readme-verify (rep a) and the rep-c default;
+        # then the rep-b one of `verify --A -1 --mu 2 --kappa 1 --omega 0.3`,
+        # whose series needs 80 digits at n = 20 and 824 at n = 400
+        ("hyp_mp", 1.0, 0.0, 1.0986122886681096, 1.0, 1.0),
+        ("mod_cdh", 2.0, 0.5, 1.0, 2.0, 0.5),
+        ("hyp_mp", 2.0, 2.0, -1.3862943611198904, 1.0, 1.0),
+    ])
+    @pytest.mark.parametrize("n", [160, 400])
+    def test_large_orders_match_mpmath_hypergeometric_functions(self, family, n, lam, y,
+                                                                theta, a, b):
+        value, reference = _series_and_reference(family, n, lam, y, theta, a, b, 0.0,
+                                                  dps=1000)
+        assert value == pytest.approx(float(reference), rel=1e-14, abs=0.0)
+
     @staticmethod
     def _power_family(N, c, seen):
         # u_k = c^k, so v_n = sum_k (-1)^k C(n, k) c^k = (1 - c)^n exactly; the
         # terms reach (1 + c)^n, so about n log10((1 + c)/|1 - c|) digits cancel
         def terms():
             seen.append(mpmath.mp.dps)
-            return [c()] * N, [1] * N
+            return ([1] * N, [1] * N, c()), ([1] * N, [1] * N, None)
         return terms
 
     def test_cancellation_raises_the_precision(self):

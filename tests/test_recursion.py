@@ -469,15 +469,6 @@ class TestCoefficientSequence:
             f = seq * rescale(der, N)
             assert np.all(_relative_residual(_raw_relation(der, N), f, np.arange(N)) <= 1e-12)
 
-    def test_detuned_omega_product_matches_closed_form(self):
-        # a basis carries its own physics, so an omega not tied to rho by the
-        # inputs' A still has theta, and its product is the closed form's
-        phys, basis, _ = _case_with_derived("b_pos_beta")
-        der = derived_params(replace(basis, omega=1.1 * basis.omega), phys)
-        assert der.theta is not None and der.rho ** 2 != 1.0
-        np.testing.assert_allclose(coefficient_sequence(der, 40), closed_form_sequence(der, 40),
-                                   rtol=1e-12, atol=0.0)
-
     def test_rep_b_product_out_of_double_range_raises(self):
         # rho = -1.001: theta = -7.6, so g_n grows like e^{7.6 n} past 1e308 near n = 90
         _, der = _rep_b_case(-1.0, -1.001)

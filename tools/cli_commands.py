@@ -88,6 +88,9 @@ COMMANDS = tuple(Command(*row) for row in (
      0),
     ("verify-c0-roundoff", "verify --A=-0.07871724553852956 --mu=1.4334522641709198 "
                            "--kappa=-7 --N=80 --omega=15.358355579731617", 0),
+    # A rep-b closed form whose terminating series cancels past the oracle's
+    # first 40 digits at n <= 20, so verify raises its precision to 80.
+    ("verify-oracle-80-digits", "verify --A -1 --mu 2 --kappa 1 --omega 0.3 --N 40", 0),
     # Large |kappa|, nu up to ~8e5: psi_0's exponent is a sum of terms ~nu log nu
     # that cancel to O(1), so it is formed about x = nu (`orthopoly.sqrt_psi0`).
     ("verify-kappa-1e5", "verify --A 1 --mu -1.5 --kappa 100000 --N 10", 0),
