@@ -3,8 +3,8 @@ at rest-mass energy, built on tridiagonal basis representations."""
 
 __version__ = "0.1.0"
 
-from .basis import (BasisParams, DerivedParams, PhysicalParams, Rep, derived_params,
-                    kinetic_balance_apply, phi_minus, phi_plus, select_representation)
+from .basis import (BasisParams, PhysicalParams, Rep, derived_params, kinetic_balance_apply,
+                    phi_minus, phi_plus, select_representation)
 from .quadrature import QuadratureRule, RadialMeasure, gauss_laguerre
 from .recursion import (ThreeTermRecursion, build_recursion, closed_form_sequence,
                         coefficient_sequence, rescale, solve_forward)
@@ -19,7 +19,7 @@ __all__ = [
     "PhysicalParams", "BasisParams", "Rep", "select_representation",
     "phi_plus", "phi_minus", "kinetic_balance_apply",
     "QuadratureRule", "RadialMeasure", "gauss_laguerre",
-    "DerivedParams", "derived_params",
+    "derived_params",
     "matrix_element_analytic", "matrix_element_numeric", "build_operator",
     "ThreeTermRecursion", "build_recursion",
     "solve_forward", "coefficient_sequence", "closed_form_sequence", "rescale",

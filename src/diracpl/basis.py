@@ -29,14 +29,16 @@ fixes tau = 1/4, gamma = kappa/beta and rho = 2A/(beta omega^beta).  A basis
 carries its own physics: it is read under A = beta rho omega^beta / 2 and,
 in rep c, kappa = beta gamma, so the operator's cross weights A/omega^beta -
 beta rho/2 and rho beta (kappa/beta - gamma) are 0 by construction and no code
-forms them (tau stays general).  `derived_params` gives its recursion-level
-constants, `DerivedParams`, which the `Family` rules read.
+forms them (tau stays general).  The basis also carries the kappa it was
+built for, and its recursion-level constants (p, sigma_-, theta, y, z, d)
+are its properties, which the `Family` rules read; `derived_params` returns
+the basis once a physics' kappa is checked against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -51,7 +53,6 @@ __all__ = [
     "Family",
     "PhysicalParams",
     "BasisParams",
-    "DerivedParams",
     "derived_params",
     "select_representation",
     "phi_plus",
@@ -121,7 +122,9 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class BasisParams:
-    """Constants fixing one spinor basis family, including the map x = (omega r)^beta."""
+    """Constants fixing one spinor basis family, including the map x = (omega r)^beta,
+    and the kappa it was built for; its recursion constants are its properties.
+    tau = 1/2 and a rho whose square leaves double range are refused."""
 
     rep: Rep
     beta: float
@@ -132,60 +135,56 @@ class BasisParams:
     rho: float
     tau: float
     lam: float
+    kappa: int
+
+    def __post_init__(self):
+        if self.tau == 0.5:
+            raise ValueError("tau = 1/2 makes p and every band element vanish")
+        if not math.isfinite(self.sigma_minus):
+            raise ValueError(f"rho^2 leaves double range (rho = {self.rho:.3g}, "
+                             f"omega = {self.omega:.3g})")
 
     @property
     def measure(self) -> RadialMeasure:
         return RadialMeasure(beta=self.beta, omega=self.omega)
 
+    @property
+    def p(self) -> float:
+        return self.beta * (1.0 - 2.0 * self.tau)
 
-@dataclass(frozen=True)
-class DerivedParams(BasisParams):
-    """One basis with the recursion-level constants it has under one physics.
+    @property
+    def sigma_minus(self) -> float:
+        """rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1."""
+        return (self.rho - 1.0) * (self.rho + 1.0)
 
-    theta and y are the hyperbolic angle and shift entering the a/b-family
-    recursions; they are defined away from the |rho| = 1 boundary and are
-    None on it.
-    """
+    @property
+    def theta(self) -> float | None:
+        """The hyperbolic angle of the a/b recursions (y is their shift); both
+        are None on the |rho| = 1 boundary."""
+        sigma_minus = self.sigma_minus
+        return None if sigma_minus == 0.0 else math.asinh(2.0 * self.rho / sigma_minus)
 
-    kappa: int
-    p: float
-    sigma_plus: float
-    sigma_minus: float
-    zeta: float
-    theta: float | None
-    y: float | None
-    z: float
-    d: float
+    @property
+    def y(self) -> float | None:
+        return None if self.sigma_minus == 0.0 else (self.kappa + 0.5) / self.beta - 0.5
+
+    @property
+    def z(self) -> float:
+        return self.gamma + 1.0 / (2.0 * self.beta)
+
+    @property
+    def d(self) -> float:
+        rho, beta = self.rho, self.beta
+        return self.alpha + rho * self.gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
 
 
-def derived_params(basis: BasisParams, phys: PhysicalParams) -> DerivedParams:
-    """The basis (or a DerivedParams' basis) with p, sigma_+-, zeta, theta, y,
-    z and d, read under the physics the basis was built for (module
-    docstring); of phys only kappa enters."""
-    beta, omega, tau, gamma, rho = basis.beta, basis.omega, basis.tau, basis.gamma, basis.rho
-    if tau == 0.5:
-        raise ValueError("tau = 1/2 makes p and every band element vanish")
-    p = beta * (1.0 - 2.0 * tau)
-    # rho^2 - 1 as a product: rho -+ 1 is exact near rho = +-1
-    sigma_plus = rho * rho + 1.0
-    sigma_minus = (rho - 1.0) * (rho + 1.0)
-    if not (math.isfinite(sigma_plus) and math.isfinite(sigma_minus)):
-        raise ValueError(f"rho^2 leaves double range (rho = {rho:.3g}, omega = {omega:.3g})")
-    nut = (2.0 * phys.kappa + 1.0) / beta
-    zeta = (nut - 1.0) * rho
-
-    # The hyperbolic reduction of the a/b recursions exists away from |rho| = 1.
-    theta = y = None
-    if sigma_minus != 0.0:
-        theta = math.asinh(2.0 * rho / sigma_minus)
-        y = (phys.kappa + 0.5) / beta - 0.5
-
-    z = gamma + 1.0 / (2.0 * beta)
-    d = basis.alpha + rho * gamma - (rho + 1.0) / 2.0 + (rho - 1.0) / (2.0 * beta)
-
-    return DerivedParams(**{f.name: getattr(basis, f.name) for f in fields(BasisParams)},
-                         kappa=phys.kappa, p=p, sigma_plus=sigma_plus,
-                         sigma_minus=sigma_minus, zeta=zeta, theta=theta, y=y, z=z, d=d)
+def derived_params(basis: BasisParams, phys: PhysicalParams) -> BasisParams:
+    """The basis, checked to be read under phys: a kappa not the basis' raises
+    ValueError, since its constants would mix two problems."""
+    if phys.kappa != basis.kappa:
+        raise ValueError(f"kappa = {phys.kappa} is not the kappa = {basis.kappa} "
+                         "the basis was built for")
+    return basis
 
 
 def _scale_power(base: float, exponent: float, what: str, inputs: str) -> float:
@@ -211,14 +210,14 @@ class Family:
 
     exponents: Callable | None  # (kappa, beta) -> the fixed (alpha, nu); None: alpha free
     stencil: Callable  # (basis, n) -> `spinor_forms`' stencil, nu of the lower form
-    band: Callable  # (derived, k, offdiag, common) -> D_k, or B_{k-1} if offdiag
-    relation: Callable  # derived -> (a, b, c) of the natural relation (`recursion`)
-    product: Callable | None  # (derived, N) -> s_0..s_N as one product; None: recurrence
-    closed_form: Callable  # (derived, N) -> s_0..s_N from the closed form
+    band: Callable  # (basis, k, offdiag, common) -> D_k, or B_{k-1} if offdiag
+    relation: Callable  # basis -> (a, b, c) of the natural relation (`recursion`)
+    product: Callable | None  # (basis, N) -> s_0..s_N as one product; None: recurrence
+    closed_form: Callable  # (basis, N) -> s_0..s_N from the closed form
     r_step: Callable  # (n, nu) -> R_n/R_{n-1} of `recursion.rescale`
 
 
-def sector_sign(derived: DerivedParams) -> float:
+def sector_sign(basis: BasisParams) -> float:
     """+1 for sigma_- > 0 (rho^2 > 1), else -1: the sector of every a/b route.
 
     With sigma_- > 0 the normalized coefficients of the natural relation read
@@ -228,7 +227,7 @@ def sector_sign(derived: DerivedParams) -> float:
     both are the single sigma-form divided by |sigma_-|, with theta =
     asinh(2 rho/(rho^2-1)) throughout (for rho^2 < 1 that arcsinh argument is
     itself negative, which is exactly what makes the flipped relation hold)."""
-    return 1.0 if derived.sigma_minus > 0.0 else -1.0
+    return 1.0 if basis.sigma_minus > 0.0 else -1.0
 
 
 def _stencil_on_nu(basis: BasisParams, n):
@@ -252,29 +251,30 @@ def _stencil_on_nu_plus_1(basis: BasisParams, n):
                      [-(1.0 + rho) * down, -(1.0 - rho) * up]]), nu + 1.0
 
 
-def ab_diagonal(derived: DerivedParams, k):
-    """X_k = (2k+1+nu) sigma_+ + 2 zeta of representations a/b, over an index
+def ab_diagonal(basis: BasisParams, k):
+    """X_k = (2k+1+nu) sigma_+ + 2 zeta of representations a/b, sigma_+ = rho^2 + 1
+    and zeta = (nut - 1) rho with nut = (2 kappa + 1)/beta, over an index
     array k: D_k = common p X_k, and the natural relation's diagonal is
     X_k/|sigma_-|.  Written with rho^2 + 1 = (rho-1)^2 + 2 rho, so the part
     that vanishes as rho -> 1 (X_0 of representation b, where nu + nut = 0) is a
     product, not a difference of rounded O(1) terms."""
     k = np.asarray(k)
-    rho, nu = derived.rho, derived.nu
-    nut = (2.0 * derived.kappa + 1.0) / derived.beta
+    rho, nu = basis.rho, basis.nu
+    nut = (2.0 * basis.kappa + 1.0) / basis.beta
     return (2.0 * k + 1.0 + nu) * (rho - 1.0) ** 2 + 2.0 * rho * (2.0 * k + nu + nut)
 
 
-def _mp_band(derived: DerivedParams, k, offdiag: bool, common: float):
+def _mp_band(basis: BasisParams, k, offdiag: bool, common: float):
     """D_k = common p X_k (`ab_diagonal`); B_{k-1} = -common p sigma_- sqrt(k (k+nu))."""
     if not offdiag:
-        return common * derived.p * ab_diagonal(derived, k)
-    return -common * derived.p * derived.sigma_minus * np.sqrt(k * (k + derived.nu))
+        return common * basis.p * ab_diagonal(basis, k)
+    return -common * basis.p * basis.sigma_minus * np.sqrt(k * (k + basis.nu))
 
 
-def _cdh_band(derived: DerivedParams, k, offdiag: bool, common: float):
+def _cdh_band(basis: BasisParams, k, offdiag: bool, common: float):
     """The band of the free-alpha basis."""
-    alpha, beta, gamma, nu = derived.alpha, derived.beta, derived.gamma, derived.nu
-    p, rho = derived.p, derived.rho
+    alpha, beta, gamma, nu = basis.alpha, basis.beta, basis.gamma, basis.nu
+    p, rho = basis.p, basis.rho
     if not offdiag:
         s = k + alpha + rho * gamma + (rho - 1.0) / (2.0 * beta)
         t = k + alpha - rho / 2.0 - 1.0 / (2.0 * beta)
@@ -283,62 +283,62 @@ def _cdh_band(derived: DerivedParams, k, offdiag: bool, common: float):
     return -4.0 * common * (p * s) * np.sqrt(k * (k + nu))
 
 
-def _mp_relation(derived: DerivedParams):
+def _mp_relation(basis: BasisParams):
     """The natural relation normalized by |sigma_-|, so the coefficients carry
     the sign pattern of sigma_-'s sector; |rho| = 1 raises ValueError."""
-    if derived.rho * derived.rho == 1.0 or derived.sigma_minus == 0.0:
+    if basis.rho * basis.rho == 1.0 or basis.sigma_minus == 0.0:
         raise ValueError("|rho| = 1 degenerates the three-term recursion in representations "
                          "a/b; use representation c (rep='c') or a different omega")
-    nu, sm, sgn = derived.nu, derived.sigma_minus, sector_sign(derived)
-    return (lambda n: ab_diagonal(derived, n) / abs(sm),
+    nu, sm, sgn = basis.nu, basis.sigma_minus, sector_sign(basis)
+    return (lambda n: ab_diagonal(basis, n) / abs(sm),
             lambda n: -sgn * (n + nu),
             lambda n: -sgn * (n + 1.0))
 
 
-def _cdh_relation(derived: DerivedParams):
+def _cdh_relation(basis: BasisParams):
     """The modified continuous dual Hahn relation of order (nu+1)/2."""
-    z, d, nu = derived.z, derived.d, derived.nu
+    z, d, nu = basis.z, basis.d, basis.nu
     bracket_const = z * z - ((nu + 1.0) / 2.0) ** 2
     return (lambda n: (n + nu + 1.0) * (n + d + 1.0) + n * (n + d) + bracket_const,
             lambda n: -n * (n + d),
             lambda n: -(n + nu + 1.0) * (n + d + 1.0))
 
 
-def mp_lambda(derived: DerivedParams) -> float:
+def mp_lambda(basis: BasisParams) -> float:
     """Order parameter of the Meixner-Pollaczek-type closed forms: (nu+1)/2."""
-    return (derived.nu + 1.0) / 2.0
+    return (basis.nu + 1.0) / 2.0
 
 
-def cdh_parameters(derived: DerivedParams) -> tuple[float, float, float, float]:
+def cdh_parameters(basis: BasisParams) -> tuple[float, float, float, float]:
     """(lam, y, a, b) of the modified continuous dual Hahn closed form.
 
     lam = a = (nu+1)/2, b = d + (1-nu)/2, y^2 = z^2.
     """
-    lam = (derived.nu + 1.0) / 2.0
-    return lam, abs(derived.z), lam, derived.d + (1.0 - derived.nu) / 2.0
+    lam = (basis.nu + 1.0) / 2.0
+    return lam, abs(basis.z), lam, basis.d + (1.0 - basis.nu) / 2.0
 
 
-def _mp_product(derived: DerivedParams, N: int) -> np.ndarray:
+def _mp_product(basis: BasisParams, N: int) -> np.ndarray:
     """Where lam + y = 0 the hyperbolic Meixner-Pollaczek 2F1(-n, lam + y;
     2 lam; .) is a single term, so s_n = (2 lam)_n / n! (s e^{-s theta})^n,
     s = `sector_sign`, is one running product (unchecked for range); |rho| = 1
     is refused before it, by `recursion.build_recursion`."""
-    s = sector_sign(derived)
+    s = sector_sign(basis)
     k = np.arange(1.0, N + 1.0)
-    steps = (2.0 * mp_lambda(derived) + k - 1.0) / k * (s * math.exp(-(s * derived.theta)))
+    steps = (2.0 * mp_lambda(basis) + k - 1.0) / k * (s * math.exp(-(s * basis.theta)))
     with np.errstate(over="ignore"):
         return np.cumprod(np.r_[1.0, steps])
 
 
-def _mp_closed_form(derived: DerivedParams, N: int) -> np.ndarray:
+def _mp_closed_form(basis: BasisParams, N: int) -> np.ndarray:
     """s_n = s^n P_n(s y, theta), s = `sector_sign`, with P_n the hyperbolic
     Meixner-Pollaczek polynomial of order (nu+1)/2 and y = (kappa+1/2)/beta - 1/2."""
-    if derived.theta is None:
+    if basis.theta is None:
         raise ValueError("closed forms for representations a/b need |rho| != 1, "
                          "where theta is defined")
-    sign = sector_sign(derived)
-    return sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(derived),
-                                                        sign * derived.y, derived.theta)
+    sign = sector_sign(basis)
+    return sign ** np.arange(N + 1) * hyp_mp_series_all(N, mp_lambda(basis),
+                                                        sign * basis.y, basis.theta)
 
 
 def _r_step_down(n, nu):  # R_n^2 = n!/(nu+1)_n; rep c steps up by its reciprocal
@@ -356,7 +356,7 @@ _FAMILIES = {
     Rep.C: Family(exponents=None,
                   stencil=_stencil_on_nu, band=_cdh_band, relation=_cdh_relation,
                   product=None, r_step=lambda n, nu: 1.0 / _r_step_down(n, nu),
-                  closed_form=lambda derived, N: mod_cdh_series_all(N, *cdh_parameters(derived))),
+                  closed_form=lambda basis, N: mod_cdh_series_all(N, *cdh_parameters(basis))),
 }
 
 
@@ -412,7 +412,7 @@ def select_representation(phys: PhysicalParams, omega: float | None = None,
         alpha, nu = exponents(kappa, beta)
 
     return BasisParams(rep=rep, beta=beta, omega=omega, alpha=alpha, nu=nu,
-                       gamma=kappa / beta, rho=rho, tau=0.25, lam=phys.lam)
+                       gamma=kappa / beta, rho=rho, tau=0.25, lam=phys.lam, kappa=kappa)
 
 
 def _upper(basis: BasisParams, c) -> LaguerreForm:

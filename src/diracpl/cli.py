@@ -157,7 +157,7 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     """Invariant suite for one configuration; returns results and context."""
     rng = np.random.default_rng(config.seed)
     sol = config.solve()
-    basis, der = sol.basis, sol.derived  # the eps = +1 problem's, at either sign
+    basis = sol.basis  # the eps = +1 problem's, at either sign
     checks: list[CheckResult] = []
 
     def add(name, measured, tol, description):
@@ -173,9 +173,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
 
     # One Gram of <psi_n|H-1|psi_m> over n, m <= 12 against the closed forms.
     k = np.arange(min(12, max(config.N, 2)) + 1)
-    ana = build_operator(der, k[-1])
+    ana = build_operator(basis, k[-1])
     psi = basis_spinor(basis, k)
-    num = bilinear_form(der, psi, psi)
+    num = bilinear_form(basis, psi, psi)
     far = np.abs(k[:, None] - k) > 1
     add("operator-tridiagonality", np.max(np.abs(num[far])) / np.max(np.abs(ana)),
         1e-8, "projections vanish beyond the three central bands")
@@ -186,9 +186,9 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     # Independent coefficient legs: the production sequence against the closed
     # form, the closed form against the natural relation, and the solution's
     # own f_0..f_{N+1} against the raw relation, i.e. the operator's rows.
-    rec = build_recursion(basis.rep, der, basis.nu)
-    seq = coefficient_sequence(der, 20)
-    cf = closed_form_sequence(der, 20)
+    rec = build_recursion(basis.rep, basis, basis.nu)
+    seq = coefficient_sequence(basis, 20)
+    cf = closed_form_sequence(basis, 20)
     dual = float(np.max(np.abs(seq - cf) / (np.abs(cf) + 1e-300)))
     add("coefficient-dual-path", dual, 1e-6,
         "production coefficient sequence equals the orthogonal-polynomial closed form")
@@ -201,16 +201,16 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     # Rows 0..N of the raw relation D_n f_n + B_{n-1} f_{n-1} + B_n f_{n+1} = 0,
     # each over the sum of its three terms' magnitudes.
     f = np.r_[sol.coeffs, sol.f_next]
-    d_n, b_n = operator_band(der, sol.N + 1)  # D_0..D_{N+1}, B_0..B_N
+    d_n, b_n = operator_band(basis, sol.N + 1)  # D_0..D_{N+1}, B_0..B_N
     terms = (d_n[:-1] * f[:-1], np.r_[0.0, b_n[:-1] * f[:-2]], b_n * f[1:])
     chain = np.max(np.abs(sum(terms)) / (sum(map(np.abs, terms)) + 1e-300))
     add("scaling-equivalence", chain, 1e-12,
         "the solution's coefficients satisfy the operator's raw relation at every row")
 
-    if der.theta is not None:  # y enters with the sign of sigma_- (`sector_sign`)
+    if basis.theta is not None:  # y enters with the sign of sigma_- (`sector_sign`)
         n = np.arange(21)
         a = rec.a(n)
-        diag = hyp_mp_diagonal(n, mp_lambda(der), sector_sign(der) * der.y, der.theta)
+        diag = hyp_mp_diagonal(n, mp_lambda(basis), sector_sign(basis) * basis.y, basis.theta)
         hyper = np.max(np.abs(a - diag) / (np.abs(a) + 1e-300))
         add("hyperbolic-identity", hyper, 1e-14,
             "recursion diagonal equals 2[(n+lam) cosh theta +- y sinh theta]")
@@ -233,8 +233,8 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
     # quadrature's roundoff.
     mass = np.abs(sol.norm_const * sol.coeffs)
     lower = (sol if sol.eps == 1 else swap_energy(sol)).form_minus
-    quadrature = sol.series_scale ** 2 * integrate_product(lower, lower, der.measure)
-    identity = lower_norm_sq(der, sol.norm_const * sol.coeffs, sol.norm_const * sol.f_next)
+    quadrature = sol.series_scale ** 2 * integrate_product(lower, lower, basis.measure)
+    identity = lower_norm_sq(basis, sol.norm_const * sol.coeffs, sol.norm_const * sol.f_next)
     gram = 0.5 * (mass * mass) @ np.abs(d_n[:-1]) + (mass[:-1] * mass[1:]) @ np.abs(b_n[:-1])
     add("lower-norm-identity", abs(quadrature - identity) / max(gram, 1e-300), 1e-8,
         "the lower component's norm equals its boundary term -C f_N B_N C f_{N+1} / 2")
@@ -265,15 +265,16 @@ def run_verify_checks(config: RunConfig) -> tuple[list[CheckResult], dict]:
 
 def _solution_dict(sol: SeriesSolution) -> dict:
     """The report block every mode that builds a solution writes."""
-    b, d = sol.basis, sol.derived
+    b = sol.basis
     return {
         "basis": {"representation": b.rep.value, "beta": b.beta, "omega": b.omega,
                   "alpha": b.alpha, "nu": b.nu, "gamma": b.gamma, "rho": b.rho,
                   "tau": b.tau, "lam": b.lam},
         # q and u, the operator's cross weights, are 0 for every basis (`basis`)
-        "derived": {"p": d.p, "q": 0.0, "sigma_plus": d.sigma_plus,
-                    "sigma_minus": d.sigma_minus, "zeta": d.zeta, "theta": d.theta,
-                    "y": d.y, "z": d.z, "d": d.d, "u": 0.0},
+        "derived": {"p": b.p, "q": 0.0, "sigma_plus": b.rho * b.rho + 1.0,
+                    "sigma_minus": b.sigma_minus,
+                    "zeta": ((2.0 * b.kappa + 1.0) / b.beta - 1.0) * b.rho,
+                    "theta": b.theta, "y": b.y, "z": b.z, "d": b.d, "u": 0.0},
         "normalization_constant": sol.norm_const,
     }
 
@@ -321,7 +322,7 @@ def _write_coefficients(config: RunConfig, sol: SeriesSolution) -> Path:
     """json.dumps(rows, indent=2, sort_keys=True) of the rows {n, f_n, g_or_h_n}: f_n
     pre-normalization with f_0 = 1, and g_or_h_n = f_n / R_n the natural sequence
     (`recursion.rescale`).  Both are finite, so each float is its repr."""
-    natural = sol.coeffs / rescale(sol.derived, sol.N)
+    natural = sol.coeffs / rescale(sol.basis, sol.N)
     rows = ",\n".join(f'  {{\n    "f_n": {f!r},\n    "g_or_h_n": {g!r},\n    "n": {n}\n  }}'
                       for n, (f, g) in enumerate(zip(sol.coeffs.tolist(), natural.tolist())))
     path = config.out_dir / "coefficients.json"

@@ -25,7 +25,8 @@ running product where the closed form is a single term (`Family.product`),
 else forward recurrence on the natural relation, where the pinned sequence is
 the dominant solution.  The closed forms (`closed_form_sequence`) are its
 oracle, and it is theirs.  In the Meixner-Pollaczek family `basis.sector_sign`
-picks the sector of every route.
+picks the sector of every route.  Every route reads one record, the basis
+(`basis.BasisParams`), whose properties are the relations' constants.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import DerivedParams, Rep
+from .basis import BasisParams, Rep
 from .orthopoly import forward_recurrence
 
 __all__ = [
@@ -63,14 +64,14 @@ class ThreeTermRecursion:
         return self.a(n) * seq[n] + self.b(n) * prev + self.c(n) * seq[n + 1]
 
 
-def build_recursion(rep: Rep, derived: DerivedParams, nu: float) -> ThreeTermRecursion:
+def build_recursion(rep: Rep, basis: BasisParams, nu: float) -> ThreeTermRecursion:
     """The natural relation of the s_n, the representation's `Family.relation`.
-    A `rep` or `nu` not those of `derived` raises ValueError, and so does
+    A `rep` or `nu` not those of `basis` raises ValueError, and so does
     |rho| = 1 in a/b."""
-    if rep is not derived.rep or nu != derived.nu:
+    if rep is not basis.rep or nu != basis.nu:
         raise ValueError(f"representation {rep.value} with nu = {nu} does not match the "
-                         f"derived parameters ({derived.rep.value}, nu = {derived.nu})")
-    return ThreeTermRecursion(*rep.family.relation(derived))
+                         f"basis ({basis.rep.value}, nu = {basis.nu})")
+    return ThreeTermRecursion(*rep.family.relation(basis))
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -92,23 +93,23 @@ def solve_forward(rec: ThreeTermRecursion, N: int) -> np.ndarray:
     return _check_finite(forward_recurrence(rec.a(n), rec.b(n), rec.c(n)), "forward recurrence")
 
 
-def coefficient_sequence(derived: DerivedParams, N: int) -> np.ndarray:
+def coefficient_sequence(basis: BasisParams, N: int) -> np.ndarray:
     """s_0..s_N of the natural relation, in float arithmetic with O(N) work.
 
     Where the representation's `Family.product` exists (lam + y = 0) the
     pinned sequence is that single running product; everywhere else it is
     dominant and forward recurrence follows it.  Raises ValueError at |rho| = 1
     in a/b and if the sequence leaves double range."""
-    rec = build_recursion(derived.rep, derived, derived.nu)  # refuses |rho| = 1 in a/b
+    rec = build_recursion(basis.rep, basis, basis.nu)  # refuses |rho| = 1 in a/b
     if N < 0:
         raise ValueError("N must be non-negative")
-    product = derived.rep.family.product
+    product = basis.rep.family.product
     if product is None:
         return solve_forward(rec, N)
-    return _check_finite(product(derived, N), "coefficient product")
+    return _check_finite(product(basis, N), "coefficient product")
 
 
-def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
+def closed_form_sequence(basis: BasisParams, N: int) -> np.ndarray:
     """The natural sequence s_0..s_N from the orthogonal-polynomial closed form
     of the representation (`Family.closed_form`).
 
@@ -125,16 +126,16 @@ def closed_form_sequence(derived: DerivedParams, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    return derived.rep.family.closed_form(derived, N)
+    return basis.rep.family.closed_form(basis, N)
 
 
-def rescale(derived: DerivedParams, N: int) -> np.ndarray:
+def rescale(basis: BasisParams, N: int) -> np.ndarray:
     """R_0..R_N, the running product with f_n = R_n s_n (module docstring).
 
     R_0 = 1 and each step is the representation's `Family.r_step`.  Raises
     ValueError when a factor leaves double range."""
     n = np.arange(1.0, N + 1.0)
-    steps = derived.rep.family.r_step(n, derived.nu)
+    steps = basis.rep.family.r_step(n, basis.nu)
     with np.errstate(over="ignore"):
         factors = np.cumprod(np.r_[1.0, steps])
-    return _check_finite(factors, f"scaling factor R_n at nu = {derived.nu:.6g}")
+    return _check_finite(factors, f"scaling factor R_n at nu = {basis.nu:.6g}")

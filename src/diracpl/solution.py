@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (_EXCLUDED_MU, BasisParams, DerivedParams, PhysicalParams, Rep, _check_r,
-                    _scale_power, ab_diagonal, derived_params, select_representation, spinor_forms)
+from .basis import (_EXCLUDED_MU, BasisParams, PhysicalParams, Rep, _check_r, _scale_power,
+                    ab_diagonal, derived_params, select_representation, spinor_forms)
 from .forms import LaguerreForm, integrate_product, quadrature_order
 from .quadrature import MAX_ORDER
 from .recursion import _check_finite, coefficient_sequence, rescale
@@ -79,26 +79,22 @@ class SeriesSolution:
     gives the lower norm (`lower_norm_sq`) and the weak-form boundary identity;
     norm_const is C.  The series is held once, in exact scale
     (`_normalized`): series_scale = C 2^k times form_plus
-    or form_minus is the normalized component.  derived is the one record of
-    the basis and its recursion constants; for eps = -1 it belongs to the
-    reflected (+1) problem and the component forms are already swapped, so
-    `swap_energy` gives the eps = +1 partner.  Each integral of the forms takes
-    the exact Gauss-Laguerre order for its degree.  eps, N and basis are read
-    off the fields, so they cannot disagree.
+    or form_minus is the normalized component.  basis carries the recursion
+    constants too; for eps = -1 it belongs to the reflected (+1) problem and
+    the component forms are already swapped, so `swap_energy` gives the
+    eps = +1 partner.  Each integral of the forms takes the exact
+    Gauss-Laguerre order for its degree.  eps and N are read off the fields,
+    so they cannot disagree.
     """
 
     phys: PhysicalParams
-    derived: DerivedParams
+    basis: BasisParams
     coeffs: np.ndarray
     f_next: float
     norm_const: float
     series_scale: float
     form_plus: LaguerreForm
     form_minus: LaguerreForm
-
-    @property
-    def basis(self) -> BasisParams:
-        return self.derived
 
     @property
     def eps(self) -> int:
@@ -115,7 +111,7 @@ class SeriesSolution:
     @cached_property
     def weak_form_scale(self) -> float:
         """Operator-weighted coefficient mass sum_m |C f_m| (|D_m| + |B_m| + |B_{m-1}|)."""
-        diag, off = map(np.abs, operator_band(self.derived, self.N + 1))
+        diag, off = map(np.abs, operator_band(self.basis, self.N + 1))
         below = np.concatenate(([0.0], off[:-1]))
         mass = np.abs(self.norm_const * self.coeffs)
         return max(float(np.sum(mass * (diag[:-1] + off + below))), 1e-300)
@@ -143,7 +139,7 @@ def default_r_grid(basis: BasisParams) -> np.ndarray:
     return r
 
 
-def _normalized(phys: PhysicalParams, der: DerivedParams, coeffs: np.ndarray,
+def _normalized(phys: PhysicalParams, basis: BasisParams, coeffs: np.ndarray,
                 f_next: float) -> SeriesSolution:
     """The eps = +1 series solution with coefficients coeffs, scaled to unit norm.
 
@@ -155,26 +151,26 @@ def _normalized(phys: PhysicalParams, der: DerivedParams, coeffs: np.ndarray,
     is not a positive finite number."""
     k = math.frexp(float(np.max(np.abs(coeffs))))[1]
     c = coeffs * math.ldexp(1.0, -k)
-    form_plus, form_minus = spinor_forms(der, c)
-    norm_sq = (integrate_product(form_plus, form_plus, der.measure)
-               + lower_norm_sq(der, c, math.ldexp(f_next, -k)))
+    form_plus, form_minus = spinor_forms(basis, c)
+    norm_sq = (integrate_product(form_plus, form_plus, basis.measure)
+               + lower_norm_sq(basis, c, math.ldexp(f_next, -k)))
     if not 0.0 < norm_sq < math.inf:
         raise ValueError(f"series norm^2 = {norm_sq} is not a positive finite number; "
                          "cannot normalize")
     series_scale = 1.0 / math.sqrt(norm_sq)
-    return SeriesSolution(phys=phys, derived=der, coeffs=coeffs, f_next=f_next,
+    return SeriesSolution(phys=phys, basis=basis, coeffs=coeffs, f_next=f_next,
                           norm_const=math.ldexp(series_scale, -k), series_scale=series_scale,
                           form_plus=form_plus, form_minus=form_minus)
 
 
-def lower_norm_sq(der: DerivedParams, c: np.ndarray, c_next: float) -> float:
+def lower_norm_sq(basis: BasisParams, c: np.ndarray, c_next: float) -> float:
     """<chi-|chi-> of the series sum_n c_n psi_n, n <= N, from its boundary term.
 
     At the rest-mass-energy assignments <u|H-1|v> = 2 <u-|v-> (`bilinear_form`),
     so <chi-|chi-> = c^T T c / 2 over n, m <= N.  c_0..c_{N+1} solve rows 0..N
     of T c = 0, so every row of T c but the last vanishes and the last lacks
     only B_N c_{N+1}: <chi-|chi-> = -c_N B_N c_{N+1} / 2, with no integral."""
-    b_n = float(band_elements(der, len(c), offdiag=True))
+    b_n = float(band_elements(basis, len(c), offdiag=True))
     return -0.5 * float(c[-1]) * b_n * c_next
 
 
@@ -190,11 +186,11 @@ def assemble(phys: PhysicalParams, basis: BasisParams, N: int) -> SeriesSolution
     if (order := quadrature_order(2 * N)) > MAX_ORDER:  # <phi+|phi+>
         raise ValueError(f"N = {N} is too large: the series norm needs quadrature order "
                          f"{order}, above the largest, {MAX_ORDER}")
-    der = derived_params(basis, phys)
+    derived_params(basis, phys)  # a basis built for another kappa is refused
     with np.errstate(over="ignore"):
-        fall = coefficient_sequence(der, N + 1) * rescale(der, N + 1)
+        fall = coefficient_sequence(basis, N + 1) * rescale(basis, N + 1)
     _check_finite(fall, "coefficient f_n")
-    return _normalized(phys, der, fall[:N + 1], float(fall[N + 1]))
+    return _normalized(phys, basis, fall[:N + 1], float(fall[N + 1]))
 
 
 def solve(phys: PhysicalParams, N: int, omega: float | None = None,
@@ -318,10 +314,10 @@ def weak_form_residual(sol: SeriesSolution, n) -> tuple:
     against it, not against the (near-zero) projection itself.  It does not
     depend on n and is computed once per solution.  The stored forms are
     projected in exact scale, and the result multiplied by series_scale.
-    derived and basis belong to the eps = +1 problem at either sign, so an
-    eps = -1 solution is projected as its partner swap_energy(sol)."""
+    basis belongs to the eps = +1 problem at either sign, so an eps = -1
+    solution is projected as its partner swap_energy(sol)."""
     plus = sol if sol.eps == 1 else swap_energy(sol)
-    value = bilinear_form(sol.derived, basis_spinor(sol.basis, n),
+    value = bilinear_form(sol.basis, basis_spinor(sol.basis, n),
                           (plus.form_plus, plus.form_minus))
     return sol.series_scale * value, sol.weak_form_scale
 
@@ -338,7 +334,7 @@ def weak_form_boundary_check(sol: SeriesSolution) -> dict:
     False.  Callers should treat an unresolvable comparison as vacuous."""
     rows, scale = weak_form_residual(sol, np.arange(sol.N + 1))
     interior, value = rows[:-1], rows[-1]
-    b_n = matrix_element_analytic(sol.derived, sol.N + 1, sol.N)
+    b_n = matrix_element_analytic(sol.basis, sol.N + 1, sol.N)
     expected = -b_n * sol.norm_const * sol.f_next
     rel = abs(value - expected) / max(abs(expected), 1e-300)
     return {"projection": float(value), "expected": float(expected),
@@ -396,13 +392,12 @@ def diagonal_special_case(phys: PhysicalParams) -> SeriesSolution:
         raise ValueError(f"omega tuning failed to reach rho = +1 (rho = {basis.rho})")
     basis = replace(basis, rho=1.0)  # snap roundoff so the degeneracy is exact
 
-    der = derived_params(basis, phys)
-    x0, x1 = ab_diagonal(der, np.arange(2))  # D_k = common p X_k, no band formed
-    if der.sigma_minus != 0.0 or abs(x0) > 1e-12 * abs(x1):
+    x0, x1 = ab_diagonal(basis, np.arange(2))  # D_k = common p X_k, no band formed
+    if basis.sigma_minus != 0.0 or abs(x0) > 1e-12 * abs(x1):
         raise ValueError("diagonal reduction conditions failed: "
-                         f"sigma_-={der.sigma_minus}, X_0={x0}")
+                         f"sigma_-={basis.sigma_minus}, X_0={x0}")
 
-    return _normalized(phys, der, np.array([1.0]), 0.0)
+    return _normalized(phys, basis, np.array([1.0]), 0.0)
 
 
 def diagonal_correspondence(basis: BasisParams) -> dict:

@@ -272,7 +272,7 @@ class TestSolveOutputs:
         # those json.dumps gives for the rows, up to rep a's ceiling
         assert main(["solve", *args, "--out", str(tmp_path)]) == 0
         sol = build_config(make_parser().parse_args(["solve", *args])).solve()
-        scaled = sol.coeffs / rescale(sol.derived, sol.N)
+        scaled = sol.coeffs / rescale(sol.basis, sol.N)
         rows = [{"n": n, "f_n": float(sol.coeffs[n]), "g_or_h_n": float(scaled[n])}
                 for n in range(sol.N + 1)]
         assert ((tmp_path / "coefficients.json").read_text()

@@ -11,7 +11,7 @@ import pytest
 from conftest import CASE_IDS, add_forms, build_case
 import diracpl.forms as forms
 import diracpl.wave_operator as wave_operator
-from diracpl.basis import PhysicalParams, select_representation, spinor_forms
+from diracpl.basis import PhysicalParams, derived_params, select_representation, spinor_forms
 from diracpl.forms import integrate_product
 from diracpl.orthopoly import laguerre_functions
 from diracpl.quadrature import gauss_laguerre
@@ -95,7 +95,8 @@ class TestAssembly:
         phys, sol = _solve_case("b_pos_beta")
         minus = negative_energy_solution(replace(phys, eps=-1), 5)
         for s in (sol, minus, diagonal_special_case(PhysicalParams(**DIAG_PHYS))):
-            assert s.basis is s.derived
+            plus = s.phys if s.eps == 1 else map_params(s.phys)  # the basis' problem
+            assert derived_params(s.basis, plus) is s.basis
 
     def test_underflowing_normalization_is_refused(self):
         # representation c nearer mu = 1 (beta = -0.006, nu = 333): the upper
@@ -168,7 +169,7 @@ class TestAssembly:
         norm = sol.series_scale ** 2 * sum(integrate_product(f, f, sol.basis.measure)
                                            for f in series)
         assert abs(norm - 1.0) <= 1e-12
-        rich = sol.series_scale * bilinear_form(sol.derived, basis_spinor(sol.basis, sol.N),
+        rich = sol.series_scale * bilinear_form(sol.basis, basis_spinor(sol.basis, sol.N),
                                                 series)
         assert abs(rich - value) <= 1e-12 * scale
 
@@ -314,7 +315,7 @@ class TestWeakForm:
     def test_projection_matches_sum_of_matrix_elements(self, label):
         # oracle: the projection on the series, taken term by term
         phys, sol = _solve_case(label, N=12)
-        der, c = sol.derived, sol.norm_const
+        basis, c = sol.basis, sol.norm_const
         for n in (0, 5, sol.N):
             value, scale = weak_form_residual(sol, n)
             termwise = sum(c * sol.coeffs[m]
@@ -322,9 +323,9 @@ class TestWeakForm:
                            for m in range(sol.N + 1))
             assert abs(value - termwise) <= 1e-12 * scale
             mass = sum(abs(c * sol.coeffs[m])
-                       * (abs(matrix_element_analytic(der, m, m))
-                          + abs(matrix_element_analytic(der, m + 1, m))
-                          + (abs(matrix_element_analytic(der, m, m - 1)) if m else 0.0))
+                       * (abs(matrix_element_analytic(basis, m, m))
+                          + abs(matrix_element_analytic(basis, m + 1, m))
+                          + (abs(matrix_element_analytic(basis, m, m - 1)) if m else 0.0))
                        for m in range(sol.N + 1))
             assert scale == pytest.approx(mass, rel=1e-13)
 
@@ -429,7 +430,7 @@ class TestDiagonalSpecialCase:
         sol = diagonal_special_case(PhysicalParams(**DIAG_PHYS))
         assert sol.N == 0
         assert sol.basis.rho == 1.0
-        assert sol.derived.sigma_minus == 0.0
+        assert sol.basis.sigma_minus == 0.0
         assert sol.form_minus.is_zero
 
     def test_dirac_residual_exact(self):

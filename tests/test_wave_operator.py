@@ -1,30 +1,68 @@
 """Matrix elements of the wave operator: closed forms vs quadrature."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import CASE_IDS, PARAM_SETS, build_case
 import diracpl.wave_operator as wave_operator
-from diracpl.basis import (BasisParams, PhysicalParams, Rep, derived_params, phi_minus_form,
-                          phi_plus_form, select_representation, spinor_forms)
+from diracpl.basis import (PhysicalParams, Rep, derived_params, phi_minus_form, phi_plus_form,
+                          select_representation, spinor_forms)
 from diracpl.forms import integrate_product
+from diracpl.solution import assemble
 from diracpl.wave_operator import (band_elements, basis_spinor, bilinear_form, build_operator,
                                    matrix_element_analytic, matrix_element_numeric)
+
+
+# A contract-sweep draw where kappa - beta (kappa/beta) is not 0 in doubles.
+C0_ROUNDOFF = (dict(A=-0.07871724553852956, mu=1.4334522641709198, kappa=-7),
+               dict(omega=15.358355579731617))
 
 
 class TestDerivedParams:
     def test_rep_a_frozen_example(self):
         phys = PhysicalParams(A=3.0, mu=-2.0, kappa=1)
         basis = select_representation(phys, omega=1.0)
-        der = derived_params(basis, phys)
-        assert der.rho == pytest.approx(2.0)
-        assert der.sigma_plus == pytest.approx(5.0)
-        assert der.sigma_minus == pytest.approx(3.0)
-        assert der.theta == pytest.approx(math.asinh(4.0 / 3.0))
-        assert der.y == pytest.approx(0.0)
+        assert basis.rho == pytest.approx(2.0)
+        assert basis.sigma_minus == pytest.approx(3.0)
+        assert basis.theta == pytest.approx(math.asinh(4.0 / 3.0))
+        assert basis.y == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("phys_kw,sel_kw", [
+        *[(p, s) for _, p, s in PARAM_SETS], C0_ROUNDOFF], ids=[*CASE_IDS, "c0_roundoff"])
+    def test_constants_are_the_written_expressions(self, phys_kw, sel_kw):
+        # each recursion constant is the same double as its written expression
+        # in the basis fields and the physics' kappa
+        phys = PhysicalParams(**phys_kw)
+        basis = select_representation(phys, **sel_kw)
+        beta, tau, rho, gamma = basis.beta, basis.tau, basis.rho, basis.gamma
+        sigma_minus = (rho - 1.0) * (rho + 1.0)
+        assert basis.kappa == phys.kappa
+        assert basis.p == beta * (1.0 - 2.0 * tau)
+        assert basis.sigma_minus == sigma_minus
+        if sigma_minus == 0.0:
+            assert basis.theta is None and basis.y is None
+        else:
+            assert basis.theta == math.asinh(2.0 * rho / sigma_minus)
+            assert basis.y == (phys.kappa + 0.5) / beta - 0.5
+        assert basis.z == gamma + 1.0 / (2.0 * beta)
+        assert basis.d == (basis.alpha + rho * gamma - (rho + 1.0) / 2.0
+                           + (rho - 1.0) / (2.0 * beta))
+
+    @pytest.mark.parametrize("label", CASE_IDS)
+    def test_kappa_mismatch_rejected(self, label):
+        # a physics of another kappa would mix two problems' constants
+        phys, basis = build_case(label)
+        other = replace(phys, kappa=-phys.kappa)  # the reflected problem's kappa
+        assert derived_params(basis, phys) is basis
+        with pytest.raises(ValueError, match="kappa"):
+            derived_params(basis, other)
+        with pytest.raises(ValueError, match="kappa"):
+            matrix_element_numeric(basis, other, 0, 0)
+        with pytest.raises(ValueError, match="kappa"):
+            assemble(other, basis, 5)
 
     def test_kinetic_balance_forces_q_and_u_zero(self):
         # select_representation ties rho to the inputs' A, so the cross weight
@@ -36,7 +74,7 @@ class TestDerivedParams:
             q = phys.A / basis.omega ** beta - beta * rho / 2.0
             assert abs(q) < 1e-12 * (abs(rho * beta) / 2.0 + 1.0)
             assert rho * beta * (phys.kappa / beta - basis.gamma) == 0.0
-            assert derived_params(basis, phys).p == pytest.approx(beta / 2.0, rel=1e-14)
+            assert basis.p == pytest.approx(beta / 2.0, rel=1e-14)
 
     def test_u_is_exactly_zero_at_gamma_kappa_over_beta(self):
         # the cross weight u = rho beta (kappa/beta - gamma) the operator route
@@ -52,42 +90,20 @@ class TestDerivedParams:
     def test_rep_c_frozen_example(self):
         phys = PhysicalParams(A=1.0, mu=2.0, kappa=-1)
         basis = select_representation(phys, alpha=1.0)
-        der = derived_params(basis, phys)
-        assert der.z == pytest.approx(0.5)
-        assert der.z * der.z == pytest.approx(0.25)
+        assert basis.z == pytest.approx(0.5)
+        assert basis.z * basis.z == pytest.approx(0.25)
         assert basis.nu == pytest.approx(2.0)
 
     def test_hyperbolic_identity(self):
         for label in ("a_rho2", "a_rho_small", "b_rho2", "b_rho_small"):
-            phys, basis = build_case(label)
-            der = derived_params(basis, phys)
-            assert der.theta is not None
-            assert abs(math.cosh(der.theta) ** 2 - math.sinh(der.theta) ** 2 - 1.0) < 1e-14
+            _, basis = build_case(label)
+            assert basis.theta is not None
+            assert abs(math.cosh(basis.theta) ** 2 - math.sinh(basis.theta) ** 2 - 1.0) < 1e-14
 
     def test_tau_half_rejected(self):
         phys, basis = build_case("a_rho2")
         with pytest.raises(ValueError, match="tau"):
             derived_params(replace(basis, tau=0.5), phys)
-
-    @pytest.mark.parametrize("label", CASE_IDS)
-    def test_derived_record_is_the_basis(self, label):
-        # one record per basis: the derived constants extend the basis, and
-        # deriving again from that record gives the same record
-        phys, basis = build_case(label)
-        der = derived_params(basis, phys)
-        assert isinstance(der, BasisParams)
-        for f in fields(BasisParams):
-            assert getattr(der, f.name) == getattr(basis, f.name), f.name
-        assert derived_params(der, phys) == der
-
-    @pytest.mark.parametrize("label", CASE_IDS)
-    def test_derived_record_builds_the_same_forms(self, label):
-        phys, basis = build_case(label)
-        der = derived_params(basis, phys)
-        c = np.linspace(1.0, -0.5, 7)
-        for got, ref in zip(spinor_forms(der, c), spinor_forms(basis, c)):
-            assert (got.power, got.nu) == (ref.power, ref.nu)
-            assert np.array_equal(got.coef, ref.coef)
 
 
 class TestAnalyticElements:
@@ -258,11 +274,6 @@ class TestBilinearForm:
         expected = sum(w * v for w, v in zip(weights, parts))
         scale = sum(abs(w * v) for w, v in zip(weights, parts))
         assert abs(bilinear_form(der, left, mix) - expected) < 1e-13 * scale
-
-
-# A contract-sweep draw where kappa - beta (kappa/beta) is not 0 in doubles.
-C0_ROUNDOFF = (dict(A=-0.07871724553852956, mu=1.4334522641709198, kappa=-7),
-               dict(omega=15.358355579731617))
 
 
 @pytest.mark.parametrize("phys_kw,sel_kw", [
